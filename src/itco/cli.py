@@ -362,8 +362,9 @@ def _gradcheck_cases(seed: int):
     simple("mean_axis", lambda t, a: nm.mean_(t, a, axis=1), (3, 4))
     simple("mean_all", lambda t, a: nm.mean_(t, a), (3, 4))
 
-    def gru_store(with_h0: bool):
-        hidden, d = 4, 3
+    hidden, d = 4, 3
+
+    def gru_store(h0_shape):
         store = nm.ParamStore(dtype=np.float64)
         scale_w = 1.0 / np.sqrt(d)
         scale_u = 1.0 / np.sqrt(hidden)
@@ -374,11 +375,10 @@ def _gradcheck_cases(seed: int):
                 store.add(slot, rng.uniform(-scale_u, scale_u, size=(hidden, hidden)))
             else:
                 store.add(slot, rng.normal(size=hidden) * 0.1)
-        if with_h0:
-            store.add("h0", rng.normal(size=hidden) * 0.1)
-        return store, hidden, d
+        store.add("h0", rng.normal(size=h0_shape) * 0.1)
+        return store
 
-    store, hidden, d = gru_store(with_h0=True)
+    store = gru_store(hidden)
     h_in = vec(hidden) * 0.2
     v_in = vec(d)
     r_cell = rng.normal(size=hidden)
@@ -390,15 +390,24 @@ def _gradcheck_cases(seed: int):
 
     cases.append(("gru_cell", store, gru_cell_loss))
 
-    store_seq, hidden, d = gru_store(with_h0=True)
-    frames = vec((2, 5, d))
-    r_seq = rng.normal(size=(2, hidden))
+    # one window, a batch, a per-window initial state, one window in a
+    # batch, and one step
+    for case, frames_shape, h0_shape in (
+        ("gru_sequence_window", (5, d), hidden),
+        ("gru_sequence", (2, 5, d), hidden),
+        ("gru_sequence_h0_batch", (2, 5, d), (2, hidden)),
+        ("gru_sequence_n1", (1, 5, d), hidden),
+        ("gru_sequence_l1", (2, 1, d), hidden),
+    ):
+        store_seq = gru_store(h0_shape)
+        frames = vec(frames_shape)
+        r_seq = rng.normal(size=frames_shape[:-2] + (hidden,))
 
-    def gru_sequence_loss(tape):
-        p = {name: nm.watch(tape, param) for name, param in store_seq.items()}
-        return _projected(tape, nm.gru_sequence(tape, p, frames), r_seq)
+        def gru_sequence_loss(tape, store_seq=store_seq, frames=frames, r_seq=r_seq):
+            p = {name: nm.watch(tape, param) for name, param in store_seq.items()}
+            return _projected(tape, nm.gru_sequence(tape, p, frames), r_seq)
 
-    cases.append(("gru_sequence", store_seq, gru_sequence_loss))
+        cases.append((case, store_seq, gru_sequence_loss))
 
     def toy_encoders():
         ep = EncoderParams(

@@ -14,7 +14,7 @@ the other side's outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from . import numerics as nm
 
 __all__ = [
-    "Alphabet",
     "SymbolDistribution",
     "EncoderParams",
     "CONFIRM",
@@ -35,23 +34,6 @@ PREDICT = "predict"  # consumes x, the window's past frames
 SIDES = (CONFIRM, PREDICT)
 
 TAG_INIT = 101
-
-
-@dataclass
-class Alphabet:
-    size: int = 64
-    live_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("alphabet needs at least 2 symbols")
-        if self.live_mask is None:
-            self.live_mask = np.ones(self.size, dtype=bool)
-        self.live_mask = np.asarray(self.live_mask, dtype=bool)
-        if self.live_mask.shape != (self.size,):
-            raise ValueError("live_mask length must equal alphabet size")
-        if not self.live_mask.any():
-            raise ValueError("at least one symbol must be live")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
 """Minimal reverse-mode differentiable core.
 
 Forward evaluation plus exact gradients for the handful of primitives the
-window encoders and losses need: affine maps, GRU cells, softmax, clamped
-logs and axis reductions. Values are numpy arrays; a forward pass over an
-optional Tape records one backward closure per primitive, and the reverse
-sweep replays them in exact reverse creation order (creation order is a
-topological order, so fan-out accumulates additively).
+window encoders and losses need: affine maps, GRU sequences, softmax,
+clamped logs and axis reductions. Values are numpy arrays; a forward pass
+over an optional Tape records one backward closure per primitive, and the
+reverse sweep replays them in exact reverse creation order (creation order
+is a topological order, so fan-out accumulates additively).
+
+A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
+steps itself and records a single tape node whose backward is a
+hand-written backpropagation through time. ``gru_cell``, the same step
+composed from the elementary primitives, is kept as the test oracle the
+fused path must match.
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -18,6 +24,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "Node",
     "Tape",
     "Param",
@@ -46,6 +53,10 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-30
+
+
+class NonFiniteError(ValueError):
+    """A primitive met NaN or infinity in its input."""
 
 
 class Node:
@@ -261,6 +272,11 @@ def detach(a: Node) -> Node:
     return Node(a.value)
 
 
+def _times(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # w @ v for one vector, v @ w.T for a batch of row vectors
+    return w @ v if v.ndim == 1 else v @ w.T
+
+
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
     """w @ v + b for a single vector v, or v @ w.T + b for a batch [N, n]."""
     wv, bv, vv = w.value, b.value, v.value
@@ -268,12 +284,9 @@ def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
         raise ValueError(
             f"affine shape mismatch: w{wv.shape} b{bv.shape} v{vv.shape}"
         )
-    if vv.ndim == 1:
-        out = Node(wv @ vv + bv)
-    elif vv.ndim == 2:
-        out = Node(vv @ wv.T + bv)
-    else:
+    if vv.ndim > 2:
         raise ValueError(f"affine input must be 1- or 2-d, got {vv.ndim}-d")
+    out = Node(_times(wv, vv) + bv)
     if tape is not None:
         def bw(g):
             if vv.ndim == 1:
@@ -294,7 +307,7 @@ def linear(tape: Optional[Tape], w: Node, h: Node) -> Node:
     wv, hv = w.value, h.value
     if wv.ndim != 2 or hv.shape[-1] != wv.shape[1]:
         raise ValueError(f"linear shape mismatch: w{wv.shape} h{hv.shape}")
-    out = Node(wv @ hv if hv.ndim == 1 else hv @ wv.T)
+    out = Node(_times(wv, hv))
     if tape is not None:
         def bw(g):
             if hv.ndim == 1:
@@ -307,9 +320,13 @@ def linear(tape: Optional[Tape], w: Node, h: Node) -> Node:
     return out
 
 
-def sigmoid(tape: Optional[Tape], a: Node) -> Node:
+def _sigmoid(a: np.ndarray) -> np.ndarray:
     # tanh form is overflow-free for large |x|
-    s = 0.5 * (np.tanh(0.5 * a.value) + 1.0)
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
+def sigmoid(tape: Optional[Tape], a: Node) -> Node:
+    s = _sigmoid(a.value)
     out = Node(s)
     if tape is not None:
         def bw(g):
@@ -348,7 +365,7 @@ def softmax(tape: Optional[Tape], logits: Node) -> Node:
     """Max-shifted softmax along the last axis; rejects non-finite logits."""
     lv = logits.value
     if not np.all(np.isfinite(lv)):
-        raise ValueError("softmax input contains NaN or infinity")
+        raise NonFiniteError("softmax input contains NaN or infinity")
     shifted = lv - lv.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -415,10 +432,17 @@ def gru_cell(tape: Optional[Tape], p: Mapping[str, Node], h: Node, v: Node) -> N
 
 
 def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray) -> Node:
-    """Fold gru_cell over time, starting from the trainable initial state p["h0"].
+    """Fold the GRU over time from the trainable initial state p["h0"].
 
     ``frames`` is [L, d] for one window or [N, L, d] for a batch of windows;
-    returns the final hidden state ([H] or [N, H]).
+    ``p["h0"]`` is [H], shared by every window, or [N, H]. Returns the final
+    hidden state ([H] or [N, H]).
+
+    Each step computes exactly what ``gru_cell`` computes, gate by gate and
+    in the same order, so the forward values are bit-identical to folding
+    ``gru_cell``; the tests keep that fold as the oracle. The whole sequence
+    records one tape node whose backward is a hand-written backpropagation
+    through time (see ``_gru_sequence_backward``).
     """
     frames = np.asarray(frames)
     if frames.ndim not in (2, 3):
@@ -426,11 +450,67 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
     steps = frames.shape[-2]
     if steps < 1:
         raise ValueError("gru_sequence requires at least one frame")
-    h = p["h0"]
+    w_r, u_r, b_r, w_u, u_u, b_u, w_c, u_c, b_c = (p[slot].value for slot in GRU_SLOTS)
+    h = p["h0"].value
+    saved = []
     for t in range(steps):
-        v = constant(frames[..., t, :])
-        h = gru_cell(tape, p, h, v)
-    return h
+        v = frames[..., t, :]
+        r = _sigmoid(_times(w_r, v) + b_r + _times(u_r, h))
+        u = _sigmoid(_times(w_u, v) + b_u + _times(u_u, h))
+        rh = r * h
+        c = np.tanh(_times(w_c, v) + b_c + _times(u_c, rh))
+        if tape is not None:
+            # an [H] h0 is the only state narrower than the gates
+            saved.append((h if t else np.broadcast_to(h, r.shape), r, u, rh, c))
+        h = u * h + (1.0 - u) * c
+    out = Node(h)
+    if tape is not None:
+        tape._record(out, _gru_sequence_backward(p, frames, saved))
+    return out
+
+
+def _gru_sequence_backward(
+    p: Mapping[str, Node], frames: np.ndarray, saved: list
+) -> Callable[[np.ndarray], None]:
+    """Backpropagation through time for one ``gru_sequence`` call.
+
+    ``saved`` holds (h_prev, r, u, r*h_prev, c) for every step. The
+    pointwise factors that do not depend on the incoming gradient are
+    formed for all steps at once; the reverse loop then does only the
+    recurrent part, and each weight gradient is one matmul over all N*L
+    rows at the end, as in cuDNN's RNN backward.
+    """
+
+    def bw(g):
+        steps = len(saved)
+        hidden = g.shape[-1]
+        rows = frames.shape[0] if frames.ndim == 3 else 1
+        shape = (steps, rows, hidden)  # time-major; a single window is one row
+        h_prev, r, u, rh, c = (np.stack(field).reshape(shape) for field in zip(*saved))
+        k_c = (1.0 - u) * (1.0 - c * c)  # dh/da_c
+        k_u = (h_prev - c) * (u * (1.0 - u))  # dh/da_u
+        k_r = h_prev * (r * (1.0 - r))  # d(r*h_prev)/da_r
+        u_r, u_u, u_c = p["u_r"].value, p["u_u"].value, p["u_c"].value
+        da_r, da_u, da_c = np.empty_like(r), np.empty_like(u), np.empty_like(c)
+        gh = g.reshape(rows, hidden)
+        for t in reversed(range(steps)):
+            np.multiply(gh, k_c[t], out=da_c[t])
+            np.multiply(gh, k_u[t], out=da_u[t])
+            drh = da_c[t] @ u_c
+            np.multiply(drh, k_r[t], out=da_r[t])
+            gh = gh * u[t] + drh * r[t] + da_r[t] @ u_r + da_u[t] @ u_u
+
+        flat = steps * rows
+        x = frames.reshape(rows, steps, -1).swapaxes(0, 1).reshape(flat, -1)
+        h_prev, rh = h_prev.reshape(flat, hidden), rh.reshape(flat, hidden)
+        for gate, da, h_in in (("r", da_r, h_prev), ("u", da_u, h_prev), ("c", da_c, rh)):
+            da = da.reshape(flat, hidden)
+            _acc(p[f"w_{gate}"], da.T @ x)
+            _acc(p[f"u_{gate}"], da.T @ h_in)
+            _acc(p[f"b_{gate}"], da.sum(axis=0))
+        _acc(p["h0"], _unbroadcast(gh, p["h0"].value.shape))
+
+    return bw
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from . import objective as ob
 from .corpus import Utterance, WindowGeometry, normalize_utterance, windows_of
 from .model import CONFIRM, PREDICT, EncoderParams
-from .numerics import Tape, sgd_apply, stream_rng
+from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
     "TrainerError",
@@ -357,6 +358,7 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
 
 
 def load_checkpoint(path: Path) -> TrainState:
+    """Read an ITCK file; any file this program did not write raises TrainerError."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise TrainerError(f"not a checkpoint file (bad magic): {path}")
@@ -365,38 +367,67 @@ def load_checkpoint(path: Path) -> TrainState:
     version, header_len = np.frombuffer(raw[4:12], dtype="<u4")
     if version != CHECKPOINT_VERSION:
         raise TrainerError(f"unsupported checkpoint version {version}")
-    header = json.loads(raw[12 : 12 + int(header_len)].decode("utf-8"))
-    config = TrainConfig.from_json_dict(header["config"])
-    state = TrainState(config, input_dim=int(header["input_dim"]))
+    try:
+        header = json.loads(raw[12 : 12 + int(header_len)].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TrainerError(f"checkpoint header is not valid JSON: {path}: {exc}") from None
+    try:
+        config = TrainConfig.from_json_dict(header["config"])
+        state = TrainState(config, input_dim=int(header["input_dim"]))
+        table = [
+            (str(entry["name"]), tuple(int(n) for n in entry["shape"]))
+            for entry in header["arrays"]
+        ]
+        counters = header["counters"]
+        state.epoch = int(counters["epoch"])
+        state.pos_in_epoch = int(counters["pos_in_epoch"])
+        state.processed = int(counters["processed"])
+        state.step = int(counters["step"])
+        state.cloned = bool(counters["cloned"])
+        state.epoch_accum = {
+            key: (int(value) if key in ("saturation_count", "count") else float(value))
+            for key, value in header["epoch_accum"].items()
+        }
+        state.live_mask = np.asarray(header["live_mask"], dtype=bool)
+        state.clone_history = header["clone_history"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TrainerError(f"checkpoint header is malformed: {path}: {exc!r}") from None
+    z = config.alphabet_size
+    if state.live_mask.shape != (z,):
+        raise TrainerError(f"checkpoint live_mask has {state.live_mask.size} entries, expected {z}")
 
-    offset = 12 + int(header_len)
+    # every array but the entropy buffer, whose row count varies, has one shape
+    expected = {name: param.value.shape for name, param in state.ep.store.items()}
+    expected.update(epoch_max_confirm=(z,), epoch_max_predict=(z,), detect_mean_confirm=(z,))
+    offset, end = 12 + int(header_len), len(raw) - 4
     loaded: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw[offset : offset + 4 * count], dtype="<f4").reshape(shape)
+    for name, shape in table:
+        if name == "entropy_buffer":
+            ok, want = len(shape) == 2 and shape[0] >= 0 and shape[1] == z, f"[rows, {z}]"
+        elif name in expected:
+            ok, want = shape == expected[name], list(expected[name])
+        else:
+            raise TrainerError(f"checkpoint has an unknown array {name}: {path}")
+        if not ok:
+            raise TrainerError(f"checkpoint array {name} has shape {list(shape)}, expected {want}")
+        count = int(np.prod(shape))
+        if offset + 4 * count > end:
+            raise TrainerError(f"checkpoint array {name} runs past the end of the file: {path}")
+        arr = np.frombuffer(raw[offset : offset + 4 * count], dtype="<f4")
+        loaded[name] = arr.reshape(shape).copy()
         offset += 4 * count
-        loaded[entry["name"]] = arr.copy()
-    for name, param in state.ep.store.items():
+    if offset != end:
+        raise TrainerError(f"checkpoint has {end - offset} bytes after its last array: {path}")
+    required = [*state.ep.store.names(), "epoch_max_confirm", "epoch_max_predict", "entropy_buffer"]
+    for name in required:
         if name not in loaded:
-            raise TrainerError(f"checkpoint missing parameter array {name}")
-        param.value[...] = loaded[name]
+            raise TrainerError(f"checkpoint missing array {name}")
 
-    counters = header["counters"]
-    state.epoch = int(counters["epoch"])
-    state.pos_in_epoch = int(counters["pos_in_epoch"])
-    state.processed = int(counters["processed"])
-    state.step = int(counters["step"])
-    state.cloned = bool(counters["cloned"])
-    state.epoch_accum = {
-        key: (int(value) if key in ("saturation_count", "count") else float(value))
-        for key, value in header["epoch_accum"].items()
-    }
-    state.live_mask = np.asarray(header["live_mask"], dtype=bool)
-    state.clone_history = header["clone_history"]
+    for name, param in state.ep.store.items():
+        param.value[...] = loaded[name]
     state.epoch_max_confirm = loaded["epoch_max_confirm"]
     state.epoch_max_predict = loaded["epoch_max_predict"]
-    state.entropy_buffer = loaded["entropy_buffer"].reshape(-1, config.alphabet_size)
+    state.entropy_buffer = loaded["entropy_buffer"]
     if "detect_mean_confirm" in loaded:
         state.detect_mean_confirm = loaded["detect_mean_confirm"].astype(np.float64)
     return state
@@ -455,9 +486,21 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 class _MetricsWriter:
-    def __init__(self, path: Optional[Path]):
+    """The metrics stream: one JSON line per record, flushed as it is written.
+
+    A fresh run starts the file empty. A resumed run keeps the lines the
+    file already holds up to the checkpoint's step and appends after them,
+    so resuming into the interrupted run's directory leaves the same bytes
+    as the uninterrupted run.
+    """
+
+    def __init__(self, path: Optional[Path], resume_step: Optional[int] = None):
         self.records: list[dict] = []
-        self._fh = open(path, "w", encoding="utf-8") if path else None
+        self._fh = None
+        if path:
+            if resume_step is not None and os.path.exists(path):
+                os.truncate(path, _stream_length_through(path, resume_step))
+            self._fh = open(path, "w" if resume_step is None else "a", encoding="utf-8")
 
     def emit(self, record: dict) -> None:
         self.records.append(record)
@@ -468,6 +511,27 @@ class _MetricsWriter:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
+
+
+def _stream_length_through(path: Path, step: int) -> int:
+    """Bytes of the complete lines written through training step `step`.
+
+    A checkpoint is saved after the clone and epoch records of its step, so
+    the stream is cut at the first minibatch record past `step`, or at the
+    first line that is cut short or is not a record.
+    """
+    length = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line)
+                past = record["type"] == "minibatch" and record["step"] > step
+            except (ValueError, TypeError, KeyError):
+                break
+            if past or not line.endswith(b"\n"):
+                break
+            length += len(line)
+    return length
 
 
 def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float) -> ob.ObjectiveTerms:
@@ -520,7 +584,9 @@ def train(
     ``stop_after`` pauses once that many utterances have been processed in
     total, saving `interrupted.itck` when a checkpoint directory is given;
     resuming from it reproduces the uninterrupted run's remaining metrics
-    exactly.
+    exactly. When resuming into an existing ``metrics_path``, the file is
+    cut back to the checkpoint's step and continued. A NaN or infinity met
+    on the way raises TrainerError naming the step and the utterance.
     """
     usable = _usable(corpus, config.geometry)
     if not usable:
@@ -537,10 +603,11 @@ def train(
                                f"expected {state.input_dim}")
 
     batches = [_utterance_windows(u, config) for u in usable]
-    writer = _MetricsWriter(metrics_path)
+    writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
     stopped = False
+    where = f"step {state.step}"
 
     try:
         while state.processed < budget and not stopped:
@@ -552,6 +619,7 @@ def train(
             for idx in order[state.pos_in_epoch :]:
                 x, y = batches[idx]
                 lr = config.lr_at(state.processed)
+                where = f"step {state.step + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
                 terms = _train_minibatch(state, x, y, lr)
                 state.pos_in_epoch += 1
                 state.processed += 1
@@ -626,6 +694,9 @@ def train(
             save_checkpoint(state, checkpoint_dir / "interrupted.itck")
         if not stopped and checkpoint_dir is not None:
             save_checkpoint(state, checkpoint_dir / "final.itck")
+    except NonFiniteError as exc:
+        # a dev or clone pass that fails runs on the parameters `where` wrote
+        raise TrainerError(f"training hit a non-finite value at {where}: {exc}") from None
     finally:
         writer.close()
     return state, writer.records

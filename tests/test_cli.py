@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import json
+import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +240,44 @@ class TestTrain:
         )
         assert stitched == (full / "metrics.jsonl").read_text()
 
+    def test_resume_into_same_out_continues_metrics(self, tmp_path, corpus_dir, run_dir):
+        # the file on disk, not only the records in memory, must match the
+        # uninterrupted run, also when resuming from a checkpoint the stream
+        # has already run past
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "out"
+        base = ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+        assert main(base + ["--stop-after", "130"]) == 0
+        for checkpoint in ("interrupted.itck", "epoch_0002.itck"):
+            assert main(base + ["--resume", str(out / "checkpoints" / checkpoint)]) == 0
+            assert (out / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+            assert (out / "checkpoints" / "final.itck").read_bytes() == (
+                run_dir / "checkpoints" / "final.itck"
+            ).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverging_lr_is_data_error(self, tmp_path, corpus_dir, capsys):
+        # the error names the step and the utterance; earlier records stay on disk
+        doc = train_config()
+        doc["lr_schedule"] = [[1, 1e30]]
+        doc["clone_at"] = 0
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main(
+            ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        match = re.search(r"non-finite value at step (\d+) \(utterance '([^']+)'", err)
+        assert match, "error must name the step and the utterance"
+        step, utterance = int(match.group(1)), match.group(2)
+        assert (corpus_dir / "features" / f"{utterance}.itcf").exists()
+        records = [
+            json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()
+        ]
+        steps = [r["step"] for r in records if r["type"] == "minibatch"]
+        assert steps == list(range(1, len(steps) + 1))
+        assert len(steps) in (step - 1, step)
+
     def test_bad_config_is_usage_error(self, tmp_path, corpus_dir):
         doc = train_config()
         doc["lr_schedule"] = []
@@ -338,6 +378,47 @@ class TestEval:
         assert main(
             ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(bad), "--out", str(tmp_path / "o")]
         ) == 2
+
+
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("swapped_shape", "confirm.gru.w_r"),
+            ("missing_epoch_max_confirm", "epoch_max_confirm"),
+            ("missing_entropy_buffer", "entropy_buffer"),
+            ("header_not_json", "not valid JSON"),
+        ],
+    )
+    def test_foreign_checkpoint_with_valid_crc_is_data_error(
+        self, tmp_path, corpus_dir, run_dir, capsys, case, named
+    ):
+        raw = (run_dir / "checkpoints" / "final.itck").read_bytes()
+        header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+        header = json.loads(raw[12 : 12 + header_len])
+        offset, blobs = 12 + header_len, {}
+        for entry in header["arrays"]:
+            size = 4 * int(np.prod(entry["shape"]))
+            blobs[entry["name"]] = raw[offset : offset + size]
+            offset += size
+        if case == "swapped_shape":
+            entry = next(e for e in header["arrays"] if e["name"] == named)
+            entry["shape"] = entry["shape"][::-1]
+        elif case.startswith("missing_"):
+            header["arrays"] = [e for e in header["arrays"] if e["name"] != named]
+        header_bytes = b"{not json" if case == "header_not_json" else json.dumps(header).encode()
+        body = (
+            raw[:4]
+            + np.asarray([1, len(header_bytes)], dtype="<u4").tobytes()
+            + header_bytes
+            + b"".join(blobs[e["name"]] for e in header["arrays"])
+        )
+        foreign = tmp_path / "foreign.itck"
+        foreign.write_bytes(body + np.asarray([zlib.crc32(body)], dtype="<u4").tobytes())
+        assert main(
+            ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(foreign),
+             "--out", str(tmp_path / "o")]
+        ) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itco import numerics as nm
-from itco.model import CONFIRM, PREDICT, Alphabet, EncoderParams, SymbolDistribution
+from itco.model import CONFIRM, PREDICT, EncoderParams, SymbolDistribution
 
 
 def tiny_params(seed=0, dtype=np.float64):
@@ -112,17 +112,6 @@ def test_encode_gradients_flow_through_tape():
     assert total > 0
     for name in ep.side_param_names(PREDICT):
         assert np.array_equal(ep.store[name].grad, np.zeros_like(ep.store[name].grad))
-
-
-def test_alphabet_invariants():
-    a = Alphabet(size=4)
-    assert a.live_mask.sum() == 4
-    with pytest.raises(ValueError):
-        Alphabet(size=1)
-    with pytest.raises(ValueError):
-        Alphabet(size=4, live_mask=np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError):
-        Alphabet(size=4, live_mask=np.ones(3, dtype=bool))
 
 
 def test_symbol_distribution_invariants():

@@ -210,26 +210,82 @@ def test_gru_cell_saturated_gates_pin_output():
     assert np.allclose(out.value, -np.ones(3), atol=1e-6)
 
 
-def test_gru_sequence_batched_matches_single_windows():
-    rng = np.random.default_rng(11)
-    store = make_store()
-    d, hdim = 3, 4
-    params = {}
+def _gru_store(rng, d, hdim, h0_shape, dtype=np.float64):
+    store = nm.ParamStore(dtype=dtype)
     for name in nm.GRU_SLOTS:
         if name.startswith("b"):
-            val = np.zeros(hdim)
+            val = rng.standard_normal(hdim) * 0.1
         elif name.startswith("w"):
             val = rng.standard_normal((hdim, d)) * 0.3
         else:
             val = rng.standard_normal((hdim, hdim)) * 0.3
-        params[name] = nm.Node(store.add(name, val).value)
-    params["h0"] = nm.Node(store.add("h0", rng.standard_normal(hdim) * 0.1).value)
+        store.add(name, val)
+    store.add("h0", rng.standard_normal(h0_shape) * 0.1)
+    return store
 
-    frames = rng.standard_normal((5, 6, d))
-    batched = nm.gru_sequence(None, params, frames)
-    for i in range(5):
-        single = nm.gru_sequence(None, params, frames[i])
-        assert np.allclose(batched.value[i], single.value, atol=1e-12)
+
+def _value_nodes(store):
+    return {name: nm.Node(param.value) for name, param in store.items()}
+
+
+def _composed_sequence(tape, p, frames):
+    # the oracle: gru_cell folded over time, one tape node per elementary primitive
+    h = p["h0"]
+    for t in range(frames.shape[-2]):
+        h = nm.gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
+    return h
+
+
+def test_gru_sequence_batched_matches_single_windows():
+    rng = np.random.default_rng(11)
+    d, hdim = 3, 4
+    for n, steps, batched_h0 in ((5, 6, False), (5, 6, True), (1, 6, False), (5, 1, False)):
+        store = _gru_store(rng, d, hdim, (n, hdim) if batched_h0 else (hdim,))
+        params = _value_nodes(store)
+        h0 = params["h0"].value
+
+        frames = rng.standard_normal((n, steps, d))
+        batched = nm.gru_sequence(None, params, frames)
+        assert batched.value.shape == (n, hdim)
+        for i in range(n):
+            h0_i = nm.Node(h0[i] if batched_h0 else h0)
+            single = nm.gru_sequence(None, dict(params, h0=h0_i), frames[i])
+            assert np.allclose(batched.value[i], single.value, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-3)])
+@pytest.mark.parametrize(
+    "frames_shape, h0_shape",
+    [((6, 3), (4,)), ((5, 6, 3), (4,)), ((5, 6, 3), (5, 4)), ((1, 6, 3), (4,)), ((5, 1, 3), (4,))],
+)
+def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtype, tol):
+    # The fused node repeats the composed cell's forward arithmetic exactly
+    # and sums the same gradients in another order.
+    rng = np.random.default_rng(23)
+    store = _gru_store(rng, frames_shape[-1], 4, h0_shape, dtype)
+    frames = rng.standard_normal(frames_shape).astype(dtype)
+    out_shape = h0_shape if len(h0_shape) == 2 else frames_shape[:-2] + (4,)
+    weights = rng.standard_normal(out_shape).astype(dtype)
+
+    def run(sequence):
+        store.zero_grads()
+        tape = nm.Tape()
+        params = {name: tape.watch(param) for name, param in store.items()}
+        out = sequence(tape, params, frames)
+        nodes = len(tape._nodes)
+        tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
+        return out.value, nodes, {name: param.grad.copy() for name, param in store.items()}
+
+    fused, fused_nodes, fused_grads = run(nm.gru_sequence)
+    composed, _, composed_grads = run(_composed_sequence)
+    assert fused_nodes == 1
+    assert fused.dtype == composed.dtype == dtype
+    assert np.array_equal(fused, composed)
+    assert np.array_equal(nm.gru_sequence(None, _value_nodes(store), frames).value, composed)
+    assert len(fused_grads) == 10
+    for name, grad in composed_grads.items():
+        assert np.abs(grad).max() > 0, name
+        np.testing.assert_allclose(fused_grads[name], grad, rtol=tol, atol=tol, err_msg=name)
 
 
 def test_gru_sequence_rejects_empty_input():

@@ -34,11 +34,9 @@ from .corpus import (
 )
 from .evaluation import (
     EvaluationError,
-    agreement_rate,
+    analyze_corpus,
     evaluate,
-    label_frames,
     majority_tag,
-    symbol_stats,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
@@ -277,14 +275,10 @@ def cmd_eval(args) -> int:
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
     )
 
-    geometry = state.config.geometry
-    ep = state.ep
-    labelings = [label_frames(ep, u, geometry) for u in corpus]
+    labelings, agreement, stats = analyze_corpus(state.ep, corpus, state.config.geometry)
     gold = [u.gold_labels for u in corpus]
     tagmap = majority_tag(labelings, gold)
     confusion, overall_acc, covered_acc, coverage = evaluate(labelings, tagmap, gold)
-    agreement = agreement_rate(ep, corpus, geometry)
-    stats = symbol_stats(ep, corpus, geometry)
 
     summary = {
         "overall_acc": overall_acc,

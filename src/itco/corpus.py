@@ -1,11 +1,12 @@
 """Corpus ingestion, windowing, and synthetic ground truth.
 
 Utterances are [T, d] float feature matrices with optional per-frame gold
-labels. Windows slide over each utterance with stride 1 and never cross
-utterance boundaries. The synthetic generator draws (latent, x symbol,
-y symbol) triples through a pair of row-stochastic channels and emits
-one-hot frame blocks, together with the exact joint table over observed
-symbol pairs so the true mutual information is known in closed form.
+labels. Windows slide over each utterance with stride 1 (or step over its
+back-to-back generated placements) and never cross utterance boundaries.
+The synthetic generator draws (latent, x symbol, y symbol) triples
+through a pair of row-stochastic channels and emits one-hot frame blocks,
+together with the exact joint table over observed symbol pairs so the
+true mutual information is known in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "CorpusError",
     "Utterance",
     "WindowGeometry",
-    "WindowPair",
     "SyntheticSpec",
     "read_features",
     "write_features",
@@ -31,7 +31,7 @@ __all__ = [
     "read_manifest_metadata",
     "write_corpus",
     "normalize_utterance",
-    "windows_of",
+    "window_arrays",
     "synth_corpus",
     "true_mi_oracle",
     "latent_label",
@@ -90,14 +90,6 @@ class WindowGeometry:
             )
         if self.past < 1 or self.future < 1 or self.gap < 0:
             raise ValueError("need past >= 1, future >= 1, gap >= 0")
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    x: np.ndarray  # [past, d], earlier frames
-    y: np.ndarray  # [future, d], later frames
-    utterance_id: str
-    center_frame: int
 
 
 @dataclass
@@ -210,7 +202,14 @@ def read_features(path: Path, utterance_id: Optional[str] = None) -> np.ndarray:
             f"feature payload holds {len(payload)} bytes, header promises {t * d * 4}",
             utterance_id,
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
+    frames = np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad.size:
+        raise CorpusError(
+            f"feature file {path} holds a NaN or infinity at frame {int(bad[0])}",
+            utterance_id,
+        )
+    return frames
 
 
 def write_corpus(
@@ -301,31 +300,30 @@ def normalize_utterance(u: Utterance) -> Utterance:
     return replace(u, frames=frames / np.sqrt(mean_sq))
 
 
-def windows_of(u: Utterance, g: WindowGeometry) -> list[WindowPair]:
-    """All stride-1 window placements; empty when the utterance is too short.
+def window_arrays(
+    u: Utterance, g: WindowGeometry, aligned: bool, dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize one utterance and cut it into window batches.
 
-    The window starting at frame t covers [t, t+total); x is its first
-    `past` frames, y its last `future` frames, and center_frame is
-    t + total//2.
+    Returns x [N, past, d] (each window's first `past` frames), y
+    [N, future, d] (its last `future` frames) and centers [N], where the
+    window starting at frame t covers [t, t+total) and centers on
+    t + total//2. Windows start at every frame, or with ``aligned`` only
+    at the back-to-back generated placements 0, total, 2*total, ...; N is
+    0 when the utterance is shorter than one window. The normalized
+    frames are cast to `dtype` once, before any window is copied.
     """
-    frames = u.frames
-    t_max = frames.shape[0] - g.total
-    out = []
-    for t in range(t_max + 1):
-        out.append(
-            WindowPair(
-                x=frames[t : t + g.past],
-                y=frames[t + g.past + g.gap : t + g.total],
-                utterance_id=u.id,
-                center_frame=t + g.total // 2,
-            )
-        )
-    return out
-
-
-def aligned_starts(num_frames: int, window_total: int) -> list[int]:
-    """Start indices of back-to-back generated placements (0, total, 2*total...)."""
-    return list(range(0, num_frames - window_total + 1, window_total))
+    frames = normalize_utterance(u).frames.astype(dtype)
+    step = g.total if aligned else 1
+    if frames.shape[0] >= g.total:
+        # [N, d, total] view, no copy; starts are selected before any slice is copied
+        view = np.lib.stride_tricks.sliding_window_view(frames, g.total, axis=0)[::step]
+    else:
+        view = np.zeros((0, frames.shape[1], g.total), dtype)
+    x = np.ascontiguousarray(view[:, :, : g.past].transpose(0, 2, 1))
+    y = np.ascontiguousarray(view[:, :, g.past + g.gap :].transpose(0, 2, 1))
+    centers = np.arange(view.shape[0]) * step + g.total // 2
+    return x, y, centers
 
 
 # ---------------------------------------------------------------------------

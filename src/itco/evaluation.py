@@ -1,15 +1,18 @@
-"""Post-training analysis: frame labeling, majority tagging, confusion
-matrices, agreement, and per-symbol statistics.
+"""Post-training analysis: one encoding pass over a corpus, frame
+labeling, majority tagging, confusion matrices, agreement, and per-symbol
+statistics.
+
+`encode_corpus` streams a corpus one utterance at a time: it normalizes
+and windows the utterance with the same scaling used in training
+(normalization is idempotent, so already-normalized input is unchanged)
+and runs each encoder once over its windows. Every corpus statistic,
+here and in the trainer, is a reduction over that stream.
 
 Frames are labeled by the symbol the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
 to the utterance edges are excluded rather than padded. Symbols are then
 tagged with the majority gold label of the frames they claim, and frame
 accuracy is scored through those tags.
-
-Utterances are normalized on entry with the same scaling used in
-training; normalization is idempotent, so already-normalized input is
-unchanged.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .corpus import Utterance, WindowGeometry, normalize_utterance, windows_of
+from .corpus import Utterance, WindowGeometry, window_arrays
 from .model import CONFIRM, PREDICT, EncoderParams
 
 __all__ = [
@@ -30,11 +33,11 @@ __all__ = [
     "TagMap",
     "ConfusionMatrix",
     "SymbolStats",
-    "label_frames",
+    "encode_corpus",
+    "entropy_bits_sum",
+    "analyze_corpus",
     "majority_tag",
     "evaluate",
-    "agreement_rate",
-    "symbol_stats",
     "write_confusion_csv",
     "write_symbol_stats_csv",
 ]
@@ -91,28 +94,69 @@ class SymbolStats:
     windows: int
 
 
-def _window_batches(u: Utterance, geometry: WindowGeometry, dtype):
-    pairs = windows_of(normalize_utterance(u), geometry)
-    if not pairs:
-        return None
-    x = np.stack([p.x for p in pairs]).astype(dtype)
-    y = np.stack([p.y for p in pairs]).astype(dtype)
-    centers = np.array([p.center_frame for p in pairs])
-    return x, y, centers
+def encode_corpus(
+    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
+) -> Iterator[tuple[Utterance, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (utterance, confirm [N, Z], predict [N, Z], centers [N]) per utterance.
 
-
-def label_frames(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> FrameLabeling:
-    """Argmax confirm-side symbol for every frame a full window centers on.
-
-    Ties go to the smallest symbol id.
+    The windows come from `window_arrays` in the model's dtype; each
+    encoder runs once over them, untaped, and the probabilities are cast
+    to float64. An utterance shorter than one window yields N = 0 and
+    calls no encoder.
     """
-    symbols = np.full(u.frames.shape[0], -1, dtype=np.int64)
-    batches = _window_batches(u, geometry, ep.store.dtype)
-    if batches is not None:
-        _, y, centers = batches
-        probs = ep.encode_node(CONFIRM, y).value
-        symbols[centers] = probs.argmax(axis=1)
-    return FrameLabeling(u.id, symbols)
+    for u in corpus:
+        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
+        if centers.size == 0:
+            empty = np.zeros((0, ep.alphabet_size))
+            yield u, empty, empty, centers
+            continue
+        confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
+        predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
+        yield u, confirm, predict, centers
+
+
+def entropy_bits_sum(probs: np.ndarray) -> float:
+    """Summed entropy in bits of the rows of `probs`; zero entries add nothing."""
+    logs = np.log2(np.clip(probs, 1e-30, None))
+    return float(-(np.where(probs > 0, probs * logs, 0.0)).sum())
+
+
+def analyze_corpus(
+    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry
+) -> tuple[list[FrameLabeling], float, SymbolStats]:
+    """Frame labels, agreement rate and symbol statistics over every
+    stride-1 window, from one encoding pass.
+
+    A frame's label is the argmax confirm-side symbol of the window
+    centered on it, ties going to the smallest symbol id; the agreement
+    rate is the fraction of windows where both encoders pick the same
+    symbol; the statistics average each model's output distribution and
+    entropy over windows.
+    """
+    z = ep.alphabet_size
+    labelings = []
+    sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
+    entropy = {CONFIRM: 0.0, PREDICT: 0.0}
+    agree = total = 0
+    for u, confirm, predict, centers in encode_corpus(ep, corpus, geometry, aligned=False):
+        symbols = np.full(u.frames.shape[0], -1, dtype=np.int64)
+        symbols[centers] = confirm.argmax(axis=1)
+        labelings.append(FrameLabeling(u.id, symbols))
+        for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
+            sums[side] += probs.sum(axis=0)
+            entropy[side] += entropy_bits_sum(probs)
+        agree += int((confirm.argmax(axis=1) == predict.argmax(axis=1)).sum())
+        total += centers.size
+    if total == 0:
+        raise EvaluationError("no full windows in the corpus")
+    stats = SymbolStats(
+        avg_confirm=sums[CONFIRM] / total,
+        avg_predict=sums[PREDICT] / total,
+        mean_entropy_confirm_bits=entropy[CONFIRM] / total,
+        mean_entropy_predict_bits=entropy[PREDICT] / total,
+        windows=total,
+    )
+    return labelings, agree / total, stats
 
 
 def majority_tag(labelings: list[FrameLabeling], gold: list[list[str]]) -> TagMap:
@@ -189,56 +233,6 @@ def evaluate(
     covered_acc = covered_correct / covered if covered else 0.0
     coverage = covered / evaluable
     return confusion, overall_acc, covered_acc, coverage
-
-
-def agreement_rate(
-    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry
-) -> float:
-    """Fraction of window placements where both encoders pick the same symbol."""
-    agree = 0
-    total = 0
-    for u in corpus:
-        batches = _window_batches(u, geometry, ep.store.dtype)
-        if batches is None:
-            continue
-        x, y, _ = batches
-        confirm = ep.encode_node(CONFIRM, y).value
-        predict = ep.encode_node(PREDICT, x).value
-        agree += int((confirm.argmax(axis=1) == predict.argmax(axis=1)).sum())
-        total += confirm.shape[0]
-    if total == 0:
-        raise EvaluationError("no full windows in the corpus")
-    return agree / total
-
-
-def symbol_stats(
-    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry
-) -> SymbolStats:
-    """Average output distribution and mean output entropy for each model."""
-    z = ep.alphabet_size
-    sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
-    entropy = {CONFIRM: 0.0, PREDICT: 0.0}
-    total = 0
-    for u in corpus:
-        batches = _window_batches(u, geometry, ep.store.dtype)
-        if batches is None:
-            continue
-        x, y, _ = batches
-        for side, frames in ((CONFIRM, y), (PREDICT, x)):
-            probs = ep.encode_node(side, frames).value.astype(np.float64)
-            sums[side] += probs.sum(axis=0)
-            logs = np.log2(np.clip(probs, 1e-30, None))
-            entropy[side] += float(-(np.where(probs > 0, probs * logs, 0.0)).sum())
-        total += len(y)
-    if total == 0:
-        raise EvaluationError("no full windows in the corpus")
-    return SymbolStats(
-        avg_confirm=sums[CONFIRM] / total,
-        avg_predict=sums[PREDICT] / total,
-        mean_entropy_confirm_bits=entropy[CONFIRM] / total,
-        mean_entropy_predict_bits=entropy[PREDICT] / total,
-        windows=total,
-    )
 
 
 def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import objective as ob
-from .corpus import Utterance, WindowGeometry, normalize_utterance, windows_of
+from .corpus import Utterance, WindowGeometry, window_arrays
+from .evaluation import encode_corpus, entropy_bits_sum
 from .model import CONFIRM, PREDICT, EncoderParams
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
@@ -190,7 +191,7 @@ def _fresh_accum() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# window batching
+# usable utterances
 
 
 def _usable(corpus: list[Utterance], geometry: WindowGeometry) -> list[Utterance]:
@@ -204,16 +205,6 @@ def _usable(corpus: list[Utterance], geometry: WindowGeometry) -> list[Utterance
                 u.id, u.frames.shape[0], geometry.total,
             )
     return usable
-
-
-def _utterance_windows(u: Utterance, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize and cut one utterance into f32 batches (x [N,past,d], y [N,future,d])."""
-    pairs = windows_of(normalize_utterance(u), config.geometry)
-    if config.aligned_windows:
-        pairs = pairs[:: config.geometry.total]
-    x = np.stack([p.x for p in pairs]).astype(np.float32)
-    y = np.stack([p.y for p in pairs]).astype(np.float32)
-    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +229,8 @@ def detect_dead_symbols(state: TrainState, corpus_sample: list[Utterance]) -> np
     max_predict = np.zeros(z, dtype=np.float64)
     mean_confirm = np.zeros(z, dtype=np.float64)
     total_windows = 0
-    for u in usable:
-        x, y = _utterance_windows(u, state.config)
-        confirm = state.ep.encode_node(CONFIRM, y).value.astype(np.float64)
-        predict = state.ep.encode_node(PREDICT, x).value.astype(np.float64)
+    windows = encode_corpus(state.ep, usable, state.config.geometry, state.config.aligned_windows)
+    for _, confirm, predict, _ in windows:
         max_confirm = np.maximum(max_confirm, confirm.max(axis=0))
         max_predict = np.maximum(max_predict, predict.max(axis=0))
         mean_confirm += confirm.sum(axis=0)
@@ -451,19 +440,14 @@ def evaluate_on_corpus(state: TrainState, corpus: list[Utterance]) -> dict:
     entropy_sums = {CONFIRM: 0.0, PREDICT: 0.0}
     agree = 0
     total_windows = 0
-    for u in usable:
-        x, y = _utterance_windows(u, state.config)
-        confirm = state.ep.encode_node(CONFIRM, y).value.astype(np.float64)
-        predict = state.ep.encode_node(PREDICT, x).value.astype(np.float64)
+    windows = encode_corpus(state.ep, usable, state.config.geometry, state.config.aligned_windows)
+    for _, confirm, predict, _ in windows:
         _, terms = ob.utterance_loss(confirm, predict)
         ce_vals.append(terms.cross_entropy_bits)
         me_vals.append(terms.marginal_entropy_bits)
         mi_vals.append(terms.mi_bound_bits)
         for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
-            clipped = np.clip(probs, 1e-30, None)
-            entropy_sums[side] += float(
-                -(np.where(probs > 0, probs * np.log2(clipped), 0.0)).sum()
-            )
+            entropy_sums[side] += entropy_bits_sum(probs)
         agree += int((confirm.argmax(axis=1) == predict.argmax(axis=1)).sum())
         total_windows += confirm.shape[0]
     return {
@@ -602,7 +586,8 @@ def train(
             raise TrainerError(f"utterance {u.id!r} has dimension {u.frames.shape[1]}, "
                                f"expected {state.input_dim}")
 
-    batches = [_utterance_windows(u, config) for u in usable]
+    dtype = state.ep.store.dtype
+    batches = [window_arrays(u, config.geometry, config.aligned_windows, dtype)[:2] for u in usable]
     writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances

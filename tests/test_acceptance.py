@@ -23,6 +23,7 @@ from itco.corpus import (
     load_corpus,
     synth_corpus,
     true_mi_oracle,
+    window_arrays,
 )
 from itco.model import CONFIRM, PREDICT
 from itco.numerics import stream_rng
@@ -178,7 +179,7 @@ def test_criterion_3_cloning_one_bit_law():
     def frozen_batch_terms():
         xs, ys = [], []
         for u in utts:
-            x, y = tr._utterance_windows(u, config)
+            x, y, _ = window_arrays(u, config.geometry, config.aligned_windows, np.float32)
             xs.append(x)
             ys.append(y)
         confirm = state.ep.encode_node(CONFIRM, np.concatenate(ys)).value

@@ -12,6 +12,7 @@ from itco.cli import main, run_gradcheck
 from itco.corpus import read_manifest_metadata, true_mi_oracle
 from itco.trainer import TrainConfig, TrainState, save_checkpoint
 from itco.corpus import WindowGeometry
+from itco.model import EncoderParams
 
 
 def write_json(path: Path, doc: dict) -> Path:
@@ -65,6 +66,21 @@ def run_dir(tmp_path_factory, corpus_dir) -> Path:
     )
     assert code == 0
     return out
+
+
+def corpus_with_bad_value(src: Path, dst: Path, value: float = np.nan) -> str:
+    """Copy a corpus and write `value` into frame 5 of its first utterance;
+    returns that utterance's id."""
+    import shutil
+
+    shutil.copytree(src, dst)
+    victim = sorted((dst / "features").iterdir())[0]
+    raw = bytearray(victim.read_bytes())
+    d = int(np.frombuffer(bytes(raw[12:16]), dtype="<u4")[0])
+    offset = 16 + 4 * 5 * d
+    raw[offset : offset + 4] = np.asarray([value], dtype="<f4").tobytes()
+    victim.write_bytes(bytes(raw))
+    return victim.stem
 
 
 class TestSynth:
@@ -305,6 +321,16 @@ class TestTrain:
         ) == 2
 
 
+    def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, capsys):
+        uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan", np.inf)
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        assert main(
+            ["train", "--corpus", str(tmp_path / "nan"), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert uid in err and "frame 5" in err and "Traceback" not in err
+
+
 class TestEval:
     def test_trained_checkpoint_beats_chance(self, tmp_path, corpus_dir, run_dir):
         out = tmp_path / "eval"
@@ -355,6 +381,33 @@ class TestEval:
         assert summary["overall_acc"] == pytest.approx(0.5, abs=0.15)
         assert summary["tags_used"] == 1
         assert summary["mean_entropy_psi_bits"] == pytest.approx(3.0, abs=1e-5)
+
+    def test_encodes_each_window_once_per_side(self, tmp_path, corpus_dir, run_dir, monkeypatch):
+        calls = []
+        encode = EncoderParams.encode_node
+
+        def counting(self, side, frames, tape=None):
+            calls.append((side, frames.shape[0], tape is None))
+            return encode(self, side, frames, tape)
+
+        monkeypatch.setattr(EncoderParams, "encode_node", counting)
+        assert main(
+            ["eval", "--corpus", str(corpus_dir), "--checkpoint",
+             str(run_dir / "checkpoints" / "final.itck"), "--out", str(tmp_path / "o")]
+        ) == 0
+        # 30 utterances of 4 * 7 frames, each with 28 - 7 + 1 stride-1 windows
+        assert sum(rows for _, rows, _ in calls) == 2 * 30 * 22
+        assert sum(rows for side, rows, _ in calls if side == "confirm") == 30 * 22
+        assert all(untaped for _, _, untaped in calls)
+
+    def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, run_dir, capsys):
+        uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan")
+        assert main(
+            ["eval", "--corpus", str(tmp_path / "nan"), "--checkpoint",
+             str(run_dir / "checkpoints" / "final.itck"), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert uid in err and "frame 5" in err and "Traceback" not in err
 
     def test_dimension_mismatch_is_data_error(self, tmp_path, corpus_dir):
         config = TrainConfig(

@@ -61,6 +61,18 @@ def test_read_features_rejects_bad_magic_and_short_payload(tmp_path):
         cp.read_features(truncated)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_features_rejects_non_finite_values_naming_the_frame(tmp_path, bad):
+    frames = np.ones((6, 3), dtype=np.float32)
+    frames[4, 1] = bad
+    frames[5, 0] = bad
+    path = tmp_path / "u.itcf"
+    cp.write_features(path, frames)
+    with pytest.raises(cp.CorpusError) as err:
+        cp.read_features(path, "u7")
+    assert "u7" in str(err.value) and "frame 4" in str(err.value) and str(path) in str(err.value)
+
+
 def test_load_corpus_single_utterance_shape(tmp_path):
     u = cp.Utterance("u0", np.arange(390, dtype=np.float32).reshape(10, 39))
     cp.write_corpus(tmp_path, [u])
@@ -157,46 +169,67 @@ def test_normalize_ignores_positive_scaling(c):
 # windowing
 
 
+def loop_windows(u, g, aligned, dtype):
+    """Reference for window_arrays: slice one window per start out of the
+    normalized frames, stack, then cast."""
+    frames = cp.normalize_utterance(u).frames
+    starts = range(0, frames.shape[0] - g.total + 1, g.total if aligned else 1)
+    d = frames.shape[1]
+    x = [frames[t : t + g.past] for t in starts]
+    y = [frames[t + g.past + g.gap : t + g.total] for t in starts]
+    return (
+        np.array(x, dtype=np.float64).reshape(-1, g.past, d).astype(dtype),
+        np.array(y, dtype=np.float64).reshape(-1, g.future, d).astype(dtype),
+        np.array([t + g.total // 2 for t in starts], dtype=np.int64),
+    )
+
+
 def test_windows_exact_fit_yields_one_window():
     g = cp.WindowGeometry()
-    u = cp.Utterance("u", np.arange(35 * 2, dtype=float).reshape(35, 2))
-    wins = cp.windows_of(u, g)
-    assert len(wins) == 1
-    assert np.array_equal(wins[0].x, u.frames[0:15])
-    assert np.array_equal(wins[0].y, u.frames[20:35])
-    assert wins[0].center_frame == 17
-    assert wins[0].utterance_id == "u"
+    u = cp.Utterance("u", np.arange(1, 35 * 2 + 1, dtype=float).reshape(35, 2))
+    x, y, centers = cp.window_arrays(u, g, False, np.float64)
+    frames = cp.normalize_utterance(u).frames
+    assert x.shape == (1, 15, 2) and y.shape == (1, 15, 2)
+    assert np.array_equal(x[0], frames[0:15])
+    assert np.array_equal(y[0], frames[20:35])
+    assert centers.tolist() == [17]
 
 
 def test_windows_count_matches_average_utterance():
     g = cp.WindowGeometry()
-    u = cp.Utterance("u", np.zeros((304, 3)))
-    assert len(cp.windows_of(u, g)) == 270
+    u = cp.Utterance("u", np.ones((304, 3)))
+    x, y, centers = cp.window_arrays(u, g, False, np.float32)
+    assert x.shape == (270, 15, 3) and y.shape == (270, 15, 3)
+    assert centers.shape == (270,)
 
 
 def test_windows_too_short_gives_empty_list():
     g = cp.WindowGeometry()
-    u = cp.Utterance("u", np.zeros((34, 3)))
-    assert cp.windows_of(u, g) == []
+    u = cp.Utterance("u", np.ones((34, 3)))
+    for aligned in (False, True):
+        x, y, centers = cp.window_arrays(u, g, aligned, np.float32)
+        assert x.shape == (0, 15, 3) and y.shape == (0, 15, 3) and centers.shape == (0,)
+        assert x.dtype == y.dtype == np.float32
 
 
 @given(st.integers(min_value=1, max_value=120))
 @settings(max_examples=40, deadline=None)
 def test_window_count_formula(t):
     g = cp.WindowGeometry(total=9, past=4, gap=1, future=4)
-    u = cp.Utterance("u", np.zeros((t, 2)))
-    assert len(cp.windows_of(u, g)) == max(0, t - 9 + 1)
+    u = cp.Utterance("u", np.ones((t, 2)))
+    assert cp.window_arrays(u, g, False, np.float32)[2].size == max(0, t - 9 + 1)
+    assert cp.window_arrays(u, g, True, np.float32)[2].size == t // 9
 
 
 def test_window_slices_respect_geometry():
     g = cp.WindowGeometry(total=9, past=4, gap=1, future=4)
-    u = cp.Utterance("u", np.arange(12, dtype=float).reshape(12, 1))
-    wins = cp.windows_of(u, g)
-    assert len(wins) == 4
-    w = wins[2]  # starts at frame 2
-    assert w.x.ravel().tolist() == [2, 3, 4, 5]
-    assert w.y.ravel().tolist() == [7, 8, 9, 10]
-    assert w.center_frame == 2 + 4
+    u = cp.Utterance("u", np.arange(1, 13, dtype=float).reshape(12, 1))
+    x, y, centers = cp.window_arrays(u, g, False, np.float64)
+    assert centers.tolist() == [4, 5, 6, 7]
+    scale = cp.normalize_utterance(u).frames[0, 0]  # frame 0 holds 1.0
+    # the window starting at frame 2 holds frames 2..10 (values 3..11)
+    assert np.allclose(x[2].ravel() / scale, [3, 4, 5, 6])
+    assert np.allclose(y[2].ravel() / scale, [8, 9, 10, 11])
 
 
 def test_geometry_invariants():
@@ -207,8 +240,37 @@ def test_geometry_invariants():
 
 
 def test_aligned_starts_walk_back_to_back_blocks():
-    assert cp.aligned_starts(num_frames=24, window_total=8) == [0, 8, 16]
-    assert cp.aligned_starts(num_frames=23, window_total=8) == [0, 8]
+    g = cp.WindowGeometry(total=8, past=3, gap=2, future=3)
+    for frames, starts in ((24, [0, 8, 16]), (23, [0, 8])):
+        u = cp.Utterance("u", np.ones((frames, 2)))
+        centers = cp.window_arrays(u, g, True, np.float32)[2]
+        assert centers.tolist() == [t + 4 for t in starts]
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_arrays_match_per_start_loop(t, past, gap, future, d, aligned, dtype, seed):
+    g = cp.WindowGeometry(total=past + gap + future, past=past, gap=gap, future=future)
+    # half the draws sit at or just below one window, where the edge cases are
+    t = t if seed % 2 else g.total - (t % 2)
+    u = cp.Utterance("u", np.random.default_rng(seed).standard_normal((t, d)) + 0.1)
+    got = cp.window_arrays(u, g, aligned, dtype)
+    want = loop_windows(u, g, aligned, dtype)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    aligned_arrays = cp.window_arrays(u, g, True, dtype)
+    for a, b in zip(aligned_arrays, cp.window_arrays(u, g, False, dtype)):
+        assert np.array_equal(a, b[:: g.total])
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,20 @@ from itco.corpus import (
     WindowGeometry,
     normalize_utterance,
     synth_corpus,
-    windows_of,
+    window_arrays,
 )
 from itco.evaluation import (
     EvaluationError,
     FrameLabeling,
-    agreement_rate,
+    analyze_corpus,
+    encode_corpus,
+    entropy_bits_sum,
     evaluate,
-    label_frames,
     majority_tag,
-    symbol_stats,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
-from itco.model import CONFIRM, PREDICT, EncoderParams
+from itco.model import CONFIRM, PREDICT, EncoderParams, SymbolDistribution
 from itco.numerics import stream_rng
 
 GEOM = WindowGeometry(total=7, past=3, gap=1, future=3)
@@ -43,28 +43,46 @@ def random_utterance(seed: int, frames: int, dim: int = 4, uid: str = "u0") -> U
     return Utterance(uid, rng.normal(size=(frames, dim)).astype(np.float64))
 
 
+def stride1_windows(u: Utterance, geometry: WindowGeometry) -> list:
+    """Reference windows: (center, x, y) for every start, sliced one at a
+    time out of the normalized frames."""
+    frames = normalize_utterance(u).frames
+    g = geometry
+    return [
+        (t + g.total // 2, frames[t : t + g.past], frames[t + g.past + g.gap : t + g.total])
+        for t in range(frames.shape[0] - g.total + 1)
+    ]
+
+
+def labeling_of(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> FrameLabeling:
+    """One utterance's frame labels from a one-utterance analyze_corpus pass."""
+    return analyze_corpus(ep, [u], geometry)[0][0]
+
+
 class TestLabelFrames:
     def test_exact_fit_labels_single_center_frame(self):
         # T == total leaves exactly one placement, centered at total // 2.
         ep = small_params()
         u = random_utterance(1, GEOM.total)
-        labeling = label_frames(ep, u, GEOM)
+        labeling = labeling_of(ep, u, GEOM)
         assert labeling.symbols.shape == (GEOM.total,)
         assert labeling.labeled_indices().tolist() == [GEOM.total // 2]
 
     def test_short_utterance_labels_nothing(self):
         ep = small_params()
-        u = random_utterance(2, GEOM.total - 1)
-        labeling = label_frames(ep, u, GEOM)
-        assert labeling.labeled_indices().size == 0
-        assert (labeling.symbols == -1).all()
+        short = random_utterance(2, GEOM.total - 1, uid="short")
+        labelings, _, stats = analyze_corpus(ep, [short, random_utterance(3, 12)], GEOM)
+        assert labelings[0].utterance_id == "short"
+        assert labelings[0].labeled_indices().size == 0
+        assert (labelings[0].symbols == -1).all()
+        assert stats.windows == 12 - GEOM.total + 1
 
     def test_uniform_model_ties_break_to_symbol_zero(self):
         # All-zero weights emit the uniform distribution everywhere, so the
         # smallest-id rule labels every evaluable frame with symbol 0.
         ep = small_params(zero=True)
         u = random_utterance(3, 20)
-        labeling = label_frames(ep, u, GEOM)
+        labeling = labeling_of(ep, u, GEOM)
         labeled = labeling.labeled_indices()
         assert labeled.size == 20 - GEOM.total + 1
         assert (labeling.symbols[labeled] == 0).all()
@@ -72,24 +90,67 @@ class TestLabelFrames:
     def test_labeled_span_matches_window_placements(self):
         ep = small_params()
         u = random_utterance(4, 31)
-        labeling = label_frames(ep, u, GEOM)
-        pairs = windows_of(normalize_utterance(u), GEOM)
-        assert labeling.labeled_indices().tolist() == [p.center_frame for p in pairs]
+        labeling = labeling_of(ep, u, GEOM)
+        centers = [center for center, _, _ in stride1_windows(u, GEOM)]
+        assert labeling.labeled_indices().tolist() == centers
 
     def test_matches_per_window_argmax(self):
         ep = small_params(seed=5)
         u = random_utterance(6, 18)
-        labeling = label_frames(ep, u, GEOM)
-        for pair in windows_of(normalize_utterance(u), GEOM):
-            probs = ep.encode(CONFIRM, pair.y.astype(np.float32))
-            assert labeling.symbols[pair.center_frame] == int(np.argmax(probs.probs))
+        labeling = labeling_of(ep, u, GEOM)
+        for center, _, y in stride1_windows(u, GEOM):
+            probs = ep.encode(CONFIRM, y.astype(np.float32))
+            assert labeling.symbols[center] == int(np.argmax(probs.probs))
 
     def test_prenormalized_input_gives_identical_labels(self):
         ep = small_params(seed=7)
         u = random_utterance(8, 25)
-        raw = label_frames(ep, u, GEOM)
-        pre = label_frames(ep, normalize_utterance(u), GEOM)
+        raw = labeling_of(ep, u, GEOM)
+        pre = labeling_of(ep, normalize_utterance(u), GEOM)
         assert (raw.symbols == pre.symbols).all()
+
+
+class TestEncodeCorpus:
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_yields_each_utterance_encoded_once_per_side(self, aligned, monkeypatch):
+        ep = small_params(seed=12)
+        corpus = [
+            random_utterance(40, 30, uid="a"),
+            random_utterance(41, GEOM.total - 1, uid="short"),
+            random_utterance(42, 16, uid="b"),
+        ]
+        expected = []
+        for u in corpus:
+            x, y, centers = window_arrays(u, GEOM, aligned, np.float32)
+            if centers.size:
+                expected.append((ep.encode_node(CONFIRM, y).value, ep.encode_node(PREDICT, x).value))
+            else:
+                expected.append(None)
+        calls = []
+        encode = EncoderParams.encode_node
+
+        def counting(self, side, frames, tape=None):
+            calls.append(side)
+            return encode(self, side, frames, tape)
+
+        monkeypatch.setattr(EncoderParams, "encode_node", counting)
+        got = list(encode_corpus(ep, corpus, GEOM, aligned))
+        assert [u.id for u, _, _, _ in got] == ["a", "short", "b"]
+        assert calls == [CONFIRM, PREDICT] * 2
+        for (u, confirm, predict, centers), want in zip(got, expected):
+            assert confirm.dtype == predict.dtype == np.float64
+            assert np.array_equal(centers, window_arrays(u, GEOM, aligned, np.float32)[2])
+            if want is None:
+                assert confirm.shape == predict.shape == (0, ep.alphabet_size)
+            else:
+                assert np.array_equal(confirm, want[0]) and np.array_equal(predict, want[1])
+
+    def test_entropy_bits_sum_adds_row_entropies(self):
+        rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        per_row = sum(SymbolDistribution(r).entropy_bits() for r in rows)
+        assert entropy_bits_sum(rows) == pytest.approx(per_row, abs=1e-12)
+        assert entropy_bits_sum(rows[:3]) == 3.0
+        assert entropy_bits_sum(np.zeros((0, 4))) == 0.0
 
 
 def make_labeling(symbols: list[int], uid: str = "u0") -> FrameLabeling:
@@ -223,7 +284,7 @@ class TestAgreementRate:
                     slot
                 ].value
         u = Utterance("const", np.ones((20, 4), dtype=np.float64))
-        assert agreement_rate(ep, [u], geom) == 1.0
+        assert analyze_corpus(ep, [u], geom)[1] == 1.0
 
     def test_independent_models_agree_near_chance(self):
         # Two independently drawn encoders over noise windows: agreement
@@ -235,14 +296,14 @@ class TestAgreementRate:
             if slot.startswith("predict."):
                 ep.store[slot].value[...] = other.store[slot].value
         corpus = [random_utterance(100 + i, 80, uid=f"u{i}") for i in range(20)]
-        rate = agreement_rate(ep, corpus, geom)
+        rate = analyze_corpus(ep, corpus, geom)[1]
 
         winners_c: list[int] = []
         winners_p: list[int] = []
         for u in corpus:
-            pairs = windows_of(normalize_utterance(u), geom)
-            y = np.stack([p.y for p in pairs]).astype(np.float32)
-            x = np.stack([p.x for p in pairs]).astype(np.float32)
+            windows = stride1_windows(u, geom)
+            y = np.stack([y for _, _, y in windows]).astype(np.float32)
+            x = np.stack([x for _, x, _ in windows]).astype(np.float32)
             winners_c.extend(ep.encode_node(CONFIRM, y).value.argmax(axis=1).tolist())
             winners_p.extend(ep.encode_node(PREDICT, x).value.argmax(axis=1).tolist())
         pc = np.bincount(winners_c, minlength=64) / len(winners_c)
@@ -254,14 +315,14 @@ class TestAgreementRate:
     def test_empty_corpus_is_an_error(self):
         ep = small_params()
         with pytest.raises(EvaluationError, match="no full windows"):
-            agreement_rate(ep, [random_utterance(0, 3)], GEOM)
+            analyze_corpus(ep, [random_utterance(0, 3)], GEOM)
 
 
 class TestSymbolStats:
     def test_uniform_models_report_uniform_averages(self):
         ep = small_params(zero=True)
         corpus = [random_utterance(20, 15)]
-        stats = symbol_stats(ep, corpus, GEOM)
+        stats = analyze_corpus(ep, corpus, GEOM)[2]
         z = ep.alphabet_size
         np.testing.assert_allclose(stats.avg_confirm, np.full(z, 1 / z), atol=1e-7)
         np.testing.assert_allclose(stats.avg_predict, np.full(z, 1 / z), atol=1e-7)
@@ -271,7 +332,7 @@ class TestSymbolStats:
     def test_averages_are_distributions(self):
         ep = small_params(seed=21)
         corpus = [random_utterance(22 + i, 12 + i, uid=f"u{i}") for i in range(3)]
-        stats = symbol_stats(ep, corpus, GEOM)
+        stats = analyze_corpus(ep, corpus, GEOM)[2]
         assert abs(stats.avg_confirm.sum() - 1.0) < 1e-6
         assert abs(stats.avg_predict.sum() - 1.0) < 1e-6
         assert (stats.avg_confirm >= 0).all() and (stats.avg_predict >= 0).all()
@@ -279,13 +340,13 @@ class TestSymbolStats:
 
     def test_entropy_bounds(self):
         ep = small_params(seed=23)
-        stats = symbol_stats(ep, [random_utterance(24, 30)], GEOM)
+        stats = analyze_corpus(ep, [random_utterance(24, 30)], GEOM)[2]
         for h in (stats.mean_entropy_confirm_bits, stats.mean_entropy_predict_bits):
             assert 0.0 <= h <= np.log2(ep.alphabet_size) + 1e-9
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(EvaluationError, match="no full windows"):
-            symbol_stats(small_params(), [], GEOM)
+            analyze_corpus(small_params(), [], GEOM)
 
 
 class TestCsvWriters:
@@ -304,7 +365,7 @@ class TestCsvWriters:
 
     def test_symbol_stats_csv_layout(self, tmp_path):
         ep = small_params(zero=True, alphabet=4)
-        stats = symbol_stats(ep, [random_utterance(30, 10)], GEOM)
+        stats = analyze_corpus(ep, [random_utterance(30, 10)], GEOM)[2]
         path = tmp_path / "symbols.csv"
         live = np.array([True, True, False, True])
         write_symbol_stats_csv(stats, path, live_mask=live)
@@ -333,7 +394,7 @@ class TestEndToEnd:
         geom = spec.geometry()
 
         def run():
-            labelings = [label_frames(ep, u, geom) for u in corpus]
+            labelings = analyze_corpus(ep, corpus, geom)[0]
             gold = [u.gold_labels for u in corpus]
             tm = majority_tag(labelings, gold)
             return evaluate(labelings, tm, gold)
@@ -342,6 +403,4 @@ class TestEndToEnd:
         second = run()
         assert first[1:] == second[1:]
         assert (first[0].counts == second[0].counts).all()
-        assert first[0].total == sum(
-            len(windows_of(u, geom)) for u in corpus
-        )
+        assert first[0].total == sum(len(stride1_windows(u, geom)) for u in corpus)

@@ -7,8 +7,8 @@ import pytest
 
 from itco import objective as ob
 from itco import trainer as tr
-from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus
-from itco.model import CONFIRM, PREDICT
+from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_arrays
+from itco.model import CONFIRM, PREDICT, EncoderParams
 
 
 def tiny_corpus(seed=0, n_utts=10, windows=4, k=2):
@@ -145,7 +145,7 @@ def frozen_state_with_dead_slots(z=8, live=(0, 1), dtype=np.float64):
 def batch_terms(state, utts):
     xs, ys = [], []
     for u in utts:
-        x, y = tr._utterance_windows(u, state.config)
+        x, y, _ = window_arrays(u, state.config.geometry, state.config.aligned_windows, np.float32)
         xs.append(x)
         ys.append(y)
     x = np.concatenate(xs).astype(state.ep.store.dtype)
@@ -443,11 +443,22 @@ def test_evaluate_on_corpus_is_deterministic_and_complete():
     assert 0.0 <= a["dev_agreement"] <= 1.0
 
 
-def test_aligned_windows_restrict_to_generated_placements():
+def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
     utts, spec = tiny_corpus(n_utts=2, windows=4)
-    aligned = tiny_config()
-    free = tiny_config(aligned_windows=False)
-    x_aligned, _ = tr._utterance_windows(utts[0], aligned)
-    x_free, _ = tr._utterance_windows(utts[0], free)
-    assert x_aligned.shape[0] == 4  # one per generated window
-    assert x_free.shape[0] == utts[0].frames.shape[0] - spec.window_total + 1
+    rows = []
+    encode = EncoderParams.encode_node
+
+    def counting(self, side, frames, tape=None):
+        rows.append(frames.shape[0])
+        return encode(self, side, frames, tape)
+
+    monkeypatch.setattr(EncoderParams, "encode_node", counting)
+    stride1 = utts[0].frames.shape[0] - spec.window_total + 1
+    # training minibatches, dev evaluation and death detection all follow the flag
+    for aligned, per_side in ((True, 4), (False, stride1)):  # 4: one per generated window
+        rows.clear()
+        state, _ = tr.train(utts[:1], tiny_config(aligned_windows=aligned), stop_after=1)
+        tr.evaluate_on_corpus(state, utts[:1])
+        tr.detect_dead_symbols(state, utts[:1])
+        # one minibatch, the clone's detection, then the two calls above
+        assert rows == [per_side] * 8

@@ -325,8 +325,7 @@ def _gradcheck_cases(seed: int):
 
         def loss_fn(tape):
             nonlocal r
-            nodes = [nm.watch(tape, p) for p in params]
-            out = build(tape, *nodes)
+            out = build(tape, *params)
             if r is None:
                 r = rng.normal(size=out.value.shape)
             return _projected(tape, out, r)
@@ -378,7 +377,7 @@ def _gradcheck_cases(seed: int):
     r_cell = rng.normal(size=hidden)
 
     def gru_cell_loss(tape):
-        p = {name: nm.watch(tape, param) for name, param in store.items()}
+        p = dict(store.items())
         h = nm.add(tape, p.pop("h0"), nm.constant(h_in))
         return _projected(tape, nm.gru_cell(tape, p, h, nm.constant(v_in)), r_cell)
 
@@ -398,8 +397,8 @@ def _gradcheck_cases(seed: int):
         r_seq = rng.normal(size=frames_shape[:-2] + (hidden,))
 
         def gru_sequence_loss(tape, store_seq=store_seq, frames=frames, r_seq=r_seq):
-            p = {name: nm.watch(tape, param) for name, param in store_seq.items()}
-            return _projected(tape, nm.gru_sequence(tape, p, frames), r_seq)
+            out = nm.gru_sequence(tape, dict(store_seq.items()), frames)
+            return _projected(tape, out, r_seq)
 
         cases.append((case, store_seq, gru_sequence_loss))
 
@@ -470,7 +469,7 @@ def run_gradcheck(seed: int, inject_fault: bool = False) -> list[tuple[str, floa
         p = store.add("p0", rng.normal(size=6))
         r = rng.normal(size=6)
         cases.append(
-            ("corrupted_tanh", store, lambda t: _projected(t, _broken_tanh(t, nm.watch(t, p)), r))
+            ("corrupted_tanh", store, lambda t: _projected(t, _broken_tanh(t, p), r))
         )
     results = []
     for name, store, loss_fn in cases:

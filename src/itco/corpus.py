@@ -279,6 +279,8 @@ def load_corpus(manifest_path: Path) -> list[Utterance]:
                 )
         speaker = parts[3] if len(parts) > 3 and parts[3] else None
         utterances.append(Utterance(uid, frames, labels, speaker))
+    if not utterances:
+        raise CorpusError(f"manifest lists no utterances: {manifest_path}")
     return utterances
 
 

@@ -76,14 +76,6 @@ class ConfusionMatrix:
     gold_labels: list[str]  # column order
     counts: np.ndarray  # [rows, cols] int64
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def row_normalized(self) -> np.ndarray:
-        sums = self.counts.sum(axis=1, keepdims=True)
-        return self.counts / np.maximum(sums, 1)
-
 
 @dataclass
 class SymbolStats:

@@ -7,6 +7,9 @@ over an optional Tape records one backward closure per primitive, and the
 reverse sweep replays them in exact reverse creation order (creation order
 is a topological order, so fan-out accumulates additively).
 
+A ``Param`` is itself a graph node: primitives take parameters directly
+as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
+
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
 hand-written backpropagation through time. ``gru_cell``, the same step
@@ -19,7 +22,7 @@ float64 ParamStore so central differences stay sharp.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -31,7 +34,6 @@ __all__ = [
     "ParamStore",
     "stream_rng",
     "constant",
-    "watch",
     "add",
     "sub",
     "mul",
@@ -78,26 +80,17 @@ class Tape:
 
     Nodes are appended at creation, so iterating in reverse visits every
     primitive after all of its consumers; gradients accumulate with "+=".
-    Parameters enter the graph through :meth:`watch`, which returns one
-    shared leaf per parameter so repeated use (e.g. GRU weights across
-    time steps) fans in correctly. ``backward`` harvests leaf gradients
-    into the owning ``Param`` slots.
+    Parameters are the leaves: a ``Param`` used many times (e.g. GRU
+    weights across time steps) fans in to its own ``grad``, which the
+    update drops between steps.
     """
 
     def __init__(self):
         self._nodes: list[Node] = []
-        self._watched: dict[int, tuple["Param", Node]] = {}
 
     def _record(self, node: Node, backward: Callable[[np.ndarray], None]) -> None:
         node._backward = backward
         self._nodes.append(node)
-
-    def watch(self, param: "Param") -> Node:
-        entry = self._watched.get(id(param))
-        if entry is None:
-            entry = (param, Node(param.value))
-            self._watched[id(param)] = entry
-        return entry[1]
 
     def backward(self, root: Node) -> None:
         if np.shape(root.value) != ():
@@ -106,27 +99,25 @@ class Tape:
         for node in reversed(self._nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
-        for param, leaf in self._watched.values():
-            if leaf.grad is not None:
-                param.grad += leaf.grad
 
 
-class Param:
-    """A named parameter array with a same-shaped gradient slot."""
+class Param(Node):
+    """A named parameter array, used directly as a graph leaf.
 
-    __slots__ = ("name", "value", "grad")
+    As for any node, ``grad`` is None (a zero gradient) until a gradient
+    reaches it; it then accumulates across tapes until ``sgd_apply`` or
+    ``zero_grads`` drops it.
+    """
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
+        super().__init__(value)
         self.name = name
-        self.value = value
-        self.grad = np.zeros_like(value)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Param({self.name!r}, shape={self.value.shape})"
 
 
 class ParamStore:
-    """Named flat parameter arrays with matching gradient slots.
+    """Named flat parameter arrays.
 
     Iteration order is insertion order and is relied on for deterministic
     updates, checkpoints and finite-difference sweeps.
@@ -146,24 +137,12 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def items(self):
         return self._entries.items()
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def zero_grads(self) -> None:
         for param in self._entries.values():
-            param.grad[...] = 0
+            param.grad = None
 
 
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -182,13 +161,6 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
 
 def constant(x) -> Node:
     return Node(np.asarray(x))
-
-
-def watch(tape: Optional[Tape], param: Param) -> Node:
-    """Parameter leaf for this forward pass (plain value node when tape is None)."""
-    if tape is None:
-        return Node(param.value)
-    return tape.watch(param)
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
@@ -518,10 +490,11 @@ def _gru_sequence_backward(
 
 
 def sgd_apply(store: ParamStore, lr: float) -> None:
-    """Vanilla SGD: p <- p - lr * grad(p), then zero every gradient."""
+    """Vanilla SGD: p <- p - lr * grad(p), then drop every gradient."""
     for param in store._entries.values():
-        param.value -= lr * param.grad
-        param.grad[...] = 0
+        if param.grad is not None:
+            param.value -= lr * param.grad
+            param.grad = None
 
 
 def finite_diff_check(
@@ -543,7 +516,7 @@ def finite_diff_check(
     worst = 0.0
     for _, param in store.items():
         flat = param.value.reshape(-1)
-        gflat = param.grad.reshape(-1)
+        gflat = np.zeros(flat.size) if param.grad is None else param.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon

@@ -22,12 +22,11 @@ one conversion constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import numerics as nm
-from .model import SymbolDistribution
 
 __all__ = [
     "ObjectiveTerms",
@@ -36,13 +35,12 @@ __all__ = [
     "utterance_loss",
     "marginal_fit_loss",
     "adversarial_loss",
-    "mi_lower_bound",
     "LOG2E",
 ]
 
 LOG2E = float(np.log2(np.e))
 
-Dists = Union[nm.Node, Sequence[SymbolDistribution], np.ndarray]
+Dists = Union[nm.Node, np.ndarray]  # [N, Z], one distribution per window
 
 
 @dataclass
@@ -56,27 +54,23 @@ class ObjectiveTerms:
 
 
 def _as_batch_node(dists: Dists) -> nm.Node:
-    """Coerce a [N, Z] node, an array, or a list of distributions to a node."""
-    if isinstance(dists, nm.Node):
-        node = dists
-    elif isinstance(dists, np.ndarray):
-        node = nm.constant(dists)
-    else:
-        if len(dists) == 0:
-            raise ValueError("need at least one distribution")
-        node = nm.constant(np.stack([np.asarray(d.probs, dtype=np.float64) for d in dists]))
-    if node.value.ndim == 1:
-        node = nm.Node(node.value[None, :])
+    """Coerce a [N, Z] node or array to a node; N must be at least 1."""
+    node = dists if isinstance(dists, nm.Node) else nm.constant(dists)
     if node.value.ndim != 2:
         raise ValueError(f"distributions must form a [N, Z] matrix, got shape {node.value.shape}")
+    if node.value.shape[0] == 0:
+        raise ValueError("need at least one distribution")
     return node
 
 
-def _check_paired(a: nm.Node, b: nm.Node) -> None:
-    if a.value.shape != b.value.shape:
+def _paired(confirm_dists: Dists, predict_dists: Dists) -> tuple[nm.Node, nm.Node]:
+    """Both sides as [N, Z] nodes; row i of each comes from window i."""
+    confirm, predict = _as_batch_node(confirm_dists), _as_batch_node(predict_dists)
+    if confirm.value.shape != predict.value.shape:
         raise ValueError(
-            f"window-paired batches differ in shape: {a.value.shape} vs {b.value.shape}"
+            f"window-paired batches differ in shape: {confirm.value.shape} vs {predict.value.shape}"
         )
+    return confirm, predict
 
 
 def _cross_entropy_node(tape: Optional[nm.Tape], weights: nm.Node, scored: nm.Node) -> nm.Node:
@@ -101,9 +95,7 @@ def cross_entropy_term(
     confirm_dists: Dists, predict_dists: Dists, tape: Optional[nm.Tape] = None
 ) -> nm.Node:
     """Exact-expectation cross entropy in bits, averaged over windows."""
-    confirm = _as_batch_node(confirm_dists)
-    predict = _as_batch_node(predict_dists)
-    _check_paired(confirm, predict)
+    confirm, predict = _paired(confirm_dists, predict_dists)
     return _cross_entropy_node(tape, confirm, predict)
 
 
@@ -147,9 +139,7 @@ def utterance_loss(
     averaged. Gradients reach the confirm side through both terms and the
     predict side through the first only.
     """
-    confirm = _as_batch_node(confirm_dists)
-    predict = _as_batch_node(predict_dists)
-    _check_paired(confirm, predict)
+    confirm, predict = _paired(confirm_dists, predict_dists)
     ce = _cross_entropy_node(tape, confirm, predict)
     me = entropy_of_mean(confirm, tape, extra_rows=extra_entropy_rows)
     loss = nm.sub(tape, ce, me)
@@ -189,9 +179,7 @@ def adversarial_loss(
     reach); the marginal loss is the same cross entropy with the confirm
     side frozen instead, so the marginal chases the batch average.
     """
-    confirm = _as_batch_node(confirm_dists)
-    predict = _as_batch_node(predict_dists)
-    _check_paired(confirm, predict)
+    confirm, predict = _paired(confirm_dists, predict_dists)
     ce = _cross_entropy_node(tape, confirm, predict)
     marginal_ce_frozen = _cross_entropy_node(tape, confirm, nm.detach(marginal))
     encoder_loss = nm.sub(tape, ce, marginal_ce_frozen)
@@ -207,7 +195,3 @@ def adversarial_loss(
     )
     return encoder_loss, marginal_loss, terms
 
-
-def mi_lower_bound(terms: ObjectiveTerms) -> float:
-    """Marginal entropy minus cross entropy, in bits; may start negative."""
-    return terms.marginal_entropy_bits - terms.cross_entropy_bits

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import objective as ob
 from .corpus import Utterance, WindowGeometry, window_arrays
 from .evaluation import encode_corpus, entropy_bits_sum
-from .model import CONFIRM, PREDICT, EncoderParams
+from .model import CONFIRM, PREDICT, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
@@ -82,6 +83,11 @@ class TrainConfig:
     detect_sample_utterances: int = 100  # corpus prefix scanned by death detection
 
     def __post_init__(self):
+        kinds = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in kinds and type(value) not in kinds[f.type]:
+                raise TrainerError(f"config field {f.name} must be {f.type}, got {value!r}")
         self.lr_schedule = tuple((int(end), float(lr)) for end, lr in self.lr_schedule)
         if not self.lr_schedule:
             raise TrainerError("lr_schedule needs at least one segment")
@@ -100,6 +106,10 @@ class TrainConfig:
             raise TrainerError(f"unknown entropy_mode {self.entropy_mode!r}")
         if self.alphabet_size < 2 or self.hidden_dim < 1:
             raise TrainerError("need alphabet_size >= 2 and hidden_dim >= 1")
+        if self.seed < 0 or self.entropy_buffer_windows < 1 or self.detect_sample_utterances < 1:
+            raise TrainerError(
+                "need seed >= 0, entropy_buffer_windows >= 1 and detect_sample_utterances >= 1"
+            )
 
     @property
     def budget_utterances(self) -> int:
@@ -113,37 +123,15 @@ class TrainConfig:
         return self.lr_schedule[-1][1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "geometry": {
-                "total": self.geometry.total,
-                "past": self.geometry.past,
-                "gap": self.geometry.gap,
-                "future": self.geometry.future,
-            },
-            "alphabet_size": self.alphabet_size,
-            "hidden_dim": self.hidden_dim,
-            "lr_schedule": [[end, lr] for end, lr in self.lr_schedule],
-            "clone_at": self.clone_at,
-            "dead_threshold": self.dead_threshold,
-            "clone_noise_sigma": self.clone_noise_sigma,
-            "seed": self.seed,
-            "mode": self.mode,
-            "entropy_mode": self.entropy_mode,
-            "aligned_windows": self.aligned_windows,
-            "entropy_buffer_windows": self.entropy_buffer_windows,
-            "detect_sample_utterances": self.detect_sample_utterances,
-        }
+        doc = asdict(self)
+        doc["lr_schedule"] = [list(segment) for segment in self.lr_schedule]
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
         geo = doc.pop("geometry", None)
-        geometry = WindowGeometry(**geo) if geo else WindowGeometry()
-        schedule = doc.pop("lr_schedule", None)
-        kwargs = dict(doc)
-        if schedule is not None:
-            kwargs["lr_schedule"] = tuple((int(e), float(l)) for e, l in schedule)
-        return cls(geometry=geometry, **kwargs)
+        return cls(geometry=WindowGeometry(**geo) if geo else WindowGeometry(), **doc)
 
 
 class TrainState:
@@ -346,8 +334,17 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     path.write_bytes(bytes(body))
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def load_checkpoint(path: Path) -> TrainState:
-    """Read an ITCK file; any file this program did not write raises TrainerError."""
+    """Read an ITCK file; any file this program did not write raises TrainerError.
+
+    Every header field is type-checked, and the array table is checked
+    against the config and the payload before any state is allocated, so
+    a header that claims a huge model is refused, not allocated.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise TrainerError(f"not a checkpoint file (bad magic): {path}")
@@ -362,44 +359,50 @@ def load_checkpoint(path: Path) -> TrainState:
         raise TrainerError(f"checkpoint header is not valid JSON: {path}: {exc}") from None
     try:
         config = TrainConfig.from_json_dict(header["config"])
-        state = TrainState(config, input_dim=int(header["input_dim"]))
-        table = [
-            (str(entry["name"]), tuple(int(n) for n in entry["shape"]))
-            for entry in header["arrays"]
-        ]
-        counters = header["counters"]
-        state.epoch = int(counters["epoch"])
-        state.pos_in_epoch = int(counters["pos_in_epoch"])
-        state.processed = int(counters["processed"])
-        state.step = int(counters["step"])
-        state.cloned = bool(counters["cloned"])
-        state.epoch_accum = {
-            key: (int(value) if key in ("saturation_count", "count") else float(value))
-            for key, value in header["epoch_accum"].items()
-        }
-        state.live_mask = np.asarray(header["live_mask"], dtype=bool)
-        state.clone_history = header["clone_history"]
+        input_dim = header["input_dim"]
+        keys = ("epoch", "pos_in_epoch", "processed", "step")
+        counters = {key: header["counters"][key] for key in keys}
+        cloned = header["counters"]["cloned"]
+        accum = dict(header["epoch_accum"])
+        live = header["live_mask"]
+        history = header["clone_history"]
+        table = [(entry["name"], entry["shape"]) for entry in header["arrays"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TrainerError(f"checkpoint header is malformed: {path}: {exc!r}") from None
-    z = config.alphabet_size
-    if state.live_mask.shape != (z,):
-        raise TrainerError(f"checkpoint live_mask has {state.live_mask.size} entries, expected {z}")
+    z, fresh = config.alphabet_size, _fresh_accum()
+    valid = {
+        "input_dim": _is_count(input_dim) and input_dim > 0,
+        "counters": all(map(_is_count, counters.values())) and type(cloned) is bool,
+        "epoch_accum": accum.keys() == fresh.keys()
+        and all(type(value) is type(fresh[key]) for key, value in accum.items()),
+        "live_mask": isinstance(live, list) and len(live) == z and all(b in (0, 1) for b in live),
+        "clone_history": isinstance(history, list) and all(isinstance(e, dict) for e in history),
+        "arrays": all(
+            isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))
+            for name, shape in table
+        ),
+    }
+    invalid = [name for name, ok in valid.items() if not ok]
+    if invalid:
+        raise TrainerError(f"checkpoint header has invalid {', '.join(invalid)}: {path}")
 
     # every array but the entropy buffer, whose row count varies, has one shape
-    expected = {name: param.value.shape for name, param in state.ep.store.items()}
+    expected = dict(param_shapes(input_dim, z, config.hidden_dim))
+    required = [*expected, "epoch_max_confirm", "epoch_max_predict", "entropy_buffer"]
     expected.update(epoch_max_confirm=(z,), epoch_max_predict=(z,), detect_mean_confirm=(z,))
     offset, end = 12 + int(header_len), len(raw) - 4
     loaded: dict[str, np.ndarray] = {}
     for name, shape in table:
+        shape = tuple(shape)
         if name == "entropy_buffer":
-            ok, want = len(shape) == 2 and shape[0] >= 0 and shape[1] == z, f"[rows, {z}]"
+            ok, want = len(shape) == 2 and shape[1] == z, f"[rows, {z}]"
         elif name in expected:
             ok, want = shape == expected[name], list(expected[name])
         else:
             raise TrainerError(f"checkpoint has an unknown array {name}: {path}")
         if not ok:
             raise TrainerError(f"checkpoint array {name} has shape {list(shape)}, expected {want}")
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if offset + 4 * count > end:
             raise TrainerError(f"checkpoint array {name} runs past the end of the file: {path}")
         arr = np.frombuffer(raw[offset : offset + 4 * count], dtype="<f4")
@@ -407,11 +410,17 @@ def load_checkpoint(path: Path) -> TrainState:
         offset += 4 * count
     if offset != end:
         raise TrainerError(f"checkpoint has {end - offset} bytes after its last array: {path}")
-    required = [*state.ep.store.names(), "epoch_max_confirm", "epoch_max_predict", "entropy_buffer"]
     for name in required:
         if name not in loaded:
             raise TrainerError(f"checkpoint missing array {name}")
 
+    state = TrainState(config, input_dim=input_dim)
+    for key, value in counters.items():
+        setattr(state, key, value)
+    state.cloned = cloned
+    state.epoch_accum = accum
+    state.live_mask = np.asarray(live, dtype=bool)
+    state.clone_history = history
     for name, param in state.ep.store.items():
         param.value[...] = loaded[name]
     state.epoch_max_confirm = loaded["epoch_max_confirm"]
@@ -554,6 +563,9 @@ def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float)
     return terms
 
 
+# a diverging run overflows in numpy before the NaN check names its step;
+# that error is the report, so numpy's own warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     corpus: list[Utterance],
     config: TrainConfig,
@@ -579,6 +591,11 @@ def train(
         state = resume
         if state.config.to_json_dict() != config.to_json_dict():
             raise TrainerError("resume checkpoint was trained under a different config")
+        if state.pos_in_epoch >= len(usable):
+            raise TrainerError(
+                f"resume checkpoint stopped {state.pos_in_epoch} utterances into an epoch "
+                f"of a corpus with only {len(usable)} usable utterances"
+            )
     else:
         state = TrainState(config, input_dim=usable[0].frames.shape[1])
     for u in usable:
@@ -675,10 +692,9 @@ def train(
                     state.pos_in_epoch = 0
                 if checkpoint_dir is not None:
                     save_checkpoint(state, checkpoint_dir / f"epoch_{completed_epoch:04d}.itck")
-        if stopped and checkpoint_dir is not None:
-            save_checkpoint(state, checkpoint_dir / "interrupted.itck")
-        if not stopped and checkpoint_dir is not None:
-            save_checkpoint(state, checkpoint_dir / "final.itck")
+        if checkpoint_dir is not None:
+            name = "interrupted.itck" if stopped else "final.itck"
+            save_checkpoint(state, checkpoint_dir / name)
     except NonFiniteError as exc:
         # a dev or clone pass that fails runs on the parameters `where` wrote
         raise TrainerError(f"training hit a non-finite value at {where}: {exc}") from None

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 import zlib
 from pathlib import Path
 
@@ -271,17 +272,20 @@ class TestTrain:
                 run_dir / "checkpoints" / "final.itck"
             ).read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverging_lr_is_data_error(self, tmp_path, corpus_dir, capsys):
-        # the error names the step and the utterance; earlier records stay on disk
+        # the error names the step and the utterance; earlier records stay on
+        # disk; numpy's overflow warnings do not come before it
         doc = train_config()
         doc["lr_schedule"] = [[1, 1e30]]
         doc["clone_at"] = 0
         cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
-        assert main(
-            ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
-        ) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+            )
+        assert code == 2
         err = capsys.readouterr().err
         match = re.search(r"non-finite value at step (\d+) \(utterance '([^']+)'", err)
         assert match, "error must name the step and the utterance"
@@ -472,6 +476,29 @@ class TestEval:
              "--out", str(tmp_path / "o")]
         ) == 2
         assert named in capsys.readouterr().err
+
+
+def test_empty_manifest_is_data_error_naming_it(tmp_path, corpus_dir, run_dir, capsys):
+    # a manifest holding only comments fails before any work, as train,
+    # as a train dev corpus and as eval
+    empty = tmp_path / "empty" / "manifest.tsv"
+    empty.parent.mkdir()
+    empty.write_text("# aligned_windows=1\n\n")
+    cfg = write_json(tmp_path / "cfg.json", train_config())
+    checkpoint = run_dir / "checkpoints" / "final.itck"
+    commands = {
+        "train": ["train", "--corpus", str(empty), "--config", str(cfg)],
+        "train_dev": ["train", "--corpus", str(corpus_dir), "--dev-corpus", str(empty.parent),
+                      "--config", str(cfg)],
+        "eval": ["eval", "--corpus", str(empty), "--checkpoint", str(checkpoint)],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"manifest lists no utterances: {empty}" in err, name
+        metrics = out / "metrics.jsonl"
+        assert not metrics.exists() or metrics.read_text() == "", name
 
 
 class TestGradcheck:

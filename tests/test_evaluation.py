@@ -24,7 +24,7 @@ from itco.evaluation import (
     write_confusion_csv,
     write_symbol_stats_csv,
 )
-from itco.model import CONFIRM, PREDICT, EncoderParams, SymbolDistribution
+from itco.model import CONFIRM, PREDICT, EncoderParams
 from itco.numerics import stream_rng
 
 GEOM = WindowGeometry(total=7, past=3, gap=1, future=3)
@@ -52,6 +52,12 @@ def stride1_windows(u: Utterance, geometry: WindowGeometry) -> list:
         (t + g.total // 2, frames[t : t + g.past], frames[t + g.past + g.gap : t + g.total])
         for t in range(frames.shape[0] - g.total + 1)
     ]
+
+
+def row_entropy_bits(p: np.ndarray) -> float:
+    """Reference entropy in bits of one distribution, zero entries skipped."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def labeling_of(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> FrameLabeling:
@@ -99,8 +105,8 @@ class TestLabelFrames:
         u = random_utterance(6, 18)
         labeling = labeling_of(ep, u, GEOM)
         for center, _, y in stride1_windows(u, GEOM):
-            probs = ep.encode(CONFIRM, y.astype(np.float32))
-            assert labeling.symbols[center] == int(np.argmax(probs.probs))
+            probs = ep.encode_node(CONFIRM, y.astype(np.float32)).value
+            assert labeling.symbols[center] == int(np.argmax(probs))
 
     def test_prenormalized_input_gives_identical_labels(self):
         ep = small_params(seed=7)
@@ -147,7 +153,7 @@ class TestEncodeCorpus:
 
     def test_entropy_bits_sum_adds_row_entropies(self):
         rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
-        per_row = sum(SymbolDistribution(r).entropy_bits() for r in rows)
+        per_row = sum(row_entropy_bits(r) for r in rows)
         assert entropy_bits_sum(rows) == pytest.approx(per_row, abs=1e-12)
         assert entropy_bits_sum(rows[:3]) == 3.0
         assert entropy_bits_sum(np.zeros((0, 4))) == 0.0
@@ -206,7 +212,7 @@ class TestEvaluate:
         assert confusion.predicted_labels == ["a", "b"]
         assert confusion.gold_labels == ["a", "b"]
         assert confusion.counts.tolist() == [[2, 0], [0, 1]]
-        assert confusion.total == 3
+        assert confusion.counts.sum() == 3
 
     def test_constant_predictor_on_balanced_labels_scores_chance(self):
         # One symbol for every frame of a 4-way balanced corpus: the tag
@@ -244,7 +250,7 @@ class TestEvaluate:
         tm = majority_tag([make_labeling([5, 5])], [["a", "a"]])
         labeling = make_labeling([5, 9])  # 9 has no tag
         confusion, overall, _, _ = evaluate([labeling], tm, [["a", "b"]])
-        assert confusion.total == 1
+        assert confusion.counts.sum() == 1
         assert overall == 1.0
 
     def test_no_evaluable_frames_is_an_error(self):
@@ -278,7 +284,7 @@ class TestAgreementRate:
         # the argmaxes.
         geom = WindowGeometry(total=6, past=3, gap=0, future=3)
         ep = small_params(seed=11)
-        for slot in list(ep.store.names()):
+        for slot, _ in ep.store.items():
             if slot.startswith("confirm."):
                 ep.store["predict." + slot[len("confirm.") :]].value[...] = ep.store[
                     slot
@@ -292,7 +298,7 @@ class TestAgreementRate:
         geom = GEOM
         ep = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=0)
         other = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=999)
-        for slot in list(ep.store.names()):
+        for slot, _ in ep.store.items():
             if slot.startswith("predict."):
                 ep.store[slot].value[...] = other.store[slot].value
         corpus = [random_utterance(100 + i, 80, uid=f"u{i}") for i in range(20)]
@@ -403,4 +409,4 @@ class TestEndToEnd:
         second = run()
         assert first[1:] == second[1:]
         assert (first[0].counts == second[0].counts).all()
-        assert first[0].total == sum(len(stride1_windows(u, geom)) for u in corpus)
+        assert first[0].counts.sum() == sum(len(stride1_windows(u, geom)) for u in corpus)

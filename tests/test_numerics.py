@@ -23,7 +23,7 @@ def test_affine_identity_passthrough():
     b = store.add("b", np.zeros(3))
     tape = nm.Tape()
     v = nm.constant(np.array([1.5, -2.0, 0.25]))
-    out = nm.affine(tape, tape.watch(w), tape.watch(b), v)
+    out = nm.affine(tape, w, b, v)
     assert np.array_equal(out.value, v.value)
 
 
@@ -44,7 +44,7 @@ def test_affine_forward_and_grads_match_hand_arithmetic():
     b = store.add("b", np.array([0.5, -0.5]))
     tape = nm.Tape()
     v = nm.constant(np.array([1.0, -1.0]))
-    out = nm.affine(tape, tape.watch(w), tape.watch(b), v)
+    out = nm.affine(tape, w, b, v)
     assert np.allclose(out.value, [-0.5, -1.5])
     tape.backward(nm.sum_(tape, out))
     assert np.allclose(w.grad, [[1.0, -1.0], [1.0, -1.0]])
@@ -77,18 +77,26 @@ def test_fan_out_accumulates_additively():
     store = make_store()
     w = store.add("w", np.array([1.0, 2.0]))
     tape = nm.Tape()
-    leaf = tape.watch(w)
-    lhs = nm.mul(tape, leaf, nm.constant(np.array([3.0, 5.0])))
-    rhs = nm.mul(tape, leaf, nm.constant(np.array([7.0, 11.0])))
+    lhs = nm.mul(tape, w, nm.constant(np.array([3.0, 5.0])))
+    rhs = nm.mul(tape, w, nm.constant(np.array([7.0, 11.0])))
     tape.backward(nm.sum_(tape, nm.add(tape, lhs, rhs)))
     assert np.allclose(w.grad, [10.0, 16.0])
 
 
-def test_watch_returns_same_leaf_per_param():
+def test_param_leaf_accumulates_across_tapes_until_dropped():
+    # backward adds into the Param's own grad, across tapes, until the
+    # caller drops it; a Param no loss reaches has no gradient
     store = make_store()
-    w = store.add("w", np.ones(2))
-    tape = nm.Tape()
-    assert tape.watch(w) is tape.watch(w)
+    w = store.add("w", np.array([1.0, 2.0]))
+    unused = store.add("unused", np.ones(3))
+    assert isinstance(w, nm.Node) and w.grad is None
+    for _ in range(2):
+        tape = nm.Tape()
+        tape.backward(nm.sum_(tape, nm.mul(tape, w, nm.constant(np.array([3.0, 5.0])))))
+    assert np.array_equal(w.grad, [6.0, 10.0])
+    assert unused.grad is None
+    store.zero_grads()
+    assert w.grad is None
 
 
 def test_linear_loss_gradient_is_exact():
@@ -99,8 +107,7 @@ def test_linear_loss_gradient_is_exact():
     c = np.array([2.0, -1.0, 0.5])
 
     def loss_fn(tape):
-        leaf = nm.watch(tape, store["w"])
-        return nm.sum_(tape, nm.mul(tape, leaf, nm.constant(c)))
+        return nm.sum_(tape, nm.mul(tape, store["w"], nm.constant(c)))
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-10
 
@@ -109,9 +116,8 @@ def test_detach_blocks_gradient():
     store = make_store()
     w = store.add("w", np.array([2.0]))
     tape = nm.Tape()
-    leaf = tape.watch(w)
-    blocked = nm.detach(nm.mul(tape, leaf, leaf))
-    live = nm.mul(tape, leaf, nm.constant(np.array([3.0])))
+    blocked = nm.detach(nm.mul(tape, w, w))
+    live = nm.mul(tape, w, nm.constant(np.array([3.0])))
     tape.backward(nm.sum_(tape, nm.add(tape, nm.mul(tape, blocked, nm.constant(np.array([100.0]))), live)))
     assert np.allclose(w.grad, [3.0])
 
@@ -172,8 +178,7 @@ def test_softmax_gradient_matches_finite_differences():
     target = np.array([0.1, 0.2, 0.3, 0.4])
 
     def loss_fn(tape):
-        leaf = nm.watch(tape, store["logits"])
-        p = nm.softmax(tape, leaf)
+        p = nm.softmax(tape, store["logits"])
         return nm.sum_(tape, nm.mul(tape, nm.log_clamped(tape, p), nm.constant(target)))
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8
@@ -270,7 +275,7 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
     def run(sequence):
         store.zero_grads()
         tape = nm.Tape()
-        params = {name: tape.watch(param) for name, param in store.items()}
+        params = dict(store.items())
         out = sequence(tape, params, frames)
         nodes = len(tape._nodes)
         tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
@@ -324,10 +329,10 @@ def test_gru_softmax_pipeline_gradcheck(seed):
     weights = rng.uniform(0.1, 1.0, size=(2, 4))
 
     def loss_fn(tape):
-        gru = {name: nm.watch(tape, store[f"gru.{name}"]) for name in nm.GRU_SLOTS}
-        gru["h0"] = nm.watch(tape, store["gru.h0"])
+        gru = {name: store[f"gru.{name}"] for name in nm.GRU_SLOTS}
+        gru["h0"] = store["gru.h0"]
         h = nm.gru_sequence(tape, gru, frames)
-        logits = nm.affine(tape, nm.watch(tape, store["out.w"]), nm.watch(tape, store["out.b"]), h)
+        logits = nm.affine(tape, store["out.w"], store["out.b"], h)
         logp = nm.log_clamped(tape, nm.softmax(tape, logits))
         per_window = nm.sum_(tape, nm.mul(tape, logp, nm.constant(weights)), axis=1)
         return nm.scale(tape, nm.mean_(tape, per_window), -1.0)
@@ -346,20 +351,20 @@ def test_every_primitive_gradient_across_100_seeds():
         w = store.add("w", rng.uniform(-1.0, 1.0, size=(4, 3)))
         bias = store.add("bias", rng.uniform(-0.5, 0.5, size=4))
         checks = {
-            "affine": lambda t: nm.sum_(t, nm.affine(t, nm.watch(t, w), nm.watch(t, bias), nm.watch(t, b))),
-            "affine_batched": lambda t: nm.sum_(t, nm.affine(t, nm.watch(t, w), nm.watch(t, bias), nm.watch(t, a))),
-            "linear": lambda t: nm.sum_(t, nm.linear(t, nm.watch(t, w), nm.watch(t, a))),
-            "add": lambda t: nm.sum_(t, nm.add(t, nm.watch(t, a), nm.watch(t, b))),
-            "sub": lambda t: nm.sum_(t, nm.sub(t, nm.watch(t, a), nm.watch(t, b))),
-            "mul": lambda t: nm.sum_(t, nm.mul(t, nm.watch(t, a), nm.watch(t, b))),
-            "scale": lambda t: nm.sum_(t, nm.scale(t, nm.watch(t, a), -0.7)),
-            "one_minus": lambda t: nm.sum_(t, nm.one_minus(t, nm.watch(t, a))),
-            "sigmoid": lambda t: nm.sum_(t, nm.sigmoid(t, nm.watch(t, a))),
-            "tanh": lambda t: nm.sum_(t, nm.tanh(t, nm.watch(t, a))),
-            "log_clamped": lambda t: nm.sum_(t, nm.log_clamped(t, nm.watch(t, b))),
-            "softmax": lambda t: nm.sum_(t, nm.mul(t, nm.softmax(t, nm.watch(t, a)), nm.constant(np.arange(3.0)))),
-            "mean_axis": lambda t: nm.sum_(t, nm.mean_(t, nm.watch(t, a), axis=0)),
-            "mean_all": lambda t: nm.mean_(t, nm.watch(t, a)),
+            "affine": lambda t: nm.sum_(t, nm.affine(t, w, bias, b)),
+            "affine_batched": lambda t: nm.sum_(t, nm.affine(t, w, bias, a)),
+            "linear": lambda t: nm.sum_(t, nm.linear(t, w, a)),
+            "add": lambda t: nm.sum_(t, nm.add(t, a, b)),
+            "sub": lambda t: nm.sum_(t, nm.sub(t, a, b)),
+            "mul": lambda t: nm.sum_(t, nm.mul(t, a, b)),
+            "scale": lambda t: nm.sum_(t, nm.scale(t, a, -0.7)),
+            "one_minus": lambda t: nm.sum_(t, nm.one_minus(t, a)),
+            "sigmoid": lambda t: nm.sum_(t, nm.sigmoid(t, a)),
+            "tanh": lambda t: nm.sum_(t, nm.tanh(t, a)),
+            "log_clamped": lambda t: nm.sum_(t, nm.log_clamped(t, b)),
+            "softmax": lambda t: nm.sum_(t, nm.mul(t, nm.softmax(t, a), nm.constant(np.arange(3.0)))),
+            "mean_axis": lambda t: nm.sum_(t, nm.mean_(t, a, axis=0)),
+            "mean_all": lambda t: nm.mean_(t, a),
         }
         for name, fn in checks.items():
             err = nm.finite_diff_check(fn, store, epsilon=1e-5)
@@ -376,10 +381,12 @@ def test_softmax_strictly_positive_for_moderate_logits():
 def test_sgd_apply_hand_arithmetic():
     store = nm.ParamStore(dtype=np.float64)
     p = store.add("p", np.array([1.0, 2.0]))
-    p.grad[...] = [0.5, -0.5]
+    untouched = store.add("untouched", np.array([3.0]))
+    p.grad = np.array([0.5, -0.5])
     nm.sgd_apply(store, lr=0.1)
     assert np.allclose(p.value, [0.95, 2.05])
-    assert np.array_equal(p.grad, np.zeros(2))
+    assert p.grad is None
+    assert untouched.value.tolist() == [3.0] and untouched.grad is None
 
 
 def test_sgd_descends_convex_quadratic_monotonically():
@@ -389,7 +396,7 @@ def test_sgd_descends_convex_quadratic_monotonically():
     store.add("p", np.zeros(3))
 
     def loss(tape):
-        diff = nm.sub(tape, nm.watch(tape, store["p"]), nm.constant(target))
+        diff = nm.sub(tape, store["p"], nm.constant(target))
         return nm.sum_(tape, nm.mul(tape, diff, diff))
 
     prev = float(loss(None).value)
@@ -410,7 +417,7 @@ def test_param_store_rejects_duplicates_and_keeps_order():
     store.add("b", np.zeros(1))
     with pytest.raises(ValueError):
         store.add("a", np.zeros(1))
-    assert store.names() == ["a", "b"]
+    assert [name for name, _ in store.items()] == ["a", "b"]
     assert store.dtype == np.float32
     assert store["a"].value.dtype == np.float32
 
@@ -456,8 +463,7 @@ def test_broadcast_mul_gradients_match_finite_differences(seed):
     batch = rng.uniform(-1.0, 1.0, size=(4, 3))
 
     def loss_fn(tape):
-        leaf = nm.watch(tape, store["vec"])
-        prod = nm.mul(tape, nm.constant(batch), leaf)
+        prod = nm.mul(tape, nm.constant(batch), store["vec"])
         return nm.sum_(tape, nm.mean_(tape, prod, axis=0))
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8

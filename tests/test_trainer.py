@@ -1,9 +1,15 @@
 """Training loop behavior: schedule, death/cloning, checkpoints, determinism."""
 
+import functools
 import json
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itco import objective as ob
 from itco import trainer as tr
@@ -87,6 +93,16 @@ def test_config_rejects_bad_schedules():
         tiny_config(mode="sampled")
     with pytest.raises(tr.TrainerError):
         tiny_config(entropy_mode="windowed")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("alphabet_size", 8.0), ("dead_threshold", "x"), ("aligned_windows", 1),
+     ("entropy_buffer_windows", 0), ("detect_sample_utterances", 0)],
+)
+def test_config_rejects_wrong_types_and_ranges(field, value):
+    with pytest.raises(tr.TrainerError, match=field):
+        tiny_config(**{field: value})
 
 
 def test_config_json_round_trip():
@@ -279,6 +295,82 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
         tr.load_checkpoint(versioned)
 
 
+def _with_header(raw: bytes, header: object) -> bytes:
+    """`raw` with its JSON header replaced and its CRC recomputed."""
+    header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = (
+        raw[:4]
+        + np.asarray([tr.CHECKPOINT_VERSION, len(header_bytes)], dtype="<u4").tobytes()
+        + header_bytes
+        + raw[12 + header_len : -4]
+    )
+    return body + np.asarray([zlib.crc32(body)], dtype="<u4").tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def mid_run_checkpoint() -> bytes:
+    # global mode, stopped after the clone: every header field and array is set
+    utts, _ = tiny_corpus(n_utts=4)
+    config = tiny_config(entropy_mode="global", entropy_buffer_windows=6, dead_threshold=0.13)
+    with tempfile.TemporaryDirectory() as tmp:
+        state, _ = tr.train(utts, config, checkpoint_dir=Path(tmp), stop_after=6)
+        assert state.clone_history and state.clone_history[0]["pairs"]
+        return (Path(tmp) / "interrupted.itck").read_bytes()
+
+
+def header_paths(node, prefix=()):
+    """The path of every dict key and list index under `node`."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from header_paths(child, prefix + (key,))
+
+
+JSON_VALUES = [None, True, "x", 2.5, 3, [], {}]
+
+
+@given(st.data())
+@settings(max_examples=2000, deadline=None)  # about 1,800 distinct cases: all of them
+def test_checkpoint_header_fuzz_raises_only_trainer_error(tmp_path_factory, data):
+    # one field of a valid header is dropped, retyped, negated or made huge,
+    # with a valid CRC; loading gives a state or a TrainerError, nothing
+    # else, and a state it gives resumes a minibatch or raises TrainerError
+    raw = mid_run_checkpoint()
+    header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header = json.loads(raw[12 : 12 + header_len])
+    path = data.draw(st.sampled_from(list(header_paths(header))))
+    kind = data.draw(st.sampled_from(["drop", "type", "negative", "large"]))
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "type":
+        parent[path[-1]] = data.draw(
+            st.sampled_from([v for v in JSON_VALUES if type(v) is not type(value)])
+        )
+    elif kind == "negative":
+        parent[path[-1]] = -value if number and value > 0 else -1
+    else:
+        parent[path[-1]] = 1e300 if isinstance(value, float) else 2**40
+    file = tmp_path_factory.getbasetemp() / "fuzzed.itck"
+    file.write_bytes(_with_header(raw, header))
+    try:
+        state = tr.load_checkpoint(file)
+        utts, _ = tiny_corpus(n_utts=4)
+        tr.train(utts, state.config, resume=state, stop_after=state.processed + 1)
+    except tr.TrainerError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -385,6 +477,15 @@ def test_resume_with_different_config_is_rejected(tmp_path):
     other = tiny_config(lr_schedule=((1, 0.4),), seed=5)
     with pytest.raises(tr.TrainerError):
         tr.train(utts, other, resume=state)
+
+
+def test_resume_past_the_end_of_a_smaller_corpus_is_rejected(tmp_path):
+    utts, _ = tiny_corpus(n_utts=6)
+    config = tiny_config(lr_schedule=((1, 0.4),))
+    tr.train(utts, config, checkpoint_dir=tmp_path, stop_after=5)
+    state = tr.load_checkpoint(tmp_path / "interrupted.itck")
+    with pytest.raises(tr.TrainerError, match="5 utterances into an epoch"):
+        tr.train(utts[:5], config, resume=state)
 
 
 def test_final_checkpoint_written_and_loadable(tmp_path):

@@ -18,11 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from . import numerics as nm
-from . import objective as ob
 from .corpus import (
     CorpusError,
     SyntheticSpec,
@@ -33,14 +29,14 @@ from .corpus import (
     write_corpus,
 )
 from .evaluation import (
+    NO_EVALUABLE_FRAMES,
     EvaluationError,
     analyze_corpus,
-    evaluate,
-    majority_tag,
+    score,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
-from .model import EncoderParams
+from .gradcheck import run_gradcheck
 from .trainer import TrainConfig, TrainerError, load_checkpoint, train
 
 log = logging.getLogger(__name__)
@@ -164,7 +160,7 @@ def cmd_synth(args) -> int:
 # train
 
 
-def _train_config_from_args(args, manifest_path: Path) -> TrainConfig:
+def _train_config_from_args(args, manifest_meta: dict[str, str]) -> TrainConfig:
     doc = _load_json(Path(args.config), "train config") if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -174,8 +170,7 @@ def _train_config_from_args(args, manifest_path: Path) -> TrainConfig:
         doc["entropy_mode"] = args.entropy_mode.replace("-", "_")
     if "aligned_windows" not in doc:
         # synthetic corpora mark their generated placements in the manifest
-        meta = read_manifest_metadata(manifest_path)
-        doc["aligned_windows"] = meta.get("aligned_windows") == "1"
+        doc["aligned_windows"] = manifest_meta.get("aligned_windows") == "1"
     try:
         return TrainConfig.from_json_dict(doc)
     except (TrainerError, TypeError, ValueError) as exc:
@@ -193,15 +188,31 @@ def _resolve_manifest(corpus_arg: str) -> Path:
     return manifest
 
 
+def _check_window_total(manifest_path: Path, meta: dict[str, str], config: TrainConfig) -> None:
+    # aligned windows start every geometry.total frames, so they fall on a
+    # synthetic corpus's generated placements only if its windows are that long
+    total = meta.get("window_total")
+    if config.aligned_windows and total is not None and total != str(config.geometry.total):
+        raise CliError(
+            f"{manifest_path}: corpus window_total {total} differs from the config's "
+            f"geometry total {config.geometry.total}, so aligned windows would "
+            f"straddle the generated placements",
+            EXIT_DATA,
+        )
+
+
 def cmd_train(args) -> int:
     manifest_path = _resolve_manifest(args.corpus)
-    config = _train_config_from_args(args, manifest_path)
+    meta = read_manifest_metadata(manifest_path)
+    config = _train_config_from_args(args, meta)
+    _check_window_total(manifest_path, meta, config)
     corpus = load_corpus(manifest_path)
 
     dev_corpus = None
     dev_hashes = {}
     if args.dev_corpus:
         dev_manifest = _resolve_manifest(args.dev_corpus)
+        _check_window_total(dev_manifest, read_manifest_metadata(dev_manifest), config)
         dev_corpus = load_corpus(dev_manifest)
         dev_hashes["dev_corpus_hash"] = corpus_hash(dev_manifest)
 
@@ -263,6 +274,8 @@ def cmd_eval(args) -> int:
             f"checkpoint input dimension {state.input_dim}",
             EXIT_DATA,
         )
+    if all(u.gold_labels is None for u in corpus):
+        raise EvaluationError(NO_EVALUABLE_FRAMES)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,10 +288,8 @@ def cmd_eval(args) -> int:
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
     )
 
-    labelings, agreement, stats = analyze_corpus(state.ep, corpus, state.config.geometry)
-    gold = [u.gold_labels for u in corpus]
-    tagmap = majority_tag(labelings, gold)
-    confusion, overall_acc, covered_acc, coverage = evaluate(labelings, tagmap, gold)
+    labeled, agreement, stats = analyze_corpus(state.ep, corpus, state.config.geometry)
+    confusion, overall_acc, covered_acc, coverage, tags_used = score(*labeled)
 
     summary = {
         "overall_acc": overall_acc,
@@ -288,7 +299,7 @@ def cmd_eval(args) -> int:
         "mean_entropy_psi_bits": stats.mean_entropy_confirm_bits,
         "mean_entropy_phi_bits": stats.mean_entropy_predict_bits,
         "live_symbols": int(state.live_mask.sum()),
-        "tags_used": tagmap.tags_used,
+        "tags_used": tags_used,
     }
     _dump_json(summary, out / "summary.json")
     write_confusion_csv(confusion, out / "confusion.csv")
@@ -302,179 +313,6 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 # gradcheck
-
-
-def _projected(tape, node, r: np.ndarray):
-    """Random fixed projection to a scalar so sign errors cannot cancel."""
-    return nm.sum_(tape, nm.mul(tape, node, nm.constant(r)))
-
-
-def _gradcheck_cases(seed: int):
-    """(name, store, loss_fn) triples covering every differentiable primitive."""
-    rng = nm.stream_rng(seed, 777)
-
-    def vec(shape):
-        return rng.normal(size=shape)
-
-    cases = []
-
-    def simple(name, build, *shapes):
-        store = nm.ParamStore(dtype=np.float64)
-        params = [store.add(f"p{i}", vec(s)) for i, s in enumerate(shapes)]
-        r = None
-
-        def loss_fn(tape):
-            nonlocal r
-            out = build(tape, *params)
-            if r is None:
-                r = rng.normal(size=out.value.shape)
-            return _projected(tape, out, r)
-
-        cases.append((name, store, loss_fn))
-
-    simple("add", lambda t, a, b: nm.add(t, a, b), (3, 4), (3, 4))
-    simple("add_broadcast", lambda t, a, b: nm.add(t, a, b), (3, 4), (4,))
-    simple("sub", lambda t, a, b: nm.sub(t, a, b), (5,), (5,))
-    simple("mul", lambda t, a, b: nm.mul(t, a, b), (3, 4), (3, 4))
-    simple("mul_broadcast", lambda t, a, b: nm.mul(t, a, b), (3, 4), (4,))
-    simple("scale", lambda t, a: nm.scale(t, a, -1.7), (6,))
-    simple("one_minus", lambda t, a: nm.one_minus(t, a), (4,))
-    simple("affine_vector", lambda t, w, b, v: nm.affine(t, w, b, v), (3, 4), (3,), (4,))
-    simple("affine_batch", lambda t, w, b, v: nm.affine(t, w, b, v), (3, 4), (3,), (5, 4))
-    simple("linear", lambda t, w, h: nm.linear(t, w, h), (3, 4), (4,))
-    simple("sigmoid", lambda t, a: nm.sigmoid(t, a), (7,))
-    simple("tanh", lambda t, a: nm.tanh(t, a), (7,))
-    simple(
-        "log_clamped",
-        lambda t, a: nm.log_clamped(t, nm.add(t, nm.mul(t, a, a), nm.constant(np.full(5, 0.5)))),
-        (5,),
-    )
-    simple("softmax", lambda t, a: nm.softmax(t, a), (6,))
-    simple("softmax_batch", lambda t, a: nm.softmax(t, a), (4, 6))
-    simple("sum_axis", lambda t, a: nm.sum_(t, a, axis=0), (3, 4))
-    simple("mean_axis", lambda t, a: nm.mean_(t, a, axis=1), (3, 4))
-    simple("mean_all", lambda t, a: nm.mean_(t, a), (3, 4))
-
-    hidden, d = 4, 3
-
-    def gru_store(h0_shape):
-        store = nm.ParamStore(dtype=np.float64)
-        scale_w = 1.0 / np.sqrt(d)
-        scale_u = 1.0 / np.sqrt(hidden)
-        for slot in nm.GRU_SLOTS:
-            if slot.startswith("w_"):
-                store.add(slot, rng.uniform(-scale_w, scale_w, size=(hidden, d)))
-            elif slot.startswith("u_"):
-                store.add(slot, rng.uniform(-scale_u, scale_u, size=(hidden, hidden)))
-            else:
-                store.add(slot, rng.normal(size=hidden) * 0.1)
-        store.add("h0", rng.normal(size=h0_shape) * 0.1)
-        return store
-
-    store = gru_store(hidden)
-    h_in = vec(hidden) * 0.2
-    v_in = vec(d)
-    r_cell = rng.normal(size=hidden)
-
-    def gru_cell_loss(tape):
-        p = dict(store.items())
-        h = nm.add(tape, p.pop("h0"), nm.constant(h_in))
-        return _projected(tape, nm.gru_cell(tape, p, h, nm.constant(v_in)), r_cell)
-
-    cases.append(("gru_cell", store, gru_cell_loss))
-
-    # one window, a batch, a per-window initial state, one window in a
-    # batch, and one step
-    for case, frames_shape, h0_shape in (
-        ("gru_sequence_window", (5, d), hidden),
-        ("gru_sequence", (2, 5, d), hidden),
-        ("gru_sequence_h0_batch", (2, 5, d), (2, hidden)),
-        ("gru_sequence_n1", (1, 5, d), hidden),
-        ("gru_sequence_l1", (2, 1, d), hidden),
-    ):
-        store_seq = gru_store(h0_shape)
-        frames = vec(frames_shape)
-        r_seq = rng.normal(size=frames_shape[:-2] + (hidden,))
-
-        def gru_sequence_loss(tape, store_seq=store_seq, frames=frames, r_seq=r_seq):
-            out = nm.gru_sequence(tape, dict(store_seq.items()), frames)
-            return _projected(tape, out, r_seq)
-
-        cases.append((case, store_seq, gru_sequence_loss))
-
-    def toy_encoders():
-        ep = EncoderParams(
-            input_dim=3, alphabet_size=4, hidden_dim=4, seed=seed, dtype=np.float64
-        )
-        x = rng.normal(size=(2, 4, 3))
-        y = rng.normal(size=(2, 4, 3))
-        return ep, x, y
-
-    ep_ce, x_ce, y_ce = toy_encoders()
-
-    def ce_loss(tape):
-        confirm = ep_ce.encode_node("confirm", y_ce, tape)
-        predict = ep_ce.encode_node("predict", x_ce, tape)
-        return ob.cross_entropy_term(confirm, predict, tape)
-
-    cases.append(("cross_entropy_term", ep_ce.store, ce_loss))
-
-    ep_em, _, y_em = toy_encoders()
-
-    def em_loss(tape):
-        confirm = ep_em.encode_node("confirm", y_em, tape)
-        return ob.entropy_of_mean(confirm, tape)
-
-    cases.append(("entropy_of_mean", ep_em.store, em_loss))
-
-    ep_full, x_full, y_full = toy_encoders()
-
-    def full_loss(tape):
-        confirm = ep_full.encode_node("confirm", y_full, tape)
-        predict = ep_full.encode_node("predict", x_full, tape)
-        loss, _ = ob.utterance_loss(confirm, predict, tape)
-        return loss
-
-    cases.append(("utterance_loss", ep_full.store, full_loss))
-
-    ep_adv, _, y_adv = toy_encoders()
-
-    def marginal_loss(tape):
-        confirm = ep_adv.encode_node("confirm", y_adv)
-        return ob.marginal_fit_loss(confirm, ep_adv.marginal_node(tape), tape)
-
-    cases.append(("marginal_fit_loss", ep_adv.store, marginal_loss))
-
-    return cases
-
-
-def _broken_tanh(tape, a):
-    # tanh forward with a deliberately wrong backward; gradcheck must flag it
-    value = np.tanh(a.value)
-    out = nm.Node(value)
-    if tape is not None:
-
-        def bw(g):
-            nm._acc(a, 1.5 * g * (1.0 - value * value))
-
-        tape._record(out, bw)
-    return out
-
-
-def run_gradcheck(seed: int, inject_fault: bool = False) -> list[tuple[str, float]]:
-    cases = _gradcheck_cases(seed)
-    if inject_fault:
-        rng = nm.stream_rng(seed, 778)
-        store = nm.ParamStore(dtype=np.float64)
-        p = store.add("p0", rng.normal(size=6))
-        r = rng.normal(size=6)
-        cases.append(
-            ("corrupted_tanh", store, lambda t: _projected(t, _broken_tanh(t, p), r))
-        )
-    results = []
-    for name, store, loss_fn in cases:
-        results.append((name, nm.finite_diff_check(loss_fn, store, epsilon=1e-5)))
-    return results
 
 
 def cmd_gradcheck(args) -> int:

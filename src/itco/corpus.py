@@ -273,10 +273,6 @@ def load_corpus(manifest_path: Path) -> list[Utterance]:
             if not label_path.is_file():
                 raise CorpusError(f"label file not found: {label_path}", uid)
             labels = label_path.read_text(encoding="utf-8").splitlines()
-            if len(labels) != frames.shape[0]:
-                raise CorpusError(
-                    f"{len(labels)} labels for {frames.shape[0]} frames", uid
-                )
         speaker = parts[3] if len(parts) > 3 and parts[3] else None
         utterances.append(Utterance(uid, frames, labels, speaker))
     if not utterances:

@@ -1,6 +1,5 @@
-"""Post-training analysis: one encoding pass over a corpus, frame
-labeling, majority tagging, confusion matrices, agreement, and per-symbol
-statistics.
+"""Post-training analysis: one encoding pass over a corpus, then frame
+scoring from one count table, agreement, and per-symbol statistics.
 
 `encode_corpus` streams a corpus one utterance at a time: it normalizes
 and windows the utterance with the same scaling used in training
@@ -8,19 +7,21 @@ and windows the utterance with the same scaling used in training
 and runs each encoder once over its windows. Every corpus statistic,
 here and in the trainer, is a reduction over that stream.
 
-Frames are labeled by the symbol the confirm model assigns the highest
+A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
-to the utterance edges are excluded rather than padded. Symbols are then
-tagged with the majority gold label of the frames they claim, and frame
-accuracy is scored through those tags.
+to the utterance edges are excluded rather than padded. `analyze_corpus`
+pairs each such symbol with its frame's gold label, and `score` counts
+the pairs once into a symbol-by-gold table: each symbol is tagged with
+the majority gold label of its frames, and frame accuracy is scored
+through those tags, all as reductions of that table.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -29,45 +30,22 @@ from .model import CONFIRM, PREDICT, EncoderParams
 
 __all__ = [
     "EvaluationError",
-    "FrameLabeling",
-    "TagMap",
+    "NO_EVALUABLE_FRAMES",
     "ConfusionMatrix",
     "SymbolStats",
     "encode_corpus",
     "entropy_bits_sum",
     "analyze_corpus",
-    "majority_tag",
-    "evaluate",
+    "score",
     "write_confusion_csv",
     "write_symbol_stats_csv",
 ]
 
+NO_EVALUABLE_FRAMES = "no evaluable frames (no labeled frame carries a gold label)"
+
 
 class EvaluationError(Exception):
     pass
-
-
-@dataclass
-class FrameLabeling:
-    """Per-frame symbol ids for one utterance; -1 where no full window fits."""
-
-    utterance_id: str
-    symbols: np.ndarray  # int64 [T], -1 = absent
-
-    def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.symbols >= 0)
-
-
-@dataclass
-class TagMap:
-    tags: dict[int, str]  # symbol id -> majority gold label
-    counts: dict[int, dict[str, int]]  # symbol id -> gold label -> frames
-    ties: list[int] = field(default_factory=list)  # symbols tagged by tie-break
-
-    @property
-    def tags_used(self) -> int:
-        """Distinct gold labels serving as tags."""
-        return len(set(self.tags.values()))
 
 
 @dataclass
@@ -115,29 +93,32 @@ def entropy_bits_sum(probs: np.ndarray) -> float:
 
 def analyze_corpus(
     ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry
-) -> tuple[list[FrameLabeling], float, SymbolStats]:
-    """Frame labels, agreement rate and symbol statistics over every
+) -> tuple[tuple[np.ndarray, np.ndarray], float, SymbolStats]:
+    """Labeled frames, agreement rate and symbol statistics over every
     stride-1 window, from one encoding pass.
 
-    A frame's label is the argmax confirm-side symbol of the window
-    centered on it, ties going to the smallest symbol id; the agreement
-    rate is the fraction of windows where both encoders pick the same
-    symbol; the statistics average each model's output distribution and
-    entropy over windows.
+    A frame's symbol is the argmax confirm-side symbol of the window
+    centered on it, ties going to the smallest symbol id. The labeled
+    frames are (symbols [M] int64, gold [M] str): the symbol and the gold
+    label of every such frame in an utterance that has gold labels. The
+    agreement rate is the fraction of windows where both encoders pick
+    the same symbol; the statistics average each model's output
+    distribution and entropy over windows.
     """
     z = ep.alphabet_size
-    labelings = []
+    symbols, gold = [np.zeros(0, np.int64)], [np.zeros(0, str)]
     sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
     entropy = {CONFIRM: 0.0, PREDICT: 0.0}
     agree = total = 0
     for u, confirm, predict, centers in encode_corpus(ep, corpus, geometry, aligned=False):
-        symbols = np.full(u.frames.shape[0], -1, dtype=np.int64)
-        symbols[centers] = confirm.argmax(axis=1)
-        labelings.append(FrameLabeling(u.id, symbols))
+        winners = confirm.argmax(axis=1)
+        if u.gold_labels is not None:
+            symbols.append(winners)
+            gold.append(np.asarray(u.gold_labels)[centers])
         for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
             sums[side] += probs.sum(axis=0)
             entropy[side] += entropy_bits_sum(probs)
-        agree += int((confirm.argmax(axis=1) == predict.argmax(axis=1)).sum())
+        agree += int((winners == predict.argmax(axis=1)).sum())
         total += centers.size
     if total == 0:
         raise EvaluationError("no full windows in the corpus")
@@ -148,83 +129,36 @@ def analyze_corpus(
         mean_entropy_predict_bits=entropy[PREDICT] / total,
         windows=total,
     )
-    return labelings, agree / total, stats
+    return (np.concatenate(symbols), np.concatenate(gold)), agree / total, stats
 
 
-def majority_tag(labelings: list[FrameLabeling], gold: list[list[str]]) -> TagMap:
-    """Tag each predicted symbol with the majority gold label of its frames.
+def score(
+    symbols: np.ndarray, gold: np.ndarray
+) -> tuple[ConfusionMatrix, float, float, float, int]:
+    """Frame accuracy of `symbols` through their majority gold tags.
 
-    Ties break toward the lexicographically smaller label and are recorded.
-    Symbols never predicted stay untagged.
+    Counts the frames once into a [Z, G] symbol-by-gold table, with the
+    gold labels sorted. Each claimed symbol is tagged with its row's first
+    maximum, so a tie goes to the lexicographically smaller label. Returns
+    (confusion, overall_acc, covered_acc, coverage, tags_used): the
+    confusion matrix has a row per tag used and a column per gold label;
+    overall accuracy is over every frame, covered accuracy over the frames
+    whose gold label is itself a tag, and coverage is their share.
     """
-    if len(labelings) != len(gold):
-        raise EvaluationError("labelings and gold label lists must pair up")
-    counts: dict[int, dict[str, int]] = {}
-    for labeling, labels in zip(labelings, gold):
-        if labels is None:
-            continue
-        if len(labels) != labeling.symbols.shape[0]:
-            raise EvaluationError(
-                f"utterance {labeling.utterance_id!r}: "
-                f"{len(labels)} gold labels for {labeling.symbols.shape[0]} frames"
-            )
-        for t in labeling.labeled_indices():
-            z = int(labeling.symbols[t])
-            counts.setdefault(z, {})
-            counts[z][labels[t]] = counts[z].get(labels[t], 0) + 1
-    tags: dict[int, str] = {}
-    ties: list[int] = []
-    for z, label_counts in sorted(counts.items()):
-        best = max(label_counts.values())
-        winners = sorted(label for label, c in label_counts.items() if c == best)
-        tags[z] = winners[0]
-        if len(winners) > 1:
-            ties.append(z)
-    return TagMap(tags=tags, counts=counts, ties=ties)
-
-
-def evaluate(
-    labelings: list[FrameLabeling], tagmap: TagMap, gold: list[list[str]]
-) -> tuple[ConfusionMatrix, float, float, float]:
-    """Frame accuracy through the tag map.
-
-    Returns (confusion, overall_acc, covered_acc, coverage): overall over
-    every evaluable frame; covered restricted to frames whose gold label
-    is itself among the used tags; coverage is that restriction's share.
-    """
-    if len(labelings) != len(gold):
-        raise EvaluationError("labelings and gold label lists must pair up")
-    tag_label_set = set(tagmap.tags.values())
-    pair_counts: dict[tuple[str, str], int] = {}
-    evaluable = correct = covered = covered_correct = 0
-    for labeling, labels in zip(labelings, gold):
-        if labels is None:
-            continue
-        for t in labeling.labeled_indices():
-            z = int(labeling.symbols[t])
-            if z not in tagmap.tags:
-                continue  # never-predicted symbol (foreign tag map)
-            predicted = tagmap.tags[z]
-            actual = labels[t]
-            evaluable += 1
-            pair_counts[(predicted, actual)] = pair_counts.get((predicted, actual), 0) + 1
-            hit = predicted == actual
-            correct += hit
-            if actual in tag_label_set:
-                covered += 1
-                covered_correct += hit
-    if evaluable == 0:
-        raise EvaluationError("no evaluable frames (no labeled frame carries a gold label)")
-    predicted_labels = sorted({p for p, _ in pair_counts})
-    gold_labels = sorted({g for _, g in pair_counts})
-    counts = np.zeros((len(predicted_labels), len(gold_labels)), dtype=np.int64)
-    for (p, g), c in pair_counts.items():
-        counts[predicted_labels.index(p), gold_labels.index(g)] = c
-    confusion = ConfusionMatrix(predicted_labels, gold_labels, counts)
-    overall_acc = correct / evaluable
-    covered_acc = covered_correct / covered if covered else 0.0
-    coverage = covered / evaluable
-    return confusion, overall_acc, covered_acc, coverage
+    if symbols.size == 0:
+        raise EvaluationError(NO_EVALUABLE_FRAMES)
+    names, gold_index = np.unique(gold, return_inverse=True)
+    g = names.size
+    table = np.bincount(symbols * g + gold_index, minlength=(symbols.max() + 1) * g).reshape(-1, g)
+    claimed = table[table.any(axis=1)]
+    used, row = np.unique(claimed.argmax(axis=1), return_inverse=True)
+    counts = np.zeros((used.size, g), np.int64)
+    np.add.at(counts, row, claimed)
+    evaluable = int(counts.sum())
+    correct = int(counts[np.arange(used.size), used].sum())
+    covered = int(counts[:, used].sum())
+    confusion = ConfusionMatrix(names[used].tolist(), names.tolist(), counts)
+    return confusion, correct / evaluable, correct / covered, covered / evaluable, int(used.size)
 
 
 def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:
@@ -235,15 +169,10 @@ def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:
             writer.writerow([label] + confusion.counts[i].tolist())
 
 
-def write_symbol_stats_csv(stats: SymbolStats, path: Path, live_mask: Optional[np.ndarray] = None) -> None:
+def write_symbol_stats_csv(stats: SymbolStats, path: Path, live_mask: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["symbol", "avg_prob_psi", "avg_prob_phi"]
-        if live_mask is not None:
-            header.append("live")
-        writer.writerow(header)
+        writer.writerow(["symbol", "avg_prob_psi", "avg_prob_phi", "live"])
         for z in range(stats.avg_confirm.shape[0]):
             row = [z, repr(float(stats.avg_confirm[z])), repr(float(stats.avg_predict[z]))]
-            if live_mask is not None:
-                row.append(int(live_mask[z]))
-            writer.writerow(row)
+            writer.writerow(row + [int(live_mask[z])])

@@ -16,7 +16,7 @@ import pytest
 
 from itco import objective as ob
 from itco import trainer as tr
-from itco.cli import run_gradcheck
+from itco.gradcheck import run_gradcheck
 from itco.corpus import (
     SyntheticSpec,
     WindowGeometry,

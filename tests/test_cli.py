@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itco.cli import main, run_gradcheck
+from itco.cli import main
+from itco.gradcheck import run_gradcheck
 from itco.corpus import read_manifest_metadata, true_mi_oracle
 from itco.trainer import TrainConfig, TrainState, save_checkpoint
 from itco.corpus import WindowGeometry
@@ -325,6 +326,31 @@ class TestTrain:
         ) == 2
 
 
+    @pytest.mark.parametrize("role", ["corpus", "dev_corpus"])
+    def test_aligned_window_size_mismatch_is_data_error(self, tmp_path, corpus_dir, capsys, role):
+        # a corpus generated with 10 + 5 + 10 = 25-frame windows
+        spec = dict(identity_spec(utterances=3), frames_per_side=10, gap=5)
+        wide = tmp_path / "wide"
+        assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", spec)), "--out", str(wide)]) == 0
+        assert read_manifest_metadata(wide / "manifest.tsv")["window_total"] == "25"
+        if role == "corpus":
+            # no geometry in the config: the 35-frame default
+            doc = {k: v for k, v in train_config().items() if k != "geometry"}
+            argv, config_total = ["--corpus", str(wide)], 35
+        else:
+            doc = train_config()
+            argv, config_total = ["--corpus", str(corpus_dir), "--dev-corpus", str(wide)], 7
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "o"
+        assert main(["train", *argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{wide / 'manifest.tsv'}: corpus window_total 25" in err
+        assert f"geometry total {config_total}" in err
+        assert not (out / "metrics.jsonl").exists()
+        # without aligned windows any window size may train on the corpus
+        cfg = write_json(tmp_path / "cfg.json", dict(doc, aligned_windows=False))
+        assert main(["train", *argv, "--config", str(cfg), "--out", str(out), "--stop-after", "1"]) == 0
+
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan", np.inf)
         cfg = write_json(tmp_path / "cfg.json", train_config())
@@ -403,6 +429,33 @@ class TestEval:
         assert sum(rows for _, rows, _ in calls) == 2 * 30 * 22
         assert sum(rows for side, rows, _ in calls if side == "confirm") == 30 * 22
         assert all(untaped for _, _, untaped in calls)
+
+    def test_corpus_without_gold_labels_fails_before_encoding(
+        self, tmp_path, corpus_dir, run_dir, monkeypatch, capsys
+    ):
+        import shutil
+
+        unlabeled = tmp_path / "unlabeled"
+        shutil.copytree(corpus_dir, unlabeled)
+        manifest = unlabeled / "manifest.tsv"
+
+        def without_labels(line):
+            fields = line.split("\t")
+            return line if line.startswith("#") else "\t".join(fields[:2] + [""] + fields[3:])
+
+        manifest.write_text("\n".join(map(without_labels, manifest.read_text().splitlines())) + "\n")
+        assert "labels/" not in manifest.read_text()
+        calls = []
+        monkeypatch.setattr(EncoderParams, "encode_node", lambda *a, **k: calls.append(a))
+        out = tmp_path / "o"
+        assert main(
+            ["eval", "--corpus", str(unlabeled), "--checkpoint",
+             str(run_dir / "checkpoints" / "final.itck"), "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "no evaluable frames (no labeled frame carries a gold label)" in err
+        assert not (out / "summary.json").exists()
+        assert calls == []
 
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, run_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan")

@@ -1,5 +1,7 @@
 """Frame labeling, tagging, scoring, agreement, and symbol statistics."""
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,10 @@ from itco.corpus import (
 )
 from itco.evaluation import (
     EvaluationError,
-    FrameLabeling,
     analyze_corpus,
     encode_corpus,
     entropy_bits_sum,
-    evaluate,
-    majority_tag,
+    score,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
@@ -60,9 +60,27 @@ def row_entropy_bits(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def labeling_of(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> FrameLabeling:
-    """One utterance's frame labels from a one-utterance analyze_corpus pass."""
-    return analyze_corpus(ep, [u], geometry)[0][0]
+def frame_symbols(ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry) -> dict:
+    """Each utterance's per-frame symbols (-1 where no full window fits),
+    read back from analyze_corpus's labeled frames.
+
+    Every frame gets a gold label of its own, so each (symbol, gold) pair
+    is one nonzero cell of the symbol-by-gold count table and names the
+    frame it came from.
+    """
+    tagged = [replace(u, gold_labels=[f"{u.id}/{t}" for t in range(len(u.frames))]) for u in corpus]
+    (symbols, gold), _, _ = analyze_corpus(ep, tagged, geometry)
+    assert len(set(gold.tolist())) == gold.size
+    out = {u.id: np.full(len(u.frames), -1, dtype=np.int64) for u in corpus}
+    for z, label in zip(symbols.tolist(), gold.tolist()):
+        uid, t = label.rsplit("/", 1)
+        out[uid][int(t)] = z
+    return out
+
+
+def labeling_of(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> np.ndarray:
+    """One utterance's frame symbols from a one-utterance analyze_corpus pass."""
+    return frame_symbols(ep, [u], geometry)[u.id]
 
 
 class TestLabelFrames:
@@ -70,50 +88,62 @@ class TestLabelFrames:
         # T == total leaves exactly one placement, centered at total // 2.
         ep = small_params()
         u = random_utterance(1, GEOM.total)
-        labeling = labeling_of(ep, u, GEOM)
-        assert labeling.symbols.shape == (GEOM.total,)
-        assert labeling.labeled_indices().tolist() == [GEOM.total // 2]
+        symbols = labeling_of(ep, u, GEOM)
+        assert symbols.shape == (GEOM.total,)
+        assert np.flatnonzero(symbols >= 0).tolist() == [GEOM.total // 2]
 
     def test_short_utterance_labels_nothing(self):
         ep = small_params()
         short = random_utterance(2, GEOM.total - 1, uid="short")
-        labelings, _, stats = analyze_corpus(ep, [short, random_utterance(3, 12)], GEOM)
-        assert labelings[0].utterance_id == "short"
-        assert labelings[0].labeled_indices().size == 0
-        assert (labelings[0].symbols == -1).all()
-        assert stats.windows == 12 - GEOM.total + 1
+        symbols = frame_symbols(ep, [short, random_utterance(3, 12)], GEOM)
+        assert (symbols["short"] == -1).all()
+        assert (symbols["u0"] >= 0).sum() == 12 - GEOM.total + 1
 
     def test_uniform_model_ties_break_to_symbol_zero(self):
         # All-zero weights emit the uniform distribution everywhere, so the
         # smallest-id rule labels every evaluable frame with symbol 0.
         ep = small_params(zero=True)
         u = random_utterance(3, 20)
-        labeling = labeling_of(ep, u, GEOM)
-        labeled = labeling.labeled_indices()
+        symbols = labeling_of(ep, u, GEOM)
+        labeled = np.flatnonzero(symbols >= 0)
         assert labeled.size == 20 - GEOM.total + 1
-        assert (labeling.symbols[labeled] == 0).all()
+        assert (symbols[labeled] == 0).all()
 
     def test_labeled_span_matches_window_placements(self):
         ep = small_params()
         u = random_utterance(4, 31)
-        labeling = labeling_of(ep, u, GEOM)
+        symbols = labeling_of(ep, u, GEOM)
         centers = [center for center, _, _ in stride1_windows(u, GEOM)]
-        assert labeling.labeled_indices().tolist() == centers
+        assert np.flatnonzero(symbols >= 0).tolist() == centers
 
     def test_matches_per_window_argmax(self):
         ep = small_params(seed=5)
         u = random_utterance(6, 18)
-        labeling = labeling_of(ep, u, GEOM)
+        symbols = labeling_of(ep, u, GEOM)
         for center, _, y in stride1_windows(u, GEOM):
             probs = ep.encode_node(CONFIRM, y.astype(np.float32)).value
-            assert labeling.symbols[center] == int(np.argmax(probs))
+            assert symbols[center] == int(np.argmax(probs))
 
     def test_prenormalized_input_gives_identical_labels(self):
         ep = small_params(seed=7)
         u = random_utterance(8, 25)
         raw = labeling_of(ep, u, GEOM)
         pre = labeling_of(ep, normalize_utterance(u), GEOM)
-        assert (raw.symbols == pre.symbols).all()
+        assert (raw == pre).all()
+
+    def test_unlabeled_utterances_add_no_frames(self):
+        # frames of an utterance without gold labels are not scored, but its
+        # windows still count toward agreement and the symbol statistics
+        ep = small_params(seed=9)
+        labeled = replace(random_utterance(10, 15, uid="a"), gold_labels=["g"] * 15)
+        unlabeled = random_utterance(11, 20, uid="b")
+        (symbols, gold), _, stats = analyze_corpus(ep, [labeled, unlabeled], GEOM)
+        assert symbols.dtype == np.int64
+        assert symbols.size == gold.size == 15 - GEOM.total + 1
+        assert set(gold.tolist()) == {"g"}
+        assert stats.windows == (15 - GEOM.total + 1) + (20 - GEOM.total + 1)
+        (none, none_gold), _, _ = analyze_corpus(ep, [unlabeled], GEOM)
+        assert none.size == none_gold.size == 0
 
 
 class TestEncodeCorpus:
@@ -159,55 +189,169 @@ class TestEncodeCorpus:
         assert entropy_bits_sum(np.zeros((0, 4))) == 0.0
 
 
+# The per-frame tagging and scoring that `score` replaced, kept as its
+# oracle: one dict of per-symbol label counts, then a second walk over the
+# frames.
+
+
+@dataclass
+class FrameLabeling:
+    """Per-frame symbol ids for one utterance; -1 where no full window fits."""
+
+    utterance_id: str
+    symbols: np.ndarray  # int64 [T], -1 = absent
+
+    def labeled_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.symbols >= 0)
+
+
+@dataclass
+class TagMap:
+    tags: dict[int, str]  # symbol id -> majority gold label
+    counts: dict[int, dict[str, int]]  # symbol id -> gold label -> frames
+    ties: list[int] = field(default_factory=list)  # symbols tagged by tie-break
+
+    @property
+    def tags_used(self) -> int:
+        """Distinct gold labels serving as tags."""
+        return len(set(self.tags.values()))
+
+
+def majority_tag(labelings: list[FrameLabeling], gold: list[list[str]]) -> TagMap:
+    """Tag each predicted symbol with the majority gold label of its frames.
+
+    Ties break toward the lexicographically smaller label and are recorded.
+    Symbols never predicted stay untagged.
+    """
+    if len(labelings) != len(gold):
+        raise EvaluationError("labelings and gold label lists must pair up")
+    counts: dict[int, dict[str, int]] = {}
+    for labeling, labels in zip(labelings, gold):
+        if labels is None:
+            continue
+        if len(labels) != labeling.symbols.shape[0]:
+            raise EvaluationError(
+                f"utterance {labeling.utterance_id!r}: "
+                f"{len(labels)} gold labels for {labeling.symbols.shape[0]} frames"
+            )
+        for t in labeling.labeled_indices():
+            z = int(labeling.symbols[t])
+            counts.setdefault(z, {})
+            counts[z][labels[t]] = counts[z].get(labels[t], 0) + 1
+    tags: dict[int, str] = {}
+    ties: list[int] = []
+    for z, label_counts in sorted(counts.items()):
+        best = max(label_counts.values())
+        winners = sorted(label for label, c in label_counts.items() if c == best)
+        tags[z] = winners[0]
+        if len(winners) > 1:
+            ties.append(z)
+    return TagMap(tags=tags, counts=counts, ties=ties)
+
+
+def evaluate(
+    labelings: list[FrameLabeling], tagmap: TagMap, gold: list[list[str]]
+) -> tuple:
+    """Frame accuracy through the tag map.
+
+    Returns (confusion, overall_acc, covered_acc, coverage): overall over
+    every evaluable frame; covered restricted to frames whose gold label
+    is itself among the used tags; coverage is that restriction's share.
+    """
+    if len(labelings) != len(gold):
+        raise EvaluationError("labelings and gold label lists must pair up")
+    tag_label_set = set(tagmap.tags.values())
+    pair_counts: dict[tuple[str, str], int] = {}
+    evaluable = correct = covered = covered_correct = 0
+    for labeling, labels in zip(labelings, gold):
+        if labels is None:
+            continue
+        for t in labeling.labeled_indices():
+            z = int(labeling.symbols[t])
+            if z not in tagmap.tags:
+                continue  # never-predicted symbol (foreign tag map)
+            predicted = tagmap.tags[z]
+            actual = labels[t]
+            evaluable += 1
+            pair_counts[(predicted, actual)] = pair_counts.get((predicted, actual), 0) + 1
+            hit = predicted == actual
+            correct += hit
+            if actual in tag_label_set:
+                covered += 1
+                covered_correct += hit
+    if evaluable == 0:
+        raise EvaluationError("no evaluable frames (no labeled frame carries a gold label)")
+    predicted_labels = sorted({p for p, _ in pair_counts})
+    gold_labels = sorted({g for _, g in pair_counts})
+    counts = np.zeros((len(predicted_labels), len(gold_labels)), dtype=np.int64)
+    for (p, g), c in pair_counts.items():
+        counts[predicted_labels.index(p), gold_labels.index(g)] = c
+    confusion = (predicted_labels, gold_labels, counts)
+    overall_acc = correct / evaluable
+    covered_acc = covered_correct / covered if covered else 0.0
+    coverage = covered / evaluable
+    return confusion, overall_acc, covered_acc, coverage
+
+
 def make_labeling(symbols: list[int], uid: str = "u0") -> FrameLabeling:
     return FrameLabeling(uid, np.array(symbols, dtype=np.int64))
 
 
+def labeled_frames(labelings: list[FrameLabeling], gold: list) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, gold) of the labeled frames of utterances with gold labels,
+    in corpus order: what analyze_corpus hands to `score`."""
+    symbols, names = [np.zeros(0, np.int64)], [np.zeros(0, str)]
+    for labeling, labels in zip(labelings, gold):
+        if labels is not None:
+            keep = labeling.labeled_indices()
+            symbols.append(labeling.symbols[keep])
+            names.append(np.asarray(labels)[keep])
+    return np.concatenate(symbols), np.concatenate(names)
+
+
+def score_of(symbols: list[int], gold: list[str]):
+    """`score` of one utterance's frames; -1 frames are not scored."""
+    return score(*labeled_frames([make_labeling(symbols)], [gold]))
+
+
 class TestMajorityTag:
     def test_majority_label_wins(self):
-        labeling = make_labeling([-1, 2, 2, 2, -1])
-        gold = [["a", "a", "b", "a", "a"]]
-        tm = majority_tag([labeling], gold)
-        assert tm.tags == {2: "a"}
-        assert tm.counts[2] == {"a": 2, "b": 1}
-        assert tm.ties == []
+        confusion, *_, tags_used = score_of([-1, 2, 2, 2, -1], ["a", "a", "b", "a", "a"])
+        assert confusion.predicted_labels == ["a"]
+        assert confusion.gold_labels == ["a", "b"]
+        assert confusion.counts.tolist() == [[2, 1]]
+        assert tags_used == 1
 
     def test_tie_breaks_lexicographically_and_is_recorded(self):
-        labeling = make_labeling([3, 3, 3, 3])
-        gold = [["b", "a", "b", "a"]]
-        tm = majority_tag([labeling], gold)
-        assert tm.tags == {3: "a"}
-        assert tm.ties == [3]
+        # the tie stays visible as equal counts in the tag's confusion row
+        confusion, overall, *_ = score_of([3, 3, 3, 3], ["b", "a", "b", "a"])
+        assert confusion.predicted_labels == ["a"]
+        assert confusion.counts.tolist() == [[2, 2]]
+        assert overall == 0.5
 
     def test_unpredicted_symbols_stay_untagged(self):
-        labeling = make_labeling([1, 1, -1])
-        tm = majority_tag([labeling], [["x", "x", "x"]])
-        assert set(tm.tags) == {1}
+        # symbols 0 and 2 claim no frame; their empty rows would tag "a"
+        # (column 0) if unclaimed symbols were tagged
+        confusion, *_, tags_used = score_of([1, 1, 1, 3, 3, -1], ["x", "x", "a", "x", "x", "a"])
+        assert confusion.predicted_labels == ["x"]
+        assert tags_used == 1
 
     def test_counts_pool_across_utterances(self):
         a = make_labeling([0, 0], uid="a")
         b = make_labeling([0, -1], uid="b")
-        tm = majority_tag([a, b], [["p", "q"], ["q", "q"]])
-        assert tm.counts[0] == {"p": 1, "q": 2}
-        assert tm.tags[0] == "q"
+        confusion, *_ = score(*labeled_frames([a, b], [["p", "q"], ["q", "q"]]))
+        assert confusion.predicted_labels == ["q"]
+        assert confusion.counts.tolist() == [[1, 2]]
 
     def test_tags_used_counts_distinct_labels(self):
-        a = make_labeling([0, 1, 2])
-        tm = majority_tag([a], [["x", "y", "x"]])
-        assert tm.tags == {0: "x", 1: "y", 2: "x"}
-        assert tm.tags_used == 2
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(EvaluationError, match="gold labels"):
-            majority_tag([make_labeling([0, 0])], [["a"]])
+        confusion, *_, tags_used = score_of([0, 1, 2], ["x", "y", "x"])
+        assert confusion.predicted_labels == ["x", "y"]
+        assert tags_used == 2
 
 
 class TestEvaluate:
     def test_perfect_labeling_scores_one(self):
-        labeling = make_labeling([-1, 0, 1, 0, -1])
-        gold = [["a", "a", "b", "a", "b"]]
-        tm = majority_tag([labeling], gold)
-        confusion, overall, covered, coverage = evaluate([labeling], tm, gold)
+        confusion, overall, covered, coverage, _ = score_of([-1, 0, 1, 0, -1], ["a", "a", "b", "a", "b"])
         assert overall == 1.0 and covered == 1.0 and coverage == 1.0
         assert confusion.predicted_labels == ["a", "b"]
         assert confusion.gold_labels == ["a", "b"]
@@ -217,46 +361,24 @@ class TestEvaluate:
     def test_constant_predictor_on_balanced_labels_scores_chance(self):
         # One symbol for every frame of a 4-way balanced corpus: the tag
         # covers a single class, so accuracy is the 0.25 class share.
-        gold = [["a", "b", "c", "d"] * 25]
-        labeling = make_labeling([0] * 100)
-        tm = majority_tag([labeling], gold)
-        confusion, overall, covered, coverage = evaluate([labeling], tm, gold)
+        confusion, overall, covered, coverage, _ = score_of([0] * 100, ["a", "b", "c", "d"] * 25)
         assert overall == 0.25
         assert covered == 1.0  # the covered frames are exactly the "a" frames
         assert coverage == 0.25
         assert confusion.counts.sum() == 100
 
     def test_covered_accuracy_restricts_to_tagged_gold_labels(self):
-        labeling = make_labeling([0, 0, 1, 1])
-        gold = [["a", "a", "a", "c"]]  # "c" never becomes a tag
-        tm = majority_tag([labeling], gold)
-        assert tm.tags == {0: "a", 1: "a"}
-        confusion, overall, covered, coverage = evaluate([labeling], tm, gold)
+        # "c" never becomes a tag
+        confusion, overall, covered, coverage, tags_used = score_of([0, 0, 1, 1], ["a", "a", "a", "c"])
+        assert confusion.predicted_labels == ["a"] and tags_used == 1
         assert overall == 0.75
         assert covered == 1.0
         assert coverage == 0.75
         assert confusion.gold_labels == ["a", "c"]
 
-    def test_rows_are_predictions_columns_are_gold(self):
-        labeling = make_labeling([0, 1])
-        gold = [["a", "a"]]
-        tm = majority_tag([make_labeling([0, 1])], [["p", "q"]])
-        confusion, _, _, _ = evaluate([labeling], tm, gold)
-        assert confusion.predicted_labels == ["p", "q"]
-        assert confusion.gold_labels == ["a"]
-        assert confusion.counts.tolist() == [[1], [1]]
-
-    def test_foreign_tagmap_skips_untagged_symbols(self):
-        tm = majority_tag([make_labeling([5, 5])], [["a", "a"]])
-        labeling = make_labeling([5, 9])  # 9 has no tag
-        confusion, overall, _, _ = evaluate([labeling], tm, [["a", "b"]])
-        assert confusion.counts.sum() == 1
-        assert overall == 1.0
-
     def test_no_evaluable_frames_is_an_error(self):
-        tm = majority_tag([make_labeling([1])], [["a"]])
-        with pytest.raises(EvaluationError, match="no evaluable"):
-            evaluate([make_labeling([-1, -1])], tm, [["a", "a"]])
+        with pytest.raises(EvaluationError, match=r"^no evaluable frames \(no labeled frame carries a gold label\)$"):
+            score_of([-1, -1], ["a", "a"])
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -265,16 +387,39 @@ class TestEvaluate:
         symbols = data.draw(
             st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
         )
-        gold = [
-            data.draw(
-                st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=n, max_size=n)
-            )
-        ]
-        labeling = make_labeling(symbols)
-        tm = majority_tag([labeling], gold)
-        _, overall, covered, coverage = evaluate([labeling], tm, gold)
+        gold = data.draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=n, max_size=n))
+        _, overall, covered, coverage, _ = score_of(symbols, gold)
         assert covered >= overall - 1e-12
         assert 0.0 <= coverage <= 1.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_score_matches_per_frame_oracle(self, data):
+        # few names and few symbols, so ties and unclaimed symbols are common
+        names = data.draw(st.lists(st.sampled_from(["a", "b", "ab", "B", ""]), min_size=1, max_size=3, unique=True))
+        labelings, gold = [], []
+        for i in range(data.draw(st.integers(min_value=1, max_value=4))):
+            n = data.draw(st.integers(min_value=1, max_value=12))
+            symbols = data.draw(st.lists(st.integers(min_value=-1, max_value=5), min_size=n, max_size=n))
+            labelings.append(make_labeling(symbols, uid=f"u{i}"))
+            has_gold = data.draw(st.booleans())
+            gold.append(data.draw(st.lists(st.sampled_from(names), min_size=n, max_size=n)) if has_gold else None)
+        try:
+            tagmap = majority_tag(labelings, gold)
+            want = evaluate(labelings, tagmap, gold)
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError) as got:
+                score(*labeled_frames(labelings, gold))
+            assert str(got.value) == str(exc)
+            return
+        confusion, overall, covered, coverage, tags_used = score(*labeled_frames(labelings, gold))
+        (want_rows, want_cols, want_counts), *want_rates = want
+        assert confusion.predicted_labels == want_rows
+        assert confusion.gold_labels == want_cols
+        assert confusion.counts.dtype == np.int64
+        assert confusion.counts.tolist() == want_counts.tolist()
+        assert [overall, covered, coverage] == want_rates
+        assert tags_used == tagmap.tags_used
 
 
 class TestAgreementRate:
@@ -357,10 +502,7 @@ class TestSymbolStats:
 
 class TestCsvWriters:
     def test_confusion_round_trip(self, tmp_path):
-        labeling = make_labeling([0, 0, 1])
-        gold = [["a", "b", "b"]]
-        tm = majority_tag([labeling], gold)
-        confusion, _, _, _ = evaluate([labeling], tm, gold)
+        confusion, *_ = score_of([0, 0, 1], ["a", "b", "b"])
         path = tmp_path / "confusion.csv"
         write_confusion_csv(confusion, path)
         lines = path.read_text().strip().splitlines()
@@ -400,13 +542,18 @@ class TestEndToEnd:
         geom = spec.geometry()
 
         def run():
-            labelings = analyze_corpus(ep, corpus, geom)[0]
-            gold = [u.gold_labels for u in corpus]
-            tm = majority_tag(labelings, gold)
-            return evaluate(labelings, tm, gold)
+            return score(*analyze_corpus(ep, corpus, geom)[0])
 
         first = run()
         second = run()
         assert first[1:] == second[1:]
         assert (first[0].counts == second[0].counts).all()
         assert first[0].counts.sum() == sum(len(stride1_windows(u, geom)) for u in corpus)
+
+        # the same scores as the per-frame oracle on the frames' symbols
+        labelings = [make_labeling(s, uid) for uid, s in frame_symbols(ep, corpus, geom).items()]
+        gold = [u.gold_labels for u in corpus]
+        (rows, cols, counts), *rates = evaluate(labelings, majority_tag(labelings, gold), gold)
+        assert (first[0].predicted_labels, first[0].gold_labels) == (rows, cols)
+        assert first[0].counts.tolist() == counts.tolist()
+        assert list(first[1:4]) == rates

@@ -31,12 +31,13 @@ from .corpus import (
 from .evaluation import (
     NO_EVALUABLE_FRAMES,
     EvaluationError,
-    analyze_corpus,
+    reduce_corpus,
     score,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
 from .gradcheck import run_gradcheck
+from .model import CONFIRM, PREDICT
 from .trainer import TrainConfig, TrainerError, load_checkpoint, train
 
 log = logging.getLogger(__name__)
@@ -227,13 +228,9 @@ def cmd_train(args) -> int:
     snapshot = dict(config.to_json_dict(), **dev_hashes)
     if args.resume:
         snapshot["resumed_from"] = str(args.resume)
+    train_hash = corpus_hash(manifest_path)
     write_run_manifest(
-        out,
-        "train",
-        snapshot,
-        config.seed,
-        corpus_hash(manifest_path),
-        ["metrics.jsonl", "checkpoints/"],
+        out, "train", snapshot, config.seed, train_hash, ["metrics.jsonl", "checkpoints/"]
     )
 
     state, records = train(
@@ -244,6 +241,7 @@ def cmd_train(args) -> int:
         checkpoint_dir=checkpoint_dir,
         resume=resume_state,
         stop_after=args.stop_after,
+        corpus_hash=train_hash,
     )
     epochs = [r for r in records if r["type"] == "epoch"]
     tail = epochs[-1] if epochs else {}
@@ -288,25 +286,27 @@ def cmd_eval(args) -> int:
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
     )
 
-    labeled, agreement, stats = analyze_corpus(state.ep, corpus, state.config.geometry)
-    confusion, overall_acc, covered_acc, coverage, tags_used = score(*labeled)
+    reduction = reduce_corpus(state.ep, corpus, state.config.geometry, aligned=False)
+    confusion, overall_acc, covered_acc, coverage, tags_used = score(
+        reduction.symbols, reduction.gold
+    )
 
     summary = {
         "overall_acc": overall_acc,
         "covered_acc": covered_acc,
         "coverage": coverage,
-        "agreement_rate": agreement,
-        "mean_entropy_psi_bits": stats.mean_entropy_confirm_bits,
-        "mean_entropy_phi_bits": stats.mean_entropy_predict_bits,
+        "agreement_rate": reduction.agreement,
+        "mean_entropy_psi_bits": reduction.mean_entropy_bits(CONFIRM),
+        "mean_entropy_phi_bits": reduction.mean_entropy_bits(PREDICT),
         "live_symbols": int(state.live_mask.sum()),
         "tags_used": tags_used,
     }
     _dump_json(summary, out / "summary.json")
     write_confusion_csv(confusion, out / "confusion.csv")
-    write_symbol_stats_csv(stats, out / "symbol_stats.csv", live_mask=state.live_mask)
+    write_symbol_stats_csv(reduction, out / "symbol_stats.csv", live_mask=state.live_mask)
     print(
         f"eval: overall_acc={overall_acc:.4f} covered_acc={covered_acc:.4f} "
-        f"coverage={coverage:.4f} agreement={agreement:.4f} -> {out}"
+        f"coverage={coverage:.4f} agreement={reduction.agreement:.4f} -> {out}"
     )
     return EXIT_OK
 

@@ -1,15 +1,16 @@
-"""Post-training analysis: one encoding pass over a corpus, then frame
-scoring from one count table, agreement, and per-symbol statistics.
+"""Post-training analysis: one reduction over a corpus's windows, then
+frame scoring from one count table.
 
-`encode_corpus` streams a corpus one utterance at a time: it normalizes
+`reduce_corpus` streams a corpus one utterance at a time: it normalizes
 and windows the utterance with the same scaling used in training
-(normalization is idempotent, so already-normalized input is unchanged)
-and runs each encoder once over its windows. Every corpus statistic,
-here and in the trainer, is a reduction over that stream.
+(normalization is idempotent, so already-normalized input is unchanged),
+runs each encoder once over its windows and folds the two output batches
+into one `CorpusReduction`. Every corpus statistic, here and in the
+trainer (death detection and dev evaluation), is read from that record.
 
 A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
-to the utterance edges are excluded rather than padded. `analyze_corpus`
+to the utterance edges are excluded rather than padded. The reduction
 pairs each such symbol with its frame's gold label, and `score` counts
 the pairs once into a symbol-by-gold table: each symbol is tagged with
 the majority gold label of its frames, and frame accuracy is scored
@@ -21,21 +22,20 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .corpus import Utterance, WindowGeometry, window_arrays
 from .model import CONFIRM, PREDICT, EncoderParams
+from .objective import ObjectiveTerms, utterance_loss
 
 __all__ = [
     "EvaluationError",
     "NO_EVALUABLE_FRAMES",
     "ConfusionMatrix",
-    "SymbolStats",
-    "encode_corpus",
+    "CorpusReduction",
     "entropy_bits_sum",
-    "analyze_corpus",
+    "reduce_corpus",
     "score",
     "write_confusion_csv",
     "write_symbol_stats_csv",
@@ -56,80 +56,87 @@ class ConfusionMatrix:
 
 
 @dataclass
-class SymbolStats:
-    avg_confirm: np.ndarray  # [Z] average confirm-side distribution
-    avg_predict: np.ndarray  # [Z] average predict-side distribution
-    mean_entropy_confirm_bits: float
-    mean_entropy_predict_bits: float
-    windows: int
+class CorpusReduction:
+    """What one encoding pass over a corpus's windows adds up to.
 
-
-def encode_corpus(
-    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
-) -> Iterator[tuple[Utterance, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (utterance, confirm [N, Z], predict [N, Z], centers [N]) per utterance.
-
-    The windows come from `window_arrays` in the model's dtype; each
-    encoder runs once over them, untaped, and the probabilities are cast
-    to float64. An utterance shorter than one window yields N = 0 and
-    calls no encoder.
+    `sums`, `maxima` and `entropy_bits` are keyed by side (CONFIRM,
+    PREDICT): the [Z] summed and the [Z] largest probabilities, and the
+    summed row entropy in bits, over every window. `terms` holds the
+    objective of each utterance that has a window, in corpus order.
+    `symbols` [M] int64 and `gold` [M] str pair the confirm argmax of each
+    window center with its gold label, for the utterances that have gold
+    labels.
     """
-    for u in corpus:
-        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
-        if centers.size == 0:
-            empty = np.zeros((0, ep.alphabet_size))
-            yield u, empty, empty, centers
-            continue
-        confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
-        predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
-        yield u, confirm, predict, centers
+
+    windows: int
+    sums: dict[str, np.ndarray]
+    maxima: dict[str, np.ndarray]
+    entropy_bits: dict[str, float]
+    agree: int  # windows where both encoders pick the same symbol
+    terms: list[ObjectiveTerms]
+    symbols: np.ndarray
+    gold: np.ndarray
+
+    def mean(self, side: str) -> np.ndarray:
+        return self.sums[side] / self.windows
+
+    def mean_entropy_bits(self, side: str) -> float:
+        return self.entropy_bits[side] / self.windows
+
+    @property
+    def agreement(self) -> float:
+        return self.agree / self.windows
 
 
 def entropy_bits_sum(probs: np.ndarray) -> float:
-    """Summed entropy in bits of the rows of `probs`; zero entries add nothing."""
-    logs = np.log2(np.clip(probs, 1e-30, None))
-    return float(-(np.where(probs > 0, probs * logs, 0.0)).sum())
+    """Summed entropy in bits of the rows of `probs`; zero entries add nothing.
+
+    A zero entry meets the clipped log as 0 * log2(1e-30), which is a
+    signed zero and leaves the sum unchanged.
+    """
+    return float(-(probs * np.log2(np.clip(probs, 1e-30, None))).sum())
 
 
-def analyze_corpus(
-    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry
-) -> tuple[tuple[np.ndarray, np.ndarray], float, SymbolStats]:
-    """Labeled frames, agreement rate and symbol statistics over every
-    stride-1 window, from one encoding pass.
+def reduce_corpus(
+    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
+) -> CorpusReduction:
+    """Encode every window of `corpus` once per side and reduce the outputs.
 
-    A frame's symbol is the argmax confirm-side symbol of the window
-    centered on it, ties going to the smallest symbol id. The labeled
-    frames are (symbols [M] int64, gold [M] str): the symbol and the gold
-    label of every such frame in an utterance that has gold labels. The
-    agreement rate is the fraction of windows where both encoders pick
-    the same symbol; the statistics average each model's output
-    distribution and entropy over windows.
+    Each utterance's windows come from `window_arrays` in the model's
+    dtype; an utterance without a full window is skipped. Each encoder
+    runs once over the rest, untaped, confirm first, and its
+    probabilities are cast to float64 before they are summed. A window's
+    symbol is its argmax, ties going to the smallest symbol id. Raises
+    EvaluationError when the corpus has no full window.
     """
     z = ep.alphabet_size
-    symbols, gold = [np.zeros(0, np.int64)], [np.zeros(0, str)]
     sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
+    maxima = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
     entropy = {CONFIRM: 0.0, PREDICT: 0.0}
-    agree = total = 0
-    for u, confirm, predict, centers in encode_corpus(ep, corpus, geometry, aligned=False):
+    agree = windows = 0
+    terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
+    for u in corpus:
+        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
+        if centers.size == 0:
+            continue
+        confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
+        predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
         winners = confirm.argmax(axis=1)
         if u.gold_labels is not None:
             symbols.append(winners)
             gold.append(np.asarray(u.gold_labels)[centers])
         for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
             sums[side] += probs.sum(axis=0)
+            np.maximum(maxima[side], probs.max(axis=0), out=maxima[side])
             entropy[side] += entropy_bits_sum(probs)
         agree += int((winners == predict.argmax(axis=1)).sum())
-        total += centers.size
-    if total == 0:
+        windows += centers.size
+        terms.append(utterance_loss(confirm, predict)[1])
+    if windows == 0:
         raise EvaluationError("no full windows in the corpus")
-    stats = SymbolStats(
-        avg_confirm=sums[CONFIRM] / total,
-        avg_predict=sums[PREDICT] / total,
-        mean_entropy_confirm_bits=entropy[CONFIRM] / total,
-        mean_entropy_predict_bits=entropy[PREDICT] / total,
-        windows=total,
+    return CorpusReduction(
+        windows, sums, maxima, entropy, agree, terms, np.concatenate(symbols), np.concatenate(gold)
     )
-    return (np.concatenate(symbols), np.concatenate(gold)), agree / total, stats
 
 
 def score(
@@ -169,10 +176,11 @@ def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:
             writer.writerow([label] + confusion.counts[i].tolist())
 
 
-def write_symbol_stats_csv(stats: SymbolStats, path: Path, live_mask: np.ndarray) -> None:
+def write_symbol_stats_csv(reduction: CorpusReduction, path: Path, live_mask: np.ndarray) -> None:
+    avg_confirm, avg_predict = reduction.mean(CONFIRM), reduction.mean(PREDICT)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["symbol", "avg_prob_psi", "avg_prob_phi", "live"])
-        for z in range(stats.avg_confirm.shape[0]):
-            row = [z, repr(float(stats.avg_confirm[z])), repr(float(stats.avg_predict[z]))]
+        for z in range(avg_confirm.shape[0]):
+            row = [z, repr(float(avg_confirm[z])), repr(float(avg_predict[z]))]
             writer.writerow(row + [int(live_mask[z])])

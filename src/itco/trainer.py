@@ -4,7 +4,9 @@ cloning, checkpointing, metrics emission.
 Each utterance is one minibatch. The learning rate is a step function of
 hundreds of utterances processed. A single cloning event copies the
 output-layer rows of high-marginal live symbols onto dead slots once the
-configured point in the schedule is crossed.
+configured point in the schedule is crossed. Death detection and dev
+evaluation read the untaped `evaluation.reduce_corpus` pass; training
+minibatches are the only other place the encoders run.
 
 Determinism: utterance order, initialization, and clone noise all come
 from named random streams derived from (seed, tag, counters), so a run
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import objective as ob
 from .corpus import Utterance, WindowGeometry, window_arrays
-from .evaluation import encode_corpus, entropy_bits_sum
+from .evaluation import reduce_corpus
 from .model import CONFIRM, PREDICT, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
@@ -161,10 +163,13 @@ class TrainState:
         self.epoch_accum = _fresh_accum()
         self.entropy_buffer = np.zeros((0, z), dtype=np.float32)
         self.detect_mean_confirm: Optional[np.ndarray] = None
+        self.corpus_hash: Optional[str] = None  # of the corpus the run trains on
 
-    def epoch_live_count(self) -> int:
+    def live(self, max_confirm: np.ndarray, max_predict: np.ndarray) -> np.ndarray:
+        """A symbol is live iff its max probability reaches dead_threshold
+        under either model."""
         thr = self.config.dead_threshold
-        return int(((self.epoch_max_confirm >= thr) | (self.epoch_max_predict >= thr)).sum())
+        return (max_confirm >= thr) | (max_predict >= thr)
 
 
 def _fresh_accum() -> dict:
@@ -200,8 +205,8 @@ def _usable(corpus: list[Utterance], geometry: WindowGeometry) -> list[Utterance
 
 
 def detect_dead_symbols(state: TrainState, corpus_sample: list[Utterance]) -> np.ndarray:
-    """Fresh forward passes over the sample; a symbol is dead iff its max
-    probability stays below dead_threshold under BOTH models.
+    """Fresh forward passes over the sample; a symbol is dead iff it is not
+    `TrainState.live` on the sample's per-symbol maxima.
 
     Also records the sample-average confirm distribution on the state,
     which clone_symbols uses to rank live symbols by marginal mass. The
@@ -209,25 +214,11 @@ def detect_dead_symbols(state: TrainState, corpus_sample: list[Utterance]) -> np
     (normally at least one full epoch); that is a caller obligation, not
     a checked error, so constructed states can be probed directly.
     """
-    usable = _usable(corpus_sample, state.config.geometry)
-    if not usable:
-        raise TrainerError("corpus sample has no usable utterances")
-    z = state.config.alphabet_size
-    max_confirm = np.zeros(z, dtype=np.float64)
-    max_predict = np.zeros(z, dtype=np.float64)
-    mean_confirm = np.zeros(z, dtype=np.float64)
-    total_windows = 0
-    windows = encode_corpus(state.ep, usable, state.config.geometry, state.config.aligned_windows)
-    for _, confirm, predict, _ in windows:
-        max_confirm = np.maximum(max_confirm, confirm.max(axis=0))
-        max_predict = np.maximum(max_predict, predict.max(axis=0))
-        mean_confirm += confirm.sum(axis=0)
-        total_windows += confirm.shape[0]
-    thr = state.config.dead_threshold
-    live = (max_confirm >= thr) | (max_predict >= thr)
-    state.live_mask = live
-    state.detect_mean_confirm = mean_confirm / total_windows
-    return live
+    config = state.config
+    reduction = reduce_corpus(state.ep, corpus_sample, config.geometry, config.aligned_windows)
+    state.live_mask = state.live(reduction.maxima[CONFIRM], reduction.maxima[PREDICT])
+    state.detect_mean_confirm = reduction.mean(CONFIRM)
+    return state.live_mask
 
 
 def clone_symbols(state: TrainState) -> TrainState:
@@ -237,15 +228,16 @@ def clone_symbols(state: TrainState) -> TrainState:
     break) with dead slots (ascending index), copying the output-layer row
     and bias in both encoders plus the marginal logit, then perturbing the
     copies with Gaussian noise of scale clone_noise_sigma. With zero noise
-    each pair splits its probability mass exactly in half.
+    each pair splits its probability mass exactly in half. Every call
+    appends its event to `clone_history`, with no pairs when no symbol is
+    dead.
     """
     if state.detect_mean_confirm is None:
         raise TrainerError("run detect_dead_symbols before cloning")
     dead = np.flatnonzero(~state.live_mask)
     live = np.flatnonzero(state.live_mask)
     if dead.size == 0:
-        log.warning("clone requested but no symbols are dead; skipping")
-        return state
+        log.warning("clone requested but no symbols are dead; copying nothing")
     marginal = state.detect_mean_confirm
     # stable sort on index then reorder by descending marginal keeps the
     # index tie-break deterministic
@@ -316,6 +308,7 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
         "epoch_accum": state.epoch_accum,
         "live_mask": [int(b) for b in state.live_mask],
         "clone_history": state.clone_history,
+        "corpus_hash": state.corpus_hash,
         "rng": {"scheme": "streams derived from (seed, tag, counters)", "seed": state.config.seed},
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays
@@ -366,6 +359,7 @@ def load_checkpoint(path: Path) -> TrainState:
         accum = dict(header["epoch_accum"])
         live = header["live_mask"]
         history = header["clone_history"]
+        corpus_hash = header.get("corpus_hash")  # absent from older checkpoints
         table = [(entry["name"], entry["shape"]) for entry in header["arrays"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TrainerError(f"checkpoint header is malformed: {path}: {exc!r}") from None
@@ -377,6 +371,7 @@ def load_checkpoint(path: Path) -> TrainState:
         and all(type(value) is type(fresh[key]) for key, value in accum.items()),
         "live_mask": isinstance(live, list) and len(live) == z and all(b in (0, 1) for b in live),
         "clone_history": isinstance(history, list) and all(isinstance(e, dict) for e in history),
+        "corpus_hash": corpus_hash is None or isinstance(corpus_hash, str),
         "arrays": all(
             isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))
             for name, shape in table
@@ -421,6 +416,7 @@ def load_checkpoint(path: Path) -> TrainState:
     state.epoch_accum = accum
     state.live_mask = np.asarray(live, dtype=bool)
     state.clone_history = history
+    state.corpus_hash = corpus_hash
     for name, param in state.ep.store.items():
         param.value[...] = loaded[name]
     state.epoch_max_confirm = loaded["epoch_max_confirm"]
@@ -442,31 +438,17 @@ def evaluate_on_corpus(state: TrainState, corpus: list[Utterance]) -> dict:
     utterance (matching the per-utterance objective) and averaged; output
     entropies and the argmax agreement rate are averaged over windows.
     """
-    usable = _usable(corpus, state.config.geometry)
-    if not usable:
-        raise TrainerError("evaluation corpus has no usable utterances")
-    ce_vals, me_vals, mi_vals = [], [], []
-    entropy_sums = {CONFIRM: 0.0, PREDICT: 0.0}
-    agree = 0
-    total_windows = 0
-    windows = encode_corpus(state.ep, usable, state.config.geometry, state.config.aligned_windows)
-    for _, confirm, predict, _ in windows:
-        _, terms = ob.utterance_loss(confirm, predict)
-        ce_vals.append(terms.cross_entropy_bits)
-        me_vals.append(terms.marginal_entropy_bits)
-        mi_vals.append(terms.mi_bound_bits)
-        for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
-            entropy_sums[side] += entropy_bits_sum(probs)
-        agree += int((confirm.argmax(axis=1) == predict.argmax(axis=1)).sum())
-        total_windows += confirm.shape[0]
+    config = state.config
+    reduction = reduce_corpus(state.ep, corpus, config.geometry, config.aligned_windows)
+    terms = reduction.terms
     return {
-        "dev_cross_entropy_bits": float(np.mean(ce_vals)),
-        "dev_marginal_entropy_bits": float(np.mean(me_vals)),
-        "dev_mi_bound_bits": float(np.mean(mi_vals)),
-        "dev_mean_entropy_psi_bits": entropy_sums[CONFIRM] / total_windows,
-        "dev_mean_entropy_phi_bits": entropy_sums[PREDICT] / total_windows,
-        "dev_agreement": agree / total_windows,
-        "dev_utterances": len(usable),
+        "dev_cross_entropy_bits": float(np.mean([t.cross_entropy_bits for t in terms])),
+        "dev_marginal_entropy_bits": float(np.mean([t.marginal_entropy_bits for t in terms])),
+        "dev_mi_bound_bits": float(np.mean([t.mi_bound_bits for t in terms])),
+        "dev_mean_entropy_psi_bits": reduction.mean_entropy_bits(CONFIRM),
+        "dev_mean_entropy_phi_bits": reduction.mean_entropy_bits(PREDICT),
+        "dev_agreement": reduction.agreement,
+        "dev_utterances": len(terms),
     }
 
 
@@ -574,6 +556,7 @@ def train(
     checkpoint_dir: Optional[Path] = None,
     resume: Optional[TrainState] = None,
     stop_after: Optional[int] = None,
+    corpus_hash: Optional[str] = None,
 ) -> tuple[TrainState, list[dict]]:
     """Run the schedule (or resume inside it); returns final state + records.
 
@@ -581,16 +564,27 @@ def train(
     total, saving `interrupted.itck` when a checkpoint directory is given;
     resuming from it reproduces the uninterrupted run's remaining metrics
     exactly. When resuming into an existing ``metrics_path``, the file is
-    cut back to the checkpoint's step and continued. A NaN or infinity met
-    on the way raises TrainerError naming the step and the utterance.
+    cut back to the checkpoint's step and continued. ``corpus_hash`` names
+    the training corpus; it is stored in every checkpoint, and resuming
+    under another hash raises TrainerError. A NaN or infinity met on the
+    way raises TrainerError naming the step and the utterance.
     """
     usable = _usable(corpus, config.geometry)
     if not usable:
         raise TrainerError("no usable utterances (all shorter than one window)")
+    if dev_corpus is not None:
+        dev_corpus = _usable(dev_corpus, config.geometry)
+        if not dev_corpus:
+            raise TrainerError("dev corpus has no usable utterances (all shorter than one window)")
     if resume is not None:
         state = resume
         if state.config.to_json_dict() != config.to_json_dict():
             raise TrainerError("resume checkpoint was trained under a different config")
+        if state.corpus_hash != corpus_hash:
+            raise TrainerError(
+                f"resume checkpoint was trained on corpus {state.corpus_hash}, "
+                f"not on this corpus {corpus_hash}"
+            )
         if state.pos_in_epoch >= len(usable):
             raise TrainerError(
                 f"resume checkpoint stopped {state.pos_in_epoch} utterances into an epoch "
@@ -598,10 +592,12 @@ def train(
             )
     else:
         state = TrainState(config, input_dim=usable[0].frames.shape[1])
-    for u in usable:
-        if u.frames.shape[1] != state.input_dim:
-            raise TrainerError(f"utterance {u.id!r} has dimension {u.frames.shape[1]}, "
-                               f"expected {state.input_dim}")
+        state.corpus_hash = corpus_hash
+    for role, utterances in (("utterance", usable), ("dev utterance", dev_corpus or [])):
+        for u in utterances:
+            if u.frames.shape[1] != state.input_dim:
+                raise TrainerError(f"{role} {u.id!r} has dimension {u.frames.shape[1]}, "
+                                   f"expected {state.input_dim}")
 
     dtype = state.ep.store.dtype
     batches = [window_arrays(u, config.geometry, config.aligned_windows, dtype)[:2] for u in usable]
@@ -652,18 +648,7 @@ def train(
                     detect_dead_symbols(state, sample)
                     clone_symbols(state)
                     state.cloned = True
-                    event = state.clone_history[-1] if state.clone_history else None
-                    writer.emit(
-                        {
-                            "type": "clone",
-                            "step": state.step,
-                            "processed": state.processed,
-                            "dead_before": event["dead_before"] if event else 0,
-                            "live_before": event["live_before"] if event else config.alphabet_size,
-                            "pairs": event["pairs"] if event else [],
-                            "sigma": config.clone_noise_sigma,
-                        }
-                    )
+                    writer.emit({"type": "clone", **state.clone_history[-1]})
                 if state.processed >= budget:
                     break
                 if stop_after is not None and state.processed >= stop_after:
@@ -672,12 +657,13 @@ def train(
 
             epoch_done = state.pos_in_epoch == len(usable)
             if epoch_done or state.processed >= budget:
+                live = state.live(state.epoch_max_confirm, state.epoch_max_predict)
                 record = {
                     "type": "epoch",
                     "epoch": state.epoch,
                     "utterances": state.epoch_accum["count"],
                     "lr": config.lr_at(state.processed - 1),
-                    "live_symbols": state.epoch_live_count(),
+                    "live_symbols": int(live.sum()),
                     "saturation_total": state.epoch_accum["saturation_count"],
                 }
                 n = max(1, state.epoch_accum["count"])

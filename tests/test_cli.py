@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itco.cli import main
+from itco.cli import corpus_hash, main
 from itco.gradcheck import run_gradcheck
 from itco.corpus import read_manifest_metadata, true_mi_oracle
 from itco.trainer import TrainConfig, TrainState, save_checkpoint
@@ -350,6 +350,39 @@ class TestTrain:
         # without aligned windows any window size may train on the corpus
         cfg = write_json(tmp_path / "cfg.json", dict(doc, aligned_windows=False))
         assert main(["train", *argv, "--config", str(cfg), "--out", str(out), "--stop-after", "1"]) == 0
+
+    def test_dev_corpus_dimension_mismatch_fails_before_training(self, tmp_path, corpus_dir, capsys):
+        # corpus_dir holds 2-dim features; the dev corpus has 3
+        dev = tmp_path / "dev"
+        spec = write_json(tmp_path / "spec.json", identity_spec(k=3, utterances=2))
+        assert main(["synth", "--spec", str(spec), "--out", str(dev)]) == 0
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "o"
+        assert main(
+            ["train", "--corpus", str(corpus_dir), "--dev-corpus", str(dev), "--config", str(cfg),
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        rows = (dev / "manifest.tsv").read_text().splitlines()
+        first_dev = next(row for row in rows if not row.startswith("#")).split("\t")[0]
+        assert f"dev utterance '{first_dev}' has dimension 3, expected 2" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.jsonl").exists()
+
+    def test_resume_on_another_corpus_is_data_error(self, tmp_path, corpus_dir, capsys):
+        other = tmp_path / "other"
+        spec = write_json(tmp_path / "spec.json", identity_spec(seed=8))
+        assert main(["synth", "--spec", str(spec), "--out", str(other)]) == 0
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        base = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(base + ["--corpus", str(corpus_dir), "--stop-after", "10"]) == 0
+        resume = ["--resume", str(tmp_path / "o" / "checkpoints" / "interrupted.itck")]
+        capsys.readouterr()
+        assert main(base + ["--corpus", str(other)] + resume) == 2
+        err = capsys.readouterr().err
+        hashes = [json.loads((tmp_path / "o" / "run_manifest.json").read_text())["corpus_hash"]]
+        hashes.append(corpus_hash(corpus_dir / "manifest.tsv"))
+        assert f"trained on corpus {hashes[1]}, not on this corpus {hashes[0]}" in err
 
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan", np.inf)

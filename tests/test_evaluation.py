@@ -17,15 +17,15 @@ from itco.corpus import (
 )
 from itco.evaluation import (
     EvaluationError,
-    analyze_corpus,
-    encode_corpus,
     entropy_bits_sum,
+    reduce_corpus,
     score,
     write_confusion_csv,
     write_symbol_stats_csv,
 )
 from itco.model import CONFIRM, PREDICT, EncoderParams
 from itco.numerics import stream_rng
+from itco.objective import utterance_loss
 
 GEOM = WindowGeometry(total=7, past=3, gap=1, future=3)
 
@@ -54,6 +54,11 @@ def stride1_windows(u: Utterance, geometry: WindowGeometry) -> list:
     ]
 
 
+def reduce_stride1(ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry = GEOM):
+    """The reduction `itco eval` reads: every stride-1 window."""
+    return reduce_corpus(ep, corpus, geometry, aligned=False)
+
+
 def row_entropy_bits(p: np.ndarray) -> float:
     """Reference entropy in bits of one distribution, zero entries skipped."""
     p = p[p > 0]
@@ -62,14 +67,15 @@ def row_entropy_bits(p: np.ndarray) -> float:
 
 def frame_symbols(ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry) -> dict:
     """Each utterance's per-frame symbols (-1 where no full window fits),
-    read back from analyze_corpus's labeled frames.
+    read back from the labeled frames of a stride-1 reduction.
 
     Every frame gets a gold label of its own, so each (symbol, gold) pair
     is one nonzero cell of the symbol-by-gold count table and names the
     frame it came from.
     """
     tagged = [replace(u, gold_labels=[f"{u.id}/{t}" for t in range(len(u.frames))]) for u in corpus]
-    (symbols, gold), _, _ = analyze_corpus(ep, tagged, geometry)
+    reduction = reduce_stride1(ep, tagged, geometry)
+    symbols, gold = reduction.symbols, reduction.gold
     assert len(set(gold.tolist())) == gold.size
     out = {u.id: np.full(len(u.frames), -1, dtype=np.int64) for u in corpus}
     for z, label in zip(symbols.tolist(), gold.tolist()):
@@ -79,7 +85,7 @@ def frame_symbols(ep: EncoderParams, corpus: list[Utterance], geometry: WindowGe
 
 
 def labeling_of(ep: EncoderParams, u: Utterance, geometry: WindowGeometry) -> np.ndarray:
-    """One utterance's frame symbols from a one-utterance analyze_corpus pass."""
+    """One utterance's frame symbols from a one-utterance reduction."""
     return frame_symbols(ep, [u], geometry)[u.id]
 
 
@@ -137,49 +143,56 @@ class TestLabelFrames:
         ep = small_params(seed=9)
         labeled = replace(random_utterance(10, 15, uid="a"), gold_labels=["g"] * 15)
         unlabeled = random_utterance(11, 20, uid="b")
-        (symbols, gold), _, stats = analyze_corpus(ep, [labeled, unlabeled], GEOM)
-        assert symbols.dtype == np.int64
-        assert symbols.size == gold.size == 15 - GEOM.total + 1
-        assert set(gold.tolist()) == {"g"}
-        assert stats.windows == (15 - GEOM.total + 1) + (20 - GEOM.total + 1)
-        (none, none_gold), _, _ = analyze_corpus(ep, [unlabeled], GEOM)
-        assert none.size == none_gold.size == 0
+        reduction = reduce_stride1(ep, [labeled, unlabeled])
+        assert reduction.symbols.dtype == np.int64
+        assert reduction.symbols.size == reduction.gold.size == 15 - GEOM.total + 1
+        assert set(reduction.gold.tolist()) == {"g"}
+        assert reduction.windows == (15 - GEOM.total + 1) + (20 - GEOM.total + 1)
+        none = reduce_stride1(ep, [unlabeled])
+        assert none.symbols.size == none.gold.size == 0
 
 
-class TestEncodeCorpus:
+class TestReduceCorpus:
     @pytest.mark.parametrize("aligned", [False, True])
-    def test_yields_each_utterance_encoded_once_per_side(self, aligned, monkeypatch):
+    def test_encodes_each_utterance_once_per_side(self, aligned, monkeypatch):
+        # every field equals the same sums taken, utterance by utterance,
+        # over separately encoded float64 outputs; the short utterance is
+        # skipped without an encoder call
         ep = small_params(seed=12)
         corpus = [
-            random_utterance(40, 30, uid="a"),
+            replace(random_utterance(40, 30, uid="a"), gold_labels=[f"g{t % 3}" for t in range(30)]),
             random_utterance(41, GEOM.total - 1, uid="short"),
             random_utterance(42, 16, uid="b"),
         ]
-        expected = []
+        outputs, symbols, gold = [], [], []
         for u in corpus:
             x, y, centers = window_arrays(u, GEOM, aligned, np.float32)
             if centers.size:
-                expected.append((ep.encode_node(CONFIRM, y).value, ep.encode_node(PREDICT, x).value))
-            else:
-                expected.append(None)
+                confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
+                outputs.append((confirm, ep.encode_node(PREDICT, x).value.astype(np.float64)))
+                if u.gold_labels is not None:
+                    symbols += confirm.argmax(axis=1).tolist()
+                    gold += [u.gold_labels[c] for c in centers]
         calls = []
         encode = EncoderParams.encode_node
 
         def counting(self, side, frames, tape=None):
-            calls.append(side)
+            calls.append((side, tape))
             return encode(self, side, frames, tape)
 
         monkeypatch.setattr(EncoderParams, "encode_node", counting)
-        got = list(encode_corpus(ep, corpus, GEOM, aligned))
-        assert [u.id for u, _, _, _ in got] == ["a", "short", "b"]
-        assert calls == [CONFIRM, PREDICT] * 2
-        for (u, confirm, predict, centers), want in zip(got, expected):
-            assert confirm.dtype == predict.dtype == np.float64
-            assert np.array_equal(centers, window_arrays(u, GEOM, aligned, np.float32)[2])
-            if want is None:
-                assert confirm.shape == predict.shape == (0, ep.alphabet_size)
-            else:
-                assert np.array_equal(confirm, want[0]) and np.array_equal(predict, want[1])
+        got = reduce_corpus(ep, corpus, GEOM, aligned)
+        assert calls == [(CONFIRM, None), (PREDICT, None)] * 2
+        assert got.windows == sum(c.shape[0] for c, _ in outputs)
+        for i, side in enumerate((CONFIRM, PREDICT)):
+            sides = [pair[i] for pair in outputs]
+            assert np.array_equal(got.sums[side], sum(p.sum(axis=0) for p in sides))
+            assert np.array_equal(got.maxima[side], np.max([p.max(axis=0) for p in sides], axis=0))
+            assert got.entropy_bits[side] == sum(entropy_bits_sum(p) for p in sides)
+            assert np.array_equal(got.mean(side), got.sums[side] / got.windows)
+        assert got.agree == sum(int((c.argmax(1) == p.argmax(1)).sum()) for c, p in outputs)
+        assert got.terms == [utterance_loss(c, p)[1] for c, p in outputs]
+        assert got.symbols.tolist() == symbols and got.gold.tolist() == gold
 
     def test_entropy_bits_sum_adds_row_entropies(self):
         rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
@@ -187,6 +200,18 @@ class TestEncodeCorpus:
         assert entropy_bits_sum(rows) == pytest.approx(per_row, abs=1e-12)
         assert entropy_bits_sum(rows[:3]) == 3.0
         assert entropy_bits_sum(np.zeros((0, 4))) == 0.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_entropy_bits_sum_matches_masked_oracle(self, data):
+        # the earlier form masked zero entries out with np.where; dropping
+        # the mask must not move a bit, exact zeros included
+        n, z = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 9))
+        cells = st.one_of(st.just(0.0), st.floats(1e-40, 1.0))
+        probs = np.array(data.draw(st.lists(cells, min_size=n * z, max_size=n * z))).reshape(n, z)
+        probs = probs / np.maximum(probs.sum(axis=1, keepdims=True), 1e-300)
+        logs = np.log2(np.clip(probs, 1e-30, None))
+        assert entropy_bits_sum(probs) == float(-(np.where(probs > 0, probs * logs, 0.0)).sum())
 
 
 # The per-frame tagging and scoring that `score` replaced, kept as its
@@ -299,7 +324,7 @@ def make_labeling(symbols: list[int], uid: str = "u0") -> FrameLabeling:
 
 def labeled_frames(labelings: list[FrameLabeling], gold: list) -> tuple[np.ndarray, np.ndarray]:
     """(symbols, gold) of the labeled frames of utterances with gold labels,
-    in corpus order: what analyze_corpus hands to `score`."""
+    in corpus order: what a reduction hands to `score`."""
     symbols, names = [np.zeros(0, np.int64)], [np.zeros(0, str)]
     for labeling, labels in zip(labelings, gold):
         if labels is not None:
@@ -435,7 +460,7 @@ class TestAgreementRate:
                     slot
                 ].value
         u = Utterance("const", np.ones((20, 4), dtype=np.float64))
-        assert analyze_corpus(ep, [u], geom)[1] == 1.0
+        assert reduce_stride1(ep, [u], geom).agreement == 1.0
 
     def test_independent_models_agree_near_chance(self):
         # Two independently drawn encoders over noise windows: agreement
@@ -447,7 +472,7 @@ class TestAgreementRate:
             if slot.startswith("predict."):
                 ep.store[slot].value[...] = other.store[slot].value
         corpus = [random_utterance(100 + i, 80, uid=f"u{i}") for i in range(20)]
-        rate = analyze_corpus(ep, corpus, geom)[1]
+        rate = reduce_stride1(ep, corpus, geom).agreement
 
         winners_c: list[int] = []
         winners_p: list[int] = []
@@ -466,38 +491,36 @@ class TestAgreementRate:
     def test_empty_corpus_is_an_error(self):
         ep = small_params()
         with pytest.raises(EvaluationError, match="no full windows"):
-            analyze_corpus(ep, [random_utterance(0, 3)], GEOM)
+            reduce_stride1(ep, [random_utterance(0, 3)])
 
 
 class TestSymbolStats:
     def test_uniform_models_report_uniform_averages(self):
         ep = small_params(zero=True)
-        corpus = [random_utterance(20, 15)]
-        stats = analyze_corpus(ep, corpus, GEOM)[2]
+        reduction = reduce_stride1(ep, [random_utterance(20, 15)])
         z = ep.alphabet_size
-        np.testing.assert_allclose(stats.avg_confirm, np.full(z, 1 / z), atol=1e-7)
-        np.testing.assert_allclose(stats.avg_predict, np.full(z, 1 / z), atol=1e-7)
-        assert stats.mean_entropy_confirm_bits == pytest.approx(np.log2(z), abs=1e-6)
-        assert stats.mean_entropy_predict_bits == pytest.approx(np.log2(z), abs=1e-6)
+        for side in (CONFIRM, PREDICT):
+            np.testing.assert_allclose(reduction.mean(side), np.full(z, 1 / z), atol=1e-7)
+            assert reduction.mean_entropy_bits(side) == pytest.approx(np.log2(z), abs=1e-6)
 
     def test_averages_are_distributions(self):
         ep = small_params(seed=21)
         corpus = [random_utterance(22 + i, 12 + i, uid=f"u{i}") for i in range(3)]
-        stats = analyze_corpus(ep, corpus, GEOM)[2]
-        assert abs(stats.avg_confirm.sum() - 1.0) < 1e-6
-        assert abs(stats.avg_predict.sum() - 1.0) < 1e-6
-        assert (stats.avg_confirm >= 0).all() and (stats.avg_predict >= 0).all()
-        assert stats.windows == sum(12 + i - GEOM.total + 1 for i in range(3))
+        reduction = reduce_stride1(ep, corpus)
+        for side in (CONFIRM, PREDICT):
+            assert abs(reduction.mean(side).sum() - 1.0) < 1e-6
+            assert (reduction.mean(side) >= 0).all()
+        assert reduction.windows == sum(12 + i - GEOM.total + 1 for i in range(3))
 
     def test_entropy_bounds(self):
         ep = small_params(seed=23)
-        stats = analyze_corpus(ep, [random_utterance(24, 30)], GEOM)[2]
-        for h in (stats.mean_entropy_confirm_bits, stats.mean_entropy_predict_bits):
-            assert 0.0 <= h <= np.log2(ep.alphabet_size) + 1e-9
+        reduction = reduce_stride1(ep, [random_utterance(24, 30)])
+        for side in (CONFIRM, PREDICT):
+            assert 0.0 <= reduction.mean_entropy_bits(side) <= np.log2(ep.alphabet_size) + 1e-9
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(EvaluationError, match="no full windows"):
-            analyze_corpus(small_params(), [], GEOM)
+            reduce_stride1(small_params(), [])
 
 
 class TestCsvWriters:
@@ -513,10 +536,10 @@ class TestCsvWriters:
 
     def test_symbol_stats_csv_layout(self, tmp_path):
         ep = small_params(zero=True, alphabet=4)
-        stats = analyze_corpus(ep, [random_utterance(30, 10)], GEOM)[2]
+        reduction = reduce_stride1(ep, [random_utterance(30, 10)])
         path = tmp_path / "symbols.csv"
         live = np.array([True, True, False, True])
-        write_symbol_stats_csv(stats, path, live_mask=live)
+        write_symbol_stats_csv(reduction, path, live_mask=live)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "symbol,avg_prob_psi,avg_prob_phi,live"
         assert len(lines) == 5
@@ -542,7 +565,8 @@ class TestEndToEnd:
         geom = spec.geometry()
 
         def run():
-            return score(*analyze_corpus(ep, corpus, geom)[0])
+            reduction = reduce_stride1(ep, corpus, geom)
+            return score(reduction.symbols, reduction.gold)
 
         first = run()
         second = run()

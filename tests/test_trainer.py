@@ -230,7 +230,11 @@ def test_clone_without_dead_symbols_is_a_noop():
     before = state.ep.store["marginal.logits"].value.copy()
     tr.clone_symbols(state)
     assert np.array_equal(state.ep.store["marginal.logits"].value, before)
-    assert state.clone_history == []
+    # the event is recorded all the same, and is what the metrics stream emits
+    assert state.clone_history == [
+        {"processed": 0, "step": 0, "dead_before": 0, "live_before": 8, "pairs": [],
+         "sigma": config.clone_noise_sigma}
+    ]
 
 
 def test_clone_requires_detection_stats():
@@ -259,8 +263,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.cloned == state.cloned
     assert np.array_equal(loaded.live_mask, state.live_mask)
     assert loaded.epoch_accum == state.epoch_accum
-    assert json.dumps(loaded.clone_history) == json.dumps(
-        json.loads(json.dumps(state.clone_history))
+    assert loaded.clone_history and loaded.clone_history == json.loads(
+        json.dumps(state.clone_history)
     )
 
 
@@ -308,13 +312,18 @@ def _with_header(raw: bytes, header: object) -> bytes:
     return body + np.asarray([zlib.crc32(body)], dtype="<u4").tobytes()
 
 
+FUZZ_CORPUS_HASH = "c0ffee"
+
+
 @functools.lru_cache(maxsize=None)
 def mid_run_checkpoint() -> bytes:
     # global mode, stopped after the clone: every header field and array is set
     utts, _ = tiny_corpus(n_utts=4)
     config = tiny_config(entropy_mode="global", entropy_buffer_windows=6, dead_threshold=0.13)
     with tempfile.TemporaryDirectory() as tmp:
-        state, _ = tr.train(utts, config, checkpoint_dir=Path(tmp), stop_after=6)
+        state, _ = tr.train(
+            utts, config, checkpoint_dir=Path(tmp), stop_after=6, corpus_hash=FUZZ_CORPUS_HASH
+        )
         assert state.clone_history and state.clone_history[0]["pairs"]
         return (Path(tmp) / "interrupted.itck").read_bytes()
 
@@ -366,9 +375,21 @@ def test_checkpoint_header_fuzz_raises_only_trainer_error(tmp_path_factory, data
     try:
         state = tr.load_checkpoint(file)
         utts, _ = tiny_corpus(n_utts=4)
-        tr.train(utts, state.config, resume=state, stop_after=state.processed + 1)
+        tr.train(utts, state.config, resume=state, stop_after=state.processed + 1,
+                 corpus_hash=FUZZ_CORPUS_HASH)
     except tr.TrainerError:
         pass
+
+
+def test_resume_refuses_another_corpus(tmp_path):
+    utts, _ = tiny_corpus(n_utts=4)
+    config = tiny_config()
+    tr.train(utts, config, checkpoint_dir=tmp_path, stop_after=2, corpus_hash="aaa")
+    state = tr.load_checkpoint(tmp_path / "interrupted.itck")
+    assert state.corpus_hash == "aaa"
+    with pytest.raises(tr.TrainerError, match="trained on corpus aaa, not on this corpus bbb"):
+        tr.train(utts, config, resume=state, corpus_hash="bbb")
+    tr.train(utts, config, resume=state, stop_after=3, corpus_hash="aaa")
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +567,25 @@ def test_evaluate_on_corpus_is_deterministic_and_complete():
 
 def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
     utts, spec = tiny_corpus(n_utts=2, windows=4)
-    rows = []
+    short = Utterance("short", utts[0].frames[: spec.window_total - 1])
+    calls = []
     encode = EncoderParams.encode_node
 
     def counting(self, side, frames, tape=None):
-        rows.append(frames.shape[0])
+        calls.append((side, frames.shape[0], tape is None))
         return encode(self, side, frames, tape)
 
     monkeypatch.setattr(EncoderParams, "encode_node", counting)
     stride1 = utts[0].frames.shape[0] - spec.window_total + 1
-    # training minibatches, dev evaluation and death detection all follow the flag
-    for aligned, per_side in ((True, 4), (False, stride1)):  # 4: one per generated window
-        rows.clear()
+    # training minibatches, dev evaluation and death detection all follow the
+    # flag; the last two encode each utterance once per side, untaped,
+    # confirm first, and call no encoder for an utterance without a window
+    for aligned, n in ((True, 4), (False, stride1)):  # 4: one per generated window
+        calls.clear()
         state, _ = tr.train(utts[:1], tiny_config(aligned_windows=aligned), stop_after=1)
-        tr.evaluate_on_corpus(state, utts[:1])
-        tr.detect_dead_symbols(state, utts[:1])
-        # one minibatch, the clone's detection, then the two calls above
-        assert rows == [per_side] * 8
+        # one taped minibatch, then the clone's detection
+        assert calls == [(CONFIRM, n, False), (PREDICT, n, False), (CONFIRM, n, True), (PREDICT, n, True)]
+        for reader in (tr.evaluate_on_corpus, tr.detect_dead_symbols):
+            calls.clear()
+            reader(state, [utts[0], short, utts[1]])
+            assert calls == [(CONFIRM, n, True), (PREDICT, n, True)] * 2

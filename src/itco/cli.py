@@ -3,7 +3,9 @@
 Every command that writes files drops a run_manifest.json into its output
 directory first (config snapshot, seed, input corpus hash, planned
 artifact paths, tool version) so any output can be reproduced
-byte-for-byte from the manifest alone.
+byte-for-byte from the manifest alone. ``train --resume`` into a directory
+that holds an earlier leg's train manifest keeps every earlier leg, oldest
+first, under ``earlier_legs``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
 """
@@ -96,6 +98,7 @@ def write_run_manifest(
     seed: Optional[int],
     input_corpus_hash: Optional[str],
     artifact_paths: list[str],
+    earlier_legs: Optional[list[dict]] = None,
 ) -> Path:
     doc = {
         "command": command,
@@ -105,9 +108,22 @@ def write_run_manifest(
         "artifacts": sorted(artifact_paths),
         "tool_version": __version__,
     }
+    if earlier_legs:
+        doc["earlier_legs"] = earlier_legs
     path = Path(out_dir) / "run_manifest.json"
     _dump_json(doc, path)
     return path
+
+
+def _train_legs(out_dir: Path) -> list[dict]:
+    """Every leg an existing train manifest in ``out_dir`` records, oldest first."""
+    path = Path(out_dir) / "run_manifest.json"
+    if not path.exists():
+        return []
+    doc = _load_json(path, "run manifest")
+    if not isinstance(doc, dict) or doc.get("command") != "train":
+        return []
+    return [*doc.pop("earlier_legs", []), doc]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +245,9 @@ def cmd_train(args) -> int:
     if args.resume:
         snapshot["resumed_from"] = str(args.resume)
     train_hash = corpus_hash(manifest_path)
-    write_run_manifest(
-        out, "train", snapshot, config.seed, train_hash, ["metrics.jsonl", "checkpoints/"]
-    )
+    artifacts = ["metrics.jsonl", "checkpoints/"]
+    legs = _train_legs(out) if args.resume else None
+    write_run_manifest(out, "train", snapshot, config.seed, train_hash, artifacts, legs)
 
     state, records = train(
         corpus,

@@ -90,18 +90,22 @@ def _gradcheck_cases(seed: int):
 
     cases.append(("gru_cell", store, gru_cell_loss))
 
-    # one window, a batch, a per-window initial state, one window in a
-    # batch, and one step
+    # a batch, one window in a batch, and one step; the None rows are the
+    # one-window and per-window-h0 shapes, which the program never runs
+    # (their checks live with the reference sequences in the tests) but
+    # whose draws keep every later case's inputs as they were
     for case, frames_shape, h0_shape in (
-        ("gru_sequence_window", (5, d), hidden),
+        (None, (5, d), hidden),
         ("gru_sequence", (2, 5, d), hidden),
-        ("gru_sequence_h0_batch", (2, 5, d), (2, hidden)),
+        (None, (2, 5, d), (2, hidden)),
         ("gru_sequence_n1", (1, 5, d), hidden),
         ("gru_sequence_l1", (2, 1, d), hidden),
     ):
         store_seq = gru_store(h0_shape)
         frames = vec(frames_shape)
         r_seq = rng.normal(size=frames_shape[:-2] + (hidden,))
+        if case is None:
+            continue
 
         def gru_sequence_loss(tape, store_seq=store_seq, frames=frames, r_seq=r_seq):
             out = nm.gru_sequence(tape, dict(store_seq.items()), frames)

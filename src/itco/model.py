@@ -10,10 +10,11 @@ objective.
 
 All three live in one float ``ParamStore``, laid out by
 ``param_shapes``, whose ``Param``s enter the graph directly as tape
-leaves. ``encode_node`` maps a window [L, d] or a batch of windows
-[N, L, d] to symbol probabilities ([Z] or [N, Z]); ``marginal_node``
-gives the marginal's [Z] probabilities. With a tape the reverse sweep
-fills the ``Param`` gradients; without one the pass is forward only.
+leaves. ``encode_node`` maps a batch of windows [N, L, d], and only a
+batch, to symbol probabilities [N, Z]; a single window is a batch of one,
+``frames[None]``. ``marginal_node`` gives the marginal's [Z]
+probabilities. With a tape the reverse sweep fills the ``Param``
+gradients; without one the pass is forward only.
 
 The two encoders share no parameters; perturbing one side never changes
 the other side's outputs.
@@ -85,14 +86,13 @@ class EncoderParams:
     def encode_node(
         self, side: str, frames: np.ndarray, tape: Optional[nm.Tape] = None
     ) -> nm.Node:
-        """Symbol probabilities for one window [L, d] or a batch [N, L, d]."""
+        """Symbol probabilities [N, Z] for a batch of windows [N, L, d]."""
         if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
         frames = np.asarray(frames, dtype=self.store.dtype)
-        if frames.shape[-1] != self.input_dim:
+        if frames.ndim != 3 or frames.shape[2] != self.input_dim:
             raise ValueError(
-                f"window frames have dimension {frames.shape[-1]}, "
-                f"model expects {self.input_dim}"
+                f"encode_node takes windows [N, L, {self.input_dim}], got shape {frames.shape}"
             )
         gru = {slot: self.store[f"{side}.gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
         hidden = nm.gru_sequence(tape, gru, frames)

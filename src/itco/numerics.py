@@ -12,9 +12,16 @@ as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
 
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
-hand-written backpropagation through time. ``gru_cell``, the same step
-composed from the elementary primitives, is kept as the test oracle the
-fused path must match.
+hand-written backpropagation through time. It takes the one shape the
+program runs, a batch of windows [N, L, d] with an [H] initial state, and
+works on preallocated memory: each call's forward writes its gates in
+place into per-call [N, H] buffers, a taped call saves its state in five
+time-major [L, N, H] arrays, and every backward draws its temporaries
+from one module-level scratch buffer, grown on demand and reused by all
+calls (so the numerics are not thread-safe). ``gru_cell``, the same step
+composed from the elementary primitives, is the test oracle the fused
+path must match; the tests also keep the earlier all-shapes fused node,
+which the workspace path reproduces bit for bit.
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -404,83 +411,161 @@ def gru_cell(tape: Optional[Tape], p: Mapping[str, Node], h: Node, v: Node) -> N
 
 
 def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray) -> Node:
-    """Fold the GRU over time from the trainable initial state p["h0"].
+    """Fold the GRU over a batch of windows from the trainable initial state.
 
-    ``frames`` is [L, d] for one window or [N, L, d] for a batch of windows;
-    ``p["h0"]`` is [H], shared by every window, or [N, H]. Returns the final
-    hidden state ([H] or [N, H]).
+    ``frames`` is [N, L, d] and ``p["h0"]`` an [H] state shared by every
+    window, both of the parameters' dtype; returns the final hidden states
+    [N, H]. Other shapes raise ``ValueError``.
 
     Each step computes exactly what ``gru_cell`` computes, gate by gate and
     in the same order, so the forward values are bit-identical to folding
-    ``gru_cell``; the tests keep that fold as the oracle. The whole sequence
-    records one tape node whose backward is a hand-written backpropagation
-    through time (see ``_gru_sequence_backward``).
+    ``gru_cell``. The gates are written in place into buffers allocated
+    once per call. Step 0's recurrent products stay matrix-vector products
+    on the [H] ``h0``: broadcasting it to [N, H] first would change the
+    bits. A taped call writes (h_prev, r, u, r*h_prev, c) of every step
+    straight into five time-major [L, N, H] arrays and records one tape
+    node whose backward is a hand-written backpropagation through time
+    (see ``_gru_sequence_backward``).
     """
     frames = np.asarray(frames)
-    if frames.ndim not in (2, 3):
-        raise ValueError(f"frames must be [L, d] or [N, L, d], got shape {frames.shape}")
-    steps = frames.shape[-2]
+    h0 = p["h0"].value
+    if frames.ndim != 3 or h0.ndim != 1 or frames.dtype != h0.dtype:
+        raise ValueError(
+            f"gru_sequence takes [N, L, d] frames and an [H] h0 of one dtype, got "
+            f"frames {frames.shape} {frames.dtype} and h0 {h0.shape} {h0.dtype}"
+        )
+    rows, steps, _ = frames.shape
     if steps < 1:
         raise ValueError("gru_sequence requires at least one frame")
     w_r, u_r, b_r, w_u, u_u, b_u, w_c, u_c, b_c = (p[slot].value for slot in GRU_SLOTS)
-    h = p["h0"].value
-    saved = []
+    shape = (rows, h0.shape[0])
+    tmp = np.empty(shape, h0.dtype)
+    out = np.empty(shape, h0.dtype)
+    if tape is None:
+        r, u, rh, c = np.empty((4,) + shape, h0.dtype)
+    else:
+        saved = tuple(np.empty((steps,) + shape, h0.dtype) for _ in range(5))
+        h_prev, r_all, u_all, rh_all, c_all = saved
+        h_prev[0] = h0
+
+    def gate(a, v, w, b, w_rec, h):
+        # a = v @ w.T + b + h @ w_rec.T, summed in gru_cell's order
+        np.matmul(v, w.T, out=a)
+        a += b
+        if h.ndim == 1:
+            a += w_rec @ h
+        else:
+            np.matmul(h, w_rec.T, out=tmp)
+            a += tmp
+
+    def sigmoid_(a):
+        # _sigmoid's arithmetic, in place
+        a *= 0.5
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+
+    h = h0
     for t in range(steps):
-        v = frames[..., t, :]
-        r = _sigmoid(_times(w_r, v) + b_r + _times(u_r, h))
-        u = _sigmoid(_times(w_u, v) + b_u + _times(u_u, h))
-        rh = r * h
-        c = np.tanh(_times(w_c, v) + b_c + _times(u_c, rh))
-        if tape is not None:
-            # an [H] h0 is the only state narrower than the gates
-            saved.append((h if t else np.broadcast_to(h, r.shape), r, u, rh, c))
-        h = u * h + (1.0 - u) * c
-    out = Node(h)
+        if tape is None:
+            h_next = out
+        else:
+            r, u, rh, c = r_all[t], u_all[t], rh_all[t], c_all[t]
+            h_next = h_prev[t + 1] if t + 1 < steps else out
+        v = frames[:, t, :]
+        gate(r, v, w_r, b_r, u_r, h)
+        sigmoid_(r)
+        gate(u, v, w_u, b_u, u_u, h)
+        sigmoid_(u)
+        np.multiply(r, h, out=rh)
+        gate(c, v, w_c, b_c, u_c, rh)
+        np.tanh(c, out=c)
+        # h' = u*h + (1-u)*c
+        np.multiply(u, h, out=h_next)
+        np.subtract(1.0, u, out=tmp)
+        tmp *= c
+        h_next += tmp
+        h = h_next
+    node = Node(out)
     if tape is not None:
-        tape._record(out, _gru_sequence_backward(p, frames, saved))
-    return out
+        tape._record(node, _gru_sequence_backward(p, frames, saved))
+    return node
+
+
+# Backward temporaries, shared by every call: one byte buffer, replaced by
+# a larger one when a call needs more, viewed as the dtype of the call at
+# hand. A backward sweep writes each region before it reads it, so nothing
+# carries over between calls.
+_scratch = [np.empty(0, dtype=np.uint8)]
+
+
+def _scratch_array(dtype: np.dtype, size: int) -> np.ndarray:
+    nbytes = size * dtype.itemsize
+    if _scratch[0].nbytes < nbytes:
+        _scratch[0] = np.empty(nbytes, dtype=np.uint8)
+    return _scratch[0][:nbytes].view(dtype)
 
 
 def _gru_sequence_backward(
-    p: Mapping[str, Node], frames: np.ndarray, saved: list
+    p: Mapping[str, Node], frames: np.ndarray, saved: tuple
 ) -> Callable[[np.ndarray], None]:
     """Backpropagation through time for one ``gru_sequence`` call.
 
-    ``saved`` holds (h_prev, r, u, r*h_prev, c) for every step. The
-    pointwise factors that do not depend on the incoming gradient are
-    formed for all steps at once; the reverse loop then does only the
-    recurrent part, and each weight gradient is one matmul over all N*L
-    rows at the end, as in cuDNN's RNN backward.
+    ``saved`` holds the time-major [L, N, H] arrays (h_prev, r, u,
+    r*h_prev, c). The pointwise factors that do not depend on the incoming
+    gradient are formed for all steps at once; the reverse loop then does
+    only the recurrent part, and each weight gradient is one matmul over
+    all N*L rows at the end, as in cuDNN's RNN backward. Every temporary
+    is a view of the shared scratch.
     """
+    h_prev, r, u, rh, c = saved
 
     def bw(g):
-        steps = len(saved)
-        hidden = g.shape[-1]
-        rows = frames.shape[0] if frames.ndim == 3 else 1
-        shape = (steps, rows, hidden)  # time-major; a single window is one row
-        h_prev, r, u, rh, c = (np.stack(field).reshape(shape) for field in zip(*saved))
-        k_c = (1.0 - u) * (1.0 - c * c)  # dh/da_c
-        k_u = (h_prev - c) * (u * (1.0 - u))  # dh/da_u
-        k_r = h_prev * (r * (1.0 - r))  # d(r*h_prev)/da_r
+        steps, rows, hidden = r.shape
+        block, step, d = r.size, rows * hidden, frames.shape[2]
+        work = _scratch_array(r.dtype, 6 * block + 3 * step + steps * rows * d)
+        k_c, k_u, k_r, da_r, da_u, da_c = work[: 6 * block].reshape((6,) + r.shape)
+        gh, drh, tmp = work[6 * block : 6 * block + 3 * step].reshape(3, rows, hidden)
+        x = work[6 * block + 3 * step :].reshape(steps, rows, d)
+
+        # da_r is free until the reverse loop: it holds the factors' second terms
+        np.subtract(1.0, u, out=k_c)
+        np.multiply(c, c, out=da_r)
+        np.subtract(1.0, da_r, out=da_r)
+        k_c *= da_r  # dh/da_c = (1-u) * (1-c*c)
+        np.subtract(h_prev, c, out=k_u)
+        np.subtract(1.0, u, out=da_r)
+        np.multiply(u, da_r, out=da_r)
+        k_u *= da_r  # dh/da_u = (h_prev-c) * (u*(1-u))
+        np.subtract(1.0, r, out=da_r)
+        np.multiply(r, da_r, out=da_r)
+        np.multiply(h_prev, da_r, out=k_r)  # d(r*h_prev)/da_r = h_prev * (r*(1-r))
+
         u_r, u_u, u_c = p["u_r"].value, p["u_u"].value, p["u_c"].value
-        da_r, da_u, da_c = np.empty_like(r), np.empty_like(u), np.empty_like(c)
-        gh = g.reshape(rows, hidden)
+        np.copyto(gh, g)
         for t in reversed(range(steps)):
             np.multiply(gh, k_c[t], out=da_c[t])
             np.multiply(gh, k_u[t], out=da_u[t])
-            drh = da_c[t] @ u_c
+            np.matmul(da_c[t], u_c, out=drh)
             np.multiply(drh, k_r[t], out=da_r[t])
-            gh = gh * u[t] + drh * r[t] + da_r[t] @ u_r + da_u[t] @ u_u
+            # gh = gh*u + drh*r + da_r @ u_r + da_u @ u_u, summed left to right
+            gh *= u[t]
+            np.multiply(drh, r[t], out=tmp)
+            gh += tmp
+            np.matmul(da_r[t], u_r, out=tmp)
+            gh += tmp
+            np.matmul(da_u[t], u_u, out=tmp)
+            gh += tmp
 
         flat = steps * rows
-        x = frames.reshape(rows, steps, -1).swapaxes(0, 1).reshape(flat, -1)
-        h_prev, rh = h_prev.reshape(flat, hidden), rh.reshape(flat, hidden)
+        np.copyto(x, frames.swapaxes(0, 1))
+        x = x.reshape(flat, d)
         for gate, da, h_in in (("r", da_r, h_prev), ("u", da_u, h_prev), ("c", da_c, rh)):
             da = da.reshape(flat, hidden)
             _acc(p[f"w_{gate}"], da.T @ x)
-            _acc(p[f"u_{gate}"], da.T @ h_in)
+            _acc(p[f"u_{gate}"], da.T @ h_in.reshape(flat, hidden))
             _acc(p[f"b_{gate}"], da.sum(axis=0))
-        _acc(p["h0"], _unbroadcast(gh, p["h0"].value.shape))
+        _acc(p["h0"], gh.sum(axis=0))
 
     return bw
 

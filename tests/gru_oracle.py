@@ -1,0 +1,91 @@
+"""Reference GRU sequences the runtime ``numerics.gru_sequence`` must match.
+
+``composed_sequence`` folds ``numerics.gru_cell`` over time, one tape node
+per elementary primitive. ``fused_sequence`` is the earlier all-shapes
+fused node, kept verbatim: it takes one window [L, d] or a batch
+[N, L, d], with an [H] or a per-window [N, H] initial state, allocates
+fresh arrays at every step and stacks the saved state in its backward.
+The runtime path must reproduce its forward values and gradients bit for
+bit on the one shape the program runs: [N, L, d] frames with an [H] h0.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from itco import numerics as nm
+
+
+def _times(w, v):
+    # w @ v for one vector, v @ w.T for a batch of row vectors
+    return w @ v if v.ndim == 1 else v @ w.T
+
+
+def _sigmoid(a):
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
+def composed_sequence(tape, p, frames):
+    h = p["h0"]
+    for t in range(frames.shape[-2]):
+        h = nm.gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
+    return h
+
+
+def fused_sequence(tape, p, frames):
+    frames = np.asarray(frames)
+    if frames.ndim not in (2, 3):
+        raise ValueError(f"frames must be [L, d] or [N, L, d], got shape {frames.shape}")
+    steps = frames.shape[-2]
+    if steps < 1:
+        raise ValueError("gru_sequence requires at least one frame")
+    w_r, u_r, b_r, w_u, u_u, b_u, w_c, u_c, b_c = (p[slot].value for slot in nm.GRU_SLOTS)
+    h = p["h0"].value
+    saved = []
+    for t in range(steps):
+        v = frames[..., t, :]
+        r = _sigmoid(_times(w_r, v) + b_r + _times(u_r, h))
+        u = _sigmoid(_times(w_u, v) + b_u + _times(u_u, h))
+        rh = r * h
+        c = np.tanh(_times(w_c, v) + b_c + _times(u_c, rh))
+        if tape is not None:
+            # an [H] h0 is the only state narrower than the gates
+            saved.append((h if t else np.broadcast_to(h, r.shape), r, u, rh, c))
+        h = u * h + (1.0 - u) * c
+    out = nm.Node(h)
+    if tape is not None:
+        tape._record(out, _fused_backward(p, frames, saved))
+    return out
+
+
+def _fused_backward(p, frames, saved):
+    def bw(g):
+        steps = len(saved)
+        hidden = g.shape[-1]
+        rows = frames.shape[0] if frames.ndim == 3 else 1
+        shape = (steps, rows, hidden)  # time-major; a single window is one row
+        h_prev, r, u, rh, c = (np.stack(field).reshape(shape) for field in zip(*saved))
+        k_c = (1.0 - u) * (1.0 - c * c)  # dh/da_c
+        k_u = (h_prev - c) * (u * (1.0 - u))  # dh/da_u
+        k_r = h_prev * (r * (1.0 - r))  # d(r*h_prev)/da_r
+        u_r, u_u, u_c = p["u_r"].value, p["u_u"].value, p["u_c"].value
+        da_r, da_u, da_c = np.empty_like(r), np.empty_like(u), np.empty_like(c)
+        gh = g.reshape(rows, hidden)
+        for t in reversed(range(steps)):
+            np.multiply(gh, k_c[t], out=da_c[t])
+            np.multiply(gh, k_u[t], out=da_u[t])
+            drh = da_c[t] @ u_c
+            np.multiply(drh, k_r[t], out=da_r[t])
+            gh = gh * u[t] + drh * r[t] + da_r[t] @ u_r + da_u[t] @ u_u
+
+        flat = steps * rows
+        x = frames.reshape(rows, steps, -1).swapaxes(0, 1).reshape(flat, -1)
+        h_prev, rh = h_prev.reshape(flat, hidden), rh.reshape(flat, hidden)
+        for gate, da, h_in in (("r", da_r, h_prev), ("u", da_u, h_prev), ("c", da_c, rh)):
+            da = da.reshape(flat, hidden)
+            nm._acc(p[f"w_{gate}"], da.T @ x)
+            nm._acc(p[f"u_{gate}"], da.T @ h_in)
+            nm._acc(p[f"b_{gate}"], da.sum(axis=0))
+        nm._acc(p["h0"], nm._unbroadcast(gh, p["h0"].value.shape))
+
+    return bw

@@ -273,6 +273,25 @@ class TestTrain:
                 run_dir / "checkpoints" / "final.itck"
             ).read_bytes()
 
+    def test_resume_into_same_out_keeps_every_leg_in_manifest(self, tmp_path, corpus_dir, run_dir):
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "out"
+        base = ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+        assert main(base + ["--stop-after", "130"]) == 0
+        first = json.loads((out / "run_manifest.json").read_text())
+        interrupted = out / "checkpoints" / "interrupted.itck"
+        assert main(base + ["--resume", str(interrupted)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["earlier_legs"] == [first]
+        assert "resumed_from" not in first["config"]
+        assert manifest["config"]["resumed_from"] == str(interrupted)
+        assert manifest["corpus_hash"] == first["corpus_hash"]
+        assert (out / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+        # a third leg keeps both earlier ones, oldest first
+        assert main(base + ["--resume", str(out / "checkpoints" / "epoch_0002.itck")]) == 0
+        third = json.loads((out / "run_manifest.json").read_text())
+        assert third["earlier_legs"] == [first, {k: v for k, v in manifest.items() if k != "earlier_legs"}]
+
     def test_diverging_lr_is_data_error(self, tmp_path, corpus_dir, capsys):
         # the error names the step and the utterance; earlier records stay on
         # disk; numpy's overflow warnings do not come before it

@@ -127,7 +127,7 @@ class TestLabelFrames:
         u = random_utterance(6, 18)
         symbols = labeling_of(ep, u, GEOM)
         for center, _, y in stride1_windows(u, GEOM):
-            probs = ep.encode_node(CONFIRM, y.astype(np.float32)).value
+            probs = ep.encode_node(CONFIRM, y[None].astype(np.float32)).value
             assert symbols[center] == int(np.argmax(probs))
 
     def test_prenormalized_input_gives_identical_labels(self):

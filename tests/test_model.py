@@ -23,24 +23,24 @@ def zero_all(ep):
 
 def test_zeroed_parameters_emit_uniform():
     ep = zero_all(tiny_params())
-    window = np.random.default_rng(0).standard_normal((4, 3))
+    window = np.random.default_rng(0).standard_normal((1, 4, 3))
     probs = ep.encode_node(CONFIRM, window).value
     assert np.allclose(probs, 0.25)
 
 
 def test_encode_output_is_a_distribution_for_random_params():
     ep = tiny_params(seed=3)
-    window = np.random.default_rng(1).standard_normal((6, 3))
+    window = np.random.default_rng(1).standard_normal((1, 6, 3))
     for side in (CONFIRM, PREDICT):
         probs = ep.encode_node(side, window).value
-        assert probs.shape == (4,)
+        assert probs.shape == (1, 4)
         assert np.all(probs > 0)
         assert abs(probs.sum() - 1.0) < 1e-9
 
 
 def test_encode_is_deterministic():
     ep = tiny_params(seed=5)
-    window = np.random.default_rng(2).standard_normal((4, 3))
+    window = np.random.default_rng(2).standard_normal((1, 4, 3))
     a = ep.encode_node(CONFIRM, window).value
     b = ep.encode_node(CONFIRM, window).value
     assert np.array_equal(a, b)
@@ -51,13 +51,13 @@ def test_encode_batched_agrees_with_single_windows():
     windows = np.random.default_rng(3).standard_normal((5, 4, 3))
     batch = ep.encode_node(PREDICT, windows).value
     for i in range(5):
-        single = ep.encode_node(PREDICT, windows[i]).value
-        assert np.allclose(batch[i], single, atol=1e-12)
+        single = ep.encode_node(PREDICT, windows[i][None]).value
+        assert np.allclose(batch[i], single[0], atol=1e-12)
 
 
 def test_sides_share_no_parameters():
     ep = tiny_params(seed=7)
-    window = np.random.default_rng(4).standard_normal((4, 3))
+    window = np.random.default_rng(4).standard_normal((1, 4, 3))
     before = ep.encode_node(CONFIRM, window).value
     for name in side_names(ep, PREDICT):
         ep.store[name].value += 0.37
@@ -72,9 +72,17 @@ def test_sides_share_no_parameters():
 def test_encode_rejects_wrong_dimension_and_side():
     ep = tiny_params()
     with pytest.raises(ValueError):
-        ep.encode_node(CONFIRM, np.zeros((4, 2)))
+        ep.encode_node(CONFIRM, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError):
-        ep.encode_node("backward", np.zeros((4, 3)))
+        ep.encode_node("backward", np.zeros((1, 4, 3)))
+
+
+def test_encode_takes_only_a_batch_of_windows():
+    ep = tiny_params()
+    window = np.random.default_rng(6).standard_normal((4, 3))
+    with pytest.raises(ValueError, match=r"\[N, L, 3\]"):
+        ep.encode_node(CONFIRM, window)
+    assert ep.encode_node(CONFIRM, window[None]).value.shape == (1, 4)
 
 
 def test_same_seed_same_init_different_seed_differs():
@@ -110,7 +118,7 @@ def test_marginal_log_target_recovers_target():
 
 def test_encode_gradients_flow_through_tape():
     ep = tiny_params(seed=11)
-    window = np.random.default_rng(5).standard_normal((3, 3))
+    window = np.random.default_rng(5).standard_normal((1, 3, 3))
     tape = nm.Tape()
     probs = ep.encode_node(CONFIRM, window, tape)
     tape.backward(nm.sum_(tape, nm.mul(tape, probs, nm.constant(np.arange(4.0)))))

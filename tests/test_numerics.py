@@ -5,6 +5,9 @@ gradient correctness is checked against central finite differences in
 float64.
 """
 
+import tracemalloc
+
+import gru_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,29 +236,17 @@ def _value_nodes(store):
     return {name: nm.Node(param.value) for name, param in store.items()}
 
 
-def _composed_sequence(tape, p, frames):
-    # the oracle: gru_cell folded over time, one tape node per elementary primitive
-    h = p["h0"]
-    for t in range(frames.shape[-2]):
-        h = nm.gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
-    return h
-
-
 def test_gru_sequence_batched_matches_single_windows():
     rng = np.random.default_rng(11)
     d, hdim = 3, 4
-    for n, steps, batched_h0 in ((5, 6, False), (5, 6, True), (1, 6, False), (5, 1, False)):
-        store = _gru_store(rng, d, hdim, (n, hdim) if batched_h0 else (hdim,))
-        params = _value_nodes(store)
-        h0 = params["h0"].value
-
+    for n, steps in ((5, 6), (1, 6), (5, 1)):
+        params = _value_nodes(_gru_store(rng, d, hdim, (hdim,)))
         frames = rng.standard_normal((n, steps, d))
         batched = nm.gru_sequence(None, params, frames)
         assert batched.value.shape == (n, hdim)
         for i in range(n):
-            h0_i = nm.Node(h0[i] if batched_h0 else h0)
-            single = nm.gru_sequence(None, dict(params, h0=h0_i), frames[i])
-            assert np.allclose(batched.value[i], single.value, atol=1e-12)
+            single = nm.gru_sequence(None, params, frames[i : i + 1])
+            assert np.allclose(batched.value[i], single.value[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-3)])
@@ -264,8 +255,9 @@ def test_gru_sequence_batched_matches_single_windows():
     [((6, 3), (4,)), ((5, 6, 3), (4,)), ((5, 6, 3), (5, 4)), ((1, 6, 3), (4,)), ((5, 1, 3), (4,))],
 )
 def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtype, tol):
-    # The fused node repeats the composed cell's forward arithmetic exactly
-    # and sums the same gradients in another order.
+    # The fused nodes repeat the composed cell's forward arithmetic exactly
+    # and sum the same gradients in another order. The runtime node takes
+    # only batches with an [H] h0; the reference fused node covers the rest.
     rng = np.random.default_rng(23)
     store = _gru_store(rng, frames_shape[-1], 4, h0_shape, dtype)
     frames = rng.standard_normal(frames_shape).astype(dtype)
@@ -281,26 +273,163 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
         tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
         return out.value, nodes, {name: param.grad.copy() for name, param in store.items()}
 
-    fused, fused_nodes, fused_grads = run(nm.gru_sequence)
-    composed, _, composed_grads = run(_composed_sequence)
-    assert fused_nodes == 1
-    assert fused.dtype == composed.dtype == dtype
-    assert np.array_equal(fused, composed)
-    assert np.array_equal(nm.gru_sequence(None, _value_nodes(store), frames).value, composed)
-    assert len(fused_grads) == 10
-    for name, grad in composed_grads.items():
-        assert np.abs(grad).max() > 0, name
-        np.testing.assert_allclose(fused_grads[name], grad, rtol=tol, atol=tol, err_msg=name)
+    composed, _, composed_grads = run(gru_oracle.composed_sequence)
+    sequences = [gru_oracle.fused_sequence]
+    if len(frames_shape) == 3 and len(h0_shape) == 1:
+        sequences.append(nm.gru_sequence)
+    else:
+        with pytest.raises(ValueError):
+            nm.gru_sequence(None, _value_nodes(store), frames)
+    for sequence in sequences:
+        fused, fused_nodes, fused_grads = run(sequence)
+        assert fused_nodes == 1
+        assert fused.dtype == composed.dtype == dtype
+        assert np.array_equal(fused, composed)
+        assert np.array_equal(sequence(None, _value_nodes(store), frames).value, composed)
+        assert len(fused_grads) == 10
+        for name, grad in composed_grads.items():
+            assert np.abs(grad).max() > 0, name
+            np.testing.assert_allclose(fused_grads[name], grad, rtol=tol, atol=tol, err_msg=name)
 
 
-def test_gru_sequence_rejects_empty_input():
+def _zero_gru_params():
     params = {name: nm.Node(np.zeros((2, 2)) if not name.startswith("b") else np.zeros(2))
               for name in nm.GRU_SLOTS}
     params["h0"] = nm.Node(np.zeros(2))
+    return params
+
+
+def test_gru_sequence_rejects_empty_input():
     with pytest.raises(ValueError):
-        nm.gru_sequence(None, params, np.zeros((0, 2)))
+        nm.gru_sequence(None, _zero_gru_params(), np.zeros((1, 0, 2)))
     with pytest.raises(ValueError):
-        nm.gru_sequence(None, params, np.zeros(3))
+        nm.gru_sequence(None, _zero_gru_params(), np.zeros(3))
+
+
+def test_gru_sequence_rejects_shapes_the_program_never_runs():
+    # one window [L, d], a per-window [N, H] h0, frames of another dtype
+    params = _zero_gru_params()
+    for frames in (np.zeros((3, 2)), np.zeros((1, 3, 2), np.float32)):
+        with pytest.raises(ValueError):
+            nm.gru_sequence(None, params, frames)
+    with pytest.raises(ValueError):
+        nm.gru_sequence(None, dict(params, h0=nm.Node(np.zeros((1, 2)))), np.zeros((1, 3, 2)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("frames_shape, h0_shape", [((5, 3), (4,)), ((2, 5, 3), (2, 4))])
+def test_reference_gru_sequence_gradcheck(frames_shape, h0_shape, seed):
+    # the one-window and per-window-h0 shapes of the reference fused node,
+    # which the runtime node does not take, against central differences
+    rng = np.random.default_rng(seed)
+    store = _gru_store(rng, frames_shape[-1], 4, h0_shape)
+    frames = rng.standard_normal(frames_shape)
+    weights = rng.standard_normal(h0_shape if len(h0_shape) == 2 else frames_shape[:-2] + (4,))
+
+    def loss_fn(tape):
+        out = gru_oracle.fused_sequence(tape, dict(store.items()), frames)
+        return nm.sum_(tape, nm.mul(tape, out, nm.constant(weights)))
+
+    assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-3
+
+
+def _taped_grads(sequence, store, frames, weights):
+    store.zero_grads()
+    tape = nm.Tape()
+    out = sequence(tape, dict(store.items()), frames)
+    tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
+    return out.value, {name: param.grad for name, param in store.items()}
+
+
+def _nonzero_gru_store(rng, d, hdim, dtype):
+    # fan-in scaled weights, with biases and h0 well away from zero
+    store = nm.ParamStore(dtype=dtype)
+    for name in nm.GRU_SLOTS:
+        shape = {"b": (hdim,), "w": (hdim, d), "u": (hdim, hdim)}[name[0]]
+        store.add(name, rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[-1]))
+    store.add("h0", rng.uniform(-1.0, 1.0, size=hdim))
+    return store
+
+
+@given(
+    n=st.integers(1, 40),
+    steps=st.integers(1, 8),
+    d=st.sampled_from([1, 4, 64]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_gru_sequence_bit_identical_to_reference(n, steps, d, dtype, seed):
+    # the workspace node reproduces the reference fused node's forward
+    # value and every parameter gradient bit for bit
+    rng = np.random.default_rng(seed)
+    store = _nonzero_gru_store(rng, d, 8, dtype)
+    frames = rng.standard_normal((n, steps, d)).astype(dtype)
+    weights = rng.standard_normal((n, 8)).astype(dtype)
+    out, grads = _taped_grads(nm.gru_sequence, store, frames, weights)
+    ref_out, ref_grads = _taped_grads(gru_oracle.fused_sequence, store, frames, weights)
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(nm.gru_sequence(None, dict(store.items()), frames).value, ref_out)
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+
+
+def test_gru_sequence_interleaved_calls_share_no_state():
+    # Between one side's taped forward and its backward, the same side runs
+    # untaped and the other side runs a whole taped step, at batch sizes and
+    # lengths that grow and shrink the shared backward scratch; every
+    # gradient still equals the reference's.
+    rng = np.random.default_rng(5)
+    hdim, d = 16, 4
+    sides = [_nonzero_gru_store(rng, d, hdim, np.float32) for _ in range(2)]
+    shapes = [(3, 2), (40, 8), (1, 1), (17, 5), (40, 8), (2, 3), (25, 1)]
+    for i, (n, steps) in enumerate(shapes):
+        this, other = sides[i % 2], sides[1 - i % 2]
+        frames = rng.standard_normal((n, steps, d)).astype(np.float32)
+        weights = rng.standard_normal((n, hdim)).astype(np.float32)
+        ref_out, ref_grads = _taped_grads(gru_oracle.fused_sequence, this, frames, weights)
+        ref_grads = {name: grad.copy() for name, grad in ref_grads.items()}
+
+        this.zero_grads()
+        tape = nm.Tape()
+        out = nm.gru_sequence(tape, dict(this.items()), frames)
+        root = nm.sum_(tape, nm.mul(tape, out, nm.constant(weights)))
+        n2, steps2 = shapes[(i + 3) % len(shapes)]
+        frames2 = rng.standard_normal((n2, steps2, d)).astype(np.float32)
+        nm.gru_sequence(None, dict(this.items()), frames2)
+        _taped_grads(nm.gru_sequence, other, frames2, rng.standard_normal((n2, hdim)).astype(np.float32))
+        tape.backward(root)
+        assert np.array_equal(out.value, ref_out)
+        for name, grad in ref_grads.items():
+            assert np.array_equal(this[name].grad, grad), (i, name)
+
+
+def test_gru_backward_reuses_its_scratch():
+    # After a first backward has grown the shared scratch, a same-shaped
+    # backward allocates less than one saved [L, N, H] field: numpy reports
+    # its buffers to tracemalloc, and the stacked and per-call temporaries
+    # this replaced came to about 170 [N, H] units.
+    rng = np.random.default_rng(3)
+    n, steps, hdim = 596, 15, 64
+    store = _nonzero_gru_store(rng, 4, hdim, np.float32)
+    frames = rng.standard_normal((n, steps, 4)).astype(np.float32)
+
+    def taped_forward():
+        store.zero_grads()
+        tape = nm.Tape()
+        return tape, nm.sum_(tape, nm.gru_sequence(tape, dict(store.items()), frames))
+
+    tape, root = taped_forward()
+    tape.backward(root)
+    tape, root = taped_forward()
+    tracemalloc.start()
+    try:
+        tape.backward(root)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < steps * n * hdim * 4
 
 
 def _random_gru_store(seed, d=2, hdim=3, z=4):

@@ -1,11 +1,11 @@
 """Command-line entry point: synth, train, eval, and gradcheck subcommands.
 
 Every command that writes files drops a run_manifest.json into its output
-directory first (config snapshot, seed, input corpus hash, planned
-artifact paths, tool version) so any output can be reproduced
-byte-for-byte from the manifest alone. ``train --resume`` into a directory
-that holds an earlier leg's train manifest keeps every earlier leg, oldest
-first, under ``earlier_legs``.
+directory before any of its outputs (config snapshot, seed, input corpus
+hash, planned artifact paths, tool version) so any output can be
+reproduced byte-for-byte from the manifest alone. ``train --resume`` into
+a directory that holds an earlier leg's train manifest keeps every earlier
+leg, oldest first, under ``earlier_legs``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
 """
@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .gradcheck import run_gradcheck
 from .model import CONFIRM, PREDICT
-from .trainer import TrainConfig, TrainerError, load_checkpoint, train
+from .trainer import TrainConfig, TrainerError, check_resume, load_checkpoint, train
 
 log = logging.getLogger(__name__)
 
@@ -233,9 +233,12 @@ def cmd_train(args) -> int:
         dev_corpus = load_corpus(dev_manifest)
         dev_hashes["dev_corpus_hash"] = corpus_hash(dev_manifest)
 
+    train_hash = corpus_hash(manifest_path)
     resume_state = None
     if args.resume:
         resume_state = load_checkpoint(Path(args.resume))
+        # a refused resume must leave the run directory's manifest as it was
+        check_resume(resume_state, config, corpus, train_hash)
 
     out = Path(args.out)
     checkpoint_dir = out / "checkpoints"
@@ -244,7 +247,6 @@ def cmd_train(args) -> int:
     snapshot = dict(config.to_json_dict(), **dev_hashes)
     if args.resume:
         snapshot["resumed_from"] = str(args.resume)
-    train_hash = corpus_hash(manifest_path)
     artifacts = ["metrics.jsonl", "checkpoints/"]
     legs = _train_legs(out) if args.resume else None
     write_run_manifest(out, "train", snapshot, config.seed, train_hash, artifacts, legs)
@@ -291,6 +293,14 @@ def cmd_eval(args) -> int:
     if all(u.gold_labels is None for u in corpus):
         raise EvaluationError(NO_EVALUABLE_FRAMES)
 
+    input_hash = corpus_hash(manifest_path)
+    reduction = reduce_corpus(state.ep, corpus, state.config.geometry, aligned=False)
+    confusion, overall_acc, covered_acc, coverage, tags_used = score(
+        reduction.symbols, reduction.gold
+    )
+
+    # written only once the reduction and the scoring have succeeded, so a
+    # refused corpus leaves no manifest listing outputs that do not exist
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_manifest(
@@ -298,13 +308,8 @@ def cmd_eval(args) -> int:
         "eval",
         {"checkpoint": str(args.checkpoint), "train_config": state.config.to_json_dict()},
         state.config.seed,
-        corpus_hash(manifest_path),
+        input_hash,
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
-    )
-
-    reduction = reduce_corpus(state.ep, corpus, state.config.geometry, aligned=False)
-    confusion, overall_acc, covered_acc, coverage, tags_used = score(
-        reduction.symbols, reduction.gold
     )
 
     summary = {

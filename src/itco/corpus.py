@@ -31,6 +31,7 @@ __all__ = [
     "read_manifest_metadata",
     "write_corpus",
     "normalize_utterance",
+    "window_count",
     "window_arrays",
     "synth_corpus",
     "true_mi_oracle",
@@ -296,6 +297,13 @@ def normalize_utterance(u: Utterance) -> Utterance:
     if mean_sq == 0.0:
         raise CorpusError("all-zero utterance, normalization scale undefined", u.id)
     return replace(u, frames=frames / np.sqrt(mean_sq))
+
+
+def window_count(frames: int, g: WindowGeometry, aligned: bool) -> int:
+    """How many windows `window_arrays` cuts from an utterance of `frames` frames."""
+    if frames < g.total:
+        return 0
+    return frames // g.total if aligned else frames - g.total + 1
 
 
 def window_arrays(

@@ -1,11 +1,14 @@
 """Post-training analysis: one reduction over a corpus's windows, then
 frame scoring from one count table.
 
-`reduce_corpus` streams a corpus one utterance at a time: it normalizes
-and windows the utterance with the same scaling used in training
-(normalization is idempotent, so already-normalized input is unchanged),
-runs each encoder once over its windows and folds the two output batches
-into one `CorpusReduction`. Every corpus statistic, here and in the
+`reduce_corpus` streams a corpus in runs of consecutive utterances that
+have the same window count, up to `STACK_WINDOWS` windows a run. It
+normalizes and windows each utterance with the same scaling used in
+training (normalization is idempotent, so already-normalized input is
+unchanged), runs each encoder once over the run's stacked windows and
+folds every utterance's two output batches, in corpus order, into one
+`CorpusReduction`. Stacking changes no bit: each utterance's outputs are
+those of its own encoder call. Every corpus statistic, here and in the
 trainer (death detection and dev evaluation), is read from that record.
 
 A frame's symbol is the one the confirm model assigns the highest
@@ -22,10 +25,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import Utterance, WindowGeometry, window_arrays
+from .corpus import Utterance, WindowGeometry, window_arrays, window_count
 from .model import CONFIRM, PREDICT, EncoderParams
 from .objective import ObjectiveTerms, utterance_loss
 
@@ -34,6 +38,7 @@ __all__ = [
     "NO_EVALUABLE_FRAMES",
     "ConfusionMatrix",
     "CorpusReduction",
+    "STACK_WINDOWS",
     "entropy_bits_sum",
     "reduce_corpus",
     "score",
@@ -42,6 +47,13 @@ __all__ = [
 ]
 
 NO_EVALUABLE_FRAMES = "no evaluable frames (no labeled frame carries a gold label)"
+
+# Most windows one stacked encoder call holds; an utterance with more runs
+# alone, unstacked. At 18 aligned windows an utterance a stack holds 14
+# utterances, enough that arithmetic rather than numpy's per-call dispatch
+# sets the time, while a stack's windows stay smaller than one 596-window
+# stride-1 utterance's.
+STACK_WINDOWS = 256
 
 
 class EvaluationError(Exception):
@@ -97,17 +109,60 @@ def entropy_bits_sum(probs: np.ndarray) -> float:
     return float(-(probs * np.log2(np.clip(probs, 1e-30, None))).sum())
 
 
+def _runs(
+    corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
+) -> Iterator[list[Utterance]]:
+    """Runs of consecutive utterances with one window count.
+
+    A run holds at most STACK_WINDOWS windows, or one utterance. The count
+    comes from the frame count, so an utterance without a full window is
+    skipped before it is normalized; it does not end a run.
+    """
+    run, count = [], 0
+    for u in corpus:
+        n = window_count(u.frames.shape[0], geometry, aligned)
+        if n == 0:
+            continue
+        if run and (n != count or (len(run) + 1) * n > STACK_WINDOWS):
+            yield run
+            run = []
+        run.append(u)
+        count = n
+    if run:
+        yield run
+
+
+def _encode_run(
+    ep: EncoderParams, run: list[Utterance], geometry: WindowGeometry, aligned: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Confirm and predict probabilities [B, N, Z] in float64 for a run of B
+    utterances, and the N window centers they share.
+
+    A one-utterance run is encoded from its own [N, L, d] window arrays, as
+    an unstacked call, and every window is freed on return, before the next
+    run is windowed.
+    """
+    xs, ys, centers = zip(*(window_arrays(u, geometry, aligned, ep.store.dtype) for u in run))
+    x, y = (parts[0] if len(run) == 1 else np.stack(parts) for parts in (xs, ys))
+    shape = (len(run), centers[0].size, ep.alphabet_size)
+    confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64).reshape(shape)
+    predict = ep.encode_node(PREDICT, x).value.astype(np.float64).reshape(shape)
+    return confirm, predict, centers[0]
+
+
 def reduce_corpus(
     ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
 ) -> CorpusReduction:
     """Encode every window of `corpus` once per side and reduce the outputs.
 
     Each utterance's windows come from `window_arrays` in the model's
-    dtype; an utterance without a full window is skipped. Each encoder
-    runs once over the rest, untaped, confirm first, and its
-    probabilities are cast to float64 before they are summed. A window's
-    symbol is its argmax, ties going to the smallest symbol id. Raises
-    EvaluationError when the corpus has no full window.
+    dtype; an utterance without a full window is skipped. Each run of
+    consecutive utterances with one window count (see `_runs`) is encoded
+    by one untaped call per side on [B, N, L, d] (a run of one on its own
+    [N, L, d]), confirm first, and the probabilities are cast to float64. Every utterance's [N, Z] slices are
+    then reduced in corpus order, exactly as if it had been encoded alone.
+    A window's symbol is its argmax, ties going to the smallest symbol id.
+    Raises EvaluationError when the corpus has no full window.
     """
     z = ep.alphabet_size
     sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
@@ -115,23 +170,20 @@ def reduce_corpus(
     entropy = {CONFIRM: 0.0, PREDICT: 0.0}
     agree = windows = 0
     terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
-    for u in corpus:
-        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
-        if centers.size == 0:
-            continue
-        confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
-        predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
-        winners = confirm.argmax(axis=1)
-        if u.gold_labels is not None:
-            symbols.append(winners)
-            gold.append(np.asarray(u.gold_labels)[centers])
-        for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
-            sums[side] += probs.sum(axis=0)
-            np.maximum(maxima[side], probs.max(axis=0), out=maxima[side])
-            entropy[side] += entropy_bits_sum(probs)
-        agree += int((winners == predict.argmax(axis=1)).sum())
-        windows += centers.size
-        terms.append(utterance_loss(confirm, predict)[1])
+    for run in _runs(corpus, geometry, aligned):
+        confirms, predicts, centers = _encode_run(ep, run, geometry, aligned)
+        for u, confirm, predict in zip(run, confirms, predicts):
+            winners = confirm.argmax(axis=1)
+            if u.gold_labels is not None:
+                symbols.append(winners)
+                gold.append(np.asarray(u.gold_labels)[centers])
+            for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
+                sums[side] += probs.sum(axis=0)
+                np.maximum(maxima[side], probs.max(axis=0), out=maxima[side])
+                entropy[side] += entropy_bits_sum(probs)
+            agree += int((winners == predict.argmax(axis=1)).sum())
+            windows += centers.size
+            terms.append(utterance_loss(confirm, predict)[1])
     if windows == 0:
         raise EvaluationError("no full windows in the corpus")
     return CorpusReduction(

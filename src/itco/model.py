@@ -12,9 +12,11 @@ All three live in one float ``ParamStore``, laid out by
 ``param_shapes``, whose ``Param``s enter the graph directly as tape
 leaves. ``encode_node`` maps a batch of windows [N, L, d], and only a
 batch, to symbol probabilities [N, Z]; a single window is a batch of one,
-``frames[None]``. ``marginal_node`` gives the marginal's [Z]
-probabilities. With a tape the reverse sweep fills the ``Param``
-gradients; without one the pass is forward only.
+``frames[None]``. An untaped call also takes a stack of equal-sized
+batches [B, N, L, d], giving [B, N, Z] whose every [N, Z] slice is
+bit-identical to that batch's own call. ``marginal_node`` gives the
+marginal's [Z] probabilities. With a tape the reverse sweep fills the
+``Param`` gradients; without one the pass is forward only.
 
 The two encoders share no parameters; perturbing one side never changes
 the other side's outputs.
@@ -86,13 +88,18 @@ class EncoderParams:
     def encode_node(
         self, side: str, frames: np.ndarray, tape: Optional[nm.Tape] = None
     ) -> nm.Node:
-        """Symbol probabilities [N, Z] for a batch of windows [N, L, d]."""
+        """Symbol probabilities [N, Z] for a batch of windows [N, L, d].
+
+        Untaped, a stack of batches [B, N, L, d] gives [B, N, Z].
+        """
         if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
         frames = np.asarray(frames, dtype=self.store.dtype)
-        if frames.ndim != 3 or frames.shape[2] != self.input_dim:
+        ranks = (3,) if tape is not None else (3, 4)
+        if frames.ndim not in ranks or frames.shape[-1] != self.input_dim:
             raise ValueError(
-                f"encode_node takes windows [N, L, {self.input_dim}], got shape {frames.shape}"
+                f"encode_node takes windows [N, L, {self.input_dim}] (untaped also "
+                f"[B, N, L, {self.input_dim}]), got shape {frames.shape}"
             )
         gru = {slot: self.store[f"{side}.gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
         hidden = nm.gru_sequence(tape, gru, frames)

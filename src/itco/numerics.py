@@ -12,8 +12,10 @@ as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
 
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
-hand-written backpropagation through time. It takes the one shape the
-program runs, a batch of windows [N, L, d] with an [H] initial state, and
+hand-written backpropagation through time. It takes the shapes the
+program runs, a batch of windows [N, L, d] with an [H] initial state and,
+untaped, a stack of such batches [B, N, L, d] whose products run as one
+GEMM per batch (so each batch's values are those of its own call), and
 works on preallocated memory: each call's forward writes its gates in
 place into per-call [N, H] buffers, a taped call saves its state in five
 time-major [L, N, H] arrays, and every backward draws its temporaries
@@ -257,14 +259,18 @@ def _times(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
-    """w @ v + b for a single vector v, or v @ w.T + b for a batch [N, n]."""
+    """w @ v + b for a single vector v, or v @ w.T + b for a batch [N, n].
+
+    An untaped call also takes a stack of batches [B, N, n], one GEMM per
+    batch.
+    """
     wv, bv, vv = w.value, b.value, v.value
     if wv.ndim != 2 or bv.shape != (wv.shape[0],) or vv.shape[-1] != wv.shape[1]:
         raise ValueError(
             f"affine shape mismatch: w{wv.shape} b{bv.shape} v{vv.shape}"
         )
-    if vv.ndim > 2:
-        raise ValueError(f"affine input must be 1- or 2-d, got {vv.ndim}-d")
+    if vv.ndim > (2 if tape is not None else 3):
+        raise ValueError(f"affine input must be 1- or 2-d (untaped also 3-d), got {vv.ndim}-d")
     out = Node(_times(wv, vv) + bv)
     if tape is not None:
         def bw(g):
@@ -415,7 +421,11 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
 
     ``frames`` is [N, L, d] and ``p["h0"]`` an [H] state shared by every
     window, both of the parameters' dtype; returns the final hidden states
-    [N, H]. Other shapes raise ``ValueError``.
+    [N, H]. An untaped call also takes a stack of such batches,
+    [B, N, L, d] to [B, N, H]: every product then runs as one GEMM per
+    batch, the same [N, K] x [K, H] product a separate call runs, so each
+    batch's values are bit-identical to its own call. Other shapes raise
+    ``ValueError``.
 
     Each step computes exactly what ``gru_cell`` computes, gate by gate and
     in the same order, so the forward values are bit-identical to folding
@@ -429,16 +439,18 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
     """
     frames = np.asarray(frames)
     h0 = p["h0"].value
-    if frames.ndim != 3 or h0.ndim != 1 or frames.dtype != h0.dtype:
+    ranks = (3,) if tape is not None else (3, 4)
+    if frames.ndim not in ranks or h0.ndim != 1 or frames.dtype != h0.dtype:
         raise ValueError(
-            f"gru_sequence takes [N, L, d] frames and an [H] h0 of one dtype, got "
-            f"frames {frames.shape} {frames.dtype} and h0 {h0.shape} {h0.dtype}"
+            f"gru_sequence takes [N, L, d] frames (untaped also [B, N, L, d]) and an [H] "
+            f"h0 of one dtype, got frames {frames.shape} {frames.dtype} and h0 "
+            f"{h0.shape} {h0.dtype}"
         )
-    rows, steps, _ = frames.shape
+    steps = frames.shape[-2]
     if steps < 1:
         raise ValueError("gru_sequence requires at least one frame")
     w_r, u_r, b_r, w_u, u_u, b_u, w_c, u_c, b_c = (p[slot].value for slot in GRU_SLOTS)
-    shape = (rows, h0.shape[0])
+    shape = frames.shape[:-2] + h0.shape
     tmp = np.empty(shape, h0.dtype)
     out = np.empty(shape, h0.dtype)
     if tape is None:
@@ -472,7 +484,7 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
         else:
             r, u, rh, c = r_all[t], u_all[t], rh_all[t], c_all[t]
             h_next = h_prev[t + 1] if t + 1 < steps else out
-        v = frames[:, t, :]
+        v = frames[..., t, :]
         gate(r, v, w_r, b_r, u_r, h)
         sigmoid_(r)
         gate(u, v, w_u, b_u, u_u, h)

@@ -38,6 +38,7 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "train",
+    "check_resume",
     "detect_dead_symbols",
     "clone_symbols",
     "save_checkpoint",
@@ -545,6 +546,29 @@ def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float)
     return terms
 
 
+def check_resume(
+    state: TrainState, config: TrainConfig, corpus: list[Utterance], corpus_hash: Optional[str]
+) -> None:
+    """Raise TrainerError unless `state` can resume training `config` on `corpus`.
+
+    The checkpoint must carry the same config and corpus hash, and must have
+    stopped inside an epoch of the corpus's usable utterances.
+    """
+    if state.config.to_json_dict() != config.to_json_dict():
+        raise TrainerError("resume checkpoint was trained under a different config")
+    if state.corpus_hash != corpus_hash:
+        raise TrainerError(
+            f"resume checkpoint was trained on corpus {state.corpus_hash}, "
+            f"not on this corpus {corpus_hash}"
+        )
+    usable = sum(u.frames.shape[0] >= config.geometry.total for u in corpus)
+    if state.pos_in_epoch >= usable:
+        raise TrainerError(
+            f"resume checkpoint stopped {state.pos_in_epoch} utterances into an epoch "
+            f"of a corpus with only {usable} usable utterances"
+        )
+
+
 # a diverging run overflows in numpy before the NaN check names its step;
 # that error is the report, so numpy's own warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
@@ -577,19 +601,8 @@ def train(
         if not dev_corpus:
             raise TrainerError("dev corpus has no usable utterances (all shorter than one window)")
     if resume is not None:
+        check_resume(resume, config, usable, corpus_hash)
         state = resume
-        if state.config.to_json_dict() != config.to_json_dict():
-            raise TrainerError("resume checkpoint was trained under a different config")
-        if state.corpus_hash != corpus_hash:
-            raise TrainerError(
-                f"resume checkpoint was trained on corpus {state.corpus_hash}, "
-                f"not on this corpus {corpus_hash}"
-            )
-        if state.pos_in_epoch >= len(usable):
-            raise TrainerError(
-                f"resume checkpoint stopped {state.pos_in_epoch} utterances into an epoch "
-                f"of a corpus with only {len(usable)} usable utterances"
-            )
     else:
         state = TrainState(config, input_dim=usable[0].frames.shape[1])
         state.corpus_hash = corpus_hash

@@ -1,7 +1,10 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -9,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import itco
 from itco.cli import corpus_hash, main
 from itco.gradcheck import run_gradcheck
-from itco.corpus import read_manifest_metadata, true_mi_oracle
+from itco.corpus import Utterance, read_manifest_metadata, true_mi_oracle, write_corpus
 from itco.trainer import TrainConfig, TrainState, save_checkpoint
 from itco.corpus import WindowGeometry
+from itco.evaluation import STACK_WINDOWS
 from itco.model import EncoderParams
 
 
@@ -396,12 +401,15 @@ class TestTrain:
         base = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
         assert main(base + ["--corpus", str(corpus_dir), "--stop-after", "10"]) == 0
         resume = ["--resume", str(tmp_path / "o" / "checkpoints" / "interrupted.itck")]
+        manifest = tmp_path / "o" / "run_manifest.json"
+        before = manifest.read_bytes()
         capsys.readouterr()
         assert main(base + ["--corpus", str(other)] + resume) == 2
         err = capsys.readouterr().err
-        hashes = [json.loads((tmp_path / "o" / "run_manifest.json").read_text())["corpus_hash"]]
-        hashes.append(corpus_hash(corpus_dir / "manifest.tsv"))
-        assert f"trained on corpus {hashes[1]}, not on this corpus {hashes[0]}" in err
+        trained, refused = corpus_hash(corpus_dir / "manifest.tsv"), corpus_hash(other / "manifest.tsv")
+        assert f"trained on corpus {trained}, not on this corpus {refused}" in err
+        # the refusal comes before the manifest would name the refused leg
+        assert manifest.read_bytes() == before
 
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan", np.inf)
@@ -469,7 +477,8 @@ class TestEval:
         encode = EncoderParams.encode_node
 
         def counting(self, side, frames, tape=None):
-            calls.append((side, frames.shape[0], tape is None))
+            # a stacked call [B, N, L, d] holds B * N windows
+            calls.append((side, int(np.prod(frames.shape[:-2])), tape is None))
             return encode(self, side, frames, tape)
 
         monkeypatch.setattr(EncoderParams, "encode_node", counting)
@@ -481,6 +490,7 @@ class TestEval:
         assert sum(rows for _, rows, _ in calls) == 2 * 30 * 22
         assert sum(rows for side, rows, _ in calls if side == "confirm") == 30 * 22
         assert all(untaped for _, _, untaped in calls)
+        assert max(rows for _, rows, _ in calls) <= max(STACK_WINDOWS, 22)
 
     def test_corpus_without_gold_labels_fails_before_encoding(
         self, tmp_path, corpus_dir, run_dir, monkeypatch, capsys
@@ -508,6 +518,18 @@ class TestEval:
         assert "no evaluable frames (no labeled frame carries a gold label)" in err
         assert not (out / "summary.json").exists()
         assert calls == []
+
+    def test_corpus_without_a_full_window_leaves_no_manifest(self, tmp_path, run_dir, capsys):
+        short = tmp_path / "short"
+        frames = np.eye(2)[np.arange(5) % 2]  # 5 frames; a window needs 7
+        write_corpus(short, [Utterance("u0", frames, gold_labels=["a"] * 5)])
+        out = tmp_path / "o"
+        assert main(
+            ["eval", "--corpus", str(short), "--checkpoint",
+             str(run_dir / "checkpoints" / "final.itck"), "--out", str(out)]
+        ) == 2
+        assert "no full windows in the corpus" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
 
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, run_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan")
@@ -639,3 +661,12 @@ class TestUsage:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "itco" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        src = str(Path(itco.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "itco", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: itco" in proc.stdout

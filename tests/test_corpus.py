@@ -219,6 +219,8 @@ def test_window_count_formula(t):
     u = cp.Utterance("u", np.ones((t, 2)))
     assert cp.window_arrays(u, g, False, np.float32)[2].size == max(0, t - 9 + 1)
     assert cp.window_arrays(u, g, True, np.float32)[2].size == t // 9
+    for aligned in (False, True):
+        assert cp.window_count(t, g, aligned) == cp.window_arrays(u, g, aligned, np.float32)[2].size
 
 
 def test_window_slices_respect_geometry():

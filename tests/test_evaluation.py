@@ -1,5 +1,6 @@
 """Frame labeling, tagging, scoring, agreement, and symbol statistics."""
 
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,8 +15,11 @@ from itco.corpus import (
     normalize_utterance,
     synth_corpus,
     window_arrays,
+    window_count,
 )
 from itco.evaluation import (
+    STACK_WINDOWS,
+    CorpusReduction,
     EvaluationError,
     entropy_bits_sum,
     reduce_corpus,
@@ -152,7 +156,111 @@ class TestLabelFrames:
         assert none.symbols.size == none.gold.size == 0
 
 
+def reduce_corpus_oracle(
+    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
+) -> CorpusReduction:
+    """The per-utterance loop `reduce_corpus` stacks: one encoder call per
+    utterance and side, every utterance windowed, kept as its oracle."""
+    z = ep.alphabet_size
+    sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
+    maxima = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
+    entropy = {CONFIRM: 0.0, PREDICT: 0.0}
+    agree = windows = 0
+    terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
+    for u in corpus:
+        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
+        if centers.size == 0:
+            continue
+        confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
+        predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
+        winners = confirm.argmax(axis=1)
+        if u.gold_labels is not None:
+            symbols.append(winners)
+            gold.append(np.asarray(u.gold_labels)[centers])
+        for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
+            sums[side] += probs.sum(axis=0)
+            np.maximum(maxima[side], probs.max(axis=0), out=maxima[side])
+            entropy[side] += entropy_bits_sum(probs)
+        agree += int((winners == predict.argmax(axis=1)).sum())
+        windows += centers.size
+        terms.append(utterance_loss(confirm, predict)[1])
+    if windows == 0:
+        raise EvaluationError("no full windows in the corpus")
+    return CorpusReduction(
+        windows, sums, maxima, entropy, agree, terms, np.concatenate(symbols), np.concatenate(gold)
+    )
+
+
+def assert_same_reduction(got: CorpusReduction, want: CorpusReduction) -> None:
+    """Every field equal, compared with ==, arrays in dtype and shape too."""
+    assert got.windows == want.windows and got.agree == want.agree
+    assert got.entropy_bits == want.entropy_bits
+    assert got.terms == want.terms
+    for name in ("sums", "maxima"):
+        for side in (CONFIRM, PREDICT):
+            a, b = getattr(got, name)[side], getattr(want, name)[side]
+            assert a.dtype == b.dtype and (a == b).all(), (name, side)
+    for name in ("symbols", "gold"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+
+
+# Frame counts that make runs split on the window count and on the stack
+# ceiling in both modes: GEOM.total - 1 frames is too short for a window,
+# GEOM.total gives one window, 18 * GEOM.total gives 18 aligned windows (and
+# 120 at stride 1, so three in a row pass 256), 19 * GEOM.total gives 19.
+RUN_FRAMES = [GEOM.total - 1, GEOM.total, 18 * GEOM.total, 19 * GEOM.total]
+
+
 class TestReduceCorpus:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_utterance_oracle(self, data):
+        aligned = data.draw(st.booleans(), "aligned")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+        blocks = data.draw(st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(RUN_FRAMES), st.integers(1, 20 * GEOM.total)),
+                st.integers(1, 16),  # repeats, so equal counts run together
+                st.booleans(),  # gold labels
+            ),
+            min_size=1, max_size=4,
+        ), "blocks")
+        corpus = []
+        for frames, repeats, labeled in blocks:
+            for _ in range(repeats):
+                i = len(corpus)
+                u = random_utterance(i, frames, uid=f"u{i}")
+                corpus.append(replace(u, gold_labels=[f"g{(t + i) % 3}" for t in range(frames)])
+                              if labeled else u)
+        ep = EncoderParams(input_dim=4, alphabet_size=8, hidden_dim=5, seed=len(corpus), dtype=dtype)
+        try:
+            want = reduce_corpus_oracle(ep, corpus, GEOM, aligned)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                reduce_corpus(ep, corpus, GEOM, aligned)
+            return
+        assert_same_reduction(reduce_corpus(ep, corpus, GEOM, aligned), want)
+
+    def test_stride1_peak_memory_is_no_higher_than_the_oracle(self):
+        # 630-frame utterances have 596 stride-1 windows, more than one stack
+        # holds, so each runs alone: no copy of its windows, and nothing of
+        # the previous utterance's windows alive while the next is cut
+        geometry = WindowGeometry()
+        ep = EncoderParams(input_dim=8, alphabet_size=16, hidden_dim=16, seed=1)
+        corpus = [random_utterance(i, 630, dim=8, uid=f"u{i}") for i in range(3)]
+        assert window_count(630, geometry, aligned=False) == 596 > STACK_WINDOWS
+        peaks = {}
+        for name, reduce in (("oracle", reduce_corpus_oracle), ("stacked", reduce_corpus)):
+            reduce(ep, corpus, geometry, False)  # first-call allocations out of the way
+            tracemalloc.start()
+            try:
+                reduce(ep, corpus, geometry, False)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["stacked"] <= peaks["oracle"], peaks
+
     @pytest.mark.parametrize("aligned", [False, True])
     def test_encodes_each_utterance_once_per_side(self, aligned, monkeypatch):
         # every field equals the same sums taken, utterance by utterance,

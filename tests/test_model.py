@@ -83,6 +83,35 @@ def test_encode_takes_only_a_batch_of_windows():
     with pytest.raises(ValueError, match=r"\[N, L, 3\]"):
         ep.encode_node(CONFIRM, window)
     assert ep.encode_node(CONFIRM, window[None]).value.shape == (1, 4)
+    # a stack of batches only untaped, and no deeper stacks
+    with pytest.raises(ValueError):
+        ep.encode_node(CONFIRM, window[None, None], nm.Tape())
+    with pytest.raises(ValueError):
+        ep.encode_node(CONFIRM, window[None, None, None])
+    assert ep.encode_node(CONFIRM, window[None, None]).value.shape == (1, 1, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 18, 19, 40])
+def test_stacked_calls_equal_separate_calls_bit_for_bit(dtype, b, n):
+    # each batch of a [B, N, L, d] stack runs its own [N, K] x [K, H] GEMMs,
+    # the products of its separate call; one [B*N, K] GEMM would not do:
+    # OpenBLAS can round rows of an M <= 18 product apart from M >= 19
+    rng = np.random.default_rng(100 * b + n)
+    ep = EncoderParams(input_dim=64, alphabet_size=16, hidden_dim=64, seed=n, dtype=dtype)
+    for _, param in ep.store.items():  # nonzero biases and h0 too
+        param.value += (0.1 * rng.standard_normal(param.value.shape)).astype(dtype)
+    frames = rng.standard_normal((b, n, 4, 64)).astype(dtype)
+    for side in (CONFIRM, PREDICT):
+        gru = {slot: ep.store[f"{side}.gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
+        hidden = nm.gru_sequence(None, gru, frames).value
+        probs = ep.encode_node(side, frames).value
+        assert hidden.shape == (b, n, 64) and probs.shape == (b, n, 16)
+        assert hidden.dtype == probs.dtype == dtype
+        for i in range(b):
+            assert np.array_equal(hidden[i], nm.gru_sequence(None, gru, frames[i]).value)
+            assert np.array_equal(probs[i], ep.encode_node(side, frames[i]).value)
 
 
 def test_same_seed_same_init_different_seed_differs():

@@ -73,6 +73,10 @@ def test_affine_rejects_shape_mismatch():
         nm.affine(None, w, b, nm.constant(np.zeros(4)))
     with pytest.raises(ValueError):
         nm.affine(None, w, nm.Node(np.zeros(3)), nm.constant(np.zeros(3)))
+    # a stack of batches [B, N, n] runs untaped only
+    with pytest.raises(ValueError):
+        nm.affine(nm.Tape(), w, b, nm.constant(np.zeros((2, 1, 3))))
+    assert nm.affine(None, w, b, nm.constant(np.zeros((2, 1, 3)))).value.shape == (2, 1, 2)
 
 
 def test_fan_out_accumulates_additively():
@@ -314,6 +318,10 @@ def test_gru_sequence_rejects_shapes_the_program_never_runs():
             nm.gru_sequence(None, params, frames)
     with pytest.raises(ValueError):
         nm.gru_sequence(None, dict(params, h0=nm.Node(np.zeros((1, 2)))), np.zeros((1, 3, 2)))
+    # a stack of batches [B, N, L, d] runs untaped only
+    with pytest.raises(ValueError):
+        nm.gru_sequence(nm.Tape(), params, np.zeros((2, 1, 3, 2)))
+    assert nm.gru_sequence(None, params, np.zeros((2, 1, 3, 2))).value.shape == (2, 1, 2)
 
 
 @pytest.mark.parametrize("seed", range(20))

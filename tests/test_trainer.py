@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from itco import objective as ob
 from itco import trainer as tr
 from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_arrays
+from itco.evaluation import STACK_WINDOWS
 from itco.model import CONFIRM, PREDICT, EncoderParams
 
 
@@ -572,14 +573,16 @@ def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
     encode = EncoderParams.encode_node
 
     def counting(self, side, frames, tape=None):
-        calls.append((side, frames.shape[0], tape is None))
+        # a stacked call [B, N, L, d] holds B * N windows
+        calls.append((side, int(np.prod(frames.shape[:-2])), tape is None))
         return encode(self, side, frames, tape)
 
     monkeypatch.setattr(EncoderParams, "encode_node", counting)
     stride1 = utts[0].frames.shape[0] - spec.window_total + 1
     # training minibatches, dev evaluation and death detection all follow the
-    # flag; the last two encode each utterance once per side, untaped,
-    # confirm first, and call no encoder for an utterance without a window
+    # flag; the last two encode each window once per side, untaped, confirm
+    # first, in calls no larger than the stack ceiling or one utterance, and
+    # call no encoder for an utterance without a window
     for aligned, n in ((True, 4), (False, stride1)):  # 4: one per generated window
         calls.clear()
         state, _ = tr.train(utts[:1], tiny_config(aligned_windows=aligned), stop_after=1)
@@ -588,4 +591,8 @@ def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
         for reader in (tr.evaluate_on_corpus, tr.detect_dead_symbols):
             calls.clear()
             reader(state, [utts[0], short, utts[1]])
-            assert calls == [(CONFIRM, n, True), (PREDICT, n, True)] * 2
+            assert [side for side, _, _ in calls] == [CONFIRM, PREDICT] * (len(calls) // 2)
+            for side in (CONFIRM, PREDICT):
+                assert sum(rows for s, rows, _ in calls if s == side) == 2 * n
+            assert all(untaped for _, _, untaped in calls)
+            assert max(rows for _, rows, _ in calls) <= max(STACK_WINDOWS, n)

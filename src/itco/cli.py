@@ -132,6 +132,8 @@ def _train_legs(out_dir: Path) -> list[dict]:
 
 def cmd_synth(args) -> int:
     spec_doc = _load_json(Path(args.spec), "synthetic spec")
+    if not isinstance(spec_doc, dict):
+        raise CliError(f"bad synthetic spec: {args.spec} holds no JSON object", EXIT_DATA)
     if args.seed is not None:
         spec_doc["seed"] = args.seed
     try:
@@ -179,6 +181,8 @@ def cmd_synth(args) -> int:
 
 def _train_config_from_args(args, manifest_meta: dict[str, str]) -> TrainConfig:
     doc = _load_json(Path(args.config), "train config") if args.config else {}
+    if not isinstance(doc, dict):
+        raise CliError(f"bad train config: {args.config} holds no JSON object", EXIT_USAGE)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.mode is not None:
@@ -337,7 +341,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck(args.seed if args.seed is not None else 0, args.inject_fault)
+    results = run_gradcheck(args.seed)
     failed = [name for name, err in results if not err < GRADCHECK_TOLERANCE]
     for name, err in results:
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -348,8 +352,8 @@ def cmd_gradcheck(args) -> int:
         write_run_manifest(
             out,
             "gradcheck",
-            {"tolerance": GRADCHECK_TOLERANCE, "inject_fault": bool(args.inject_fault)},
-            args.seed if args.seed is not None else 0,
+            {"tolerance": GRADCHECK_TOLERANCE},
+            args.seed,
             None,
             ["gradcheck.json"],
         )
@@ -417,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every primitive")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--out", default=None, help="optional report directory")
-    p_grad.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     return parser

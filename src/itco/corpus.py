@@ -76,6 +76,15 @@ class Utterance:
             )
 
 
+def _require_ints(obj, names: tuple[str, ...]) -> None:
+    # counts read from JSON: 3.0 or true would pass the range checks and
+    # fail later, as an index or a size
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WindowGeometry:
     total: int = 35
@@ -84,6 +93,7 @@ class WindowGeometry:
     future: int = 15
 
     def __post_init__(self):
+        _require_ints(self, ("total", "past", "gap", "future"))
         if self.past + self.gap + self.future != self.total:
             raise ValueError(
                 f"past + gap + future must equal total "
@@ -115,6 +125,8 @@ class SyntheticSpec:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
+        counts = ("num_latent", "num_utterances", "windows_per_utterance", "seed")
+        _require_ints(self, counts + ("frames_per_side", "gap"))
         self.x_channel = np.asarray(self.x_channel, dtype=np.float64)
         self.y_channel = np.asarray(self.y_channel, dtype=np.float64)
         self.latent_prior = np.asarray(self.latent_prior, dtype=np.float64)

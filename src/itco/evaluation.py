@@ -49,10 +49,10 @@ __all__ = [
 NO_EVALUABLE_FRAMES = "no evaluable frames (no labeled frame carries a gold label)"
 
 # Most windows one stacked encoder call holds; an utterance with more runs
-# alone, unstacked. At 18 aligned windows an utterance a stack holds 14
-# utterances, enough that arithmetic rather than numpy's per-call dispatch
-# sets the time, while a stack's windows stay smaller than one 596-window
-# stride-1 utterance's.
+# alone, unstacked. With 18 aligned windows per utterance, a stack holds 14
+# utterances: enough that arithmetic rather than numpy's per-call dispatch
+# sets the time, while a stack holds fewer windows than one 596-window
+# stride-1 utterance.
 STACK_WINDOWS = 256
 
 
@@ -159,8 +159,9 @@ def reduce_corpus(
     dtype; an utterance without a full window is skipped. Each run of
     consecutive utterances with one window count (see `_runs`) is encoded
     by one untaped call per side on [B, N, L, d] (a run of one on its own
-    [N, L, d]), confirm first, and the probabilities are cast to float64. Every utterance's [N, Z] slices are
-    then reduced in corpus order, exactly as if it had been encoded alone.
+    [N, L, d]), confirm first, and the probabilities are cast to float64.
+    Every utterance's [N, Z] slices are then reduced in corpus order,
+    exactly as if it had been encoded alone.
     A window's symbol is its argmax, ties going to the smallest symbol id.
     Raises EvaluationError when the corpus has no full window.
     """

@@ -1,14 +1,30 @@
-"""Finite-difference check of every differentiable primitive, the fused GRU
-sequence, the encoders and each objective term: small float64 cases, each
-projected to a scalar, scored by their worst relative gradient error."""
+"""Finite-difference check of every differentiable primitive the program
+runs, the fused GRU sequence, the encoders and each training loss: small
+float64 cases, each projected to a scalar, scored by their worst relative
+gradient error.
+
+Every case draws its inputs from its own random stream, keyed by the seed
+and the case's name, so no case's inputs depend on which other cases exist
+or in what order they are built.
+"""
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
 from . import numerics as nm
 from . import objective as ob
-from .model import EncoderParams
+from .model import CONFIRM, PREDICT, EncoderParams
+
+TAG_GRADCHECK = 777
+HIDDEN, INPUT = 4, 3  # GRU cases: hidden width and frame width
+
+
+def case_rng(seed: int, name: str) -> np.random.Generator:
+    """The random stream of one named case."""
+    return nm.stream_rng(seed, TAG_GRADCHECK, zlib.crc32(name.encode()))
 
 
 def _projected(tape, node, r: np.ndarray):
@@ -16,173 +32,149 @@ def _projected(tape, node, r: np.ndarray):
     return nm.sum_(tape, nm.mul(tape, node, nm.constant(r)))
 
 
-def _gradcheck_cases(seed: int):
-    """(name, store, loss_fn) triples covering every differentiable primitive."""
-    rng = nm.stream_rng(seed, 777)
+def simple_case(seed: int, name: str, build, *shapes):
+    """(name, store, loss_fn) for ``build(tape, *params)`` on normal float64
+    parameters of ``shapes``, projected by a normal vector of its output's
+    shape."""
+    rng = case_rng(seed, name)
+    store = nm.ParamStore(dtype=np.float64)
+    params = [store.add(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+    r = rng.normal(size=build(None, *params).value.shape)
+    return name, store, lambda tape: _projected(tape, build(tape, *params), r)
 
-    def vec(shape):
-        return rng.normal(size=shape)
 
-    cases = []
+def gru_store(rng: np.random.Generator) -> nm.ParamStore:
+    """GRU parameters of the cases' widths with an [H] h0, fan-in scaled."""
+    store = nm.ParamStore(dtype=np.float64)
+    scale_w = 1.0 / np.sqrt(INPUT)
+    scale_u = 1.0 / np.sqrt(HIDDEN)
+    for slot in nm.GRU_SLOTS:
+        if slot.startswith("w_"):
+            store.add(slot, rng.uniform(-scale_w, scale_w, size=(HIDDEN, INPUT)))
+        elif slot.startswith("u_"):
+            store.add(slot, rng.uniform(-scale_u, scale_u, size=(HIDDEN, HIDDEN)))
+        else:
+            store.add(slot, rng.normal(size=HIDDEN) * 0.1)
+    store.add("h0", rng.normal(size=HIDDEN) * 0.1)
+    return store
 
-    def simple(name, build, *shapes):
-        store = nm.ParamStore(dtype=np.float64)
-        params = [store.add(f"p{i}", vec(s)) for i, s in enumerate(shapes)]
-        r = None
 
-        def loss_fn(tape):
-            nonlocal r
-            out = build(tape, *params)
-            if r is None:
-                r = rng.normal(size=out.value.shape)
-            return _projected(tape, out, r)
+def _gru_sequence_case(seed: int, name: str, frames_shape):
+    rng = case_rng(seed, name)
+    store = gru_store(rng)
+    frames = rng.normal(size=frames_shape)
+    r = rng.normal(size=frames_shape[:-2] + (HIDDEN,))
 
-        cases.append((name, store, loss_fn))
+    def loss_fn(tape):
+        return _projected(tape, nm.gru_sequence(tape, dict(store.items()), frames), r)
 
-    simple("add", lambda t, a, b: nm.add(t, a, b), (3, 4), (3, 4))
-    simple("add_broadcast", lambda t, a, b: nm.add(t, a, b), (3, 4), (4,))
-    simple("sub", lambda t, a, b: nm.sub(t, a, b), (5,), (5,))
-    simple("mul", lambda t, a, b: nm.mul(t, a, b), (3, 4), (3, 4))
-    simple("mul_broadcast", lambda t, a, b: nm.mul(t, a, b), (3, 4), (4,))
-    simple("scale", lambda t, a: nm.scale(t, a, -1.7), (6,))
-    simple("one_minus", lambda t, a: nm.one_minus(t, a), (4,))
-    simple("affine_vector", lambda t, w, b, v: nm.affine(t, w, b, v), (3, 4), (3,), (4,))
-    simple("affine_batch", lambda t, w, b, v: nm.affine(t, w, b, v), (3, 4), (3,), (5, 4))
-    simple("linear", lambda t, w, h: nm.linear(t, w, h), (3, 4), (4,))
-    simple("sigmoid", lambda t, a: nm.sigmoid(t, a), (7,))
-    simple("tanh", lambda t, a: nm.tanh(t, a), (7,))
-    simple(
-        "log_clamped",
-        lambda t, a: nm.log_clamped(t, nm.add(t, nm.mul(t, a, a), nm.constant(np.full(5, 0.5)))),
-        (5,),
+    return name, store, loss_fn
+
+
+def _objective_case(seed: int, name: str, loss, draw=None):
+    """``loss(tape, ep, x, y, fixed)`` on toy float64 encoders and one batch
+    of x and y windows; ``fixed = draw(rng)`` takes any further fixed input
+    from the case's stream."""
+    rng = case_rng(seed, name)
+    ep = EncoderParams(
+        input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
-    simple("softmax", lambda t, a: nm.softmax(t, a), (6,))
-    simple("softmax_batch", lambda t, a: nm.softmax(t, a), (4, 6))
-    simple("sum_axis", lambda t, a: nm.sum_(t, a, axis=0), (3, 4))
-    simple("mean_axis", lambda t, a: nm.mean_(t, a, axis=1), (3, 4))
-    simple("mean_all", lambda t, a: nm.mean_(t, a), (3, 4))
+    x = rng.normal(size=(2, 4, INPUT))
+    y = rng.normal(size=(2, 4, INPUT))
+    fixed = draw(rng) if draw is not None else None
+    return name, ep.store, lambda tape: loss(tape, ep, x, y, fixed)
 
-    hidden, d = 4, 3
 
-    def gru_store(h0_shape):
-        store = nm.ParamStore(dtype=np.float64)
-        scale_w = 1.0 / np.sqrt(d)
-        scale_u = 1.0 / np.sqrt(hidden)
-        for slot in nm.GRU_SLOTS:
-            if slot.startswith("w_"):
-                store.add(slot, rng.uniform(-scale_w, scale_w, size=(hidden, d)))
-            elif slot.startswith("u_"):
-                store.add(slot, rng.uniform(-scale_u, scale_u, size=(hidden, hidden)))
-            else:
-                store.add(slot, rng.normal(size=hidden) * 0.1)
-        store.add("h0", rng.normal(size=h0_shape) * 0.1)
-        return store
+def _both_sides(tape, ep, x, y):
+    return ep.encode_node(CONFIRM, y, tape), ep.encode_node(PREDICT, x, tape)
 
-    store = gru_store(hidden)
-    h_in = vec(hidden) * 0.2
-    v_in = vec(d)
-    r_cell = rng.normal(size=hidden)
 
-    def gru_cell_loss(tape):
-        p = dict(store.items())
-        h = nm.add(tape, p.pop("h0"), nm.constant(h_in))
-        return _projected(tape, nm.gru_cell(tape, p, h, nm.constant(v_in)), r_cell)
+def _cross_entropy(tape, ep, x, y, _):
+    return ob.cross_entropy_term(*_both_sides(tape, ep, x, y), tape)
 
-    cases.append(("gru_cell", store, gru_cell_loss))
 
-    # a batch, one window in a batch, and one step; the None rows are the
-    # one-window and per-window-h0 shapes, which the program never runs
-    # (their checks live with the reference sequences in the tests) but
-    # whose draws keep every later case's inputs as they were
-    for case, frames_shape, h0_shape in (
-        (None, (5, d), hidden),
-        ("gru_sequence", (2, 5, d), hidden),
-        (None, (2, 5, d), (2, hidden)),
-        ("gru_sequence_n1", (1, 5, d), hidden),
-        ("gru_sequence_l1", (2, 1, d), hidden),
-    ):
-        store_seq = gru_store(h0_shape)
-        frames = vec(frames_shape)
-        r_seq = rng.normal(size=frames_shape[:-2] + (hidden,))
-        if case is None:
-            continue
+def _entropy_of_mean(tape, ep, x, y, _):
+    return ob.entropy_of_mean(ep.encode_node(CONFIRM, y, tape), tape)
 
-        def gru_sequence_loss(tape, store_seq=store_seq, frames=frames, r_seq=r_seq):
-            out = nm.gru_sequence(tape, dict(store_seq.items()), frames)
-            return _projected(tape, out, r_seq)
 
-        cases.append((case, store_seq, gru_sequence_loss))
+def _utterance_loss(tape, ep, x, y, buffered_rows):
+    return ob.utterance_loss(*_both_sides(tape, ep, x, y), tape, buffered_rows)[0]
 
-    def toy_encoders():
-        ep = EncoderParams(
-            input_dim=3, alphabet_size=4, hidden_dim=4, seed=seed, dtype=np.float64
+
+def _buffered_rows(rng):
+    # global entropy mode: earlier utterances' confirm rows, held fixed
+    return rng.dirichlet(np.ones(4), size=6)
+
+
+def _fixed_marginal(rng):
+    return rng.dirichlet(np.ones(4))
+
+
+def _marginal_fit(tape, ep, x, y, _):
+    # the confirm side is frozen: only the marginal's logits get gradients
+    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, y), ep.marginal_node(tape), tape)
+
+
+def _adversarial_encoder(tape, ep, x, y, marginal):
+    # the encoder loss detaches the marginal, so it is a fixed distribution:
+    # central differences on live marginal logits would see a gradient the
+    # loss deliberately drops
+    return ob.adversarial_loss(*_both_sides(tape, ep, x, y), nm.constant(marginal), tape)[0]
+
+
+def gradcheck_cases(seed: int):
+    """(name, store, loss_fn) for every primitive the program tapes, the GRU
+    sequence node at three shapes, the bound's two terms and every loss
+    training backpropagates."""
+    cases = [
+        simple_case(seed, name, build, *shapes)
+        for name, build, *shapes in (
+            ("add", nm.add, (3, 4), (3, 4)),
+            ("add_broadcast", nm.add, (3, 4), (4,)),
+            ("sub", nm.sub, (5,), (5,)),
+            ("mul", nm.mul, (3, 4), (3, 4)),
+            ("mul_broadcast", nm.mul, (3, 4), (4,)),
+            ("scale", lambda t, a: nm.scale(t, a, -1.7), (6,)),
+            ("affine_batch", nm.affine, (3, 4), (3,), (5, 4)),
+            (
+                "log_clamped",
+                lambda t, a: nm.log_clamped(
+                    t, nm.add(t, nm.mul(t, a, a), nm.constant(np.full(5, 0.5)))
+                ),
+                (5,),
+            ),
+            ("softmax", nm.softmax, (6,)),
+            ("softmax_batch", nm.softmax, (4, 6)),
+            ("sum_axis", lambda t, a: nm.sum_(t, a, axis=0), (3, 4)),
+            ("mean_axis", lambda t, a: nm.mean_(t, a, axis=1), (3, 4)),
+            ("mean_all", nm.mean_, (3, 4)),
         )
-        x = rng.normal(size=(2, 4, 3))
-        y = rng.normal(size=(2, 4, 3))
-        return ep, x, y
-
-    ep_ce, x_ce, y_ce = toy_encoders()
-
-    def ce_loss(tape):
-        confirm = ep_ce.encode_node("confirm", y_ce, tape)
-        predict = ep_ce.encode_node("predict", x_ce, tape)
-        return ob.cross_entropy_term(confirm, predict, tape)
-
-    cases.append(("cross_entropy_term", ep_ce.store, ce_loss))
-
-    ep_em, _, y_em = toy_encoders()
-
-    def em_loss(tape):
-        confirm = ep_em.encode_node("confirm", y_em, tape)
-        return ob.entropy_of_mean(confirm, tape)
-
-    cases.append(("entropy_of_mean", ep_em.store, em_loss))
-
-    ep_full, x_full, y_full = toy_encoders()
-
-    def full_loss(tape):
-        confirm = ep_full.encode_node("confirm", y_full, tape)
-        predict = ep_full.encode_node("predict", x_full, tape)
-        loss, _ = ob.utterance_loss(confirm, predict, tape)
-        return loss
-
-    cases.append(("utterance_loss", ep_full.store, full_loss))
-
-    ep_adv, _, y_adv = toy_encoders()
-
-    def marginal_loss(tape):
-        confirm = ep_adv.encode_node("confirm", y_adv)
-        return ob.marginal_fit_loss(confirm, ep_adv.marginal_node(tape), tape)
-
-    cases.append(("marginal_fit_loss", ep_adv.store, marginal_loss))
-
+    ]
+    # a batch, one window in a batch, and one step
+    cases += [
+        _gru_sequence_case(seed, name, frames_shape)
+        for name, frames_shape in (
+            ("gru_sequence", (2, 5, INPUT)),
+            ("gru_sequence_n1", (1, 5, INPUT)),
+            ("gru_sequence_l1", (2, 1, INPUT)),
+        )
+    ]
+    cases += [
+        _objective_case(seed, name, loss, draw)
+        for name, loss, draw in (
+            ("cross_entropy_term", _cross_entropy, None),
+            ("entropy_of_mean", _entropy_of_mean, None),
+            ("utterance_loss", _utterance_loss, None),
+            ("utterance_loss_global", _utterance_loss, _buffered_rows),
+            ("marginal_fit_loss", _marginal_fit, None),
+            ("adversarial_encoder_loss", _adversarial_encoder, _fixed_marginal),
+        )
+    ]
     return cases
 
 
-def _broken_tanh(tape, a):
-    # tanh forward with a deliberately wrong backward; gradcheck must flag it
-    value = np.tanh(a.value)
-    out = nm.Node(value)
-    if tape is not None:
-
-        def bw(g):
-            nm._acc(a, 1.5 * g * (1.0 - value * value))
-
-        tape._record(out, bw)
-    return out
-
-
-def run_gradcheck(seed: int, inject_fault: bool = False) -> list[tuple[str, float]]:
-    cases = _gradcheck_cases(seed)
-    if inject_fault:
-        rng = nm.stream_rng(seed, 778)
-        store = nm.ParamStore(dtype=np.float64)
-        p = store.add("p0", rng.normal(size=6))
-        r = rng.normal(size=6)
-        cases.append(
-            ("corrupted_tanh", store, lambda t: _projected(t, _broken_tanh(t, p), r))
-        )
-    results = []
-    for name, store, loss_fn in cases:
-        results.append((name, nm.finite_diff_check(loss_fn, store, epsilon=1e-5)))
-    return results
+def run_gradcheck(seed: int) -> list[tuple[str, float]]:
+    return [
+        (name, nm.finite_diff_check(loss_fn, store, epsilon=1e-5))
+        for name, store, loss_fn in gradcheck_cases(seed)
+    ]

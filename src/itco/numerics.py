@@ -1,11 +1,12 @@
 """Minimal reverse-mode differentiable core.
 
-Forward evaluation plus exact gradients for the handful of primitives the
-window encoders and losses need: affine maps, GRU sequences, softmax,
-clamped logs and axis reductions. Values are numpy arrays; a forward pass
-over an optional Tape records one backward closure per primitive, and the
-reverse sweep replays them in exact reverse creation order (creation order
-is a topological order, so fan-out accumulates additively).
+Forward evaluation plus exact gradients for the primitives the window
+encoders and losses run: elementwise arithmetic, a batched affine map, GRU
+sequences, softmax, clamped logs and axis reductions. Values are numpy
+arrays; a forward pass over an optional Tape records one backward closure
+per primitive, and the reverse sweep replays them in exact reverse
+creation order (creation order is a topological order, so fan-out
+accumulates additively).
 
 A ``Param`` is itself a graph node: primitives take parameters directly
 as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
@@ -20,10 +21,10 @@ works on preallocated memory: each call's forward writes its gates in
 place into per-call [N, H] buffers, a taped call saves its state in five
 time-major [L, N, H] arrays, and every backward draws its temporaries
 from one module-level scratch buffer, grown on demand and reused by all
-calls (so the numerics are not thread-safe). ``gru_cell``, the same step
-composed from the elementary primitives, is the test oracle the fused
-path must match; the tests also keep the earlier all-shapes fused node,
-which the workspace path reproduces bit for bit.
+calls (so the numerics are not thread-safe). The tests hold its oracles
+in ``tests/gru_oracle.py``: the same step composed from elementary taped
+primitives, and the earlier all-shapes fused node, which the workspace
+path reproduces bit for bit.
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -47,17 +48,12 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "one_minus",
     "detach",
     "affine",
-    "linear",
-    "sigmoid",
-    "tanh",
     "log_clamped",
     "softmax",
     "sum_",
     "mean_",
-    "gru_cell",
     "gru_sequence",
     "sgd_apply",
     "finite_diff_check",
@@ -238,28 +234,13 @@ def scale(tape: Optional[Tape], a: Node, c: float) -> Node:
     return out
 
 
-def one_minus(tape: Optional[Tape], a: Node) -> Node:
-    out = Node(1.0 - a.value)
-    if tape is not None:
-        def bw(g):
-            _acc(a, -g)
-
-        tape._record(out, bw)
-    return out
-
-
 def detach(a: Node) -> Node:
     """Same value, no gradient path."""
     return Node(a.value)
 
 
-def _times(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # w @ v for one vector, v @ w.T for a batch of row vectors
-    return w @ v if v.ndim == 1 else v @ w.T
-
-
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
-    """w @ v + b for a single vector v, or v @ w.T + b for a batch [N, n].
+    """v @ w.T + b for a batch of row vectors [N, n].
 
     An untaped call also takes a stack of batches [B, N, n], one GEMM per
     batch.
@@ -269,64 +250,14 @@ def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
         raise ValueError(
             f"affine shape mismatch: w{wv.shape} b{bv.shape} v{vv.shape}"
         )
-    if vv.ndim > (2 if tape is not None else 3):
-        raise ValueError(f"affine input must be 1- or 2-d (untaped also 3-d), got {vv.ndim}-d")
-    out = Node(_times(wv, vv) + bv)
+    if vv.ndim not in ((2,) if tape is not None else (2, 3)):
+        raise ValueError(f"affine input must be 2-d (untaped also 3-d), got {vv.ndim}-d")
+    out = Node(vv @ wv.T + bv)
     if tape is not None:
         def bw(g):
-            if vv.ndim == 1:
-                _acc(w, np.outer(g, vv))
-                _acc(b, g)
-                _acc(v, g @ wv)
-            else:
-                _acc(w, g.T @ vv)
-                _acc(b, g.sum(axis=0))
-                _acc(v, g @ wv)
-
-        tape._record(out, bw)
-    return out
-
-
-def linear(tape: Optional[Tape], w: Node, h: Node) -> Node:
-    """Bias-free affine: w @ h, batched as h @ w.T for [N, n] inputs."""
-    wv, hv = w.value, h.value
-    if wv.ndim != 2 or hv.shape[-1] != wv.shape[1]:
-        raise ValueError(f"linear shape mismatch: w{wv.shape} h{hv.shape}")
-    out = Node(_times(wv, hv))
-    if tape is not None:
-        def bw(g):
-            if hv.ndim == 1:
-                _acc(w, np.outer(g, hv))
-            else:
-                _acc(w, g.T @ hv)
-            _acc(h, g @ wv)
-
-        tape._record(out, bw)
-    return out
-
-
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free for large |x|
-    return 0.5 * (np.tanh(0.5 * a) + 1.0)
-
-
-def sigmoid(tape: Optional[Tape], a: Node) -> Node:
-    s = _sigmoid(a.value)
-    out = Node(s)
-    if tape is not None:
-        def bw(g):
-            _acc(a, g * s * (1.0 - s))
-
-        tape._record(out, bw)
-    return out
-
-
-def tanh(tape: Optional[Tape], a: Node) -> Node:
-    t = np.tanh(a.value)
-    out = Node(t)
-    if tape is not None:
-        def bw(g):
-            _acc(a, g * (1.0 - t * t))
+            _acc(w, g.T @ vv)
+            _acc(b, g.sum(axis=0))
+            _acc(v, g @ wv)
 
         tape._record(out, bw)
     return out
@@ -400,22 +331,6 @@ def mean_(tape: Optional[Tape], a: Node, axis: Optional[int] = None) -> Node:
 GRU_SLOTS = ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_c", "u_c", "b_c")
 
 
-def gru_cell(tape: Optional[Tape], p: Mapping[str, Node], h: Node, v: Node) -> Node:
-    """One GRU step.
-
-    r = sig(W_r v + U_r h + b_r), u = sig(W_u v + U_u h + b_u),
-    c = tanh(W_c v + U_c (r*h) + b_c), h' = u*h + (1-u)*c.
-    The reset gate multiplies the hidden state before the candidate's
-    recurrent matrix. ``h`` may be a single [H] vector (it broadcasts over
-    a batched input) or a [N, H] batch.
-    """
-    r = sigmoid(tape, add(tape, affine(tape, p["w_r"], p["b_r"], v), linear(tape, p["u_r"], h)))
-    u = sigmoid(tape, add(tape, affine(tape, p["w_u"], p["b_u"], v), linear(tape, p["u_u"], h)))
-    rh = mul(tape, r, h)
-    c = tanh(tape, add(tape, affine(tape, p["w_c"], p["b_c"], v), linear(tape, p["u_c"], rh)))
-    return add(tape, mul(tape, u, h), mul(tape, one_minus(tape, u), c))
-
-
 def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray) -> Node:
     """Fold the GRU over a batch of windows from the trainable initial state.
 
@@ -427,15 +342,22 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
     batch's values are bit-identical to its own call. Other shapes raise
     ``ValueError``.
 
-    Each step computes exactly what ``gru_cell`` computes, gate by gate and
-    in the same order, so the forward values are bit-identical to folding
-    ``gru_cell``. The gates are written in place into buffers allocated
-    once per call. Step 0's recurrent products stay matrix-vector products
-    on the [H] ``h0``: broadcasting it to [N, H] first would change the
-    bits. A taped call writes (h_prev, r, u, r*h_prev, c) of every step
-    straight into five time-major [L, N, H] arrays and records one tape
-    node whose backward is a hand-written backpropagation through time
-    (see ``_gru_sequence_backward``).
+    One step is
+
+        r = sig(W_r v + U_r h + b_r), u = sig(W_u v + U_u h + b_u),
+        c = tanh(W_c v + U_c (r*h) + b_c), h' = u*h + (1-u)*c,
+
+    with sig(a) = 0.5 * (tanh(0.5 * a) + 1), which cannot overflow; the
+    reset gate multiplies the hidden state before the candidate's recurrent
+    matrix. Each step computes these gate by gate in the order of the
+    composed cell in ``tests/gru_oracle.py``, so the forward values are
+    bit-identical to folding that cell. The gates are written in place into
+    buffers allocated once per call. Step 0's recurrent products stay
+    matrix-vector products on the [H] ``h0``: broadcasting it to [N, H]
+    first would change the bits. A taped call writes (h_prev, r, u,
+    r*h_prev, c) of every step straight into five time-major [L, N, H]
+    arrays and records one tape node whose backward is a hand-written
+    backpropagation through time (see ``_gru_sequence_backward``).
     """
     frames = np.asarray(frames)
     h0 = p["h0"].value
@@ -461,7 +383,7 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
         h_prev[0] = h0
 
     def gate(a, v, w, b, w_rec, h):
-        # a = v @ w.T + b + h @ w_rec.T, summed in gru_cell's order
+        # a = v @ w.T + b + h @ w_rec.T, summed in the composed cell's order
         np.matmul(v, w.T, out=a)
         a += b
         if h.ndim == 1:
@@ -471,7 +393,7 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
             a += tmp
 
     def sigmoid_(a):
-        # _sigmoid's arithmetic, in place
+        # 0.5 * (tanh(0.5 * a) + 1), in place
         a *= 0.5
         np.tanh(a, out=a)
         a += 1.0

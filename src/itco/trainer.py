@@ -91,16 +91,20 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type in kinds and type(value) not in kinds[f.type]:
                 raise TrainerError(f"config field {f.name} must be {f.type}, got {value!r}")
-        self.lr_schedule = tuple((int(end), float(lr)) for end, lr in self.lr_schedule)
         if not self.lr_schedule:
             raise TrainerError("lr_schedule needs at least one segment")
         prev = 0
         for end, lr in self.lr_schedule:
+            if type(end) is not int or type(lr) not in kinds["float"]:
+                raise TrainerError(
+                    f"lr_schedule segment [{end!r}, {lr!r}] must be [int end, float lr]"
+                )
             if end <= prev:
                 raise TrainerError("lr_schedule segment ends must increase")
-            if lr <= 0:
-                raise TrainerError("learning rates must be positive")
+            if not (lr > 0 and math.isfinite(lr)):
+                raise TrainerError("learning rates must be finite and positive")
             prev = end
+        self.lr_schedule = tuple((end, float(lr)) for end, lr in self.lr_schedule)
         if not 0 <= self.clone_at < self.lr_schedule[-1][0]:
             raise TrainerError("clone_at must fall inside the schedule")
         if self.mode not in ("base", "adversarial"):

@@ -1,12 +1,15 @@
 """Reference GRU sequences the runtime ``numerics.gru_sequence`` must match.
 
-``composed_sequence`` folds ``numerics.gru_cell`` over time, one tape node
-per elementary primitive. ``fused_sequence`` is the earlier all-shapes
-fused node, kept verbatim: it takes one window [L, d] or a batch
-[N, L, d], with an [H] or a per-window [N, H] initial state, allocates
-fresh arrays at every step and stacks the saved state in its backward.
-The runtime path must reproduce its forward values and gradients bit for
-bit on the one shape the program runs: [N, L, d] frames with an [H] h0.
+``composed_sequence`` folds ``gru_cell`` over time, one tape node per
+elementary primitive. The primitives only this cell uses live here, not in
+the program: ``one_minus``, ``linear``, ``sigmoid``, ``tanh`` and an
+``affine`` that also takes a single vector. ``fused_sequence`` is the
+earlier all-shapes fused node, kept verbatim: it takes one window [L, d]
+or a batch [N, L, d], with an [H] or a per-window [N, H] initial state,
+allocates fresh arrays at every step and stacks the saved state in its
+backward. The runtime path must reproduce its forward values and
+gradients bit for bit on the one shape the program runs: [N, L, d] frames
+with an [H] h0.
 """
 
 from __future__ import annotations
@@ -22,13 +25,100 @@ def _times(w, v):
 
 
 def _sigmoid(a):
+    # tanh form is overflow-free for large |x|
     return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
+def one_minus(tape, a):
+    out = nm.Node(1.0 - a.value)
+    if tape is not None:
+        def bw(g):
+            nm._acc(a, -g)
+
+        tape._record(out, bw)
+    return out
+
+
+def affine(tape, w, b, v):
+    """w @ v + b for a single vector v, or v @ w.T + b for a batch [N, n]."""
+    wv, bv, vv = w.value, b.value, v.value
+    if wv.ndim != 2 or bv.shape != (wv.shape[0],) or vv.shape[-1] != wv.shape[1] or vv.ndim > 2:
+        raise ValueError(f"affine shape mismatch: w{wv.shape} b{bv.shape} v{vv.shape}")
+    out = nm.Node(_times(wv, vv) + bv)
+    if tape is not None:
+        def bw(g):
+            if vv.ndim == 1:
+                nm._acc(w, np.outer(g, vv))
+                nm._acc(b, g)
+            else:
+                nm._acc(w, g.T @ vv)
+                nm._acc(b, g.sum(axis=0))
+            nm._acc(v, g @ wv)
+
+        tape._record(out, bw)
+    return out
+
+
+def linear(tape, w, h):
+    """Bias-free affine: w @ h, batched as h @ w.T for [N, n] inputs."""
+    wv, hv = w.value, h.value
+    if wv.ndim != 2 or hv.shape[-1] != wv.shape[1]:
+        raise ValueError(f"linear shape mismatch: w{wv.shape} h{hv.shape}")
+    out = nm.Node(_times(wv, hv))
+    if tape is not None:
+        def bw(g):
+            if hv.ndim == 1:
+                nm._acc(w, np.outer(g, hv))
+            else:
+                nm._acc(w, g.T @ hv)
+            nm._acc(h, g @ wv)
+
+        tape._record(out, bw)
+    return out
+
+
+def sigmoid(tape, a):
+    s = _sigmoid(a.value)
+    out = nm.Node(s)
+    if tape is not None:
+        def bw(g):
+            nm._acc(a, g * s * (1.0 - s))
+
+        tape._record(out, bw)
+    return out
+
+
+def tanh(tape, a):
+    t = np.tanh(a.value)
+    out = nm.Node(t)
+    if tape is not None:
+        def bw(g):
+            nm._acc(a, g * (1.0 - t * t))
+
+        tape._record(out, bw)
+    return out
+
+
+def gru_cell(tape, p, h, v):
+    """One GRU step.
+
+    r = sig(W_r v + U_r h + b_r), u = sig(W_u v + U_u h + b_u),
+    c = tanh(W_c v + U_c (r*h) + b_c), h' = u*h + (1-u)*c.
+    The reset gate multiplies the hidden state before the candidate's
+    recurrent matrix. ``h`` may be a single [H] vector (it broadcasts over
+    a batched input) or a [N, H] batch.
+    """
+    r = sigmoid(tape, nm.add(tape, affine(tape, p["w_r"], p["b_r"], v), linear(tape, p["u_r"], h)))
+    u = sigmoid(tape, nm.add(tape, affine(tape, p["w_u"], p["b_u"], v), linear(tape, p["u_u"], h)))
+    rh = nm.mul(tape, r, h)
+    c = tanh(tape, nm.add(tape, affine(tape, p["w_c"], p["b_c"], v), linear(tape, p["u_c"], rh)))
+    return nm.add(tape, nm.mul(tape, u, h), nm.mul(tape, one_minus(tape, u), c))
 
 
 def composed_sequence(tape, p, frames):
     h = p["h0"]
     for t in range(frames.shape[-2]):
-        h = nm.gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
+        h = gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
     return h
 
 

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import itco
+from itco import gradcheck
+from itco import numerics as nm
 from itco.cli import corpus_hash, main
-from itco.gradcheck import run_gradcheck
 from itco.corpus import Utterance, read_manifest_metadata, true_mi_oracle, write_corpus
 from itco.trainer import TrainConfig, TrainState, save_checkpoint
 from itco.corpus import WindowGeometry
@@ -146,6 +147,22 @@ class TestSynth:
         bad = tmp_path / "spec.json"
         bad.write_text("{not json")
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "c")]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(identity_spec(), frames_per_side=3.0),
+            dict(identity_spec(), num_utterances=2.5),
+            [identity_spec()],
+        ],
+        ids=["float_frames_per_side", "float_num_utterances", "json_array"],
+    )
+    def test_malformed_spec_is_data_error_before_any_output(self, tmp_path, capsys, doc):
+        spec = write_json(tmp_path / "spec.json", doc)
+        out = tmp_path / "c"
+        assert main(["synth", "--spec", str(spec), "--out", str(out), "--seed", "1"]) == 2
+        assert "bad synthetic spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_spec_is_usage_error(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -330,6 +347,24 @@ class TestTrain:
         assert main(
             ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [train_config()],
+            dict(train_config(), geometry={"total": 7.0, "past": 3.0, "gap": 1.0, "future": 3.0}),
+            # clone_at 0 keeps each schedule otherwise valid
+            dict(train_config(), lr_schedule=[[1.5, 0.1]], clone_at=0),
+            dict(train_config(), lr_schedule=[[1, float("nan")]], clone_at=0),
+        ],
+        ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr"],
+    )
+    def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 1
+        assert "bad train config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", train_config())
@@ -632,23 +667,34 @@ class TestGradcheck:
     def test_fresh_build_passes(self):
         assert main(["gradcheck", "--seed", "0"]) == 0
 
-    def test_corrupted_gradient_fails(self):
-        assert main(["gradcheck", "--seed", "0", "--inject-fault"]) == 3
+    def test_corrupted_gradient_fails(self, monkeypatch, capsys):
+        # a tanh whose backward is 1.5 times too large must fail the check
+        def broken_tanh(tape, a):
+            value = np.tanh(a.value)
+            out = nm.Node(value)
+            if tape is not None:
+                tape._record(out, lambda g: nm._acc(a, 1.5 * g * (1.0 - value * value)))
+            return out
 
-    def test_linear_case_is_nearly_exact(self):
-        # curvature-free ops leave only floating-point rounding in the
-        # central difference, orders of magnitude below the tolerance
-        results = dict(run_gradcheck(seed=0))
-        assert results["linear"] < 1e-8
-        assert results["add"] < 1e-8
+        cases = gradcheck.gradcheck_cases
+        monkeypatch.setattr(
+            gradcheck,
+            "gradcheck_cases",
+            lambda seed: cases(seed) + [gradcheck.simple_case(seed, "broken_tanh", broken_tanh, (6,))],
+        )
+        assert main(["gradcheck", "--seed", "0"]) == 3
+        assert "gradcheck FAILED: broken_tanh" in capsys.readouterr().out
 
     def test_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"
         assert main(["gradcheck", "--seed", "1", "--out", str(out)]) == 0
         report = json.loads((out / "gradcheck.json").read_text())
         assert report["failed"] == []
-        assert "utterance_loss" in report["results"]
-        assert (out / "run_manifest.json").exists()
+        assert {"utterance_loss", "utterance_loss_global", "adversarial_encoder_loss"} <= set(
+            report["results"]
+        )
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == {"tolerance": 1e-3}
 
 
 class TestUsage:

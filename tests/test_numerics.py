@@ -5,7 +5,10 @@ gradient correctness is checked against central finite differences in
 float64.
 """
 
+import ast
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import gru_oracle
 import numpy as np
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itco import gradcheck as gc
 from itco import numerics as nm
+from itco.gradcheck import run_gradcheck
 
 
 def make_store(dtype=np.float64):
@@ -25,7 +30,7 @@ def test_affine_identity_passthrough():
     w = store.add("w", np.eye(3))
     b = store.add("b", np.zeros(3))
     tape = nm.Tape()
-    v = nm.constant(np.array([1.5, -2.0, 0.25]))
+    v = nm.constant(np.array([[1.5, -2.0, 0.25]]))
     out = nm.affine(tape, w, b, v)
     assert np.array_equal(out.value, v.value)
 
@@ -34,25 +39,25 @@ def test_affine_zero_map_gives_zeros():
     store = make_store()
     w = store.add("w", np.zeros((2, 3)))
     b = store.add("b", np.zeros(2))
-    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.constant(np.ones(3)))
-    assert np.array_equal(out.value, np.zeros(2))
+    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.constant(np.ones((4, 3))))
+    assert np.array_equal(out.value, np.zeros((4, 2)))
 
 
 def test_affine_forward_and_grads_match_hand_arithmetic():
-    # W=[[1,2],[3,4]], b=[0.5,-0.5], v=[1,-1]:
-    #   Wv+b = [1-2+0.5, 3-4-0.5] = [-0.5, -1.5]
-    # d(sum)/dW = outer([1,1], v), d/db = [1,1], d/dv = [1,1]@W = [4,6]
+    # W=[[1,2],[3,4]], b=[0.5,-0.5], rows v=[1,-1] and v'=[0,1]:
+    #   Wv+b = [1-2+0.5, 3-4-0.5] = [-0.5, -1.5], Wv'+b = [2.5, 3.5]
+    # d(sum)/dW = outer([1,1], v+v'), d/db = [2,2], d/dv = [1,1]@W = [4,6]
     store = make_store()
     w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = store.add("b", np.array([0.5, -0.5]))
     tape = nm.Tape()
-    v = nm.constant(np.array([1.0, -1.0]))
+    v = nm.constant(np.array([[1.0, -1.0], [0.0, 1.0]]))
     out = nm.affine(tape, w, b, v)
-    assert np.allclose(out.value, [-0.5, -1.5])
+    assert np.allclose(out.value, [[-0.5, -1.5], [2.5, 3.5]])
     tape.backward(nm.sum_(tape, out))
-    assert np.allclose(w.grad, [[1.0, -1.0], [1.0, -1.0]])
-    assert np.allclose(b.grad, [1.0, 1.0])
-    assert np.allclose(v.grad, [4.0, 6.0])
+    assert np.allclose(w.grad, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(b.grad, [2.0, 2.0])
+    assert np.allclose(v.grad, [[4.0, 6.0], [4.0, 6.0]])
 
 
 def test_affine_batched_matches_per_row():
@@ -62,17 +67,21 @@ def test_affine_batched_matches_per_row():
     batch = rng.standard_normal((5, 3))
     out = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.constant(batch))
     for i in range(5):
-        row = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.constant(batch[i]))
-        assert np.allclose(out.value[i], row.value)
+        row = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.constant(batch[i : i + 1]))
+        assert np.allclose(out.value[i], row.value[0])
+        assert np.allclose(out.value[i], wv @ batch[i] + bv)
 
 
 def test_affine_rejects_shape_mismatch():
     w = nm.Node(np.zeros((2, 3)))
     b = nm.Node(np.zeros(2))
     with pytest.raises(ValueError):
-        nm.affine(None, w, b, nm.constant(np.zeros(4)))
+        nm.affine(None, w, b, nm.constant(np.zeros((1, 4))))
     with pytest.raises(ValueError):
-        nm.affine(None, w, nm.Node(np.zeros(3)), nm.constant(np.zeros(3)))
+        nm.affine(None, w, nm.Node(np.zeros(3)), nm.constant(np.zeros((1, 3))))
+    # a single vector is a batch of one, [1, n]
+    with pytest.raises(ValueError):
+        nm.affine(None, w, b, nm.constant(np.zeros(3)))
     # a stack of batches [B, N, n] runs untaped only
     with pytest.raises(ValueError):
         nm.affine(nm.Tape(), w, b, nm.constant(np.zeros((2, 1, 3))))
@@ -147,16 +156,23 @@ def test_log_clamped_floors_value_and_zeroes_gradient_below_floor():
 
 def test_sigmoid_tanh_values():
     x = nm.constant(np.array([0.0, 2.0, -2.0]))
-    s = nm.sigmoid(None, x)
-    t = nm.tanh(None, x)
+    s = gru_oracle.sigmoid(None, x)
+    t = gru_oracle.tanh(None, x)
     assert np.allclose(s.value, 1.0 / (1.0 + np.exp(-x.value)))
     assert np.allclose(t.value, np.tanh(x.value))
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
-    s = nm.sigmoid(None, nm.constant(np.array([-1e4, 1e4])))
+    s = gru_oracle.sigmoid(None, nm.constant(np.array([-1e4, 1e4])))
     assert np.all(np.isfinite(s.value))
     assert np.allclose(s.value, [0.0, 1.0])
+    # the program's in-place gates: biases of +1e4 open both gates and keep
+    # h, biases of -1e4 shut them and pin h to the saturated candidate, -1
+    h = np.array([0.4, -0.8])
+    for bias, expected in ((1e4, h), (-1e4, -np.ones(2))):
+        out = nm.gru_sequence(None, _single_step_params(h, bias), np.ones((1, 1, 2)))
+        assert np.all(np.isfinite(out.value))
+        assert np.allclose(out.value[0], expected)
 
 
 def test_softmax_uniform_logits_give_uniform_probabilities():
@@ -191,9 +207,20 @@ def test_softmax_gradient_matches_finite_differences():
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8
 
 
+def _single_step_params(h, bias=0.0, **biases):
+    # zero weights, every bias at `bias` unless named, and h0 = h: one step
+    # of gru_sequence is then one cell step from h
+    params = {name: nm.Node(np.zeros((len(h), len(h)))) for name in nm.GRU_SLOTS}
+    for name in ("b_r", "b_u", "b_c"):
+        params[name] = nm.Node(np.full(len(h), biases.get(name, bias)))
+    params["h0"] = nm.Node(np.asarray(h, dtype=np.float64))
+    return params
+
+
 def test_gru_cell_all_zero_parameters_halves_hidden_state():
     # With zero weights and biases both gates sit at sigmoid(0)=0.5 and the
-    # candidate is tanh(0)=0, so h' = 0.5*h + 0.5*0.
+    # candidate is tanh(0)=0, so h' = 0.5*h + 0.5*0, in the oracle cell and
+    # in the program's sequence node alike.
     store = make_store()
     params = {}
     for name in nm.GRU_SLOTS:
@@ -201,8 +228,10 @@ def test_gru_cell_all_zero_parameters_halves_hidden_state():
         params[name] = nm.Node(store.add(name, np.zeros(shape)).value)
     h = nm.constant(np.array([0.4, -0.8]))
     v = nm.constant(np.array([1.0, 1.0]))
-    out = nm.gru_cell(None, params, h, v)
+    out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, [0.2, -0.4])
+    seq = nm.gru_sequence(None, _single_step_params(h.value), v.value.reshape(1, 1, 2))
+    assert np.allclose(seq.value, [[0.2, -0.4]])
 
 
 def test_gru_cell_saturated_gates_pin_output():
@@ -218,8 +247,11 @@ def test_gru_cell_saturated_gates_pin_output():
             params[name] = nm.Node(np.zeros((3, 3)))
     h = nm.constant(np.array([0.9, -0.3, 0.5]))
     v = nm.constant(np.array([0.1, 0.2, 0.3]))
-    out = nm.gru_cell(None, params, h, v)
+    out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, -np.ones(3), atol=1e-6)
+    seq_params = _single_step_params(h.value, b_u=-50.0, b_c=-50.0)
+    seq = nm.gru_sequence(None, seq_params, v.value.reshape(1, 1, 3))
+    assert np.allclose(seq.value, -np.ones((1, 3)), atol=1e-6)
 
 
 def _gru_store(rng, d, hdim, h0_shape, dtype=np.float64):
@@ -479,7 +511,7 @@ def test_gru_softmax_pipeline_gradcheck(seed):
 
 def test_every_primitive_gradient_across_100_seeds():
     # One randomized instance per primitive per seed, all against central
-    # finite differences in f64.
+    # finite differences in f64; the oracle cell's own primitives included.
     for seed in range(100):
         rng = np.random.default_rng(seed)
         store = nm.ParamStore(dtype=np.float64)
@@ -488,16 +520,16 @@ def test_every_primitive_gradient_across_100_seeds():
         w = store.add("w", rng.uniform(-1.0, 1.0, size=(4, 3)))
         bias = store.add("bias", rng.uniform(-0.5, 0.5, size=4))
         checks = {
-            "affine": lambda t: nm.sum_(t, nm.affine(t, w, bias, b)),
+            "affine_vector": lambda t: nm.sum_(t, gru_oracle.affine(t, w, bias, b)),
             "affine_batched": lambda t: nm.sum_(t, nm.affine(t, w, bias, a)),
-            "linear": lambda t: nm.sum_(t, nm.linear(t, w, a)),
+            "linear": lambda t: nm.sum_(t, gru_oracle.linear(t, w, a)),
             "add": lambda t: nm.sum_(t, nm.add(t, a, b)),
             "sub": lambda t: nm.sum_(t, nm.sub(t, a, b)),
             "mul": lambda t: nm.sum_(t, nm.mul(t, a, b)),
             "scale": lambda t: nm.sum_(t, nm.scale(t, a, -0.7)),
-            "one_minus": lambda t: nm.sum_(t, nm.one_minus(t, a)),
-            "sigmoid": lambda t: nm.sum_(t, nm.sigmoid(t, a)),
-            "tanh": lambda t: nm.sum_(t, nm.tanh(t, a)),
+            "one_minus": lambda t: nm.sum_(t, gru_oracle.one_minus(t, a)),
+            "sigmoid": lambda t: nm.sum_(t, gru_oracle.sigmoid(t, a)),
+            "tanh": lambda t: nm.sum_(t, gru_oracle.tanh(t, a)),
             "log_clamped": lambda t: nm.sum_(t, nm.log_clamped(t, b)),
             "softmax": lambda t: nm.sum_(t, nm.mul(t, nm.softmax(t, a), nm.constant(np.arange(3.0)))),
             "mean_axis": lambda t: nm.sum_(t, nm.mean_(t, a, axis=0)),
@@ -506,6 +538,73 @@ def test_every_primitive_gradient_across_100_seeds():
         for name, fn in checks.items():
             err = nm.finite_diff_check(fn, store, epsilon=1e-5)
             assert err < 1e-4, f"{name} failed at seed {seed}: {err}"
+
+
+def _oracle_gradcheck_cases(seed):
+    """The gradient-check cases of the oracle cell and its own primitives, on
+    the program's case shapes and per-case random streams."""
+    cases = [
+        gc.simple_case(seed, name, build, *shapes)
+        for name, build, *shapes in (
+            ("one_minus", gru_oracle.one_minus, (4,)),
+            ("affine_vector", gru_oracle.affine, (3, 4), (3,), (4,)),
+            ("linear", gru_oracle.linear, (3, 4), (4,)),
+            ("sigmoid", gru_oracle.sigmoid, (7,)),
+            ("tanh", gru_oracle.tanh, (7,)),
+        )
+    ]
+    rng = gc.case_rng(seed, "gru_cell")
+    store = gc.gru_store(rng)
+    h_in = rng.normal(size=gc.HIDDEN) * 0.2
+    v_in = rng.normal(size=gc.INPUT)
+    r = rng.normal(size=gc.HIDDEN)
+
+    def gru_cell_loss(tape):
+        p = dict(store.items())
+        h = nm.add(tape, p.pop("h0"), nm.constant(h_in))
+        out = gru_oracle.gru_cell(tape, p, h, nm.constant(v_in))
+        return nm.sum_(tape, nm.mul(tape, out, nm.constant(r)))
+
+    return cases + [("gru_cell", store, gru_cell_loss)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_gradcheck_cases(seed):
+    # the gradient check's bound, over its 20 seeds, for the primitives
+    # that only the oracle cell runs
+    for name, store, loss_fn in _oracle_gradcheck_cases(seed):
+        err = nm.finite_diff_check(loss_fn, store, epsilon=1e-5)
+        assert err < 1e-3, f"{name} at seed {seed}: {err:.3e}"
+
+
+def test_linear_case_is_nearly_exact():
+    # curvature-free ops leave only floating-point rounding in the
+    # central difference, orders of magnitude below the tolerance
+    cases = {name: (store, loss_fn) for name, store, loss_fn in _oracle_gradcheck_cases(0)}
+    store, loss_fn = cases["linear"]
+    assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8
+    assert dict(run_gradcheck(seed=0))["add"] < 1e-8
+
+
+def test_numerics_exports_only_what_the_program_runs():
+    # every exported function has a caller in a program module other than
+    # numerics itself and the gradient check, which exists to call them;
+    # finite_diff_check is the gradient check's own tool
+    called = set()
+    for path in Path(nm.__file__).parent.glob("*.py"):
+        if path.name in ("numerics.py", "gradcheck.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numerics":
+                called.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("nm", "numerics")
+            ):
+                called.add(node.attr)
+    exported = {name for name in nm.__all__ if inspect.isfunction(getattr(nm, name))}
+    assert exported - called - {"finite_diff_check"} == set()
 
 
 def test_softmax_strictly_positive_for_moderate_logits():
@@ -586,8 +685,9 @@ def test_softmax_normalizes_for_any_finite_logits(logits):
 @settings(max_examples=50, deadline=None)
 def test_sigmoid_and_tanh_stay_bounded(xs):
     x = nm.constant(np.array(xs))
-    assert np.all((nm.sigmoid(None, x).value >= 0) & (nm.sigmoid(None, x).value <= 1))
-    assert np.all(np.abs(nm.tanh(None, x).value) <= 1)
+    s = gru_oracle.sigmoid(None, x).value
+    assert np.all((s >= 0) & (s <= 1))
+    assert np.all(np.abs(gru_oracle.tanh(None, x).value) <= 1)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

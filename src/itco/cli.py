@@ -385,6 +385,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(lo: int):
+    """An argparse ``type=`` taking an integer >= lo, so a bad one is a usage error."""
+    def integer(text: str) -> int:  # argparse names the type when int() refuses the text
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="itco", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"itco {__version__}")
@@ -393,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus with its oracle")
     p_synth.add_argument("--spec", required=True, help="synthetic spec JSON")
     p_synth.add_argument("--out", required=True, help="corpus output directory")
-    p_synth.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p_synth.add_argument(
+        "--seed", type=_int_at_least(0), default=None, help="override the spec seed"
+    )
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="co-train the paired encoders")
@@ -401,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", default=None, help="train config JSON")
     p_train.add_argument("--out", required=True, help="run output directory")
     p_train.add_argument("--dev-corpus", default=None, help="held-out corpus directory or manifest.tsv path")
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_int_at_least(0), default=None)
     p_train.add_argument("--mode", choices=("base", "adversarial"), default=None)
     p_train.add_argument(
         "--entropy-mode", choices=("per-utterance", "global"), default=None
     )
     p_train.add_argument("--resume", default=None, help="checkpoint to resume from")
     p_train.add_argument(
-        "--stop-after", type=int, default=None, help="pause after this many utterances"
+        "--stop-after", type=_int_at_least(1), default=None, help="pause after this many utterances"
     )
     p_train.set_defaults(func=cmd_train)
 
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every primitive")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=0)
     p_grad.add_argument("--out", default=None, help="optional report directory")
     p_grad.set_defaults(func=cmd_gradcheck)
 

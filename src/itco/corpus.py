@@ -7,12 +7,16 @@ The synthetic generator draws (latent, x symbol, y symbol) triples
 through a pair of row-stochastic channels and emits one-hot frame blocks,
 together with the exact joint table over observed symbol pairs so the
 true mutual information is known in closed form.
+
+Every scalar input field, here and in the trainer's `TrainConfig`, is
+declared once with `rule` (type and range) and checked by `check_fields`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +29,9 @@ __all__ = [
     "Utterance",
     "WindowGeometry",
     "SyntheticSpec",
+    "fits",
+    "rule",
+    "check_fields",
     "read_features",
     "write_features",
     "load_corpus",
@@ -76,31 +83,48 @@ class Utterance:
             )
 
 
-def _require_ints(obj, names: tuple[str, ...]) -> None:
-    # counts read from JSON: 3.0 or true would pass the range checks and
-    # fail later, as an index or a size
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+def fits(value, kind: type, lo=None, hi=None) -> bool:
+    """Whether `value` is a `kind` inside [lo, hi]. An int takes only an int
+    (not a bool or 3.0, which JSON lets through to fail later as an index or
+    a size), a float an int or a finite float, and a bool only a bool."""
+    if kind is float:
+        # false for NaN, the infinities and an int too large for a float
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    return ok and (lo is None or value >= lo) and (hi is None or value <= hi)
+
+
+def rule(kind: type, lo=None, hi=None, default=MISSING):
+    """A dataclass field that `check_fields` holds to `fits(value, kind, lo, hi)`."""
+    return field(default=default, metadata={"rule": (kind, lo, hi)})
+
+
+def check_fields(obj, error: type) -> None:
+    """Raise `error` naming the first field of `obj` that breaks its `rule`."""
+    for f in (f for f in fields(obj) if "rule" in f.metadata):
+        kind, lo, hi = f.metadata["rule"]
+        value = getattr(obj, f.name)
+        if not fits(value, kind, lo, hi):
+            span = f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}" if lo is not None else ""
+            what = "a finite float" if kind is float else f"an {kind.__name__}"
+            raise error(f"{f.name} must be {what}{span}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class WindowGeometry:
-    total: int = 35
-    past: int = 15
-    gap: int = 5
-    future: int = 15
+    total: int = rule(int, 2, default=35)
+    past: int = rule(int, 1, default=15)
+    gap: int = rule(int, 0, default=5)
+    future: int = rule(int, 1, default=15)
 
     def __post_init__(self):
-        _require_ints(self, ("total", "past", "gap", "future"))
+        check_fields(self, ValueError)
         if self.past + self.gap + self.future != self.total:
             raise ValueError(
                 f"past + gap + future must equal total "
                 f"({self.past}+{self.gap}+{self.future} != {self.total})"
             )
-        if self.past < 1 or self.future < 1 or self.gap < 0:
-            raise ValueError("need past >= 1, future >= 1, gap >= 0")
 
 
 @dataclass
@@ -113,20 +137,19 @@ class SyntheticSpec:
     one generated window spans exactly 2*frames_per_side + gap frames.
     """
 
-    num_latent: int
+    num_latent: int = rule(int, 1)
     x_channel: np.ndarray  # [K, A], rows sum to 1
     y_channel: np.ndarray  # [K, A], rows sum to 1
     latent_prior: np.ndarray  # [K], sums to 1
-    num_utterances: int
-    windows_per_utterance: int
-    seed: int
-    frames_per_side: int = 15
-    gap: int = 5
-    jitter_sigma: float = 0.0
+    num_utterances: int = rule(int, 1)
+    windows_per_utterance: int = rule(int, 1)
+    seed: int = rule(int, 0)
+    frames_per_side: int = rule(int, 1, default=15)
+    gap: int = rule(int, 0, default=5)
+    jitter_sigma: float = rule(float, 0, default=0.0)
 
     def __post_init__(self):
-        counts = ("num_latent", "num_utterances", "windows_per_utterance", "seed")
-        _require_ints(self, counts + ("frames_per_side", "gap"))
+        check_fields(self, ValueError)
         self.x_channel = np.asarray(self.x_channel, dtype=np.float64)
         self.y_channel = np.asarray(self.y_channel, dtype=np.float64)
         self.latent_prior = np.asarray(self.latent_prior, dtype=np.float64)
@@ -137,13 +160,12 @@ class SyntheticSpec:
             raise ValueError("x_channel and y_channel must share one alphabet size")
         if self.latent_prior.shape != (k,):
             raise ValueError("latent_prior must have num_latent entries")
+        # written so that a NaN entry fails each comparison
         for name, mat in (("x_channel", self.x_channel), ("y_channel", self.y_channel)):
-            if np.any(mat < 0) or np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-12:
+            if not (np.all(mat >= 0) and np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12):
                 raise ValueError(f"{name} rows must be probability vectors (1e-12)")
-        if np.any(self.latent_prior < 0) or abs(self.latent_prior.sum() - 1.0) > 1e-12:
+        if not (np.all(self.latent_prior >= 0) and abs(self.latent_prior.sum() - 1.0) <= 1e-12):
             raise ValueError("latent_prior must be a probability vector (1e-12)")
-        if self.frames_per_side < 1 or self.gap < 0 or self.jitter_sigma < 0:
-            raise ValueError("need frames_per_side >= 1, gap >= 0, jitter_sigma >= 0")
 
     @property
     def alphabet_size(self) -> int:
@@ -153,27 +175,11 @@ class SyntheticSpec:
     def window_total(self) -> int:
         return 2 * self.frames_per_side + self.gap
 
-    def geometry(self) -> WindowGeometry:
-        return WindowGeometry(
-            total=self.window_total,
-            past=self.frames_per_side,
-            gap=self.gap,
-            future=self.frames_per_side,
-        )
-
     def to_json_dict(self) -> dict:
-        return {
-            "num_latent": self.num_latent,
-            "x_channel": self.x_channel.tolist(),
-            "y_channel": self.y_channel.tolist(),
-            "latent_prior": self.latent_prior.tolist(),
-            "num_utterances": self.num_utterances,
-            "windows_per_utterance": self.windows_per_utterance,
-            "seed": self.seed,
-            "frames_per_side": self.frames_per_side,
-            "gap": self.gap,
-            "jitter_sigma": self.jitter_sigma,
-        }
+        doc = asdict(self)
+        for name in ("x_channel", "y_channel", "latent_prior"):
+            doc[name] = doc[name].tolist()
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SyntheticSpec":

@@ -72,8 +72,6 @@ class EncoderParams:
         seed: int = 0,
         dtype=np.float32,
     ):
-        if alphabet_size < 2:
-            raise ValueError("alphabet needs at least 2 symbols")
         self.input_dim = input_dim
         self.alphabet_size = alphabet_size
         self.store = nm.ParamStore(dtype=dtype)

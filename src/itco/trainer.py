@@ -21,14 +21,14 @@ import logging
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import objective as ob
-from .corpus import Utterance, WindowGeometry, window_arrays
+from .corpus import Utterance, WindowGeometry, check_fields, fits, rule, window_arrays
 from .evaluation import reduce_corpus
 from .model import CONFIRM, PREDICT, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
@@ -56,6 +56,9 @@ TAG_CLONE = 303
 
 DEFAULT_SCHEDULE = ((432, 0.4), (540, 0.2), (900, 0.1), (1080, 0.05))
 
+# objective terms each epoch record averages over its minibatches
+MEAN_TERMS = ("cross_entropy_bits", "marginal_entropy_bits", "mi_bound_bits", "loss")
+
 
 class TrainerError(Exception):
     pass
@@ -72,51 +75,38 @@ class TrainConfig:
     """
 
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
-    alphabet_size: int = 64
-    hidden_dim: int = 64
+    alphabet_size: int = rule(int, 2, default=64)
+    hidden_dim: int = rule(int, 1, default=64)
     lr_schedule: tuple = DEFAULT_SCHEDULE
-    clone_at: int = 216
-    dead_threshold: float = 1e-3
-    clone_noise_sigma: float = 0.01
-    seed: int = 0
+    clone_at: int = rule(int, 0, default=216)
+    dead_threshold: float = rule(float, 0, 1, default=1e-3)
+    clone_noise_sigma: float = rule(float, 0, default=0.01)
+    seed: int = rule(int, 0, default=0)
     mode: str = "base"  # base | adversarial
     entropy_mode: str = "per_utterance"  # per_utterance | global
-    aligned_windows: bool = False  # restrict to generated placements (synthetic corpora)
-    entropy_buffer_windows: int = 1024  # global mode: cross-utterance sliding buffer
-    detect_sample_utterances: int = 100  # corpus prefix scanned by death detection
+    aligned_windows: bool = rule(bool, default=False)  # only generated placements (synthetic)
+    entropy_buffer_windows: int = rule(int, 1, default=1024)  # global mode: cross-utterance buffer
+    detect_sample_utterances: int = rule(int, 1, default=100)  # prefix scanned by death detection
 
     def __post_init__(self):
-        kinds = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in kinds and type(value) not in kinds[f.type]:
-                raise TrainerError(f"config field {f.name} must be {f.type}, got {value!r}")
+        check_fields(self, TrainerError)
         if not self.lr_schedule:
             raise TrainerError("lr_schedule needs at least one segment")
         prev = 0
         for end, lr in self.lr_schedule:
-            if type(end) is not int or type(lr) not in kinds["float"]:
+            if not (fits(end, int, prev + 1) and fits(lr, float) and lr > 0):
                 raise TrainerError(
-                    f"lr_schedule segment [{end!r}, {lr!r}] must be [int end, float lr]"
+                    f"lr_schedule segment [{end!r}, {lr!r}] needs an int end above {prev} "
+                    f"and a finite lr > 0"
                 )
-            if end <= prev:
-                raise TrainerError("lr_schedule segment ends must increase")
-            if not (lr > 0 and math.isfinite(lr)):
-                raise TrainerError("learning rates must be finite and positive")
             prev = end
         self.lr_schedule = tuple((end, float(lr)) for end, lr in self.lr_schedule)
-        if not 0 <= self.clone_at < self.lr_schedule[-1][0]:
+        if self.clone_at >= self.lr_schedule[-1][0]:
             raise TrainerError("clone_at must fall inside the schedule")
         if self.mode not in ("base", "adversarial"):
             raise TrainerError(f"unknown mode {self.mode!r}")
         if self.entropy_mode not in ("per_utterance", "global"):
             raise TrainerError(f"unknown entropy_mode {self.entropy_mode!r}")
-        if self.alphabet_size < 2 or self.hidden_dim < 1:
-            raise TrainerError("need alphabet_size >= 2 and hidden_dim >= 1")
-        if self.seed < 0 or self.entropy_buffer_windows < 1 or self.detect_sample_utterances < 1:
-            raise TrainerError(
-                "need seed >= 0, entropy_buffer_windows >= 1 and detect_sample_utterances >= 1"
-            )
 
     @property
     def budget_utterances(self) -> int:
@@ -178,14 +168,7 @@ class TrainState:
 
 
 def _fresh_accum() -> dict:
-    return {
-        "cross_entropy_bits": 0.0,
-        "marginal_entropy_bits": 0.0,
-        "mi_bound_bits": 0.0,
-        "loss": 0.0,
-        "saturation_count": 0,
-        "count": 0,
-    }
+    return {**dict.fromkeys(MEAN_TERMS, 0.0), "saturation_count": 0, "count": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +315,6 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     path.write_bytes(bytes(body))
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
 def load_checkpoint(path: Path) -> TrainState:
     """Read an ITCK file; any file this program did not write raises TrainerError.
 
@@ -370,15 +349,15 @@ def load_checkpoint(path: Path) -> TrainState:
         raise TrainerError(f"checkpoint header is malformed: {path}: {exc!r}") from None
     z, fresh = config.alphabet_size, _fresh_accum()
     valid = {
-        "input_dim": _is_count(input_dim) and input_dim > 0,
-        "counters": all(map(_is_count, counters.values())) and type(cloned) is bool,
+        "input_dim": fits(input_dim, int, 1),
+        "counters": all(fits(v, int, 0) for v in counters.values()) and fits(cloned, bool),
         "epoch_accum": accum.keys() == fresh.keys()
-        and all(type(value) is type(fresh[key]) for key, value in accum.items()),
-        "live_mask": isinstance(live, list) and len(live) == z and all(b in (0, 1) for b in live),
+        and all(fits(value, type(fresh[key])) for key, value in accum.items()),
+        "live_mask": isinstance(live, list) and len(live) == z and all(fits(b, int, 0, 1) for b in live),
         "clone_history": isinstance(history, list) and all(isinstance(e, dict) for e in history),
         "corpus_hash": corpus_hash is None or isinstance(corpus_hash, str),
         "arrays": all(
-            isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))
+            isinstance(name, str) and isinstance(shape, list) and all(fits(n, int, 0) for n in shape)
             for name, shape in table
         ),
     }
@@ -594,8 +573,10 @@ def train(
     exactly. When resuming into an existing ``metrics_path``, the file is
     cut back to the checkpoint's step and continued. ``corpus_hash`` names
     the training corpus; it is stored in every checkpoint, and resuming
-    under another hash raises TrainerError. A NaN or infinity met on the
-    way raises TrainerError naming the step and the utterance.
+    under another hash raises TrainerError. A NaN or infinity, or a
+    saturated divergence (a minibatch whose bound is below
+    -log2(alphabet_size) with cells at the log floor, written to the stream
+    first), raises TrainerError naming the step and the utterance.
     """
     usable = _usable(corpus, config.geometry)
     if not usable:
@@ -621,6 +602,8 @@ def train(
     writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
+    # a bound below this predicts worse than a uniform guess over the alphabet
+    uniform_floor = -math.log2(config.alphabet_size)
     stopped = False
     where = f"step {state.step}"
 
@@ -652,13 +635,15 @@ def train(
                 if terms.adversarial_marginal_bits is not None:
                     record["adversarial_marginal_bits"] = terms.adversarial_marginal_bits
                 writer.emit(record)
-                accum = state.epoch_accum
-                accum["cross_entropy_bits"] += terms.cross_entropy_bits
-                accum["marginal_entropy_bits"] += terms.marginal_entropy_bits
-                accum["mi_bound_bits"] += terms.mi_bound_bits
-                accum["loss"] += terms.loss
-                accum["saturation_count"] += terms.saturation_count
-                accum["count"] += 1
+                if terms.saturation_count > 0 and terms.mi_bound_bits < uniform_floor:
+                    raise TrainerError(
+                        f"training diverged at {where}: mi_bound_bits {terms.mi_bound_bits:.4f} "
+                        f"< {uniform_floor:g} = -log2(alphabet_size) with {terms.saturation_count} "
+                        f"cells at the log floor"
+                    )
+                for key in (*MEAN_TERMS, "saturation_count"):
+                    state.epoch_accum[key] += getattr(terms, key)
+                state.epoch_accum["count"] += 1
 
                 if not state.cloned and state.processed >= config.clone_at * 100:
                     sample = usable[: config.detect_sample_utterances]
@@ -684,7 +669,7 @@ def train(
                     "saturation_total": state.epoch_accum["saturation_count"],
                 }
                 n = max(1, state.epoch_accum["count"])
-                for key in ("cross_entropy_bits", "marginal_entropy_bits", "mi_bound_bits", "loss"):
+                for key in MEAN_TERMS:
                     record[f"mean_{key}"] = state.epoch_accum[key] / n
                 if dev_corpus is not None:
                     record.update(evaluate_on_corpus(state, dev_corpus))

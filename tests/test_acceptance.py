@@ -163,7 +163,7 @@ def test_criterion_3_cloning_one_bit_law():
     )
     utts, _ = synth_corpus(spec)
     config = TrainConfig(
-        geometry=spec.geometry(),
+        geometry=WindowGeometry(total=5, past=2, gap=1, future=2),
         alphabet_size=8,
         hidden_dim=4,
         lr_schedule=((1, 0.4),),

@@ -149,18 +149,25 @@ class TestSynth:
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "c")]) == 2
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, flags",
         [
-            dict(identity_spec(), frames_per_side=3.0),
-            dict(identity_spec(), num_utterances=2.5),
-            [identity_spec()],
+            (dict(identity_spec(), frames_per_side=3.0), ["--seed", "1"]),
+            (dict(identity_spec(), num_utterances=2.5), ["--seed", "1"]),
+            ([identity_spec()], ["--seed", "1"]),
+            (dict(identity_spec(), num_utterances=0), ["--seed", "1"]),
+            (dict(identity_spec(), windows_per_utterance=0), ["--seed", "1"]),
+            # the spec's own seed, so no --seed flag replaces it
+            (dict(identity_spec(), seed=-1), []),
+            (dict(identity_spec(), jitter_sigma=float("nan")), ["--seed", "1"]),
+            (dict(identity_spec(), x_channel=[[float("nan"), 1.0], [0.0, 1.0]]), ["--seed", "1"]),
         ],
-        ids=["float_frames_per_side", "float_num_utterances", "json_array"],
+        ids=["float_frames_per_side", "float_num_utterances", "json_array", "zero_num_utterances",
+             "zero_windows_per_utterance", "negative_seed", "nan_jitter_sigma", "nan_channel"],
     )
-    def test_malformed_spec_is_data_error_before_any_output(self, tmp_path, capsys, doc):
+    def test_malformed_spec_is_data_error_before_any_output(self, tmp_path, capsys, doc, flags):
         spec = write_json(tmp_path / "spec.json", doc)
         out = tmp_path / "c"
-        assert main(["synth", "--spec", str(spec), "--out", str(out), "--seed", "1"]) == 2
+        assert main(["synth", "--spec", str(spec), "--out", str(out), *flags]) == 2
         assert "bad synthetic spec" in capsys.readouterr().err
         assert not out.exists()
 
@@ -340,6 +347,25 @@ class TestTrain:
         assert steps == list(range(1, len(steps) + 1))
         assert len(steps) in (step - 1, step)
 
+    def test_saturated_divergence_is_data_error(self, tmp_path, corpus_dir, capsys):
+        # at lr 1e9 the outputs saturate at the log floor and stay finite;
+        # the run stops at the first minibatch that predicts worse than a
+        # uniform guess, once its record is written
+        doc = dict(train_config(), lr_schedule=[[1, 1e9]], clone_at=0)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        code = main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        match = re.search(r"diverged at step (\d+) \(utterance '([^']+)', lr 1e\+09\)", err)
+        assert match, "error must name the step, the utterance and the lr"
+        records = [
+            json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()
+        ]
+        last = [r for r in records if r["type"] == "minibatch"][-1]
+        assert (last["step"], last["utterance_id"]) == (int(match.group(1)), match.group(2))
+        assert last["saturation_count"] > 0 and last["mi_bound_bits"] < -np.log2(8)
+
     def test_bad_config_is_usage_error(self, tmp_path, corpus_dir):
         doc = train_config()
         doc["lr_schedule"] = []
@@ -356,8 +382,14 @@ class TestTrain:
             # clone_at 0 keeps each schedule otherwise valid
             dict(train_config(), lr_schedule=[[1.5, 0.1]], clone_at=0),
             dict(train_config(), lr_schedule=[[1, float("nan")]], clone_at=0),
+            # an integer too large for a float
+            dict(train_config(), lr_schedule=[[1, 10**400]], clone_at=0),
+            dict(train_config(), dead_threshold=2.0),
+            dict(train_config(), dead_threshold=float("nan")),
+            dict(train_config(), clone_noise_sigma=-1.0),
         ],
-        ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr"],
+        ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
+             "nan_dead_threshold", "negative_clone_noise_sigma"],
     )
     def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -700,6 +732,23 @@ class TestGradcheck:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--seed", "-1"],
+            ["synth", "--spec", "spec.json", "--seed", "-1"],
+            ["train", "--corpus", "data", "--seed", "-1"],
+            ["train", "--corpus", "data", "--stop-after", "0"],
+            ["train", "--corpus", "data", "--stop-after", "-3"],
+        ],
+        ids=["gradcheck_seed", "synth_seed", "train_seed", "stop_after_zero", "stop_after_negative"],
+    )
+    def test_out_of_range_integer_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "must be an integer >= " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag(self):
         assert main(["synth", "--out", "/tmp/x"]) == 1

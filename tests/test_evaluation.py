@@ -670,7 +670,7 @@ class TestEndToEnd:
         )
         corpus, _ = synth_corpus(spec)
         ep = EncoderParams(input_dim=2, alphabet_size=8, hidden_dim=5, seed=3)
-        geom = spec.geometry()
+        geom = WindowGeometry(total=7, past=3, gap=1, future=3)
 
         def run():
             reduction = reduce_stride1(ep, corpus, geom)

@@ -1,5 +1,6 @@
 """Training loop behavior: schedule, death/cloning, checkpoints, determinism."""
 
+import dataclasses
 import functools
 import json
 import tempfile
@@ -99,11 +100,22 @@ def test_config_rejects_bad_schedules():
 @pytest.mark.parametrize(
     "field, value",
     [("seed", -1), ("alphabet_size", 8.0), ("dead_threshold", "x"), ("aligned_windows", 1),
-     ("entropy_buffer_windows", 0), ("detect_sample_utterances", 0)],
+     ("entropy_buffer_windows", 0), ("detect_sample_utterances", 0), ("dead_threshold", 2.0),
+     ("clone_noise_sigma", -1.0), ("clone_noise_sigma", float("nan"))],
 )
 def test_config_rejects_wrong_types_and_ranges(field, value):
     with pytest.raises(tr.TrainerError, match=field):
         tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("cls", [WindowGeometry, SyntheticSpec, tr.TrainConfig])
+def test_every_scalar_field_declares_a_rule(cls):
+    # fields without a rule keep their own cross-field checks
+    exempt = {"x_channel", "y_channel", "latent_prior", "lr_schedule", "geometry", "mode",
+              "entropy_mode"}
+    undeclared = [f.name for f in dataclasses.fields(cls)
+                  if f.name not in exempt and "rule" not in f.metadata]
+    assert undeclared == []
 
 
 def test_config_json_round_trip():

@@ -7,13 +7,16 @@ reproduced byte-for-byte from the manifest alone. ``train --resume`` into
 a directory that holds an earlier leg's train manifest keeps every earlier
 leg, oldest first, under ``earlier_legs``.
 
+``train`` and ``eval`` take each corpus from one ``corpus.load_corpus``
+call, which reads every corpus file once and yields the corpus hash along
+with the utterances and the manifest metadata.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -22,10 +25,10 @@ from typing import Optional
 
 from . import __version__
 from .corpus import (
+    Corpus,
     CorpusError,
     SyntheticSpec,
     load_corpus,
-    read_manifest_metadata,
     synth_corpus,
     true_mi_oracle,
     write_corpus,
@@ -73,22 +76,6 @@ def _dump_json(doc: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def corpus_hash(manifest_path: Path) -> str:
-    """SHA-256 over the manifest bytes and every file it lists, in row order."""
-    manifest_path = Path(manifest_path)
-    digest = hashlib.sha256()
-    data = manifest_path.read_bytes()
-    digest.update(data)
-    base = manifest_path.parent
-    for line in data.decode("utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        for rel in line.split("\t")[1:3]:
-            if rel:
-                digest.update((base / rel).read_bytes())
-    return digest.hexdigest()
 
 
 def write_run_manifest(
@@ -198,24 +185,13 @@ def _train_config_from_args(args, manifest_meta: dict[str, str]) -> TrainConfig:
         raise CliError(f"bad train config: {exc}", EXIT_USAGE)
 
 
-def _resolve_manifest(corpus_arg: str) -> Path:
-    """Accept either a corpus directory or a direct path to its manifest."""
-    path = Path(corpus_arg)
-    if path.is_file():
-        return path
-    manifest = path / "manifest.tsv"
-    if not manifest.exists():
-        raise CliError(f"no manifest.tsv under {corpus_arg}", EXIT_DATA)
-    return manifest
-
-
-def _check_window_total(manifest_path: Path, meta: dict[str, str], config: TrainConfig) -> None:
+def _check_window_total(corpus: Corpus, config: TrainConfig) -> None:
     # aligned windows start every geometry.total frames, so they fall on a
     # synthetic corpus's generated placements only if its windows are that long
-    total = meta.get("window_total")
+    total = corpus.metadata.get("window_total")
     if config.aligned_windows and total is not None and total != str(config.geometry.total):
         raise CliError(
-            f"{manifest_path}: corpus window_total {total} differs from the config's "
+            f"{corpus.manifest}: corpus window_total {total} differs from the config's "
             f"geometry total {config.geometry.total}, so aligned windows would "
             f"straddle the generated placements",
             EXIT_DATA,
@@ -223,47 +199,41 @@ def _check_window_total(manifest_path: Path, meta: dict[str, str], config: Train
 
 
 def cmd_train(args) -> int:
-    manifest_path = _resolve_manifest(args.corpus)
-    meta = read_manifest_metadata(manifest_path)
-    config = _train_config_from_args(args, meta)
-    _check_window_total(manifest_path, meta, config)
-    corpus = load_corpus(manifest_path)
+    corpus = load_corpus(args.corpus)
+    config = _train_config_from_args(args, corpus.metadata)
+    _check_window_total(corpus, config)
+    dev = load_corpus(args.dev_corpus) if args.dev_corpus else None
+    if dev is not None:
+        _check_window_total(dev, config)
 
-    dev_corpus = None
-    dev_hashes = {}
-    if args.dev_corpus:
-        dev_manifest = _resolve_manifest(args.dev_corpus)
-        _check_window_total(dev_manifest, read_manifest_metadata(dev_manifest), config)
-        dev_corpus = load_corpus(dev_manifest)
-        dev_hashes["dev_corpus_hash"] = corpus_hash(dev_manifest)
-
-    train_hash = corpus_hash(manifest_path)
     resume_state = None
     if args.resume:
         resume_state = load_checkpoint(Path(args.resume))
         # a refused resume must leave the run directory's manifest as it was
-        check_resume(resume_state, config, corpus, train_hash)
+        check_resume(resume_state, config, corpus.utterances, corpus.hash)
 
     out = Path(args.out)
     checkpoint_dir = out / "checkpoints"
     metrics_path = out / "metrics.jsonl"
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(config.to_json_dict(), **dev_hashes)
+    snapshot = config.to_json_dict()
+    if dev is not None:
+        snapshot["dev_corpus_hash"] = dev.hash
     if args.resume:
         snapshot["resumed_from"] = str(args.resume)
     artifacts = ["metrics.jsonl", "checkpoints/"]
     legs = _train_legs(out) if args.resume else None
-    write_run_manifest(out, "train", snapshot, config.seed, train_hash, artifacts, legs)
+    write_run_manifest(out, "train", snapshot, config.seed, corpus.hash, artifacts, legs)
 
     state, records = train(
-        corpus,
+        corpus.utterances,
         config,
-        dev_corpus=dev_corpus,
+        dev_corpus=dev.utterances if dev is not None else None,
         metrics_path=metrics_path,
         checkpoint_dir=checkpoint_dir,
         resume=resume_state,
         stop_after=args.stop_after,
-        corpus_hash=train_hash,
+        corpus_hash=corpus.hash,
     )
     epochs = [r for r in records if r["type"] == "epoch"]
     tail = epochs[-1] if epochs else {}
@@ -285,20 +255,18 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(Path(args.checkpoint))
-    manifest_path = _resolve_manifest(args.corpus)
-    corpus = load_corpus(manifest_path)
-    dims = {u.frames.shape[1] for u in corpus}
+    corpus = load_corpus(args.corpus)
+    dims = {u.frames.shape[1] for u in corpus.utterances}
     if dims != {state.input_dim}:
         raise CliError(
             f"corpus feature dimension {sorted(dims)} does not match "
             f"checkpoint input dimension {state.input_dim}",
             EXIT_DATA,
         )
-    if all(u.gold_labels is None for u in corpus):
+    if all(u.gold_labels is None for u in corpus.utterances):
         raise EvaluationError(NO_EVALUABLE_FRAMES)
 
-    input_hash = corpus_hash(manifest_path)
-    reduction = reduce_corpus(state.ep, corpus, state.config.geometry, aligned=False)
+    reduction = reduce_corpus(state.ep, corpus.utterances, state.config.geometry, aligned=False)
     confusion, overall_acc, covered_acc, coverage, tags_used = score(
         reduction.symbols, reduction.gold
     )
@@ -312,7 +280,7 @@ def cmd_eval(args) -> int:
         "eval",
         {"checkpoint": str(args.checkpoint), "train_config": state.config.to_json_dict()},
         state.config.seed,
-        input_hash,
+        corpus.hash,
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
     )
 

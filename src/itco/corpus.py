@@ -8,12 +8,18 @@ through a pair of row-stochastic channels and emits one-hot frame blocks,
 together with the exact joint table over observed symbol pairs so the
 true mutual information is known in closed form.
 
+`load_corpus` is the only reader of the corpus format. It reads the
+manifest and every file it lists once, and hashes the bytes it read, so
+the utterances, the manifest metadata and the corpus hash come from one
+pass.
+
 Every scalar input field, here and in the trainer's `TrainConfig`, is
 declared once with `rule` (type and range) and checked by `check_fields`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -32,10 +38,9 @@ __all__ = [
     "fits",
     "rule",
     "check_fields",
-    "read_features",
+    "Corpus",
     "write_features",
     "load_corpus",
-    "read_manifest_metadata",
     "write_corpus",
     "normalize_utterance",
     "window_count",
@@ -45,6 +50,7 @@ __all__ = [
     "latent_label",
 ]
 
+MANIFEST = "manifest.tsv"
 FEATURE_MAGIC = b"ITCF"
 FEATURE_VERSION = 1
 
@@ -205,11 +211,7 @@ def write_features(path: Path, frames: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
 
 
-def read_features(path: Path, utterance_id: Optional[str] = None) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"feature file not found: {path}", utterance_id)
-    raw = path.read_bytes()
+def _parse_features(raw: bytes, path: Path, utterance_id: str) -> np.ndarray:
     if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
         raise CorpusError(f"not a feature file (bad magic): {path}", utterance_id)
     version, t, d = struct.unpack("<III", raw[4:16])
@@ -239,7 +241,7 @@ def write_corpus(
     """Write features/labels plus a manifest.tsv; returns the manifest path.
 
     Metadata key=value pairs land as '#'-prefixed comment lines at the top
-    of the manifest and round-trip through read_manifest_metadata.
+    of the manifest and come back as `load_corpus`'s metadata.
     """
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -256,47 +258,75 @@ def write_corpus(
             label_path.parent.mkdir(parents=True, exist_ok=True)
             label_path.write_text("\n".join(u.gold_labels) + "\n", encoding="utf-8")
         lines.append("\t".join([u.id, feat_rel, label_rel, u.speaker or ""]))
-    manifest = corpus_dir / "manifest.tsv"
+    manifest = corpus_dir / MANIFEST
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
-def read_manifest_metadata(manifest_path: Path) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for line in Path(manifest_path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-    return meta
+@dataclass(frozen=True)
+class Corpus:
+    """What one pass over a corpus's files yields.
+
+    ``metadata`` holds the manifest's ``# key=value`` lines. ``hash`` is the
+    SHA-256 hex digest of the manifest bytes, then of each row's feature
+    file and, when the row names one, its label file, in row order.
+    """
+
+    manifest: Path
+    utterances: list[Utterance]
+    metadata: dict[str, str]
+    hash: str
 
 
-def load_corpus(manifest_path: Path) -> list[Utterance]:
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise CorpusError(f"manifest not found: {manifest_path}")
-    base = manifest_path.parent
+def load_corpus(path: Path) -> Corpus:
+    """Read a corpus directory, or its manifest, reading each file once.
+
+    Manifest rows are ``id<TAB>features[<TAB>labels[<TAB>speaker]]``, paths
+    relative to the manifest; blank lines and ``#`` lines are not rows.
+    """
+    path = Path(path)
+    manifest = path / MANIFEST if path.is_dir() else path
+    digest = hashlib.sha256()
+
+    def read(file: Path, what: str, uid: Optional[str] = None) -> bytes:
+        try:
+            raw = file.read_bytes()
+        except OSError as exc:
+            raise CorpusError(f"cannot read {what} {file}: {exc.strerror}", uid)
+        digest.update(raw)
+        return raw
+
+    def lines(file: Path, raw: bytes, uid: Optional[str] = None) -> list[str]:
+        try:
+            return raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{file} is not UTF-8 text (byte {exc.start})", uid)
+
+    metadata: dict[str, str] = {}
     utterances = []
-    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in enumerate(lines(manifest, read(manifest, "manifest")), 1):
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                metadata[key.strip()] = value.strip()
+            continue
+        if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) < 2:
             raise CorpusError(f"manifest line {lineno} needs at least id and feature path")
         uid = parts[0]
-        frames = read_features(base / parts[1], uid)
+        feature_path = manifest.parent / parts[1]
+        frames = _parse_features(read(feature_path, "feature file", uid), feature_path, uid)
         labels = None
         if len(parts) > 2 and parts[2]:
-            label_path = base / parts[2]
-            if not label_path.is_file():
-                raise CorpusError(f"label file not found: {label_path}", uid)
-            labels = label_path.read_text(encoding="utf-8").splitlines()
+            label_path = manifest.parent / parts[2]
+            labels = lines(label_path, read(label_path, "label file", uid), uid)
         speaker = parts[3] if len(parts) > 3 and parts[3] else None
         utterances.append(Utterance(uid, frames, labels, speaker))
     if not utterances:
-        raise CorpusError(f"manifest lists no utterances: {manifest_path}")
-    return utterances
+        raise CorpusError(f"manifest lists no utterances: {manifest}")
+    return Corpus(manifest, utterances, metadata, digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,8 @@ def _marginal_fit(tape, ep, x, y, _):
 
 
 def _adversarial_encoder(tape, ep, x, y, marginal):
-    # the encoder loss detaches the marginal, so it is a fixed distribution:
-    # central differences on live marginal logits would see a gradient the
-    # loss deliberately drops
+    # the encoder loss takes the marginal as a fixed distribution, as the
+    # trainer passes it: the marginal is fitted by its own loss
     return ob.adversarial_loss(*_both_sides(tape, ep, x, y), nm.constant(marginal), tape)[0]
 
 

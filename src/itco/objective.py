@@ -170,20 +170,20 @@ def adversarial_loss(
     predict_dists: Dists,
     marginal: nm.Node,
     tape: Optional[nm.Tape] = None,
-) -> tuple[nm.Node, nm.Node, ObjectiveTerms]:
-    """Alternating-update losses against a trainable marginal.
+) -> tuple[nm.Node, ObjectiveTerms]:
+    """The encoders' loss against a fixed (untaped) marginal.
 
-    Returns (encoder_loss, marginal_loss, terms). The encoder loss is the
-    predict-side cross entropy minus the cross entropy against the frozen
-    marginal (the confirm side pushes its average away from the marginal's
-    reach); the marginal loss is the same cross entropy with the confirm
-    side frozen instead, so the marginal chases the batch average.
+    Returns (encoder_loss, terms). The encoder loss is the predict-side
+    cross entropy minus the confirm side's cross entropy against the
+    marginal, so the confirm side pushes its average away from the
+    marginal's reach. That second cross entropy is also the marginal's own
+    loss, `marginal_fit_loss`, with the confirm side frozen instead; its
+    value is reported as ``adversarial_marginal_bits``.
     """
     confirm, predict = _paired(confirm_dists, predict_dists)
     ce = _cross_entropy_node(tape, confirm, predict)
-    marginal_ce_frozen = _cross_entropy_node(tape, confirm, nm.detach(marginal))
-    encoder_loss = nm.sub(tape, ce, marginal_ce_frozen)
-    marginal_loss = marginal_fit_loss(confirm, marginal, tape)
+    marginal_ce = _cross_entropy_node(tape, confirm, marginal)
+    encoder_loss = nm.sub(tape, ce, marginal_ce)
     me = entropy_of_mean(nm.Node(confirm.value), None)
     terms = ObjectiveTerms(
         cross_entropy_bits=float(ce.value),
@@ -191,7 +191,6 @@ def adversarial_loss(
         mi_bound_bits=float(me.value) - float(ce.value),
         loss=float(encoder_loss.value),
         saturation_count=count_saturation(confirm.value, predict.value),
-        adversarial_marginal_bits=float(marginal_loss.value),
+        adversarial_marginal_bits=float(marginal_ce.value),
     )
-    return encoder_loss, marginal_loss, terms
-
+    return encoder_loss, terms

@@ -127,8 +127,10 @@ class TrainConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
-        geo = doc.pop("geometry", None)
-        return cls(geometry=WindowGeometry(**geo) if geo else WindowGeometry(), **doc)
+        geo = doc.pop("geometry", {})  # only an absent key means the default
+        if not isinstance(geo, dict):
+            raise TrainerError(f"geometry must be a JSON object, got {geo!r}")
+        return cls(geometry=WindowGeometry(**geo), **doc)
 
 
 class TrainState:
@@ -506,8 +508,7 @@ def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float)
         tape.backward(loss)
         sgd_apply(state.ep.store, lr)
     else:
-        marginal = state.ep.marginal_node(tape)
-        encoder_loss, _, terms = ob.adversarial_loss(confirm, predict, marginal, tape)
+        encoder_loss, terms = ob.adversarial_loss(confirm, predict, state.ep.marginal_node(), tape)
         tape.backward(encoder_loss)
         sgd_apply(state.ep.store, lr)
         # alternate: refresh the confirm pass (gradient-free, it only

@@ -366,8 +366,8 @@ def test_criterion_8_timit_recorded_not_gated():
             "holding train/manifest.tsv and dev/manifest.tsv (licensed data, prepared "
             "in the corpus feature format) to record the full-scale numbers"
         )
-    train_corpus = load_corpus(Path(data_dir) / "train" / "manifest.tsv")
-    dev_corpus = load_corpus(Path(data_dir) / "dev" / "manifest.tsv")
+    train_corpus = load_corpus(Path(data_dir) / "train").utterances
+    dev_corpus = load_corpus(Path(data_dir) / "dev").utterances
     state, records = train(train_corpus, TrainConfig(), dev_corpus=dev_corpus)
     last = [r for r in records if r["type"] == "epoch"][-1]
     detail = (

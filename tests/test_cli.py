@@ -1,5 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
+import builtins
+import hashlib
 import json
 import os
 import re
@@ -15,9 +17,9 @@ import pytest
 import itco
 from itco import gradcheck
 from itco import numerics as nm
-from itco.cli import corpus_hash, main
-from itco.corpus import Utterance, read_manifest_metadata, true_mi_oracle, write_corpus
-from itco.trainer import TrainConfig, TrainState, save_checkpoint
+from itco.cli import main
+from itco.corpus import Utterance, load_corpus, true_mi_oracle, write_corpus
+from itco.trainer import TrainConfig, TrainState, load_checkpoint, save_checkpoint
 from itco.corpus import WindowGeometry
 from itco.evaluation import STACK_WINDOWS
 from itco.model import EncoderParams
@@ -122,8 +124,7 @@ class TestSynth:
         assert (corpus_dir / "manifest.tsv").exists()
         assert (corpus_dir / "run_manifest.json").exists()
         assert sorted(p.name for p in (corpus_dir / "features").iterdir())[0].endswith(".itcf")
-        meta = read_manifest_metadata(corpus_dir / "manifest.tsv")
-        assert meta["aligned_windows"] == "1"
+        assert load_corpus(corpus_dir).metadata["aligned_windows"] == "1"
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", identity_spec(seed=1, utterances=3))
@@ -387,9 +388,14 @@ class TestTrain:
             dict(train_config(), dead_threshold=2.0),
             dict(train_config(), dead_threshold=float("nan")),
             dict(train_config(), clone_noise_sigma=-1.0),
+            # only an absent geometry means the default one
+            dict(train_config(), geometry=0),
+            dict(train_config(), geometry=[]),
+            dict(train_config(), geometry=False),
         ],
         ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
-             "nan_dead_threshold", "negative_clone_noise_sigma"],
+             "nan_dead_threshold", "negative_clone_noise_sigma", "zero_geometry", "empty_list_geometry",
+             "false_geometry"],
     )
     def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -423,7 +429,7 @@ class TestTrain:
         spec = dict(identity_spec(utterances=3), frames_per_side=10, gap=5)
         wide = tmp_path / "wide"
         assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", spec)), "--out", str(wide)]) == 0
-        assert read_manifest_metadata(wide / "manifest.tsv")["window_total"] == "25"
+        assert load_corpus(wide).metadata["window_total"] == "25"
         if role == "corpus":
             # no geometry in the config: the 35-frame default
             doc = {k: v for k, v in train_config().items() if k != "geometry"}
@@ -473,7 +479,7 @@ class TestTrain:
         capsys.readouterr()
         assert main(base + ["--corpus", str(other)] + resume) == 2
         err = capsys.readouterr().err
-        trained, refused = corpus_hash(corpus_dir / "manifest.tsv"), corpus_hash(other / "manifest.tsv")
+        trained, refused = load_corpus(corpus_dir).hash, load_corpus(other).hash
         assert f"trained on corpus {trained}, not on this corpus {refused}" in err
         # the refusal comes before the manifest would name the refused leg
         assert manifest.read_bytes() == before
@@ -693,6 +699,81 @@ def test_empty_manifest_is_data_error_naming_it(tmp_path, corpus_dir, run_dir, c
         assert f"manifest lists no utterances: {empty}" in err, name
         metrics = out / "metrics.jsonl"
         assert not metrics.exists() or metrics.read_text() == "", name
+
+
+@pytest.mark.parametrize("victim", ["label_file", "manifest"])
+def test_non_utf8_corpus_text_is_data_error_naming_the_file(
+    tmp_path, corpus_dir, run_dir, capsys, victim
+):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(corpus_dir, broken)
+    if victim == "label_file":
+        path = sorted((broken / "labels").iterdir())[0]
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    else:
+        path = broken / "manifest.tsv"
+        path.write_bytes(path.read_bytes() + b"# junk=\xff\n")
+    cfg = write_json(tmp_path / "cfg.json", train_config())
+    checkpoint = run_dir / "checkpoints" / "final.itck"
+    for argv in (["train", "--config", str(cfg)], ["eval", "--checkpoint", str(checkpoint)]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--corpus", str(broken), "--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"{path} is not UTF-8 text" in err and "Traceback" not in err, argv[0]
+        assert not out.exists(), argv[0]
+
+
+def test_train_and_eval_read_each_corpus_file_once(tmp_path, corpus_dir, run_dir, monkeypatch):
+    dev = tmp_path / "dev"
+    assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", identity_spec(utterances=3))),
+                 "--out", str(dev)]) == 0
+    # the manifest and every feature and label file it lists
+    listed = {
+        p.resolve()
+        for root in (corpus_dir, dev)
+        for p in [root / "manifest.tsv", *root.glob("features/*"), *root.glob("labels/*")]
+    }
+    opened = []
+    path_open, builtin_open = Path.open, builtins.open
+
+    def counting_path_open(self, *args, **kwargs):
+        opened.append(self.resolve())
+        return path_open(self, *args, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file).resolve())
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_path_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    cfg = write_json(tmp_path / "cfg.json", train_config())
+    assert main(["train", "--corpus", str(corpus_dir), "--dev-corpus", str(dev), "--config", str(cfg),
+                 "--out", str(tmp_path / "t"), "--stop-after", "1"]) == 0
+    reads = [p for p in opened if p in listed]
+    assert sorted(reads) == sorted(listed)
+    opened.clear()
+    assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint",
+                 str(run_dir / "checkpoints" / "final.itck"), "--out", str(tmp_path / "e")]) == 0
+    reads = [p for p in opened if p in listed]
+    assert sorted(reads) == sorted(p for p in listed if p.is_relative_to(corpus_dir.resolve()))
+
+
+def test_corpus_hash_is_sha256_of_manifest_then_listed_files(corpus_dir, run_dir):
+    # the manifest bytes, then each row's feature file and label file
+    manifest = corpus_dir / "manifest.tsv"
+    digest = hashlib.sha256(manifest.read_bytes())
+    for row in manifest.read_text().splitlines():
+        if row and not row.startswith("#"):
+            for rel in row.split("\t")[1:3]:
+                if rel:
+                    digest.update((corpus_dir / rel).read_bytes())
+    expected = digest.hexdigest()
+    assert load_corpus(corpus_dir).hash == expected
+    assert json.loads((run_dir / "run_manifest.json").read_text())["corpus_hash"] == expected
+    assert load_checkpoint(run_dir / "checkpoints" / "final.itck").corpus_hash == expected
 
 
 class TestGradcheck:

@@ -1,5 +1,7 @@
 """Corpus ingestion, windowing, synthesis, and the exact MI oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,12 +31,17 @@ def make_spec(**overrides):
 # feature files and manifests
 
 
+def one_utterance_corpus(tmp_path, frames, uid="u0"):
+    """Write a corpus of one utterance; returns its feature file."""
+    cp.write_corpus(tmp_path, [cp.Utterance(uid, frames)])
+    return tmp_path / "features" / f"{uid}.itcf"
+
+
 def test_feature_file_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((10, 39)).astype(np.float32)
-    path = tmp_path / "u.itcf"
-    cp.write_features(path, frames)
-    back = cp.read_features(path)
+    one_utterance_corpus(tmp_path, frames)
+    back = cp.load_corpus(tmp_path).utterances[0].frames
     assert back.dtype == np.float32
     assert np.array_equal(back, frames)
 
@@ -49,16 +56,14 @@ def test_feature_file_header_layout(tmp_path):
 
 
 def test_read_features_rejects_bad_magic_and_short_payload(tmp_path):
-    bad = tmp_path / "bad.itcf"
-    bad.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(cp.CorpusError):
-        cp.read_features(bad)
-    truncated = tmp_path / "trunc.itcf"
-    cp.write_features(truncated, np.zeros((4, 2), dtype=np.float32))
-    raw = truncated.read_bytes()
-    truncated.write_bytes(raw[:-4])
-    with pytest.raises(cp.CorpusError):
-        cp.read_features(truncated)
+    path = one_utterance_corpus(tmp_path, np.zeros((4, 2), dtype=np.float32))
+    raw = path.read_bytes()
+    path.write_bytes(b"NOPE" + raw[4:])
+    with pytest.raises(cp.CorpusError, match="bad magic"):
+        cp.load_corpus(tmp_path)
+    path.write_bytes(raw[:-4])
+    with pytest.raises(cp.CorpusError, match="header promises 32"):
+        cp.load_corpus(tmp_path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,17 +71,16 @@ def test_read_features_rejects_non_finite_values_naming_the_frame(tmp_path, bad)
     frames = np.ones((6, 3), dtype=np.float32)
     frames[4, 1] = bad
     frames[5, 0] = bad
-    path = tmp_path / "u.itcf"
-    cp.write_features(path, frames)
+    path = one_utterance_corpus(tmp_path, frames, "u7")
     with pytest.raises(cp.CorpusError) as err:
-        cp.read_features(path, "u7")
+        cp.load_corpus(tmp_path)
     assert "u7" in str(err.value) and "frame 4" in str(err.value) and str(path) in str(err.value)
 
 
 def test_load_corpus_single_utterance_shape(tmp_path):
     u = cp.Utterance("u0", np.arange(390, dtype=np.float32).reshape(10, 39))
     cp.write_corpus(tmp_path, [u])
-    loaded = cp.load_corpus(tmp_path / "manifest.tsv")
+    loaded = cp.load_corpus(tmp_path / "manifest.tsv").utterances
     assert len(loaded) == 1
     assert loaded[0].id == "u0"
     assert loaded[0].frames.shape == (10, 39)
@@ -91,13 +95,37 @@ def test_write_load_round_trip_preserves_floats_labels_speaker(tmp_path):
         cp.Utterance("b", rng.standard_normal((5, 4)).astype(np.float32)),
     ]
     cp.write_corpus(tmp_path, utts, metadata={"kind": "test"})
-    loaded = cp.load_corpus(tmp_path / "manifest.tsv")
+    corpus = cp.load_corpus(tmp_path / "manifest.tsv")
+    loaded = corpus.utterances
     assert [u.id for u in loaded] == ["a", "b"]
     assert np.array_equal(loaded[0].frames, utts[0].frames)
     assert loaded[0].gold_labels == utts[0].gold_labels
     assert loaded[0].speaker == "spk1"
     assert loaded[1].gold_labels is None and loaded[1].speaker is None
-    assert cp.read_manifest_metadata(tmp_path / "manifest.tsv") == {"kind": "test"}
+    assert corpus.metadata == {"kind": "test"}
+
+
+def test_corpus_hash_covers_manifest_then_each_row_files_in_order(tmp_path):
+    # a labeled row, an unlabeled one, then another labeled one
+    utts = [
+        cp.Utterance("b", np.ones((3, 2), dtype=np.float32), ["x", "y", "z"]),
+        cp.Utterance("a", np.full((2, 2), 2.0, dtype=np.float32)),
+        cp.Utterance("c", np.full((1, 2), 3.0, dtype=np.float32), ["w"]),
+    ]
+    manifest = cp.write_corpus(tmp_path, utts, metadata={"kind": "test"})
+    read = lambda rel: (tmp_path / rel).read_bytes()  # noqa: E731
+    expected = hashlib.sha256(
+        manifest.read_bytes()
+        + read("features/b.itcf") + read("labels/b.txt")
+        + read("features/a.itcf")
+        + read("features/c.itcf") + read("labels/c.txt")
+    ).hexdigest()
+    by_dir, by_manifest = cp.load_corpus(tmp_path), cp.load_corpus(manifest)
+    assert by_dir.hash == by_manifest.hash == expected
+    assert by_dir.manifest == by_manifest.manifest == manifest
+    # any byte of a listed file moves the hash
+    (tmp_path / "labels" / "c.txt").write_text("v\n")
+    assert cp.load_corpus(tmp_path).hash != expected
 
 
 def test_load_corpus_label_length_mismatch_names_utterance(tmp_path):
@@ -116,6 +144,23 @@ def test_load_corpus_missing_feature_file_names_utterance(tmp_path):
     with pytest.raises(cp.CorpusError) as err:
         cp.load_corpus(tmp_path / "manifest.tsv")
     assert "ghost" in str(err.value)
+
+
+def test_non_utf8_label_file_names_the_file_and_utterance(tmp_path):
+    cp.write_corpus(tmp_path, [cp.Utterance("u3", np.ones((2, 2)), ["a", "b"])])
+    label_file = tmp_path / "labels" / "u3.txt"
+    label_file.write_bytes(label_file.read_bytes() + b"\xff\xfe")
+    with pytest.raises(cp.CorpusError) as err:
+        cp.load_corpus(tmp_path)
+    assert str(err.value) == f"utterance 'u3': {label_file} is not UTF-8 text (byte 4)"
+
+
+def test_non_utf8_manifest_names_it(tmp_path):
+    manifest = cp.write_corpus(tmp_path, [cp.Utterance("u0", np.ones((2, 2)))])
+    manifest.write_bytes(manifest.read_bytes() + b"# junk=\xff\n")
+    with pytest.raises(cp.CorpusError) as err:
+        cp.load_corpus(tmp_path)
+    assert f"{manifest} is not UTF-8 text" in str(err.value)
 
 
 def test_utterance_invariants():

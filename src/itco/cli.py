@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .gradcheck import run_gradcheck
 from .model import CONFIRM, PREDICT
-from .trainer import TrainConfig, TrainerError, check_resume, load_checkpoint, train
+from .trainer import TrainConfig, TrainerError, check_inputs, load_checkpoint, train
 
 log = logging.getLogger(__name__)
 
@@ -206,11 +206,14 @@ def cmd_train(args) -> int:
     if dev is not None:
         _check_window_total(dev, config)
 
-    resume_state = None
-    if args.resume:
-        resume_state = load_checkpoint(Path(args.resume))
-        # a refused resume must leave the run directory's manifest as it was
-        check_resume(resume_state, config, corpus.utterances, corpus.hash)
+    resume_state = load_checkpoint(Path(args.resume)) if args.resume else None
+    if resume_state and args.stop_after is not None and args.stop_after <= resume_state.processed:
+        raise CliError(f"--stop-after {args.stop_after} does not pass the {resume_state.processed} "
+                       f"utterances the resume checkpoint has already processed", EXIT_USAGE)
+    # a refused run must leave the run directory as it was
+    usable, dev_usable = check_inputs(
+        corpus.utterances, config, dev.utterances if dev else None, resume_state, corpus.hash
+    )
 
     out = Path(args.out)
     checkpoint_dir = out / "checkpoints"
@@ -226,9 +229,9 @@ def cmd_train(args) -> int:
     write_run_manifest(out, "train", snapshot, config.seed, corpus.hash, artifacts, legs)
 
     state, records = train(
-        corpus.utterances,
+        usable,
         config,
-        dev_corpus=dev.utterances if dev is not None else None,
+        dev_corpus=dev_usable,
         metrics_path=metrics_path,
         checkpoint_dir=checkpoint_dir,
         resume=resume_state,

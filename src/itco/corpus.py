@@ -282,7 +282,8 @@ def load_corpus(path: Path) -> Corpus:
     """Read a corpus directory, or its manifest, reading each file once.
 
     Manifest rows are ``id<TAB>features[<TAB>labels[<TAB>speaker]]``, paths
-    relative to the manifest; blank lines and ``#`` lines are not rows.
+    relative to the manifest; blank lines and ``#`` lines are not rows. An
+    id may name one row only.
     """
     path = Path(path)
     manifest = path / MANIFEST if path.is_dir() else path
@@ -304,6 +305,7 @@ def load_corpus(path: Path) -> Corpus:
 
     metadata: dict[str, str] = {}
     utterances = []
+    seen: dict[str, int] = {}  # id -> the manifest line that lists it
     for lineno, line in enumerate(lines(manifest, read(manifest, "manifest")), 1):
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -316,6 +318,9 @@ def load_corpus(path: Path) -> Corpus:
         if len(parts) < 2:
             raise CorpusError(f"manifest line {lineno} needs at least id and feature path")
         uid = parts[0]
+        if uid in seen:
+            raise CorpusError(f"manifest line {lineno} repeats the id of line {seen[uid]}", uid)
+        seen[uid] = lineno
         feature_path = manifest.parent / parts[1]
         frames = _parse_features(read(feature_path, "feature file", uid), feature_path, uid)
         labels = None

@@ -1,12 +1,14 @@
 """Minimal reverse-mode differentiable core.
 
 Forward evaluation plus exact gradients for the primitives the window
-encoders and losses run: elementwise arithmetic, a batched affine map, GRU
-sequences, softmax, clamped logs and axis reductions. Values are numpy
-arrays; a forward pass over an optional Tape records one backward closure
-per primitive, and the reverse sweep replays them in exact reverse
-creation order (creation order is a topological order, so fan-out
-accumulates additively).
+encoders run: a batched affine map, GRU sequences and softmax. Values are
+numpy arrays; a forward pass over an optional Tape records one backward
+closure per primitive, and the reverse sweep replays them in exact
+reverse creation order (creation order is a topological order, so fan-out
+accumulates additively). A module may define a node of its own the same
+way: the losses in ``objective`` each record one node with
+``Tape._record`` whose backward adds into its inputs' gradients with
+``_acc``.
 
 A ``Param`` is itself a graph node: primitives take parameters directly
 as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
@@ -43,23 +45,12 @@ __all__ = [
     "Param",
     "ParamStore",
     "stream_rng",
-    "constant",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "detach",
     "affine",
-    "log_clamped",
     "softmax",
-    "sum_",
-    "mean_",
     "gru_sequence",
     "sgd_apply",
     "finite_diff_check",
 ]
-
-LOG_FLOOR = 1e-30
 
 
 class NonFiniteError(ValueError):
@@ -164,79 +155,11 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
 # primitives
 
 
-def constant(x) -> Node:
-    return Node(np.asarray(x))
-
-
 def _acc(node: Node, g: np.ndarray) -> None:
+    """Add `g` into the node's gradient, allocating it at the first gradient."""
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
     node.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Sum g down to `shape` after numpy broadcasting.
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
-
-
-def add(tape: Optional[Tape], a: Node, b: Node) -> Node:
-    out = Node(a.value + b.value)
-    if tape is not None:
-        ash, bsh = a.value.shape, b.value.shape
-
-        def bw(g):
-            _acc(a, _unbroadcast(g, ash))
-            _acc(b, _unbroadcast(g, bsh))
-
-        tape._record(out, bw)
-    return out
-
-
-def sub(tape: Optional[Tape], a: Node, b: Node) -> Node:
-    out = Node(a.value - b.value)
-    if tape is not None:
-        ash, bsh = a.value.shape, b.value.shape
-
-        def bw(g):
-            _acc(a, _unbroadcast(g, ash))
-            _acc(b, _unbroadcast(-g, bsh))
-
-        tape._record(out, bw)
-    return out
-
-
-def mul(tape: Optional[Tape], a: Node, b: Node) -> Node:
-    out = Node(a.value * b.value)
-    if tape is not None:
-        av, bv = a.value, b.value
-
-        def bw(g):
-            _acc(a, _unbroadcast(g * bv, av.shape))
-            _acc(b, _unbroadcast(g * av, bv.shape))
-
-        tape._record(out, bw)
-    return out
-
-
-def scale(tape: Optional[Tape], a: Node, c: float) -> Node:
-    out = Node(a.value * c)
-    if tape is not None:
-        def bw(g):
-            _acc(a, g * c)
-
-        tape._record(out, bw)
-    return out
-
-
-def detach(a: Node) -> Node:
-    """Same value, no gradient path."""
-    return Node(a.value)
 
 
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
@@ -263,20 +186,6 @@ def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
     return out
 
 
-def log_clamped(tape: Optional[Tape], a: Node, floor: float = LOG_FLOOR) -> Node:
-    """log(max(a, floor)); gradient is 1/a above the floor and 0 below it."""
-    clamped = np.maximum(a.value, floor)
-    out = Node(np.log(clamped))
-    if tape is not None:
-        av = a.value
-
-        def bw(g):
-            _acc(a, np.where(av > floor, g / clamped, 0.0))
-
-        tape._record(out, bw)
-    return out
-
-
 def softmax(tape: Optional[Tape], logits: Node) -> Node:
     """Max-shifted softmax along the last axis; rejects non-finite logits."""
     lv = logits.value
@@ -290,36 +199,6 @@ def softmax(tape: Optional[Tape], logits: Node) -> Node:
         def bw(g):
             inner = (g * p).sum(axis=-1, keepdims=True)
             _acc(logits, p * (g - inner))
-
-        tape._record(out, bw)
-    return out
-
-
-def sum_(tape: Optional[Tape], a: Node, axis: Optional[int] = None) -> Node:
-    out = Node(a.value.sum(axis=axis))
-    if tape is not None:
-        shape = a.value.shape
-
-        def bw(g):
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(g, shape))
-
-        tape._record(out, bw)
-    return out
-
-
-def mean_(tape: Optional[Tape], a: Node, axis: Optional[int] = None) -> Node:
-    out = Node(a.value.mean(axis=axis))
-    if tape is not None:
-        shape = a.value.shape
-        count = a.value.size if axis is None else shape[axis]
-
-        def bw(g):
-            g = g / count
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(g, shape))
 
         tape._record(out, bw)
     return out

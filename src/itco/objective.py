@@ -16,7 +16,14 @@ the marginal term with a cross entropy against a standalone trainable
 marginal, updated in alternation.
 
 Everything is reported in bits; gradients flow through natural logs with
-one conversion constant.
+one conversion constant. Logs are clamped at ``LOG_FLOOR``, so a zero
+probability costs a large finite penalty instead of infinity and passes
+no gradient.
+
+Each loss computes its terms in plain numpy and records one tape node
+whose backward is their closed-form gradient, taken in the order of the
+elementwise steps (log, product, row sum, mean, scale to bits) the terms
+are made of, so that it rounds as those steps' chain rule does.
 """
 
 from __future__ import annotations
@@ -30,8 +37,6 @@ from . import numerics as nm
 
 __all__ = [
     "ObjectiveTerms",
-    "cross_entropy_term",
-    "entropy_of_mean",
     "utterance_loss",
     "marginal_fit_loss",
     "adversarial_loss",
@@ -39,6 +44,7 @@ __all__ = [
 ]
 
 LOG2E = float(np.log2(np.e))
+LOG_FLOOR = 1e-30
 
 Dists = Union[nm.Node, np.ndarray]  # [N, Z], one distribution per window
 
@@ -55,7 +61,7 @@ class ObjectiveTerms:
 
 def _as_batch_node(dists: Dists) -> nm.Node:
     """Coerce a [N, Z] node or array to a node; N must be at least 1."""
-    node = dists if isinstance(dists, nm.Node) else nm.constant(dists)
+    node = dists if isinstance(dists, nm.Node) else nm.Node(np.asarray(dists))
     if node.value.ndim != 2:
         raise ValueError(f"distributions must form a [N, Z] matrix, got shape {node.value.shape}")
     if node.value.shape[0] == 0:
@@ -73,57 +79,37 @@ def _paired(confirm_dists: Dists, predict_dists: Dists) -> tuple[nm.Node, nm.Nod
     return confirm, predict
 
 
-def _cross_entropy_node(tape: Optional[nm.Tape], weights: nm.Node, scored: nm.Node) -> nm.Node:
-    """(1/N) sum_i sum_z weights_i[z] * (-log2 scored[z]), in bits.
+def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(p, LOG_FLOOR) and its natural log."""
+    clamped = np.maximum(p, LOG_FLOOR)
+    return clamped, np.log(clamped)
 
-    `scored` may be [N, Z] (per-window) or [Z] (one marginal broadcast over
-    the batch). Logs are clamped at 1e-30 so zero probabilities contribute
-    a large finite penalty instead of infinity.
-    """
-    logp = nm.log_clamped(tape, scored)
-    per_cell = nm.mul(tape, weights, logp)
-    per_window = nm.sum_(tape, per_cell, axis=1)
-    return nm.scale(tape, nm.mean_(tape, per_window), -LOG2E)
+
+def _log_grad(g: np.ndarray, p: np.ndarray, clamped: np.ndarray) -> np.ndarray:
+    """Gradient `g` of log(clamped) carried back to `p`; 0 at the floor."""
+    return np.where(p > LOG_FLOOR, g / clamped, 0.0)
+
+
+def _cross_entropy_bits(weights: np.ndarray, log_scored: np.ndarray):
+    """(1/N) sum_i sum_z weights_i[z] * (-log2 scored[z]) from the natural
+    log of `scored`, which is [N, Z] (per window) or [Z] (one marginal)."""
+    return (weights * log_scored).sum(axis=1).mean() * -LOG2E
 
 
 def count_saturation(weights: np.ndarray, scored: np.ndarray) -> int:
     """Cells clamped by the log floor while carrying confirm-side mass."""
-    return int(np.count_nonzero((scored < nm.LOG_FLOOR) & (weights > 0)))
+    return int(np.count_nonzero((scored < LOG_FLOOR) & (weights > 0)))
 
 
-def cross_entropy_term(
-    confirm_dists: Dists, predict_dists: Dists, tape: Optional[nm.Tape] = None
-) -> nm.Node:
-    """Exact-expectation cross entropy in bits, averaged over windows."""
-    confirm, predict = _paired(confirm_dists, predict_dists)
-    return _cross_entropy_node(tape, confirm, predict)
-
-
-def entropy_of_mean(
-    confirm_dists: Dists,
-    tape: Optional[nm.Tape] = None,
-    extra_rows: Optional[np.ndarray] = None,
-) -> nm.Node:
-    """Entropy (bits) of the batch-average confirm distribution.
-
-    ``extra_rows`` mixes in detached rows from earlier utterances (the
-    sliding-buffer global mode); gradients flow only through the current
-    batch, weighted by its share of the combined mean.
-    """
-    confirm = _as_batch_node(confirm_dists)
-    n = confirm.value.shape[0]
-    q = nm.mean_(tape, confirm, axis=0)
-    if extra_rows is not None and len(extra_rows) > 0:
-        extra_rows = np.asarray(extra_rows, dtype=confirm.value.dtype)
-        m = extra_rows.shape[0]
-        buffered = nm.constant(extra_rows.mean(axis=0))
-        q = nm.add(
-            tape,
-            nm.scale(tape, q, n / (n + m)),
-            nm.scale(tape, buffered, m / (n + m)),
-        )
-    plogp = nm.mul(tape, q, nm.log_clamped(tape, q))
-    return nm.scale(tape, nm.sum_(tape, plogp), -LOG2E)
+def _terms(ce, marginal_entropy, loss, confirm: nm.Node, predict: nm.Node, **extra):
+    return ObjectiveTerms(
+        cross_entropy_bits=float(ce),
+        marginal_entropy_bits=float(marginal_entropy),
+        mi_bound_bits=float(marginal_entropy) - float(ce),
+        loss=float(loss.value),
+        saturation_count=count_saturation(confirm.value, predict.value),
+        **extra,
+    )
 
 
 def utterance_loss(
@@ -136,33 +122,59 @@ def utterance_loss(
 
     The cross entropy is averaged over the minibatch's windows; the
     marginal term is one entropy of the batch mean and is deliberately not
-    averaged. Gradients reach the confirm side through both terms and the
-    predict side through the first only.
+    averaged. ``extra_entropy_rows`` mixes fixed rows from earlier
+    utterances into that mean (the sliding-buffer global mode); gradients
+    flow only through the current batch, weighted by its share of the
+    combined mean. Gradients reach the confirm side through both terms and
+    the predict side through the first only.
     """
     confirm, predict = _paired(confirm_dists, predict_dists)
-    ce = _cross_entropy_node(tape, confirm, predict)
-    me = entropy_of_mean(confirm, tape, extra_rows=extra_entropy_rows)
-    loss = nm.sub(tape, ce, me)
-    terms = ObjectiveTerms(
-        cross_entropy_bits=float(ce.value),
-        marginal_entropy_bits=float(me.value),
-        mi_bound_bits=float(me.value) - float(ce.value),
-        loss=float(loss.value),
-        saturation_count=count_saturation(confirm.value, predict.value),
-    )
-    return loss, terms
+    c, p = confirm.value, predict.value
+    n = c.shape[0]
+    p_clamped, log_p = _clamped_log(p)
+    ce = _cross_entropy_bits(c, log_p)
+    q, share = c.mean(axis=0), None
+    if extra_entropy_rows is not None and len(extra_entropy_rows) > 0:
+        buffered = np.asarray(extra_entropy_rows, dtype=c.dtype)
+        m = buffered.shape[0]
+        share = n / (n + m)
+        q = q * share + buffered.mean(axis=0) * (m / (n + m))
+    q_clamped, log_q = _clamped_log(q)
+    marginal_entropy = (q * log_q).sum() * -LOG2E
+    loss = nm.Node(ce - marginal_entropy)
+    if tape is not None:
+        def backward(g):
+            to_bits = -g * -LOG2E  # the marginal term enters the loss negated
+            dq = to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)
+            if share is not None:
+                dq = dq * share
+            nm._acc(confirm, np.broadcast_to(dq / n, c.shape))
+            per_cell = (g * -LOG2E) / n
+            nm._acc(confirm, per_cell * log_p)
+            nm._acc(predict, _log_grad(per_cell * c, p, p_clamped))
+
+        tape._record(loss, backward)
+    return loss, _terms(ce, marginal_entropy, loss, confirm, predict)
 
 
 def marginal_fit_loss(
     confirm_dists: Dists, marginal: nm.Node, tape: Optional[nm.Tape] = None
 ) -> nm.Node:
-    """Cross entropy (bits) of the frozen confirm batch against the marginal.
+    """Cross entropy (bits) of the frozen confirm batch against the [Z] marginal.
 
     This is the marginal model's own training loss; gradients reach only
     the marginal.
     """
-    confirm = _as_batch_node(confirm_dists)
-    return _cross_entropy_node(tape, nm.detach(confirm), marginal)
+    c = _as_batch_node(confirm_dists).value
+    clamped, log_m = _clamped_log(marginal.value)
+    loss = nm.Node(_cross_entropy_bits(c, log_m))
+    if tape is not None:
+        def backward(g):
+            per_cell = (g * -LOG2E) / c.shape[0]
+            nm._acc(marginal, _log_grad((per_cell * c).sum(axis=0), marginal.value, clamped))
+
+        tape._record(loss, backward)
+    return loss
 
 
 def adversarial_loss(
@@ -171,7 +183,7 @@ def adversarial_loss(
     marginal: nm.Node,
     tape: Optional[nm.Tape] = None,
 ) -> tuple[nm.Node, ObjectiveTerms]:
-    """The encoders' loss against a fixed (untaped) marginal.
+    """The encoders' loss against a fixed (untaped) [Z] marginal.
 
     Returns (encoder_loss, terms). The encoder loss is the predict-side
     cross entropy minus the confirm side's cross entropy against the
@@ -181,16 +193,24 @@ def adversarial_loss(
     value is reported as ``adversarial_marginal_bits``.
     """
     confirm, predict = _paired(confirm_dists, predict_dists)
-    ce = _cross_entropy_node(tape, confirm, predict)
-    marginal_ce = _cross_entropy_node(tape, confirm, marginal)
-    encoder_loss = nm.sub(tape, ce, marginal_ce)
-    me = entropy_of_mean(nm.Node(confirm.value), None)
-    terms = ObjectiveTerms(
-        cross_entropy_bits=float(ce.value),
-        marginal_entropy_bits=float(me.value),
-        mi_bound_bits=float(me.value) - float(ce.value),
-        loss=float(encoder_loss.value),
-        saturation_count=count_saturation(confirm.value, predict.value),
-        adversarial_marginal_bits=float(marginal_ce.value),
+    c, p = confirm.value, predict.value
+    n = c.shape[0]
+    p_clamped, log_p = _clamped_log(p)
+    log_m = _clamped_log(marginal.value)[1]
+    ce = _cross_entropy_bits(c, log_p)
+    marginal_ce = _cross_entropy_bits(c, log_m)
+    loss = nm.Node(ce - marginal_ce)
+    if tape is not None:
+        def backward(g):
+            nm._acc(confirm, np.broadcast_to(((-g * -LOG2E) / n) * log_m, c.shape))
+            per_cell = (g * -LOG2E) / n
+            nm._acc(confirm, per_cell * log_p)
+            nm._acc(predict, _log_grad(per_cell * c, p, p_clamped))
+
+        tape._record(loss, backward)
+    q = c.mean(axis=0)
+    marginal_entropy = (q * _clamped_log(q)[1]).sum() * -LOG2E
+    terms = _terms(
+        ce, marginal_entropy, loss, confirm, predict, adversarial_marginal_bits=float(marginal_ce)
     )
-    return encoder_loss, terms
+    return loss, terms

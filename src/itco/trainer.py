@@ -28,7 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import objective as ob
-from .corpus import Utterance, WindowGeometry, check_fields, fits, rule, window_arrays
+from .corpus import (
+    Utterance, WindowGeometry, check_fields, fits, rule, window_arrays, window_count
+)
 from .evaluation import reduce_corpus
 from .model import CONFIRM, PREDICT, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
@@ -38,7 +40,7 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "train",
-    "check_resume",
+    "check_inputs",
     "detect_dead_symbols",
     "clone_symbols",
     "save_checkpoint",
@@ -177,17 +179,63 @@ def _fresh_accum() -> dict:
 # usable utterances
 
 
-def _usable(corpus: list[Utterance], geometry: WindowGeometry) -> list[Utterance]:
+def _usable(corpus: list[Utterance], config: TrainConfig) -> list[Utterance]:
     usable = []
     for u in corpus:
-        if u.frames.shape[0] >= geometry.total:
+        if window_count(u.frames.shape[0], config.geometry, config.aligned_windows) > 0:
             usable.append(u)
         else:
             log.warning(
                 "skipping utterance %s: %d frames < window total %d",
-                u.id, u.frames.shape[0], geometry.total,
+                u.id, u.frames.shape[0], config.geometry.total,
             )
     return usable
+
+
+def check_inputs(
+    corpus: list[Utterance],
+    config: TrainConfig,
+    dev_corpus: Optional[list[Utterance]] = None,
+    resume: Optional[TrainState] = None,
+    corpus_hash: Optional[str] = None,
+) -> tuple[list[Utterance], Optional[list[Utterance]]]:
+    """The usable utterances of the training and the dev corpus, once they
+    can train `config`.
+
+    Raises TrainerError when either corpus has no usable utterance, or when
+    a usable utterance's feature dimension is not the run's. With `resume`,
+    the run's dimension is the checkpoint's, and the checkpoint must carry
+    the same config and corpus hash and must have stopped inside an epoch
+    of the usable utterances.
+    """
+    usable = _usable(corpus, config)
+    if not usable:
+        raise TrainerError("no usable utterances (all shorter than one window)")
+    if dev_corpus is not None:
+        dev_corpus = _usable(dev_corpus, config)
+        if not dev_corpus:
+            raise TrainerError("dev corpus has no usable utterances (all shorter than one window)")
+    input_dim = usable[0].frames.shape[1]
+    if resume is not None:
+        if resume.config.to_json_dict() != config.to_json_dict():
+            raise TrainerError("resume checkpoint was trained under a different config")
+        if resume.corpus_hash != corpus_hash:
+            raise TrainerError(
+                f"resume checkpoint was trained on corpus {resume.corpus_hash}, "
+                f"not on this corpus {corpus_hash}"
+            )
+        if resume.pos_in_epoch >= len(usable):
+            raise TrainerError(
+                f"resume checkpoint stopped {resume.pos_in_epoch} utterances into an epoch "
+                f"of a corpus with only {len(usable)} usable utterances"
+            )
+        input_dim = resume.input_dim
+    for role, utterances in (("utterance", usable), ("dev utterance", dev_corpus or [])):
+        for u in utterances:
+            if u.frames.shape[1] != input_dim:
+                raise TrainerError(f"{role} {u.id!r} has dimension {u.frames.shape[1]}, "
+                                   f"expected {input_dim}")
+    return usable, dev_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -530,29 +578,6 @@ def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float)
     return terms
 
 
-def check_resume(
-    state: TrainState, config: TrainConfig, corpus: list[Utterance], corpus_hash: Optional[str]
-) -> None:
-    """Raise TrainerError unless `state` can resume training `config` on `corpus`.
-
-    The checkpoint must carry the same config and corpus hash, and must have
-    stopped inside an epoch of the corpus's usable utterances.
-    """
-    if state.config.to_json_dict() != config.to_json_dict():
-        raise TrainerError("resume checkpoint was trained under a different config")
-    if state.corpus_hash != corpus_hash:
-        raise TrainerError(
-            f"resume checkpoint was trained on corpus {state.corpus_hash}, "
-            f"not on this corpus {corpus_hash}"
-        )
-    usable = sum(u.frames.shape[0] >= config.geometry.total for u in corpus)
-    if state.pos_in_epoch >= usable:
-        raise TrainerError(
-            f"resume checkpoint stopped {state.pos_in_epoch} utterances into an epoch "
-            f"of a corpus with only {usable} usable utterances"
-        )
-
-
 # a diverging run overflows in numpy before the NaN check names its step;
 # that error is the report, so numpy's own warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
@@ -579,24 +604,12 @@ def train(
     -log2(alphabet_size) with cells at the log floor, written to the stream
     first), raises TrainerError naming the step and the utterance.
     """
-    usable = _usable(corpus, config.geometry)
-    if not usable:
-        raise TrainerError("no usable utterances (all shorter than one window)")
-    if dev_corpus is not None:
-        dev_corpus = _usable(dev_corpus, config.geometry)
-        if not dev_corpus:
-            raise TrainerError("dev corpus has no usable utterances (all shorter than one window)")
+    usable, dev_corpus = check_inputs(corpus, config, dev_corpus, resume, corpus_hash)
     if resume is not None:
-        check_resume(resume, config, usable, corpus_hash)
         state = resume
     else:
         state = TrainState(config, input_dim=usable[0].frames.shape[1])
         state.corpus_hash = corpus_hash
-    for role, utterances in (("utterance", usable), ("dev utterance", dev_corpus or [])):
-        for u in utterances:
-            if u.frames.shape[1] != state.input_dim:
-                raise TrainerError(f"{role} {u.id!r} has dimension {u.frames.shape[1]}, "
-                                   f"expected {state.input_dim}")
 
     dtype = state.ep.store.dtype
     batches = [window_arrays(u, config.geometry, config.aligned_windows, dtype)[:2] for u in usable]

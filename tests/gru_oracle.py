@@ -2,8 +2,10 @@
 
 ``composed_sequence`` folds ``gru_cell`` over time, one tape node per
 elementary primitive. The primitives only this cell uses live here, not in
-the program: ``one_minus``, ``linear``, ``sigmoid``, ``tanh`` and an
-``affine`` that also takes a single vector. ``fused_sequence`` is the
+the program: ``add`` and ``mul`` (which broadcast, summing each gradient
+back to its input's shape with ``_unbroadcast``), ``one_minus``,
+``linear``, ``sigmoid``, ``tanh`` and an ``affine`` that also takes a
+single vector. ``fused_sequence`` is the
 earlier all-shapes fused node, kept verbatim: it takes one window [L, d]
 or a batch [N, L, d], with an [H] or a per-window [N, H] initial state,
 allocates fresh arrays at every step and stacks the saved state in its
@@ -27,6 +29,43 @@ def _times(w, v):
 def _sigmoid(a):
     # tanh form is overflow-free for large |x|
     return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
+def _unbroadcast(g, shape):
+    # Sum g down to `shape` after numpy broadcasting.
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    keep = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if keep:
+        g = g.sum(axis=keep, keepdims=True)
+    return g
+
+
+def add(tape, a, b):
+    out = nm.Node(a.value + b.value)
+    if tape is not None:
+        ash, bsh = a.value.shape, b.value.shape
+
+        def bw(g):
+            nm._acc(a, _unbroadcast(g, ash))
+            nm._acc(b, _unbroadcast(g, bsh))
+
+        tape._record(out, bw)
+    return out
+
+
+def mul(tape, a, b):
+    out = nm.Node(a.value * b.value)
+    if tape is not None:
+        av, bv = a.value, b.value
+
+        def bw(g):
+            nm._acc(a, _unbroadcast(g * bv, av.shape))
+            nm._acc(b, _unbroadcast(g * av, bv.shape))
+
+        tape._record(out, bw)
+    return out
 
 
 def one_minus(tape, a):
@@ -108,17 +147,17 @@ def gru_cell(tape, p, h, v):
     recurrent matrix. ``h`` may be a single [H] vector (it broadcasts over
     a batched input) or a [N, H] batch.
     """
-    r = sigmoid(tape, nm.add(tape, affine(tape, p["w_r"], p["b_r"], v), linear(tape, p["u_r"], h)))
-    u = sigmoid(tape, nm.add(tape, affine(tape, p["w_u"], p["b_u"], v), linear(tape, p["u_u"], h)))
-    rh = nm.mul(tape, r, h)
-    c = tanh(tape, nm.add(tape, affine(tape, p["w_c"], p["b_c"], v), linear(tape, p["u_c"], rh)))
-    return nm.add(tape, nm.mul(tape, u, h), nm.mul(tape, one_minus(tape, u), c))
+    r = sigmoid(tape, add(tape, affine(tape, p["w_r"], p["b_r"], v), linear(tape, p["u_r"], h)))
+    u = sigmoid(tape, add(tape, affine(tape, p["w_u"], p["b_u"], v), linear(tape, p["u_u"], h)))
+    rh = mul(tape, r, h)
+    c = tanh(tape, add(tape, affine(tape, p["w_c"], p["b_c"], v), linear(tape, p["u_c"], rh)))
+    return add(tape, mul(tape, u, h), mul(tape, one_minus(tape, u), c))
 
 
 def composed_sequence(tape, p, frames):
     h = p["h0"]
     for t in range(frames.shape[-2]):
-        h = gru_cell(tape, p, h, nm.constant(frames[..., t, :]))
+        h = gru_cell(tape, p, h, nm.Node(frames[..., t, :]))
     return h
 
 
@@ -176,6 +215,6 @@ def _fused_backward(p, frames, saved):
             nm._acc(p[f"w_{gate}"], da.T @ x)
             nm._acc(p[f"u_{gate}"], da.T @ h_in)
             nm._acc(p[f"b_{gate}"], da.sum(axis=0))
-        nm._acc(p["h0"], nm._unbroadcast(gh, p["h0"].value.shape))
+        nm._acc(p["h0"], _unbroadcast(gh, p["h0"].value.shape))
 
     return bw

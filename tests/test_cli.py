@@ -78,6 +78,11 @@ def run_dir(tmp_path_factory, corpus_dir) -> Path:
     return out
 
 
+def files_under(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def corpus_with_bad_value(src: Path, dst: Path, value: float = np.nan) -> str:
     """Copy a corpus and write `value` into frame 5 of its first utterance;
     returns that utterance's id."""
@@ -483,6 +488,46 @@ class TestTrain:
         assert f"trained on corpus {trained}, not on this corpus {refused}" in err
         # the refusal comes before the manifest would name the refused leg
         assert manifest.read_bytes() == before
+
+    @pytest.mark.parametrize("refusal", ["dev_dimension", "dev_too_short", "corpus_too_short"])
+    def test_refused_rerun_leaves_the_run_directory_as_it_was(
+        self, tmp_path, corpus_dir, capsys, refusal
+    ):
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--corpus", str(corpus_dir), "--stop-after", "10"]) == 0
+        before = files_under(out)
+        short = tmp_path / "short"  # no utterance holds a 7-frame window
+        write_corpus(short, [Utterance(f"s{i}", np.ones((3, 2), np.float32)) for i in range(2)])
+        other_dim = tmp_path / "dim3"
+        write_corpus(other_dim, [Utterance("d0", np.ones((9, 3), np.float32))])
+        corpus, dev, message = {
+            "dev_dimension": (corpus_dir, other_dim, "dev utterance 'd0' has dimension 3, expected 2"),
+            "dev_too_short": (corpus_dir, short, "dev corpus has no usable utterances"),
+            "corpus_too_short": (short, corpus_dir, "no usable utterances"),
+        }[refusal]
+        capsys.readouterr()
+        rerun = argv + ["--corpus", str(corpus), "--dev-corpus", str(dev), "--seed", "9"]
+        assert main(rerun) == 2
+        assert message in capsys.readouterr().err
+        assert files_under(out) == before
+
+    @pytest.mark.parametrize("stop_after", ["5", "20"])
+    def test_resume_stopping_at_or_before_its_checkpoint_is_usage_error(
+        self, tmp_path, corpus_dir, capsys, stop_after
+    ):
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "o"
+        argv = ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--stop-after", "20"]) == 0
+        before = files_under(out)
+        capsys.readouterr()
+        resume = ["--resume", str(out / "checkpoints" / "interrupted.itck")]
+        assert main(argv + resume + ["--stop-after", stop_after]) == 1
+        err = capsys.readouterr().err
+        assert f"--stop-after {stop_after} does not pass the 20 utterances" in err
+        assert files_under(out) == before
 
     def test_non_finite_feature_value_is_data_error(self, tmp_path, corpus_dir, capsys):
         uid = corpus_with_bad_value(corpus_dir, tmp_path / "nan", np.inf)

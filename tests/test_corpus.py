@@ -146,6 +146,20 @@ def test_load_corpus_missing_feature_file_names_utterance(tmp_path):
     assert "ghost" in str(err.value)
 
 
+def test_repeated_utterance_id_names_the_id_and_both_lines(tmp_path):
+    manifest = cp.write_corpus(
+        tmp_path, [cp.Utterance(uid, np.ones((2, 2))) for uid in ("u0", "u1")]
+    )
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    rows = [i + 1 for i, line in enumerate(lines) if line and not line.startswith("#")]
+    manifest.write_text("\n".join(lines + [lines[rows[0] - 1]]) + "\n", encoding="utf-8")
+    with pytest.raises(cp.CorpusError) as err:
+        cp.load_corpus(tmp_path)
+    assert str(err.value) == (
+        f"utterance 'u0': manifest line {len(lines) + 1} repeats the id of line {rows[0]}"
+    )
+
+
 def test_non_utf8_label_file_names_the_file_and_utterance(tmp_path):
     cp.write_corpus(tmp_path, [cp.Utterance("u3", np.ones((2, 2)), ["a", "b"])])
     label_file = tmp_path / "labels" / "u3.txt"

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from itco import gradcheck as gc
 from itco import numerics as nm
-from itco.gradcheck import run_gradcheck
+from itco import objective as ob
+from itco.gradcheck import projected, run_gradcheck
 
 
 def make_store(dtype=np.float64):
@@ -30,7 +31,7 @@ def test_affine_identity_passthrough():
     w = store.add("w", np.eye(3))
     b = store.add("b", np.zeros(3))
     tape = nm.Tape()
-    v = nm.constant(np.array([[1.5, -2.0, 0.25]]))
+    v = nm.Node(np.array([[1.5, -2.0, 0.25]]))
     out = nm.affine(tape, w, b, v)
     assert np.array_equal(out.value, v.value)
 
@@ -39,7 +40,7 @@ def test_affine_zero_map_gives_zeros():
     store = make_store()
     w = store.add("w", np.zeros((2, 3)))
     b = store.add("b", np.zeros(2))
-    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.constant(np.ones((4, 3))))
+    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.Node(np.ones((4, 3))))
     assert np.array_equal(out.value, np.zeros((4, 2)))
 
 
@@ -51,10 +52,10 @@ def test_affine_forward_and_grads_match_hand_arithmetic():
     w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = store.add("b", np.array([0.5, -0.5]))
     tape = nm.Tape()
-    v = nm.constant(np.array([[1.0, -1.0], [0.0, 1.0]]))
+    v = nm.Node(np.array([[1.0, -1.0], [0.0, 1.0]]))
     out = nm.affine(tape, w, b, v)
     assert np.allclose(out.value, [[-0.5, -1.5], [2.5, 3.5]])
-    tape.backward(nm.sum_(tape, out))
+    tape.backward(projected(tape, out, 1.0))
     assert np.allclose(w.grad, [[1.0, 0.0], [1.0, 0.0]])
     assert np.allclose(b.grad, [2.0, 2.0])
     assert np.allclose(v.grad, [[4.0, 6.0], [4.0, 6.0]])
@@ -65,9 +66,9 @@ def test_affine_batched_matches_per_row():
     wv = rng.standard_normal((4, 3))
     bv = rng.standard_normal(4)
     batch = rng.standard_normal((5, 3))
-    out = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.constant(batch))
+    out = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.Node(batch))
     for i in range(5):
-        row = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.constant(batch[i : i + 1]))
+        row = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.Node(batch[i : i + 1]))
         assert np.allclose(out.value[i], row.value[0])
         assert np.allclose(out.value[i], wv @ batch[i] + bv)
 
@@ -76,16 +77,16 @@ def test_affine_rejects_shape_mismatch():
     w = nm.Node(np.zeros((2, 3)))
     b = nm.Node(np.zeros(2))
     with pytest.raises(ValueError):
-        nm.affine(None, w, b, nm.constant(np.zeros((1, 4))))
+        nm.affine(None, w, b, nm.Node(np.zeros((1, 4))))
     with pytest.raises(ValueError):
-        nm.affine(None, w, nm.Node(np.zeros(3)), nm.constant(np.zeros((1, 3))))
+        nm.affine(None, w, nm.Node(np.zeros(3)), nm.Node(np.zeros((1, 3))))
     # a single vector is a batch of one, [1, n]
     with pytest.raises(ValueError):
-        nm.affine(None, w, b, nm.constant(np.zeros(3)))
+        nm.affine(None, w, b, nm.Node(np.zeros(3)))
     # a stack of batches [B, N, n] runs untaped only
     with pytest.raises(ValueError):
-        nm.affine(nm.Tape(), w, b, nm.constant(np.zeros((2, 1, 3))))
-    assert nm.affine(None, w, b, nm.constant(np.zeros((2, 1, 3)))).value.shape == (2, 1, 2)
+        nm.affine(nm.Tape(), w, b, nm.Node(np.zeros((2, 1, 3))))
+    assert nm.affine(None, w, b, nm.Node(np.zeros((2, 1, 3)))).value.shape == (2, 1, 2)
 
 
 def test_fan_out_accumulates_additively():
@@ -93,9 +94,9 @@ def test_fan_out_accumulates_additively():
     store = make_store()
     w = store.add("w", np.array([1.0, 2.0]))
     tape = nm.Tape()
-    lhs = nm.mul(tape, w, nm.constant(np.array([3.0, 5.0])))
-    rhs = nm.mul(tape, w, nm.constant(np.array([7.0, 11.0])))
-    tape.backward(nm.sum_(tape, nm.add(tape, lhs, rhs)))
+    lhs = gru_oracle.mul(tape, w, nm.Node(np.array([3.0, 5.0])))
+    rhs = gru_oracle.mul(tape, w, nm.Node(np.array([7.0, 11.0])))
+    tape.backward(projected(tape, gru_oracle.add(tape, lhs, rhs), 1.0))
     assert np.allclose(w.grad, [10.0, 16.0])
 
 
@@ -108,7 +109,7 @@ def test_param_leaf_accumulates_across_tapes_until_dropped():
     assert isinstance(w, nm.Node) and w.grad is None
     for _ in range(2):
         tape = nm.Tape()
-        tape.backward(nm.sum_(tape, nm.mul(tape, w, nm.constant(np.array([3.0, 5.0])))))
+        tape.backward(projected(tape, w, np.array([3.0, 5.0])))
     assert np.array_equal(w.grad, [6.0, 10.0])
     assert unused.grad is None
     store.zero_grads()
@@ -123,39 +124,20 @@ def test_linear_loss_gradient_is_exact():
     c = np.array([2.0, -1.0, 0.5])
 
     def loss_fn(tape):
-        return nm.sum_(tape, nm.mul(tape, store["w"], nm.constant(c)))
+        return projected(tape, store["w"], c)
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-10
 
 
-def test_detach_blocks_gradient():
-    store = make_store()
-    w = store.add("w", np.array([2.0]))
-    tape = nm.Tape()
-    blocked = nm.detach(nm.mul(tape, w, w))
-    live = nm.mul(tape, w, nm.constant(np.array([3.0])))
-    tape.backward(nm.sum_(tape, nm.add(tape, nm.mul(tape, blocked, nm.constant(np.array([100.0]))), live)))
-    assert np.allclose(w.grad, [3.0])
-
-
 def test_backward_requires_scalar_root():
     tape = nm.Tape()
-    vec = nm.add(tape, nm.constant(np.zeros(2)), nm.constant(np.ones(2)))
+    vec = nm.softmax(tape, nm.Node(np.zeros(2)))
     with pytest.raises(ValueError):
         tape.backward(vec)
 
 
-def test_log_clamped_floors_value_and_zeroes_gradient_below_floor():
-    tape = nm.Tape()
-    a = nm.constant(np.array([0.5, 0.0, 1e-40]))
-    out = nm.log_clamped(tape, a, floor=1e-30)
-    assert np.allclose(out.value, [np.log(0.5), np.log(1e-30), np.log(1e-30)])
-    tape.backward(nm.sum_(tape, out))
-    assert np.allclose(a.grad, [2.0, 0.0, 0.0])
-
-
 def test_sigmoid_tanh_values():
-    x = nm.constant(np.array([0.0, 2.0, -2.0]))
+    x = nm.Node(np.array([0.0, 2.0, -2.0]))
     s = gru_oracle.sigmoid(None, x)
     t = gru_oracle.tanh(None, x)
     assert np.allclose(s.value, 1.0 / (1.0 + np.exp(-x.value)))
@@ -163,7 +145,7 @@ def test_sigmoid_tanh_values():
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
-    s = gru_oracle.sigmoid(None, nm.constant(np.array([-1e4, 1e4])))
+    s = gru_oracle.sigmoid(None, nm.Node(np.array([-1e4, 1e4])))
     assert np.all(np.isfinite(s.value))
     assert np.allclose(s.value, [0.0, 1.0])
     # the program's in-place gates: biases of +1e4 open both gates and keep
@@ -176,23 +158,23 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 
 def test_softmax_uniform_logits_give_uniform_probabilities():
-    p = nm.softmax(None, nm.constant(np.zeros(8)))
+    p = nm.softmax(None, nm.Node(np.zeros(8)))
     assert np.allclose(p.value, np.full(8, 0.125))
 
 
 def test_softmax_is_shift_invariant_and_overflow_safe():
     logits = np.array([1.0, 2.0, 3.0])
-    big = nm.softmax(None, nm.constant(logits + 5000.0))
-    small = nm.softmax(None, nm.constant(logits))
+    big = nm.softmax(None, nm.Node(logits + 5000.0))
+    small = nm.softmax(None, nm.Node(logits))
     assert np.all(np.isfinite(big.value))
     assert np.allclose(big.value, small.value)
 
 
 def test_softmax_rejects_non_finite_logits():
     with pytest.raises(ValueError):
-        nm.softmax(None, nm.constant(np.array([0.0, np.nan])))
+        nm.softmax(None, nm.Node(np.array([0.0, np.nan])))
     with pytest.raises(ValueError):
-        nm.softmax(None, nm.constant(np.array([0.0, np.inf])))
+        nm.softmax(None, nm.Node(np.array([0.0, np.inf])))
 
 
 def test_softmax_gradient_matches_finite_differences():
@@ -202,7 +184,7 @@ def test_softmax_gradient_matches_finite_differences():
 
     def loss_fn(tape):
         p = nm.softmax(tape, store["logits"])
-        return nm.sum_(tape, nm.mul(tape, nm.log_clamped(tape, p), nm.constant(target)))
+        return projected(tape, p, target)
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8
 
@@ -226,8 +208,8 @@ def test_gru_cell_all_zero_parameters_halves_hidden_state():
     for name in nm.GRU_SLOTS:
         shape = (2,) if name.startswith("b") else (2, 2)
         params[name] = nm.Node(store.add(name, np.zeros(shape)).value)
-    h = nm.constant(np.array([0.4, -0.8]))
-    v = nm.constant(np.array([1.0, 1.0]))
+    h = nm.Node(np.array([0.4, -0.8]))
+    v = nm.Node(np.array([1.0, 1.0]))
     out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, [0.2, -0.4])
     seq = nm.gru_sequence(None, _single_step_params(h.value), v.value.reshape(1, 1, 2))
@@ -245,8 +227,8 @@ def test_gru_cell_saturated_gates_pin_output():
             params[name] = nm.Node(np.zeros(3))
         else:
             params[name] = nm.Node(np.zeros((3, 3)))
-    h = nm.constant(np.array([0.9, -0.3, 0.5]))
-    v = nm.constant(np.array([0.1, 0.2, 0.3]))
+    h = nm.Node(np.array([0.9, -0.3, 0.5]))
+    v = nm.Node(np.array([0.1, 0.2, 0.3]))
     out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, -np.ones(3), atol=1e-6)
     seq_params = _single_step_params(h.value, b_u=-50.0, b_c=-50.0)
@@ -306,7 +288,7 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
         params = dict(store.items())
         out = sequence(tape, params, frames)
         nodes = len(tape._nodes)
-        tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
+        tape.backward(projected(tape, out, weights))
         return out.value, nodes, {name: param.grad.copy() for name, param in store.items()}
 
     composed, _, composed_grads = run(gru_oracle.composed_sequence)
@@ -368,7 +350,7 @@ def test_reference_gru_sequence_gradcheck(frames_shape, h0_shape, seed):
 
     def loss_fn(tape):
         out = gru_oracle.fused_sequence(tape, dict(store.items()), frames)
-        return nm.sum_(tape, nm.mul(tape, out, nm.constant(weights)))
+        return projected(tape, out, weights)
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-3
 
@@ -377,7 +359,7 @@ def _taped_grads(sequence, store, frames, weights):
     store.zero_grads()
     tape = nm.Tape()
     out = sequence(tape, dict(store.items()), frames)
-    tape.backward(nm.sum_(tape, nm.mul(tape, out, nm.constant(weights))))
+    tape.backward(projected(tape, out, weights))
     return out.value, {name: param.grad for name, param in store.items()}
 
 
@@ -434,7 +416,7 @@ def test_gru_sequence_interleaved_calls_share_no_state():
         this.zero_grads()
         tape = nm.Tape()
         out = nm.gru_sequence(tape, dict(this.items()), frames)
-        root = nm.sum_(tape, nm.mul(tape, out, nm.constant(weights)))
+        root = projected(tape, out, weights)
         n2, steps2 = shapes[(i + 3) % len(shapes)]
         frames2 = rng.standard_normal((n2, steps2, d)).astype(np.float32)
         nm.gru_sequence(None, dict(this.items()), frames2)
@@ -458,7 +440,7 @@ def test_gru_backward_reuses_its_scratch():
     def taped_forward():
         store.zero_grads()
         tape = nm.Tape()
-        return tape, nm.sum_(tape, nm.gru_sequence(tape, dict(store.items()), frames))
+        return tape, projected(tape, nm.gru_sequence(tape, dict(store.items()), frames), 1.0)
 
     tape, root = taped_forward()
     tape.backward(root)
@@ -492,7 +474,9 @@ def _random_gru_store(seed, d=2, hdim=3, z=4):
 @pytest.mark.parametrize("seed", range(5))
 def test_gru_softmax_pipeline_gradcheck(seed):
     # End-to-end through every primitive: fold a GRU over a small batch of
-    # windows, map to symbol probabilities, and score a weighted log loss.
+    # windows, map to symbol probabilities, and score them with the
+    # utterance loss against fixed weights, whose gradient is the weighted
+    # log loss's.
     store, rng = _random_gru_store(seed)
     frames = rng.uniform(-1.0, 1.0, size=(2, 3, 2))
     weights = rng.uniform(0.1, 1.0, size=(2, 4))
@@ -502,9 +486,7 @@ def test_gru_softmax_pipeline_gradcheck(seed):
         gru["h0"] = store["gru.h0"]
         h = nm.gru_sequence(tape, gru, frames)
         logits = nm.affine(tape, store["out.w"], store["out.b"], h)
-        logp = nm.log_clamped(tape, nm.softmax(tape, logits))
-        per_window = nm.sum_(tape, nm.mul(tape, logp, nm.constant(weights)), axis=1)
-        return nm.scale(tape, nm.mean_(tape, per_window), -1.0)
+        return ob.utterance_loss(weights, nm.softmax(tape, logits), tape)[0]
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-3
 
@@ -520,20 +502,15 @@ def test_every_primitive_gradient_across_100_seeds():
         w = store.add("w", rng.uniform(-1.0, 1.0, size=(4, 3)))
         bias = store.add("bias", rng.uniform(-0.5, 0.5, size=4))
         checks = {
-            "affine_vector": lambda t: nm.sum_(t, gru_oracle.affine(t, w, bias, b)),
-            "affine_batched": lambda t: nm.sum_(t, nm.affine(t, w, bias, a)),
-            "linear": lambda t: nm.sum_(t, gru_oracle.linear(t, w, a)),
-            "add": lambda t: nm.sum_(t, nm.add(t, a, b)),
-            "sub": lambda t: nm.sum_(t, nm.sub(t, a, b)),
-            "mul": lambda t: nm.sum_(t, nm.mul(t, a, b)),
-            "scale": lambda t: nm.sum_(t, nm.scale(t, a, -0.7)),
-            "one_minus": lambda t: nm.sum_(t, gru_oracle.one_minus(t, a)),
-            "sigmoid": lambda t: nm.sum_(t, gru_oracle.sigmoid(t, a)),
-            "tanh": lambda t: nm.sum_(t, gru_oracle.tanh(t, a)),
-            "log_clamped": lambda t: nm.sum_(t, nm.log_clamped(t, b)),
-            "softmax": lambda t: nm.sum_(t, nm.mul(t, nm.softmax(t, a), nm.constant(np.arange(3.0)))),
-            "mean_axis": lambda t: nm.sum_(t, nm.mean_(t, a, axis=0)),
-            "mean_all": lambda t: nm.mean_(t, a),
+            "affine_vector": lambda t: projected(t, gru_oracle.affine(t, w, bias, b), 1.0),
+            "affine_batched": lambda t: projected(t, nm.affine(t, w, bias, a), 1.0),
+            "linear": lambda t: projected(t, gru_oracle.linear(t, w, a), 1.0),
+            "add": lambda t: projected(t, gru_oracle.add(t, a, b), 1.0),
+            "mul": lambda t: projected(t, gru_oracle.mul(t, a, b), 1.0),
+            "one_minus": lambda t: projected(t, gru_oracle.one_minus(t, a), 1.0),
+            "sigmoid": lambda t: projected(t, gru_oracle.sigmoid(t, a), 1.0),
+            "tanh": lambda t: projected(t, gru_oracle.tanh(t, a), 1.0),
+            "softmax": lambda t: projected(t, nm.softmax(t, a), np.arange(3.0)),
         }
         for name, fn in checks.items():
             err = nm.finite_diff_check(fn, store, epsilon=1e-5)
@@ -561,9 +538,9 @@ def _oracle_gradcheck_cases(seed):
 
     def gru_cell_loss(tape):
         p = dict(store.items())
-        h = nm.add(tape, p.pop("h0"), nm.constant(h_in))
-        out = gru_oracle.gru_cell(tape, p, h, nm.constant(v_in))
-        return nm.sum_(tape, nm.mul(tape, out, nm.constant(r)))
+        h = gru_oracle.add(tape, p.pop("h0"), nm.Node(h_in))
+        out = gru_oracle.gru_cell(tape, p, h, nm.Node(v_in))
+        return projected(tape, out, r)
 
     return cases + [("gru_cell", store, gru_cell_loss)]
 
@@ -583,7 +560,7 @@ def test_linear_case_is_nearly_exact():
     cases = {name: (store, loss_fn) for name, store, loss_fn in _oracle_gradcheck_cases(0)}
     store, loss_fn = cases["linear"]
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8
-    assert dict(run_gradcheck(seed=0))["add"] < 1e-8
+    assert dict(run_gradcheck(seed=0))["affine_batch"] < 1e-8
 
 
 def test_numerics_exports_only_what_the_program_runs():
@@ -609,7 +586,7 @@ def test_numerics_exports_only_what_the_program_runs():
 
 def test_softmax_strictly_positive_for_moderate_logits():
     rng = np.random.default_rng(13)
-    p = nm.softmax(None, nm.constant(rng.uniform(-30, 30, size=64))).value
+    p = nm.softmax(None, nm.Node(rng.uniform(-30, 30, size=64))).value
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) < 1e-12
 
@@ -632,8 +609,8 @@ def test_sgd_descends_convex_quadratic_monotonically():
     store.add("p", np.zeros(3))
 
     def loss(tape):
-        diff = nm.sub(tape, store["p"], nm.constant(target))
-        return nm.sum_(tape, nm.mul(tape, diff, diff))
+        diff = gru_oracle.add(tape, store["p"], nm.Node(-target))
+        return projected(tape, gru_oracle.mul(tape, diff, diff), 1.0)
 
     prev = float(loss(None).value)
     for _ in range(25):
@@ -675,7 +652,7 @@ finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 @given(st.lists(finite_floats, min_size=1, max_size=16))
 @settings(max_examples=50, deadline=None)
 def test_softmax_normalizes_for_any_finite_logits(logits):
-    p = nm.softmax(None, nm.constant(np.array(logits))).value
+    p = nm.softmax(None, nm.Node(np.array(logits))).value
     assert np.all(np.isfinite(p))
     assert np.all(p >= 0)
     assert abs(p.sum() - 1.0) < 1e-9
@@ -684,7 +661,7 @@ def test_softmax_normalizes_for_any_finite_logits(logits):
 @given(st.lists(finite_floats, min_size=1, max_size=16))
 @settings(max_examples=50, deadline=None)
 def test_sigmoid_and_tanh_stay_bounded(xs):
-    x = nm.constant(np.array(xs))
+    x = nm.Node(np.array(xs))
     s = gru_oracle.sigmoid(None, x).value
     assert np.all((s >= 0) & (s <= 1))
     assert np.all(np.abs(gru_oracle.tanh(None, x).value) <= 1)
@@ -693,14 +670,15 @@ def test_sigmoid_and_tanh_stay_bounded(xs):
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_broadcast_mul_gradients_match_finite_differences(seed):
-    # mul with a [N, n] batch against a [n] vector exercises unbroadcast.
+    # the oracle's mul with a [N, n] batch against a [n] vector exercises
+    # its unbroadcast
     rng = np.random.default_rng(seed)
     store = nm.ParamStore(dtype=np.float64)
     store.add("vec", rng.uniform(-1.0, 1.0, size=3))
     batch = rng.uniform(-1.0, 1.0, size=(4, 3))
 
     def loss_fn(tape):
-        prod = nm.mul(tape, nm.constant(batch), store["vec"])
-        return nm.sum_(tape, nm.mean_(tape, prod, axis=0))
+        prod = gru_oracle.mul(tape, nm.Node(batch), store["vec"])
+        return projected(tape, prod, 1.0 / len(batch))
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-8

@@ -33,48 +33,67 @@ def side_names(ep, side):
     return [name for name, _ in ep.store.items() if name.startswith(f"{side}.")]
 
 
+def terms_of(confirm, predict=None, **kwargs):
+    """The utterance loss's terms; `predict` defaults to `confirm`."""
+    return ob.utterance_loss(confirm, confirm if predict is None else predict, **kwargs)[1]
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 
 
 def test_cross_entropy_one_hot_vs_uniform_64_is_six_bits():
-    ce = ob.cross_entropy_term(one_hots([17], 64), uniform(1, 64))
-    assert abs(float(ce.value) - 6.0) < 1e-12
+    ce = terms_of(one_hots([17], 64), uniform(1, 64)).cross_entropy_bits
+    assert abs(ce - 6.0) < 1e-12
 
 
 def test_cross_entropy_equal_batches_equals_mean_entropy():
     rng = np.random.default_rng(0)
     batch = dirichlet_batch(rng, 5, 8)
-    ce = float(ob.cross_entropy_term(batch, batch).value)
+    ce = terms_of(batch).cross_entropy_bits
     mean_h = np.mean([row_entropy_bits(p) for p in batch])
     assert abs(ce - mean_h) < 1e-9
 
 
 def test_cross_entropy_two_symbol_hand_case():
-    ce = ob.cross_entropy_term(one_hots([0], 2), np.array([[0.5, 0.5]]))
-    assert abs(float(ce.value) - 1.0) < 1e-12
+    ce = terms_of(one_hots([0], 2), np.array([[0.5, 0.5]])).cross_entropy_bits
+    assert abs(ce - 1.0) < 1e-12
 
 
 def test_cross_entropy_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        ob.cross_entropy_term(uniform(1, 4), uniform(2, 4))
+        ob.utterance_loss(uniform(1, 4), uniform(2, 4))
     with pytest.raises(ValueError):
-        ob.cross_entropy_term(uniform(1, 4), uniform(1, 5))
+        ob.utterance_loss(uniform(1, 4), uniform(1, 5))
     with pytest.raises(ValueError):
-        ob.cross_entropy_term(uniform(0, 4), uniform(0, 4))
+        ob.utterance_loss(uniform(0, 4), uniform(0, 4))
     with pytest.raises(ValueError):
-        ob.cross_entropy_term(uniform(1, 4)[0], uniform(1, 4)[0])
+        ob.utterance_loss(uniform(1, 4)[0], uniform(1, 4)[0])
 
 
 def test_cross_entropy_clamps_zeros_and_counts_saturation():
     confirm = np.array([[1.0, 0.0]])
     predict = np.array([[0.0, 1.0]])
-    ce = ob.cross_entropy_term(confirm, predict)
-    assert np.isfinite(ce.value)
+    ce = terms_of(confirm, predict).cross_entropy_bits
+    assert np.isfinite(ce)
     # clamped at 1e-30: -log2(1e-30) = 30*log2(10)
-    assert abs(float(ce.value) - 30 * np.log2(10)) < 1e-9
+    assert abs(ce - 30 * np.log2(10)) < 1e-9
     assert ob.count_saturation(confirm, predict) == 1
     assert ob.count_saturation(confirm, np.array([[0.5, 0.5]])) == 0
+
+
+def test_log_clamped_floors_value_and_zeroes_gradient_below_floor():
+    # predict cells at 0 and below the 1e-30 floor cost -log2(1e-30) bits
+    # per unit of confirm mass and pass no gradient; the cell at 0.5 passes
+    # d/dp of -c*log2(p), which is -c/(p ln 2)
+    confirm = nm.Node(np.array([[0.5, 0.25, 0.25]]))
+    predict = nm.Node(np.array([[0.5, 0.0, 1e-40]]))
+    tape = nm.Tape()
+    loss, terms = ob.utterance_loss(confirm, predict, tape)
+    assert abs(terms.cross_entropy_bits - (0.5 + 0.5 * 30 * np.log2(10))) < 1e-9
+    assert terms.saturation_count == 2
+    tape.backward(loss)
+    assert np.allclose(predict.grad, [[-ob.LOG2E, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -83,19 +102,19 @@ def test_cross_entropy_clamps_zeros_and_counts_saturation():
 
 def test_entropy_of_mean_64_one_hots_covering_alphabet():
     batch = one_hots(range(64), 64)
-    assert abs(float(ob.entropy_of_mean(batch).value) - 6.0) < 1e-12
+    assert abs(terms_of(batch).marginal_entropy_bits - 6.0) < 1e-12
 
 
 def test_entropy_of_mean_identical_one_hots_is_zero():
     batch = one_hots([3] * 10, 64)
-    assert abs(float(ob.entropy_of_mean(batch).value)) < 1e-12
+    assert abs(terms_of(batch).marginal_entropy_bits) < 1e-12
 
 
 def test_entropy_of_mean_with_buffer_matches_pooled_oracle():
     rng = np.random.default_rng(1)
     batch = rng.dirichlet(np.ones(6), size=4)
     buffer = rng.dirichlet(np.ones(6), size=12)
-    got = float(ob.entropy_of_mean(batch, extra_rows=buffer).value)
+    got = terms_of(batch, extra_entropy_rows=buffer).marginal_entropy_bits
     pooled = np.vstack([batch, buffer]).mean(axis=0)
     want = float(-(pooled * np.log2(pooled)).sum())
     assert abs(got - want) < 1e-12
@@ -167,14 +186,19 @@ def test_objective_gradient_with_entropy_buffer():
 
 
 def test_predict_side_gets_no_gradient_from_entropy_term():
+    # the predict side's gradient is the cross entropy's alone,
+    # d/dp of -(1/N) sum c*log2(p) = -c/(N p ln 2), in both entropy modes
     ep, x, y = build_toy_encoders(5)
-    tape = nm.Tape()
-    confirm = ep.encode_node(CONFIRM, y, tape)
-    ep.encode_node(PREDICT, x, tape)
-    tape.backward(ob.entropy_of_mean(confirm, tape))
-    for name in side_names(ep, PREDICT):
-        assert ep.store[name].grad is None
-    assert sum(np.abs(ep.store[n].grad).sum() for n in side_names(ep, CONFIRM)) > 0
+    buffer = np.random.default_rng(10).dirichlet(np.ones(4), size=3)
+    for extra in (None, buffer):
+        tape = nm.Tape()
+        confirm = ep.encode_node(CONFIRM, y, tape)
+        predict = ep.encode_node(PREDICT, x, tape)
+        loss, _ = ob.utterance_loss(confirm, predict, tape, extra_entropy_rows=extra)
+        tape.backward(loss)
+        n = confirm.value.shape[0]
+        assert np.allclose(predict.grad, -ob.LOG2E * confirm.value / (n * predict.value), rtol=1e-12)
+        assert np.abs(confirm.grad).sum() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +209,7 @@ def test_adversarial_uniform_marginal_costs_log_alphabet():
     rng = np.random.default_rng(3)
     confirm = dirichlet_batch(rng, 5, 64)
     predict = dirichlet_batch(rng, 5, 64)
-    marginal = nm.constant(np.full(64, 1 / 64))
+    marginal = nm.Node(np.full(64, 1 / 64))
     _, terms = ob.adversarial_loss(confirm, predict, marginal)
     assert abs(float(ob.marginal_fit_loss(confirm, marginal).value) - 6.0) < 1e-9
     assert abs(terms.adversarial_marginal_bits - 6.0) < 1e-9
@@ -195,7 +219,7 @@ def test_adversarial_marginal_at_batch_average_hits_entropy_of_mean():
     rng = np.random.default_rng(4)
     confirm = dirichlet_batch(rng, 8, 6)
     predict = dirichlet_batch(rng, 8, 6)
-    marginal = nm.constant(confirm.mean(axis=0))
+    marginal = nm.Node(confirm.mean(axis=0))
     _, terms = ob.adversarial_loss(confirm, predict, marginal)
     marginal_loss = float(ob.marginal_fit_loss(confirm, marginal).value)
     assert abs(marginal_loss - terms.marginal_entropy_bits) < 1e-9
@@ -234,7 +258,7 @@ def test_marginal_training_approaches_entropy_of_mean():
     confirm = rng.dirichlet(np.ones(8), size=16)
     store = nm.ParamStore(dtype=np.float64)
     logits = store.add("logits", np.zeros(8))
-    target = float(ob.entropy_of_mean(confirm).value)
+    target = terms_of(confirm).marginal_entropy_bits
     for _ in range(200):
         tape = nm.Tape()
         tape.backward(ob.marginal_fit_loss(confirm, nm.softmax(tape, logits), tape))
@@ -255,9 +279,9 @@ def test_gibbs_inequality_and_ranges(seed):
     n, z = int(rng.integers(1, 6)), int(rng.integers(2, 7))
     confirm = rng.dirichlet(np.ones(z), size=n)
     predict = rng.dirichlet(np.ones(z), size=n)
-    ce = float(ob.cross_entropy_term(confirm, predict).value)
+    terms = terms_of(confirm, predict)
+    ce, me = terms.cross_entropy_bits, terms.marginal_entropy_bits
     mean_h = float(np.mean([-(p[p > 0] * np.log2(p[p > 0])).sum() for p in confirm]))
-    me = float(ob.entropy_of_mean(confirm).value)
     assert ce >= mean_h - 1e-9  # Gibbs
     assert me >= mean_h - 1e-9  # concavity of entropy
     assert -1e-12 <= me <= np.log2(z) + 1e-9
@@ -267,11 +291,11 @@ def test_gibbs_inequality_and_ranges(seed):
 def test_gibbs_equality_iff_equal():
     rng = np.random.default_rng(7)
     batch = rng.dirichlet(np.ones(5), size=4)
-    ce_equal = float(ob.cross_entropy_term(batch, batch).value)
+    ce_equal = terms_of(batch).cross_entropy_bits
     mean_h = float(np.mean([-(p * np.log2(p)).sum() for p in batch]))
     assert abs(ce_equal - mean_h) < 1e-9
     other = rng.dirichlet(np.ones(5), size=4)
-    assert float(ob.cross_entropy_term(batch, other).value) > mean_h + 1e-6
+    assert terms_of(batch, other).cross_entropy_bits > mean_h + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +324,6 @@ def test_matches_brute_force_on_random_instances():
         n, z = int(rng.integers(1, 5)), int(rng.integers(2, 6))
         confirm = rng.dirichlet(np.ones(z), size=n)
         predict = rng.dirichlet(np.ones(z), size=n)
-        assert abs(float(ob.cross_entropy_term(confirm, predict).value)
-                   - brute_cross_entropy(confirm, predict)) < 1e-9
-        assert abs(float(ob.entropy_of_mean(confirm).value)
-                   - brute_entropy_of_mean(confirm)) < 1e-9
+        terms = terms_of(confirm, predict)
+        assert abs(terms.cross_entropy_bits - brute_cross_entropy(confirm, predict)) < 1e-9
+        assert abs(terms.marginal_entropy_bits - brute_entropy_of_mean(confirm)) < 1e-9

@@ -409,6 +409,33 @@ def test_resume_refuses_another_corpus(tmp_path):
 # the loop
 
 
+@pytest.mark.parametrize(
+    "mode, entropy_mode, nodes",
+    [("base", "per_utterance", [7]), ("base", "global", [7]), ("adversarial", "per_utterance", [7, 2])],
+)
+def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mode, nodes):
+    # each encoder side tapes its GRU sequence, affine map and softmax, and
+    # the loss is one node more; the adversarial marginal's own tape holds
+    # its softmax and its loss
+    tapes = []
+
+    class RecordedTape(tr.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(tr, "Tape", RecordedTape)
+    utts, _ = tiny_corpus()
+    config = tiny_config(mode=mode, entropy_mode=entropy_mode)
+    state = tr.TrainState(config, input_dim=utts[0].frames.shape[1])
+    x, y, _ = window_arrays(utts[0], config.geometry, True, np.float32)
+    for step in range(2):  # the second global-mode step mixes in the first's rows
+        tapes.clear()
+        tr._train_minibatch(state, x, y, 0.1)
+        assert [len(tape._nodes) for tape in tapes] == nodes, step
+    assert state.entropy_buffer.shape[0] == (2 * len(x) if entropy_mode == "global" else 0)
+
+
 def test_train_rejects_empty_and_unusably_short_corpora():
     config = tiny_config()
     with pytest.raises(tr.TrainerError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import objective as ob
-from .model import CONFIRM, PREDICT, EncoderParams
+from .model import CONFIRM, PREDICT, SIDES, EncoderParams
 
 TAG_GRADCHECK = 777
 HIDDEN, INPUT = 4, 3  # GRU cases: hidden width and frame width
@@ -29,10 +29,16 @@ def case_rng(seed: int, name: str) -> np.random.Generator:
 
 def projected(tape, node, r):
     """sum(node * r): a random fixed projection to a scalar, so sign errors
-    cannot cancel, as one tape node."""
-    out = nm.Node((node.value * r).sum())
+    cannot cancel, as one tape node. A tuple of nodes is projected by the
+    rows of `r`, one row per node."""
+    nodes, weights = (node, r) if isinstance(node, tuple) else ((node,), (r,))
+    out = nm.Node(sum((n.value * w).sum() for n, w in zip(nodes, weights)))
     if tape is not None:
-        tape._record(out, lambda g: nm._acc(node, g * r))
+        def backward(g):
+            for n, w in zip(nodes, weights):
+                nm._acc(n, g * w)
+
+        tape._record(out, backward)
     return out
 
 
@@ -64,15 +70,32 @@ def gru_store(rng: np.random.Generator) -> nm.ParamStore:
 
 
 def _gru_sequence_case(seed: int, name: str, frames_shape):
+    # one side: its [N, L, d] frames and its parameters as stacks of one
     rng = case_rng(seed, name)
     store = gru_store(rng)
     frames = rng.normal(size=frames_shape)
     r = rng.normal(size=frames_shape[:-2] + (HIDDEN,))
+    stacks = {slot: nm.ParamStack.of(param) for slot, param in store.items()}
 
     def loss_fn(tape):
-        return projected(tape, nm.gru_sequence(tape, dict(store.items()), frames), r)
+        return projected(tape, nm.gru_sequence(tape, stacks, frames[None]), r[None])
 
     return name, store, loss_fn
+
+
+def _encoder_pair_case(seed: int, name: str):
+    """Both encoders in one paired call, every parameter of each side drawn
+    apart, each side's probabilities projected by its own weights."""
+    rng = case_rng(seed, name)
+    ep = EncoderParams(
+        input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
+    )
+    for _, param in ep.store.items():
+        param.value[...] = rng.uniform(-1.0, 1.0, size=param.value.shape) / np.sqrt(HIDDEN)
+    frames = rng.normal(size=(len(SIDES), 2, 5, INPUT))
+    r = rng.normal(size=(len(SIDES), 2, 4))
+
+    return name, ep.store, lambda tape: projected(tape, ep.encode_node(SIDES, frames, tape), r)
 
 
 def _objective_case(seed: int, name: str, loss, draw=None):
@@ -119,7 +142,8 @@ def _adversarial_encoder(tape, ep, x, y, marginal):
 
 def gradcheck_cases(seed: int):
     """(name, store, loss_fn) for every primitive the program tapes, the GRU
-    sequence node at three shapes and every loss training backpropagates."""
+    sequence node at three shapes, both encoders in one paired call and
+    every loss training backpropagates."""
     cases = [
         simple_case(seed, name, build, *shapes)
         for name, build, *shapes in (
@@ -137,6 +161,7 @@ def gradcheck_cases(seed: int):
             ("gru_sequence_l1", (2, 1, INPUT)),
         )
     ]
+    cases.append(_encoder_pair_case(seed, "encoder_pair"))
     cases += [
         _objective_case(seed, name, loss, draw)
         for name, loss, draw in (

@@ -10,10 +10,19 @@ objective.
 
 All three live in one float ``ParamStore``, laid out by
 ``param_shapes``, whose ``Param``s enter the graph directly as tape
-leaves. ``encode_node`` maps a batch of windows [N, L, d], and only a
-batch, to symbol probabilities [N, Z]; a single window is a batch of one,
-``frames[None]``. An untaped call also takes a stack of equal-sized
-batches [B, N, L, d], giving [B, N, Z] whose every [N, Z] slice is
+leaves. Each GRU parameter of the two encoders is a row of one stacked
+[2, ...] array, confirm first, and each named ``Param`` is a view of its
+row, so both sides run as one GRU step loop without stacking their
+weights per call, and checkpoints keep one array per name.
+
+``encode_node`` maps one side's batch of windows [N, L, d] to symbol
+probabilities [N, Z]; a single window is a batch of one, ``frames[None]``.
+Given both sides, ``SIDES``, it maps their batches stacked as
+[2, N, L, d], confirm first, to a (confirm, predict) pair of [N, Z]
+nodes: one ``gru_sequence`` call runs both GRUs, and each side's values
+and gradients are bit-identical to its own call. Untaped, a side also
+takes a stack of equal-sized batches [B, N, L, d] (both sides
+[2, B, N, L, d]), giving [B, N, Z] whose every [N, Z] slice is
 bit-identical to that batch's own call. ``marginal_node`` gives the
 marginal's [Z] probabilities. With a tape the reverse sweep fills the
 ``Param`` gradients; without one the pass is forward only.
@@ -24,7 +33,7 @@ the other side's outputs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -76,33 +85,63 @@ class EncoderParams:
         self.alphabet_size = alphabet_size
         self.store = nm.ParamStore(dtype=dtype)
         rng = nm.stream_rng(seed, TAG_INIT)
-        for name, shape in param_shapes(input_dim, alphabet_size, hidden_dim):
+        shapes = param_shapes(input_dim, alphabet_size, hidden_dim)
+        stacked = {
+            name.split(".")[-1]: np.empty((len(SIDES),) + shape, self.store.dtype)
+            for name, shape in shapes
+            if name.startswith(f"{CONFIRM}.gru.")
+        }
+        for name, shape in shapes:
             if len(shape) == 2:  # a weight matrix; its fan-in is its column count
                 value = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
             else:
                 value = np.zeros(shape)
+            side, layer, *slot = name.split(".")
+            if layer == "gru":
+                row = stacked[slot[0]][SIDES.index(side)]
+                row[...] = value
+                value = row
             self.store.add(name, value)
+        # the GRU parameter stacks of each side alone and of both sides
+        self._gru = {}
+        for key, rows in ((CONFIRM, slice(0, 1)), (PREDICT, slice(1, 2)), (SIDES, slice(0, 2))):
+            self._gru[key] = {
+                slot: nm.ParamStack(
+                    value[rows], [self.store[f"{side}.gru.{slot}"] for side in SIDES[rows]]
+                )
+                for slot, value in stacked.items()
+            }
 
     def encode_node(
-        self, side: str, frames: np.ndarray, tape: Optional[nm.Tape] = None
-    ) -> nm.Node:
-        """Symbol probabilities [N, Z] for a batch of windows [N, L, d].
+        self, side: Union[str, tuple], frames: np.ndarray, tape: Optional[nm.Tape] = None
+    ) -> Union[nm.Node, tuple[nm.Node, ...]]:
+        """Symbol probabilities [N, Z] for one side's batch of windows
+        [N, L, d]; for ``SIDES``, the (confirm, predict) pair for both
+        sides' batches stacked as [2, N, L, d].
 
-        Untaped, a stack of batches [B, N, L, d] gives [B, N, Z].
+        Untaped, a stack of batches per side, [B, N, L, d] (both sides
+        [2, B, N, L, d]), gives [B, N, Z] per side.
         """
-        if side not in SIDES:
+        stacks = self._gru.get(side) if isinstance(side, (str, tuple)) else None
+        if stacks is None:
             raise ValueError(f"unknown side {side!r}")
-        frames = np.asarray(frames, dtype=self.store.dtype)
-        ranks = (3,) if tape is not None else (3, 4)
-        if frames.ndim not in ranks or frames.shape[-1] != self.input_dim:
+        single = isinstance(side, str)
+        sides = (side,) if single else side
+        given = np.asarray(frames, dtype=self.store.dtype)
+        frames = given[None] if single else given
+        ranks = (4,) if tape is not None else (4, 5)
+        if frames.ndim not in ranks or len(frames) != len(sides) or frames.shape[-1] != self.input_dim:
+            batch = "" if single else f"{len(sides)}, "
             raise ValueError(
-                f"encode_node takes windows [N, L, {self.input_dim}] (untaped also "
-                f"[B, N, L, {self.input_dim}]), got shape {frames.shape}"
+                f"encode_node takes windows [{batch}N, L, {self.input_dim}] (untaped also "
+                f"[{batch}B, N, L, {self.input_dim}]), got shape {given.shape}"
             )
-        gru = {slot: self.store[f"{side}.gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
-        hidden = nm.gru_sequence(tape, gru, frames)
-        logits = nm.affine(tape, self.store[f"{side}.out.w"], self.store[f"{side}.out.b"], hidden)
-        return nm.softmax(tape, logits)
+        hidden = nm.gru_sequence(tape, stacks, frames)
+        probs = tuple(
+            nm.softmax(tape, nm.affine(tape, self.store[f"{s}.out.w"], self.store[f"{s}.out.b"], h))
+            for s, h in zip(sides, nm.unstack(tape, hidden))
+        )
+        return probs[0] if single else probs
 
     def marginal_node(self, tape: Optional[nm.Tape] = None) -> nm.Node:
         return nm.softmax(tape, self.store["marginal.logits"])

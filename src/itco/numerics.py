@@ -15,18 +15,21 @@ as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
 
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
-hand-written backpropagation through time. It takes the shapes the
-program runs, a batch of windows [N, L, d] with an [H] initial state and,
-untaped, a stack of such batches [B, N, L, d] whose products run as one
-GEMM per batch (so each batch's values are those of its own call), and
-works on preallocated memory: each call's forward writes its gates in
-place into per-call [N, H] buffers, a taped call saves its state in five
-time-major [L, N, H] arrays, and every backward draws its temporaries
-from one module-level scratch buffer, grown on demand and reused by all
-calls (so the numerics are not thread-safe). The tests hold its oracles
-in ``tests/gru_oracle.py``: the same step composed from elementary taped
-primitives, and the earlier all-shapes fused node, which the workspace
-path reproduces bit for bit.
+hand-written backpropagation through time. It folds S independent GRUs
+(S = 1, or 2 for both encoder sides) in one step loop: frames [S, N, L, d],
+each GRU parameter a ``ParamStack`` of the S sides' parameters, each side
+from its own [H] initial state, and, untaped, a stack of batches per side
+[S, B, N, L, d]. Every product runs as one GEMM per side (and batch)
+through batched ``np.matmul``, so each side's values are those of its own
+call. It works on preallocated memory: each call's forward writes its
+gates in place into per-call [S, N, H] buffers, a taped call saves its
+state in one block of four time-major [L, S, N, H] arrays, and every
+backward draws its temporaries from one module-level scratch buffer,
+grown on demand and reused by all calls (so the numerics are not
+thread-safe). ``unstack`` hands each side its row of the output as a node
+of its own. The tests hold its oracles in ``tests/gru_oracle.py``: the
+same step composed from elementary taped primitives, and the earlier
+all-shapes fused node, which each side reproduces bit for bit.
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -34,7 +37,7 @@ float64 ParamStore so central differences stay sharp.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +47,12 @@ __all__ = [
     "Tape",
     "Param",
     "ParamStore",
+    "ParamStack",
     "stream_rng",
     "affine",
     "softmax",
     "gru_sequence",
+    "unstack",
     "sgd_apply",
     "finite_diff_check",
 ]
@@ -124,6 +129,9 @@ class ParamStore:
         self._entries: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray) -> Param:
+        """Register `value` under `name`. A C-contiguous array of the store's
+        dtype is kept as it is, not copied, so a parameter can be a row of a
+        ``ParamStack``."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         param = Param(name, np.ascontiguousarray(value, dtype=self.dtype))
@@ -156,10 +164,19 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
-    """Add `g` into the node's gradient, allocating it at the first gradient."""
+    """Add `g` into the node's gradient; the first gradient is copied in.
+
+    The copy is never an alias: callers pass read-only ``broadcast_to``
+    views and views of the shared backward scratch, which later writes
+    would change. Copying differs from adding into zeros in one case only:
+    a copied -0.0 stays -0.0, where 0 + (-0.0) is +0.0. Either zero leaves
+    a parameter that is not itself -0.0 unchanged under the SGD update.
+    """
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = np.empty_like(node.value)
+        np.copyto(node.grad, g)  # broadcasts and casts as "+=" does
+    else:
+        node.grad += g
 
 
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
@@ -210,16 +227,60 @@ def softmax(tape: Optional[Tape], logits: Node) -> Node:
 GRU_SLOTS = ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_c", "u_c", "b_c")
 
 
-def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray) -> Node:
-    """Fold the GRU over a batch of windows from the trainable initial state.
+class ParamStack:
+    """S same-shaped parameters read as one [S, ...] array.
 
-    ``frames`` is [N, L, d] and ``p["h0"]`` an [H] state shared by every
-    window, both of the parameters' dtype; returns the final hidden states
-    [N, H]. An untaped call also takes a stack of such batches,
-    [B, N, L, d] to [B, N, H]: every product then runs as one GEMM per
-    batch, the same [N, K] x [K, H] product a separate call runs, so each
-    batch's values are bit-identical to its own call. Other shapes raise
-    ``ValueError``.
+    The rows of ``value`` are the values of ``parts`` themselves (views, not
+    copies), so an update of a part shows through the stack without
+    stacking again. A primitive that reads the stack adds each row's
+    gradient into its part; ``ParamStack.of(param)`` is a stack of one.
+    """
+
+    __slots__ = ("value", "parts")
+
+    def __init__(self, value: np.ndarray, parts: Sequence[Node]):
+        if len(value) != len(parts) or not all(
+            row.shape == part.value.shape and np.shares_memory(row, part.value)
+            for row, part in zip(value, parts)
+        ):
+            raise ValueError("each row of a parameter stack must be its part's value")
+        self.value = value
+        self.parts = tuple(parts)
+
+    @classmethod
+    def of(cls, param: Node) -> "ParamStack":
+        return cls(param.value[None], (param,))
+
+
+def unstack(tape: Optional[Tape], node: Node) -> tuple[Node, ...]:
+    """The rows of an [S, ...] node as S nodes, each a view of its row; each
+    row's gradient is added into its row of the node's gradient."""
+    rows = tuple(Node(row) for row in node.value)
+    if tape is not None:
+        for s, row in enumerate(rows):
+            def bw(g, s=s):
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.value)
+                node.grad[s] += g
+
+            tape._record(row, bw)
+    return rows
+
+
+def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.ndarray) -> Node:
+    """Fold S independent GRUs, one per side, over their windows in one
+    step loop.
+
+    ``p`` maps each of ``GRU_SLOTS`` and ``"h0"`` to the stack of the S
+    sides' parameters: weights [S, H, d] and [S, H, H], biases and the
+    trainable initial states [S, H]. ``frames`` is [S, N, L, d], one batch
+    of windows per side, of the parameters' dtype; returns the final hidden
+    states [S, N, H]. An untaped call also takes a stack of batches per
+    side, [S, B, N, L, d] to [S, B, N, H]. Every product runs through
+    batched ``np.matmul`` as one GEMM per side (and batch), the same
+    [N, K] x [K, H] product a call on that side (and batch) alone runs, so
+    each side's values are bit-identical to its own S=1 call. Other shapes
+    raise ``ValueError``.
 
     One step is
 
@@ -231,45 +292,54 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
     matrix. Each step computes these gate by gate in the order of the
     composed cell in ``tests/gru_oracle.py``, so the forward values are
     bit-identical to folding that cell. The gates are written in place into
-    buffers allocated once per call. Step 0's recurrent products stay
-    matrix-vector products on the [H] ``h0``: broadcasting it to [N, H]
-    first would change the bits. A taped call writes (h_prev, r, u,
-    r*h_prev, c) of every step straight into five time-major [L, N, H]
-    arrays and records one tape node whose backward is a hand-written
-    backpropagation through time (see ``_gru_sequence_backward``).
+    buffers allocated once per call. Step 0's recurrent products stay one
+    matrix-vector product per side on its [H] h0 ([S, H, H] @ [S, H, 1]):
+    broadcasting h0 to [N, H] first would change the bits. A taped call
+    writes (h_prev, r, u, c) of every step straight into four time-major
+    [L, S, N, H] arrays and records one tape node whose backward is a
+    hand-written backpropagation through time (see
+    ``_gru_sequence_backward``).
     """
     frames = np.asarray(frames)
     h0 = p["h0"].value
-    ranks = (3,) if tape is not None else (3, 4)
-    if frames.ndim not in ranks or h0.ndim != 1 or frames.dtype != h0.dtype:
+    ranks = (4,) if tape is not None else (4, 5)
+    if (frames.ndim not in ranks or h0.ndim != 2 or frames.shape[0] != h0.shape[0]
+            or frames.dtype != h0.dtype):
         raise ValueError(
-            f"gru_sequence takes [N, L, d] frames (untaped also [B, N, L, d]) and an [H] "
-            f"h0 of one dtype, got frames {frames.shape} {frames.dtype} and h0 "
+            f"gru_sequence takes [S, N, L, d] frames (untaped also [S, B, N, L, d]) and an "
+            f"[S, H] h0 of one dtype, got frames {frames.shape} {frames.dtype} and h0 "
             f"{h0.shape} {h0.dtype}"
         )
     steps = frames.shape[-2]
     if steps < 1:
         raise ValueError("gru_sequence requires at least one frame")
-    w_r, u_r, b_r, w_u, u_u, b_u, w_c, u_c, b_c = (p[slot].value for slot in GRU_SLOTS)
-    shape = frames.shape[:-2] + h0.shape
+    # each side's operands, weights transposed for the row products v @ W.T,
+    # with a unit axis over an untaped stack's batches
+    lead = frames.shape[:1] + (1,) * (frames.ndim - 4)
+    w_r, u_r, w_u, u_u, w_c, u_c = (
+        p[slot].value.swapaxes(1, 2).reshape(lead + p[slot].value.shape[:0:-1])
+        for slot in ("w_r", "u_r", "w_u", "u_u", "w_c", "u_c")
+    )
+    b_r, b_u, b_c, h = (p[slot].value.reshape(lead + (1, -1)) for slot in ("b_r", "b_u", "b_c", "h0"))
+    shape = frames.shape[:-2] + h0.shape[1:]
     tmp = np.empty(shape, h0.dtype)
     out = np.empty(shape, h0.dtype)
     if tape is None:
         r, u, rh, c = np.empty((4,) + shape, h0.dtype)
     else:
-        saved = tuple(np.empty((steps,) + shape, h0.dtype) for _ in range(5))
-        h_prev, r_all, u_all, rh_all, c_all = saved
-        h_prev[0] = h0
+        rh = np.empty(shape, h0.dtype)
+        # one block: four separate arrays of this size (138 KB each at S=2,
+        # N=18, L=15, H=64) were each mapped and unmapped by the C allocator
+        # at every call, page faults included
+        saved = np.empty((4, steps) + shape, h0.dtype)
+        h_prev, r_all, u_all, c_all = saved
+        h_prev[0] = h
 
-    def gate(a, v, w, b, w_rec, h):
-        # a = v @ w.T + b + h @ w_rec.T, summed in the composed cell's order
-        np.matmul(v, w.T, out=a)
+    def gate(a, v, w, b, recurrent):
+        # a = v @ W.T + b + recurrent (w is W.T), summed in the composed cell's order
+        np.matmul(v, w, out=a)
         a += b
-        if h.ndim == 1:
-            a += w_rec @ h
-        else:
-            np.matmul(h, w_rec.T, out=tmp)
-            a += tmp
+        a += recurrent
 
     def sigmoid_(a):
         # 0.5 * (tanh(0.5 * a) + 1), in place
@@ -278,20 +348,21 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray
         a += 1.0
         a *= 0.5
 
-    h = h0
+    # step 0's recurrent products, one matrix-vector product per side on its h0
+    first_r, first_u = ((p[slot].value @ h0[..., None]).reshape(h.shape) for slot in ("u_r", "u_u"))
     for t in range(steps):
         if tape is None:
             h_next = out
         else:
-            r, u, rh, c = r_all[t], u_all[t], rh_all[t], c_all[t]
+            r, u, c = r_all[t], u_all[t], c_all[t]
             h_next = h_prev[t + 1] if t + 1 < steps else out
         v = frames[..., t, :]
-        gate(r, v, w_r, b_r, u_r, h)
+        gate(r, v, w_r, b_r, first_r if t == 0 else np.matmul(h, u_r, out=tmp))
         sigmoid_(r)
-        gate(u, v, w_u, b_u, u_u, h)
+        gate(u, v, w_u, b_u, first_u if t == 0 else np.matmul(h, u_u, out=tmp))
         sigmoid_(u)
         np.multiply(r, h, out=rh)
-        gate(c, v, w_c, b_c, u_c, rh)
+        gate(c, v, w_c, b_c, np.matmul(rh, u_c, out=tmp))
         np.tanh(c, out=c)
         # h' = u*h + (1-u)*c
         np.multiply(u, h, out=h_next)
@@ -320,47 +391,60 @@ def _scratch_array(dtype: np.dtype, size: int) -> np.ndarray:
 
 
 def _gru_sequence_backward(
-    p: Mapping[str, Node], frames: np.ndarray, saved: tuple
+    p: Mapping[str, ParamStack], frames: np.ndarray, saved: np.ndarray
 ) -> Callable[[np.ndarray], None]:
     """Backpropagation through time for one ``gru_sequence`` call.
 
-    ``saved`` holds the time-major [L, N, H] arrays (h_prev, r, u,
-    r*h_prev, c). The pointwise factors that do not depend on the incoming
-    gradient are formed for all steps at once; the reverse loop then does
-    only the recurrent part, and each weight gradient is one matmul over
-    all N*L rows at the end, as in cuDNN's RNN backward. Every temporary
-    is a view of the shared scratch.
+    ``saved`` holds the time-major [L, S, N, H] arrays (h_prev, r, u, c).
+    The pointwise factors that do not depend on the incoming gradient are
+    formed for all steps at once; one reverse loop then does only the
+    recurrent part, for every side at once, turning each step's factors
+    into that step's gate gradients in place. Each weight gradient is then
+    one matmul per side over that side's N*L rows, as in cuDNN's RNN
+    backward: the side's rows are first copied together (r*h_prev formed
+    again, as the forward formed it), so the product is the one a call on
+    that side alone runs. The sweep consumes ``saved``: the spent u and c
+    hold those copies. Every other temporary, the products included, is a
+    view of the shared scratch, and ``_acc`` copies each product out.
     """
-    h_prev, r, u, rh, c = saved
+    h_prev, r, u, c = saved
 
     def bw(g):
-        steps, rows, hidden = r.shape
-        block, step, d = r.size, rows * hidden, frames.shape[2]
-        work = _scratch_array(r.dtype, 6 * block + 3 * step + steps * rows * d)
-        k_c, k_u, k_r, da_r, da_u, da_c = work[: 6 * block].reshape((6,) + r.shape)
-        gh, drh, tmp = work[6 * block : 6 * block + 3 * step].reshape(3, rows, hidden)
-        x = work[6 * block + 3 * step :].reshape(steps, rows, d)
+        steps, sides, rows, hidden = r.shape
+        d = frames.shape[-1]
+        flat = steps * rows
+        sizes = (3 * r.size, 3 * g.size, flat * d, hidden * d, hidden * hidden, hidden)
+        ends = np.cumsum(sizes)
+        work = _scratch_array(r.dtype, int(ends[-1]))
+        # the reverse loop turns each factor k_* into its gate's gradient da_*
+        k_c, k_u, k_r = work[: ends[0]].reshape((3,) + r.shape)
+        gh, drh, tmp = work[ends[0] : ends[1]].reshape((3,) + g.shape)
+        x = work[ends[1] : ends[2]].reshape(steps, rows, d)
+        grad_w = work[ends[2] : ends[3]].reshape(hidden, d)
+        grad_u = work[ends[3] : ends[4]].reshape(hidden, hidden)
+        grad_b = work[ends[4] :]
 
-        # da_r is free until the reverse loop: it holds the factors' second terms
+        # k_r is free until its own turn: it holds the factors' second terms
         np.subtract(1.0, u, out=k_c)
-        np.multiply(c, c, out=da_r)
-        np.subtract(1.0, da_r, out=da_r)
-        k_c *= da_r  # dh/da_c = (1-u) * (1-c*c)
+        np.multiply(c, c, out=k_r)
+        np.subtract(1.0, k_r, out=k_r)
+        k_c *= k_r  # dh/da_c = (1-u) * (1-c*c)
         np.subtract(h_prev, c, out=k_u)
-        np.subtract(1.0, u, out=da_r)
-        np.multiply(u, da_r, out=da_r)
-        k_u *= da_r  # dh/da_u = (h_prev-c) * (u*(1-u))
-        np.subtract(1.0, r, out=da_r)
-        np.multiply(r, da_r, out=da_r)
-        np.multiply(h_prev, da_r, out=k_r)  # d(r*h_prev)/da_r = h_prev * (r*(1-r))
+        np.subtract(1.0, u, out=k_r)
+        np.multiply(u, k_r, out=k_r)
+        k_u *= k_r  # dh/da_u = (h_prev-c) * (u*(1-u))
+        np.subtract(1.0, r, out=k_r)
+        np.multiply(r, k_r, out=k_r)
+        k_r *= h_prev  # d(r*h_prev)/da_r = h_prev * (r*(1-r))
 
         u_r, u_u, u_c = p["u_r"].value, p["u_u"].value, p["u_c"].value
+        da_r, da_u, da_c = k_r, k_u, k_c
         np.copyto(gh, g)
         for t in reversed(range(steps)):
-            np.multiply(gh, k_c[t], out=da_c[t])
-            np.multiply(gh, k_u[t], out=da_u[t])
+            da_c[t] *= gh
+            da_u[t] *= gh
             np.matmul(da_c[t], u_c, out=drh)
-            np.multiply(drh, k_r[t], out=da_r[t])
+            da_r[t] *= drh
             # gh = gh*u + drh*r + da_r @ u_r + da_u @ u_u, summed left to right
             gh *= u[t]
             np.multiply(drh, r[t], out=tmp)
@@ -370,15 +454,20 @@ def _gru_sequence_backward(
             np.matmul(da_u[t], u_u, out=tmp)
             gh += tmp
 
-        flat = steps * rows
-        np.copyto(x, frames.swapaxes(0, 1))
-        x = x.reshape(flat, d)
-        for gate, da, h_in in (("r", da_r, h_prev), ("u", da_u, h_prev), ("c", da_c, rh)):
-            da = da.reshape(flat, hidden)
-            _acc(p[f"w_{gate}"], da.T @ x)
-            _acc(p[f"u_{gate}"], da.T @ h_in.reshape(flat, hidden))
-            _acc(p[f"b_{gate}"], da.sum(axis=0))
-        _acc(p["h0"], gh.sum(axis=0))
+        # one side's rows at a time, in the memory of the spent u and c
+        da_s, h_s = saved[2:].reshape(-1)[: 2 * flat * hidden].reshape(2, steps, rows, hidden)
+        for s in range(sides):
+            np.copyto(x, frames[s].swapaxes(0, 1))
+            np.copyto(h_s, h_prev[:, s])
+            for gate, da in (("r", da_r), ("u", da_u), ("c", da_c)):
+                if gate == "c":
+                    h_s *= r[:, s]  # the candidate's input: the forward's r*h_prev
+                np.copyto(da_s, da[:, s])
+                a, v, h_in = (m.reshape(flat, -1) for m in (da_s, x, h_s))
+                _acc(p[f"w_{gate}"].parts[s], np.matmul(a.T, v, out=grad_w))
+                _acc(p[f"u_{gate}"].parts[s], np.matmul(a.T, h_in, out=grad_u))
+                _acc(p[f"b_{gate}"].parts[s], a.sum(axis=0, out=grad_b))
+            _acc(p["h0"].parts[s], gh[s].sum(axis=0, out=grad_b))
 
     return bw
 

@@ -23,7 +23,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .corpus import (
     Utterance, WindowGeometry, check_fields, fits, rule, window_arrays, window_count
 )
 from .evaluation import reduce_corpus
-from .model import CONFIRM, PREDICT, EncoderParams, param_shapes
+from .model import CONFIRM, PREDICT, SIDES, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
@@ -543,11 +543,23 @@ def _stream_length_through(path: Path, step: int) -> int:
     return length
 
 
-def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float) -> ob.ObjectiveTerms:
+def _minibatch_frames(u: Utterance, config: TrainConfig, dtype) -> Union[np.ndarray, tuple]:
+    """An utterance's training windows: both sides stacked as [2, N, L, d],
+    confirm (y) first, for one paired encoder call; a (y, x) pair when the
+    two sides' lengths differ."""
+    x, y, _ = window_arrays(u, config.geometry, config.aligned_windows, dtype)
+    return np.stack((y, x)) if x.shape == y.shape else (y, x)
+
+
+def _train_minibatch(state: TrainState, frames, lr: float) -> ob.ObjectiveTerms:
+    """One SGD step on one utterance's `_minibatch_frames`."""
     config = state.config
     tape = Tape()
-    confirm = state.ep.encode_node(CONFIRM, y, tape)
-    predict = state.ep.encode_node(PREDICT, x, tape)
+    if isinstance(frames, tuple):
+        confirm = state.ep.encode_node(CONFIRM, frames[0], tape)
+        predict = state.ep.encode_node(PREDICT, frames[1], tape)
+    else:
+        confirm, predict = state.ep.encode_node(SIDES, frames, tape)
     extra = None
     if config.entropy_mode == "global" and state.entropy_buffer.shape[0] > 0:
         extra = state.entropy_buffer
@@ -561,7 +573,7 @@ def _train_minibatch(state: TrainState, x: np.ndarray, y: np.ndarray, lr: float)
         sgd_apply(state.ep.store, lr)
         # alternate: refresh the confirm pass (gradient-free, it only
         # supplies frozen targets), then step the marginal alone
-        confirm2 = state.ep.encode_node(CONFIRM, y)
+        confirm2 = state.ep.encode_node(CONFIRM, frames[0])
         tape2 = Tape()
         marginal_loss = ob.marginal_fit_loss(confirm2, state.ep.marginal_node(tape2), tape2)
         tape2.backward(marginal_loss)
@@ -596,7 +608,8 @@ def train(
     ``stop_after`` pauses once that many utterances have been processed in
     total, saving `interrupted.itck` when a checkpoint directory is given;
     resuming from it reproduces the uninterrupted run's remaining metrics
-    exactly. When resuming into an existing ``metrics_path``, the file is
+    exactly. A ``stop_after`` at or below the count the run starts from
+    raises TrainerError before the metrics file is opened. When resuming into an existing ``metrics_path``, the file is
     cut back to the checkpoint's step and continued. ``corpus_hash`` names
     the training corpus; it is stored in every checkpoint, and resuming
     under another hash raises TrainerError. A NaN or infinity, or a
@@ -605,6 +618,11 @@ def train(
     first), raises TrainerError naming the step and the utterance.
     """
     usable, dev_corpus = check_inputs(corpus, config, dev_corpus, resume, corpus_hash)
+    start = resume.processed if resume is not None else 0
+    if stop_after is not None and stop_after <= start:
+        raise TrainerError(
+            f"stop_after {stop_after} does not exceed the {start} utterances already processed"
+        )
     if resume is not None:
         state = resume
     else:
@@ -612,7 +630,7 @@ def train(
         state.corpus_hash = corpus_hash
 
     dtype = state.ep.store.dtype
-    batches = [window_arrays(u, config.geometry, config.aligned_windows, dtype)[:2] for u in usable]
+    batches = [_minibatch_frames(u, config, dtype) for u in usable]
     writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
@@ -629,10 +647,9 @@ def train(
                 state.epoch_max_predict[...] = 0
                 state.epoch_accum = _fresh_accum()
             for idx in order[state.pos_in_epoch :]:
-                x, y = batches[idx]
                 lr = config.lr_at(state.processed)
                 where = f"step {state.step + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
-                terms = _train_minibatch(state, x, y, lr)
+                terms = _train_minibatch(state, batches[idx], lr)
                 state.pos_in_epoch += 1
                 state.processed += 1
                 state.step += 1

@@ -218,3 +218,11 @@ def _fused_backward(p, frames, saved):
         nm._acc(p["h0"], _unbroadcast(gh, p["h0"].value.shape))
 
     return bw
+
+
+def runtime_sequence(tape, p, frames):
+    """``numerics.gru_sequence`` on one side, as the references take it: the
+    side's parameters as stacks of one, its [N, L, d] frames as
+    [1, N, L, d], and its row of the output as a node of its own."""
+    stacks = {slot: nm.ParamStack.of(p[slot]) for slot in (*nm.GRU_SLOTS, "h0")}
+    return nm.unstack(tape, nm.gru_sequence(tape, stacks, np.asarray(frames)[None]))[0]

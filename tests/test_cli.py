@@ -806,6 +806,40 @@ def test_train_and_eval_read_each_corpus_file_once(tmp_path, corpus_dir, run_dir
     assert sorted(reads) == sorted(p for p in listed if p.is_relative_to(corpus_dir.resolve()))
 
 
+def test_every_gru_pass_starts_inside_encode_node(tmp_path, corpus_dir, run_dir, monkeypatch):
+    # the benchmark's set-up probe stops the clock at the first
+    # EncoderParams.encode_node call, so no GRU pass of train (minibatches,
+    # the adversarial refresh, cloning's detection, dev evaluation) or of
+    # eval may run outside one
+    depth, inside, outside = [0], [], []
+    encode, sequence = EncoderParams.encode_node, nm.gru_sequence
+
+    def entered(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return encode(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted(tape, p, frames):
+        (inside if depth[0] else outside).append(tape is not None)
+        return sequence(tape, p, frames)
+
+    monkeypatch.setattr(EncoderParams, "encode_node", entered)
+    monkeypatch.setattr(nm, "gru_sequence", counted)
+    dev = tmp_path / "dev"
+    assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", identity_spec(utterances=3))),
+                 "--out", str(dev)]) == 0
+    for mode in ("base", "adversarial"):
+        cfg = write_json(tmp_path / f"{mode}.json", {**train_config(), "mode": mode})
+        assert main(["train", "--corpus", str(corpus_dir), "--dev-corpus", str(dev), "--config", str(cfg),
+                     "--out", str(tmp_path / mode), "--stop-after", "120"]) == 0
+    assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint",
+                 str(run_dir / "checkpoints" / "final.itck"), "--out", str(tmp_path / "e")]) == 0
+    assert outside == []
+    assert True in inside and False in inside
+
+
 def test_corpus_hash_is_sha256_of_manifest_then_listed_files(corpus_dir, run_dir):
     # the manifest bytes, then each row's feature file and label file
     manifest = corpus_dir / "manifest.tsv"

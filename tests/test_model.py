@@ -5,7 +5,7 @@ import pytest
 
 from itco import numerics as nm
 from itco.gradcheck import projected
-from itco.model import CONFIRM, PREDICT, EncoderParams
+from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
 
 
 def tiny_params(seed=0, dtype=np.float64):
@@ -105,14 +105,74 @@ def test_stacked_calls_equal_separate_calls_bit_for_bit(dtype, b, n):
         param.value += (0.1 * rng.standard_normal(param.value.shape)).astype(dtype)
     frames = rng.standard_normal((b, n, 4, 64)).astype(dtype)
     for side in (CONFIRM, PREDICT):
-        gru = {slot: ep.store[f"{side}.gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
-        hidden = nm.gru_sequence(None, gru, frames).value
+        gru = {slot: nm.ParamStack.of(ep.store[f"{side}.gru.{slot}"]) for slot in (*nm.GRU_SLOTS, "h0")}
+        hidden = nm.gru_sequence(None, gru, frames[None]).value[0]
         probs = ep.encode_node(side, frames).value
         assert hidden.shape == (b, n, 64) and probs.shape == (b, n, 16)
         assert hidden.dtype == probs.dtype == dtype
         for i in range(b):
-            assert np.array_equal(hidden[i], nm.gru_sequence(None, gru, frames[i]).value)
+            assert np.array_equal(hidden[i], nm.gru_sequence(None, gru, frames[i][None]).value[0])
             assert np.array_equal(probs[i], ep.encode_node(side, frames[i]).value)
+
+
+def _distinct_params(dtype, seed):
+    # every parameter drawn apart, so no bias or h0 of one side equals the other's
+    rng = np.random.default_rng(seed)
+    ep = EncoderParams(input_dim=4, alphabet_size=16, hidden_dim=64, seed=seed, dtype=dtype)
+    for _, param in ep.store.items():
+        param.value[...] = rng.uniform(-1.0, 1.0, param.value.shape) / np.sqrt(param.value.shape[-1])
+    return ep, rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [1, 15])
+@pytest.mark.parametrize("n", [1, 18, 596])
+def test_paired_call_is_bit_identical_to_two_single_side_calls(dtype, steps, n):
+    # the oracle is one S=1 call per side: the paired call must give the same
+    # forward values and every gradient (GRU, h0, output layer) bit for bit
+    ep, rng = _distinct_params(dtype, 1000 * steps + n)
+    frames = rng.standard_normal((2, n, steps, 4)).astype(dtype)
+    weights = rng.standard_normal((2, n, 16)).astype(dtype)
+
+    def taped(encode):
+        ep.store.zero_grads()
+        tape = nm.Tape()
+        pair = encode(tape)
+        tape.backward(projected(tape, pair, weights))
+        return [node.value for node in pair], {name: p.grad for name, p in ep.store.items()}
+
+    paired, paired_grads = taped(lambda tape: ep.encode_node(SIDES, frames, tape))
+    single, single_grads = taped(
+        lambda tape: (ep.encode_node(CONFIRM, frames[0], tape), ep.encode_node(PREDICT, frames[1], tape))
+    )
+    for got, want in zip(paired, single):
+        assert got.dtype == dtype and np.array_equal(got, want)
+    assert paired_grads["marginal.logits"] is None is single_grads["marginal.logits"]
+    for name, grad in single_grads.items():
+        if name != "marginal.logits":
+            assert np.array_equal(paired_grads[name], grad), name
+    # an update of the named parameters shows through the paired call's stacks
+    nm.sgd_apply(ep.store, 0.5)
+    # untaped: the pair alone, and a stack of two batches per side
+    stacked = np.stack([frames, rng.standard_normal(frames.shape).astype(dtype)], axis=1)
+    for batch in (frames, stacked):
+        for side, node in zip(SIDES, ep.encode_node(SIDES, batch)):
+            assert np.array_equal(node.value, ep.encode_node(side, batch[SIDES.index(side)]).value)
+    assert not np.array_equal(ep.encode_node(CONFIRM, frames[0]).value, paired[0])
+
+
+def test_paired_call_takes_both_sides_stacked():
+    ep = tiny_params()
+    windows = np.zeros((2, 3, 4, 3))
+    assert [node.value.shape for node in ep.encode_node(SIDES, windows)] == [(3, 4), (3, 4)]
+    for frames in (windows[0], windows[:1], np.zeros((3, 3, 4, 3))):
+        with pytest.raises(ValueError, match=r"\[2, N, L, 3\]"):
+            ep.encode_node(SIDES, frames)
+    with pytest.raises(ValueError):
+        ep.encode_node(SIDES, windows[:, None], nm.Tape())
+    for side in ((PREDICT, CONFIRM), [CONFIRM, PREDICT]):
+        with pytest.raises(ValueError, match="unknown side"):
+            ep.encode_node(side, windows)
 
 
 def test_same_seed_same_init_different_seed_differs():

@@ -100,6 +100,30 @@ def test_fan_out_accumulates_additively():
     assert np.allclose(w.grad, [10.0, 16.0])
 
 
+def test_first_gradient_is_copied_never_aliased():
+    # a read-only broadcast view and a view of the backward scratch are
+    # copied in, so changing their source afterwards leaves the gradient as
+    # it was; later gradients add into the copy
+    source = np.array([1.0, -2.0, 3.0])
+    node = nm.Node(np.zeros((2, 3)))
+    nm._acc(node, np.broadcast_to(source, (2, 3)))
+    source[...] = 7.0
+    assert np.array_equal(node.grad, [[1.0, -2.0, 3.0]] * 2)
+    nm._acc(node, np.ones((2, 3)))
+    assert np.array_equal(node.grad, [[2.0, -1.0, 4.0]] * 2)
+    scratch = nm._scratch_array(np.dtype(np.float32), 4)
+    scratch[...] = [1.0, 2.0, 3.0, 4.0]
+    node = nm.Node(np.zeros(4, np.float32))
+    nm._acc(node, scratch)
+    scratch[...] = 0.0
+    assert node.grad.dtype == np.float32 and np.array_equal(node.grad, [1.0, 2.0, 3.0, 4.0])
+    assert not np.shares_memory(node.grad, nm._scratch[0])
+    # the one way a copy differs from adding into zeros: -0.0 stays -0.0
+    node = nm.Node(np.zeros(1))
+    nm._acc(node, np.array([-0.0]))
+    assert np.signbit(node.grad[0])
+
+
 def test_param_leaf_accumulates_across_tapes_until_dropped():
     # backward adds into the Param's own grad, across tapes, until the
     # caller drops it; a Param no loss reaches has no gradient
@@ -152,7 +176,7 @@ def test_sigmoid_extreme_inputs_stay_finite():
     # h, biases of -1e4 shut them and pin h to the saturated candidate, -1
     h = np.array([0.4, -0.8])
     for bias, expected in ((1e4, h), (-1e4, -np.ones(2))):
-        out = nm.gru_sequence(None, _single_step_params(h, bias), np.ones((1, 1, 2)))
+        out = gru_oracle.runtime_sequence(None, _single_step_params(h, bias), np.ones((1, 1, 2)))
         assert np.all(np.isfinite(out.value))
         assert np.allclose(out.value[0], expected)
 
@@ -212,7 +236,7 @@ def test_gru_cell_all_zero_parameters_halves_hidden_state():
     v = nm.Node(np.array([1.0, 1.0]))
     out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, [0.2, -0.4])
-    seq = nm.gru_sequence(None, _single_step_params(h.value), v.value.reshape(1, 1, 2))
+    seq = gru_oracle.runtime_sequence(None, _single_step_params(h.value), v.value.reshape(1, 1, 2))
     assert np.allclose(seq.value, [[0.2, -0.4]])
 
 
@@ -232,7 +256,7 @@ def test_gru_cell_saturated_gates_pin_output():
     out = gru_oracle.gru_cell(None, params, h, v)
     assert np.allclose(out.value, -np.ones(3), atol=1e-6)
     seq_params = _single_step_params(h.value, b_u=-50.0, b_c=-50.0)
-    seq = nm.gru_sequence(None, seq_params, v.value.reshape(1, 1, 3))
+    seq = gru_oracle.runtime_sequence(None, seq_params, v.value.reshape(1, 1, 3))
     assert np.allclose(seq.value, -np.ones((1, 3)), atol=1e-6)
 
 
@@ -260,10 +284,10 @@ def test_gru_sequence_batched_matches_single_windows():
     for n, steps in ((5, 6), (1, 6), (5, 1)):
         params = _value_nodes(_gru_store(rng, d, hdim, (hdim,)))
         frames = rng.standard_normal((n, steps, d))
-        batched = nm.gru_sequence(None, params, frames)
+        batched = gru_oracle.runtime_sequence(None, params, frames)
         assert batched.value.shape == (n, hdim)
         for i in range(n):
-            single = nm.gru_sequence(None, params, frames[i : i + 1])
+            single = gru_oracle.runtime_sequence(None, params, frames[i : i + 1])
             assert np.allclose(batched.value[i], single.value[0], atol=1e-12)
 
 
@@ -275,7 +299,8 @@ def test_gru_sequence_batched_matches_single_windows():
 def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtype, tol):
     # The fused nodes repeat the composed cell's forward arithmetic exactly
     # and sum the same gradients in another order. The runtime node takes
-    # only batches with an [H] h0; the reference fused node covers the rest.
+    # only batches with an [H] h0 per side, and tapes the side's row of its
+    # output as a second node; the reference fused node covers the rest.
     rng = np.random.default_rng(23)
     store = _gru_store(rng, frames_shape[-1], 4, h0_shape, dtype)
     frames = rng.standard_normal(frames_shape).astype(dtype)
@@ -294,13 +319,13 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
     composed, _, composed_grads = run(gru_oracle.composed_sequence)
     sequences = [gru_oracle.fused_sequence]
     if len(frames_shape) == 3 and len(h0_shape) == 1:
-        sequences.append(nm.gru_sequence)
+        sequences.append(gru_oracle.runtime_sequence)
     else:
         with pytest.raises(ValueError):
-            nm.gru_sequence(None, _value_nodes(store), frames)
+            gru_oracle.runtime_sequence(None, _value_nodes(store), frames)
     for sequence in sequences:
         fused, fused_nodes, fused_grads = run(sequence)
-        assert fused_nodes == 1
+        assert fused_nodes == (2 if sequence is gru_oracle.runtime_sequence else 1)
         assert fused.dtype == composed.dtype == dtype
         assert np.array_equal(fused, composed)
         assert np.array_equal(sequence(None, _value_nodes(store), frames).value, composed)
@@ -310,32 +335,38 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
             np.testing.assert_allclose(fused_grads[name], grad, rtol=tol, atol=tol, err_msg=name)
 
 
-def _zero_gru_params():
-    params = {name: nm.Node(np.zeros((2, 2)) if not name.startswith("b") else np.zeros(2))
-              for name in nm.GRU_SLOTS}
-    params["h0"] = nm.Node(np.zeros(2))
-    return params
+def _zero_gru_stacks(sides=1, h0_shape=(2,)):
+    shapes = {"w": (2, 2), "u": (2, 2), "b": (2,), "h": h0_shape}
+    values = {slot: np.zeros((sides,) + shapes[slot[0]]) for slot in (*nm.GRU_SLOTS, "h0")}
+    return {slot: nm.ParamStack(value, [nm.Node(row) for row in value]) for slot, value in values.items()}
 
 
 def test_gru_sequence_rejects_empty_input():
     with pytest.raises(ValueError):
-        nm.gru_sequence(None, _zero_gru_params(), np.zeros((1, 0, 2)))
+        nm.gru_sequence(None, _zero_gru_stacks(), np.zeros((1, 1, 0, 2)))
     with pytest.raises(ValueError):
-        nm.gru_sequence(None, _zero_gru_params(), np.zeros(3))
+        nm.gru_sequence(None, _zero_gru_stacks(), np.zeros(3))
 
 
 def test_gru_sequence_rejects_shapes_the_program_never_runs():
-    # one window [L, d], a per-window [N, H] h0, frames of another dtype
-    params = _zero_gru_params()
-    for frames in (np.zeros((3, 2)), np.zeros((1, 3, 2), np.float32)):
+    # one side's batch without its side axis, frames of another dtype, more
+    # sides of frames than of parameters, a per-window [S, N, H] h0
+    params = _zero_gru_stacks()
+    for frames in (np.zeros((1, 3, 2)), np.zeros((1, 1, 3, 2), np.float32), np.zeros((2, 1, 3, 2))):
         with pytest.raises(ValueError):
             nm.gru_sequence(None, params, frames)
     with pytest.raises(ValueError):
-        nm.gru_sequence(None, dict(params, h0=nm.Node(np.zeros((1, 2)))), np.zeros((1, 3, 2)))
-    # a stack of batches [B, N, L, d] runs untaped only
+        nm.gru_sequence(None, _zero_gru_stacks(h0_shape=(1, 2)), np.zeros((1, 1, 3, 2)))
+    # a stack of batches per side [S, B, N, L, d] runs untaped only
+    for sides in (1, 2):
+        params = _zero_gru_stacks(sides)
+        with pytest.raises(ValueError):
+            nm.gru_sequence(nm.Tape(), params, np.zeros((sides, 2, 1, 3, 2)))
+        assert nm.gru_sequence(None, params, np.zeros((sides, 2, 1, 3, 2))).value.shape == (sides, 2, 1, 2)
+    # a stack whose rows copy its parts would go on reading their old values
+    part = nm.Node(np.zeros(2))
     with pytest.raises(ValueError):
-        nm.gru_sequence(nm.Tape(), params, np.zeros((2, 1, 3, 2)))
-    assert nm.gru_sequence(None, params, np.zeros((2, 1, 3, 2))).value.shape == (2, 1, 2)
+        nm.ParamStack(part.value[None].copy(), [part])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -388,11 +419,11 @@ def test_gru_sequence_bit_identical_to_reference(n, steps, d, dtype, seed):
     store = _nonzero_gru_store(rng, d, 8, dtype)
     frames = rng.standard_normal((n, steps, d)).astype(dtype)
     weights = rng.standard_normal((n, 8)).astype(dtype)
-    out, grads = _taped_grads(nm.gru_sequence, store, frames, weights)
+    out, grads = _taped_grads(gru_oracle.runtime_sequence, store, frames, weights)
     ref_out, ref_grads = _taped_grads(gru_oracle.fused_sequence, store, frames, weights)
     assert out.dtype == dtype
     assert np.array_equal(out, ref_out)
-    assert np.array_equal(nm.gru_sequence(None, dict(store.items()), frames).value, ref_out)
+    assert np.array_equal(gru_oracle.runtime_sequence(None, dict(store.items()), frames).value, ref_out)
     for name, grad in ref_grads.items():
         assert np.array_equal(grads[name], grad), name
 
@@ -415,12 +446,12 @@ def test_gru_sequence_interleaved_calls_share_no_state():
 
         this.zero_grads()
         tape = nm.Tape()
-        out = nm.gru_sequence(tape, dict(this.items()), frames)
+        out = gru_oracle.runtime_sequence(tape, dict(this.items()), frames)
         root = projected(tape, out, weights)
         n2, steps2 = shapes[(i + 3) % len(shapes)]
         frames2 = rng.standard_normal((n2, steps2, d)).astype(np.float32)
-        nm.gru_sequence(None, dict(this.items()), frames2)
-        _taped_grads(nm.gru_sequence, other, frames2, rng.standard_normal((n2, hdim)).astype(np.float32))
+        gru_oracle.runtime_sequence(None, dict(this.items()), frames2)
+        _taped_grads(gru_oracle.runtime_sequence, other, frames2, rng.standard_normal((n2, hdim)).astype(np.float32))
         tape.backward(root)
         assert np.array_equal(out.value, ref_out)
         for name, grad in ref_grads.items():
@@ -440,7 +471,7 @@ def test_gru_backward_reuses_its_scratch():
     def taped_forward():
         store.zero_grads()
         tape = nm.Tape()
-        return tape, projected(tape, nm.gru_sequence(tape, dict(store.items()), frames), 1.0)
+        return tape, projected(tape, gru_oracle.runtime_sequence(tape, dict(store.items()), frames), 1.0)
 
     tape, root = taped_forward()
     tape.backward(root)
@@ -484,7 +515,7 @@ def test_gru_softmax_pipeline_gradcheck(seed):
     def loss_fn(tape):
         gru = {name: store[f"gru.{name}"] for name in nm.GRU_SLOTS}
         gru["h0"] = store["gru.h0"]
-        h = nm.gru_sequence(tape, gru, frames)
+        h = gru_oracle.runtime_sequence(tape, gru, frames)
         logits = nm.affine(tape, store["out.w"], store["out.b"], h)
         return ob.utterance_loss(weights, nm.softmax(tape, logits), tape)[0]
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itco import numerics as nm
 from itco import objective as ob
 from itco import trainer as tr
 from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_arrays
 from itco.evaluation import STACK_WINDOWS
-from itco.model import CONFIRM, PREDICT, EncoderParams
+from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
 
 
 def tiny_corpus(seed=0, n_utts=10, windows=4, k=2):
@@ -411,12 +412,12 @@ def test_resume_refuses_another_corpus(tmp_path):
 
 @pytest.mark.parametrize(
     "mode, entropy_mode, nodes",
-    [("base", "per_utterance", [7]), ("base", "global", [7]), ("adversarial", "per_utterance", [7, 2])],
+    [("base", "per_utterance", [8]), ("base", "global", [8]), ("adversarial", "per_utterance", [8, 2])],
 )
 def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mode, nodes):
-    # each encoder side tapes its GRU sequence, affine map and softmax, and
-    # the loss is one node more; the adversarial marginal's own tape holds
-    # its softmax and its loss
+    # both encoder sides tape one GRU sequence, then each side its row of it,
+    # its affine map and its softmax, and the loss is one node more; the
+    # adversarial marginal's own tape holds its softmax and its loss
     tapes = []
 
     class RecordedTape(tr.Tape):
@@ -428,12 +429,54 @@ def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mod
     utts, _ = tiny_corpus()
     config = tiny_config(mode=mode, entropy_mode=entropy_mode)
     state = tr.TrainState(config, input_dim=utts[0].frames.shape[1])
-    x, y, _ = window_arrays(utts[0], config.geometry, True, np.float32)
+    frames = tr._minibatch_frames(utts[0], config, np.float32)
     for step in range(2):  # the second global-mode step mixes in the first's rows
         tapes.clear()
-        tr._train_minibatch(state, x, y, 0.1)
+        tr._train_minibatch(state, frames, 0.1)
         assert [len(tape._nodes) for tape in tapes] == nodes, step
-    assert state.entropy_buffer.shape[0] == (2 * len(x) if entropy_mode == "global" else 0)
+    assert state.entropy_buffer.shape[0] == (2 * frames.shape[1] if entropy_mode == "global" else 0)
+
+
+@pytest.mark.parametrize("geometry, sides", [((2, 1, 2), 2), ((1, 1, 3), 1)])
+def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(monkeypatch, geometry, sides):
+    # past == future: one paired GRU call per minibatch; past != future:
+    # one single-side call per side
+    taped = []
+    sequence = nm.gru_sequence
+
+    def recording(tape, p, frames):
+        if tape is not None:
+            taped.append(frames.shape[0])
+        return sequence(tape, p, frames)
+
+    monkeypatch.setattr(nm, "gru_sequence", recording)
+    utts, _ = tiny_corpus()
+    past, gap, future = geometry
+    config = tiny_config(geometry=WindowGeometry(total=5, past=past, gap=gap, future=future))
+    _, records = tr.train(utts, config)
+    minibatches = [r for r in records if r["type"] == "minibatch"]
+    assert len(minibatches) == 100
+    assert taped == [sides] * (100 * 2 // sides)
+    assert all(np.isfinite(r["mi_bound_bits"]) for r in minibatches)
+
+
+def test_stop_after_at_or_below_the_start_trains_nothing(tmp_path):
+    # refused before the metrics file is opened: a fresh run at 0, and a run
+    # resumed at 5 processed utterances at 3 or 5
+    utts, _ = tiny_corpus()
+    config = tiny_config()
+    metrics = tmp_path / "metrics.jsonl"
+    with pytest.raises(tr.TrainerError, match="stop_after 0 does not exceed the 0"):
+        tr.train(utts, config, metrics_path=metrics, stop_after=0)
+    assert not metrics.exists()
+    tr.train(utts, config, metrics_path=metrics, checkpoint_dir=tmp_path, stop_after=5)
+    written = metrics.read_bytes()
+    state = tr.load_checkpoint(tmp_path / "interrupted.itck")
+    for stop in (3, 5):
+        with pytest.raises(tr.TrainerError, match=f"stop_after {stop} does not exceed the 5"):
+            tr.train(utts, config, metrics_path=metrics, resume=state, stop_after=stop)
+        assert state.processed == 5 and state.step == 5
+        assert metrics.read_bytes() == written
 
 
 def test_train_rejects_empty_and_unusably_short_corpora():
@@ -612,7 +655,8 @@ def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
     encode = EncoderParams.encode_node
 
     def counting(self, side, frames, tape=None):
-        # a stacked call [B, N, L, d] holds B * N windows
+        # a stacked call [B, N, L, d] holds B * N windows, a paired call
+        # [2, N, L, d] N windows of each side
         calls.append((side, int(np.prod(frames.shape[:-2])), tape is None))
         return encode(self, side, frames, tape)
 
@@ -625,8 +669,8 @@ def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
     for aligned, n in ((True, 4), (False, stride1)):  # 4: one per generated window
         calls.clear()
         state, _ = tr.train(utts[:1], tiny_config(aligned_windows=aligned), stop_after=1)
-        # one taped minibatch, then the clone's detection
-        assert calls == [(CONFIRM, n, False), (PREDICT, n, False), (CONFIRM, n, True), (PREDICT, n, True)]
+        # one taped paired minibatch, then the clone's detection
+        assert calls == [(SIDES, 2 * n, False), (CONFIRM, n, True), (PREDICT, n, True)]
         for reader in (tr.evaluate_on_corpus, tr.detect_dead_symbols):
             calls.clear()
             reader(state, [utts[0], short, utts[1]])

@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .gradcheck import run_gradcheck
 from .model import CONFIRM, PREDICT
-from .trainer import TrainConfig, TrainerError, check_inputs, load_checkpoint, train
+from .trainer import TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
 
 log = logging.getLogger(__name__)
 
@@ -72,10 +72,7 @@ def _load_json(path: Path, what: str) -> dict:
 
 
 def _dump_json(doc: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    replace_file(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def write_run_manifest(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Utterance, WindowGeometry, window_arrays, window_count
 from .model import CONFIRM, PREDICT, EncoderParams
-from .objective import ObjectiveTerms, utterance_loss
+from .objective import LOG_FLOOR, ObjectiveTerms, utterance_loss
 
 __all__ = [
     "EvaluationError",
@@ -103,10 +103,10 @@ class CorpusReduction:
 def entropy_bits_sum(probs: np.ndarray) -> float:
     """Summed entropy in bits of the rows of `probs`; zero entries add nothing.
 
-    A zero entry meets the clipped log as 0 * log2(1e-30), which is a
+    A zero entry meets the clipped log as 0 * log2(LOG_FLOOR), which is a
     signed zero and leaves the sum unchanged.
     """
-    return float(-(probs * np.log2(np.clip(probs, 1e-30, None))).sum())
+    return float(-(probs * np.log2(np.clip(probs, LOG_FLOOR, None))).sum())
 
 
 def _runs(
@@ -134,20 +134,20 @@ def _runs(
 
 def _encode_run(
     ep: EncoderParams, run: list[Utterance], geometry: WindowGeometry, aligned: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Confirm and predict probabilities [B, N, Z] in float64 for a run of B
-    utterances, and the N window centers they share.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Confirm and predict probabilities [2, B, N, Z] in float64 for a run
+    of B utterances, and the N window centers they share.
 
-    A one-utterance run is encoded from its own [N, L, d] window arrays, as
-    an unstacked call, and every window is freed on return, before the next
-    run is windowed.
+    Each side is one untaped call. A one-utterance run is encoded from its
+    own [N, L, d] window arrays, as an unstacked call, and every window is
+    freed on return, before the next run is windowed.
     """
     xs, ys, centers = zip(*(window_arrays(u, geometry, aligned, ep.store.dtype) for u in run))
     x, y = (parts[0] if len(run) == 1 else np.stack(parts) for parts in (xs, ys))
-    shape = (len(run), centers[0].size, ep.alphabet_size)
-    confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64).reshape(shape)
-    predict = ep.encode_node(PREDICT, x).value.astype(np.float64).reshape(shape)
-    return confirm, predict, centers[0]
+    probs = np.empty((2, len(run), centers[0].size, ep.alphabet_size))
+    for side, frames, out in zip((CONFIRM, PREDICT), (y, x), probs):
+        out[...] = ep.encode_node(side, frames).value.reshape(out.shape)
+    return probs, centers[0]
 
 
 def reduce_corpus(
@@ -159,9 +159,9 @@ def reduce_corpus(
     dtype; an utterance without a full window is skipped. Each run of
     consecutive utterances with one window count (see `_runs`) is encoded
     by one untaped call per side on [B, N, L, d] (a run of one on its own
-    [N, L, d]), confirm first, and the probabilities are cast to float64.
-    Every utterance's [N, Z] slices are then reduced in corpus order,
-    exactly as if it had been encoded alone.
+    [N, L, d]), confirm first, and the probabilities are cast to float64
+    into one [2, B, N, Z] array. Every utterance's [2, N, Z] slice is then
+    reduced in corpus order, exactly as if it had been encoded alone.
     A window's symbol is its argmax, ties going to the smallest symbol id.
     Raises EvaluationError when the corpus has no full window.
     """
@@ -172,8 +172,9 @@ def reduce_corpus(
     agree = windows = 0
     terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
     for run in _runs(corpus, geometry, aligned):
-        confirms, predicts, centers = _encode_run(ep, run, geometry, aligned)
-        for u, confirm, predict in zip(run, confirms, predicts):
+        pairs, centers = _encode_run(ep, run, geometry, aligned)
+        for u, pair in zip(run, pairs.swapaxes(0, 1)):
+            confirm, predict = pair
             winners = confirm.argmax(axis=1)
             if u.gold_labels is not None:
                 symbols.append(winners)
@@ -184,7 +185,7 @@ def reduce_corpus(
                 entropy[side] += entropy_bits_sum(probs)
             agree += int((winners == predict.argmax(axis=1)).sum())
             windows += centers.size
-            terms.append(utterance_loss(confirm, predict)[1])
+            terms.append(utterance_loss(pair)[1])
     if windows == 0:
         raise EvaluationError("no full windows in the corpus")
     return CorpusReduction(

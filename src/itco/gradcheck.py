@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import objective as ob
-from .model import CONFIRM, PREDICT, SIDES, EncoderParams
+from .model import CONFIRM, SIDES, EncoderParams
 
 TAG_GRADCHECK = 777
 HIDDEN, INPUT = 4, 3  # GRU cases: hidden width and frame width
@@ -29,16 +29,10 @@ def case_rng(seed: int, name: str) -> np.random.Generator:
 
 def projected(tape, node, r):
     """sum(node * r): a random fixed projection to a scalar, so sign errors
-    cannot cancel, as one tape node. A tuple of nodes is projected by the
-    rows of `r`, one row per node."""
-    nodes, weights = (node, r) if isinstance(node, tuple) else ((node,), (r,))
-    out = nm.Node(sum((n.value * w).sum() for n, w in zip(nodes, weights)))
+    cannot cancel, as one tape node."""
+    out = nm.Node((node.value * r).sum())
     if tape is not None:
-        def backward(g):
-            for n, w in zip(nodes, weights):
-                nm._acc(n, g * w)
-
-        tape._record(out, backward)
+        tape._record(out, lambda g: nm._acc(node, g * r))
     return out
 
 
@@ -53,71 +47,71 @@ def simple_case(seed: int, name: str, build, *shapes):
     return name, store, lambda tape: projected(tape, build(tape, *params), r)
 
 
-def gru_store(rng: np.random.Generator) -> nm.ParamStore:
-    """GRU parameters of the cases' widths with an [H] h0, fan-in scaled."""
+def gru_store(rng: np.random.Generator, sides: tuple = ()) -> nm.ParamStore:
+    """GRU parameters of the cases' widths with an [H] h0, fan-in scaled,
+    each with the leading `sides` axes."""
     store = nm.ParamStore(dtype=np.float64)
     scale_w = 1.0 / np.sqrt(INPUT)
     scale_u = 1.0 / np.sqrt(HIDDEN)
     for slot in nm.GRU_SLOTS:
         if slot.startswith("w_"):
-            store.add(slot, rng.uniform(-scale_w, scale_w, size=(HIDDEN, INPUT)))
+            store.add(slot, rng.uniform(-scale_w, scale_w, size=sides + (HIDDEN, INPUT)))
         elif slot.startswith("u_"):
-            store.add(slot, rng.uniform(-scale_u, scale_u, size=(HIDDEN, HIDDEN)))
+            store.add(slot, rng.uniform(-scale_u, scale_u, size=sides + (HIDDEN, HIDDEN)))
         else:
-            store.add(slot, rng.normal(size=HIDDEN) * 0.1)
-    store.add("h0", rng.normal(size=HIDDEN) * 0.1)
+            store.add(slot, rng.normal(size=sides + (HIDDEN,)) * 0.1)
+    store.add("h0", rng.normal(size=sides + (HIDDEN,)) * 0.1)
     return store
 
 
 def _gru_sequence_case(seed: int, name: str, frames_shape):
-    # one side: its [N, L, d] frames and its parameters as stacks of one
+    # one side: its [N, L, d] frames and its parameters, each an S=1 stack
     rng = case_rng(seed, name)
-    store = gru_store(rng)
+    store = gru_store(rng, (1,))
     frames = rng.normal(size=frames_shape)
     r = rng.normal(size=frames_shape[:-2] + (HIDDEN,))
-    stacks = {slot: nm.ParamStack.of(param) for slot, param in store.items()}
 
     def loss_fn(tape):
-        return projected(tape, nm.gru_sequence(tape, stacks, frames[None]), r[None])
+        return projected(tape, nm.gru_sequence(tape, store, frames[None]), r[None])
 
     return name, store, loss_fn
 
 
-def _encoder_pair_case(seed: int, name: str):
+def _encoder_pair_case(seed: int, name: str, lengths):
     """Both encoders in one paired call, every parameter of each side drawn
-    apart, each side's probabilities projected by its own weights."""
+    apart, each side's probabilities projected by its own weights. Windows
+    of one length are stacked; a (y, x) pair of two lengths runs one GRU
+    pass per side, joined before the paired head."""
     rng = case_rng(seed, name)
     ep = EncoderParams(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
-    for _, param in ep.store.items():
-        param.value[...] = rng.uniform(-1.0, 1.0, size=param.value.shape) / np.sqrt(HIDDEN)
-    frames = rng.normal(size=(len(SIDES), 2, 5, INPUT))
+    for array in ep.named_arrays().values():
+        array[...] = rng.uniform(-1.0, 1.0, size=array.shape) / np.sqrt(HIDDEN)
+    y, x = (rng.normal(size=(2, steps, INPUT)) for steps in lengths)
+    frames = np.stack((y, x)) if y.shape == x.shape else (y, x)
     r = rng.normal(size=(len(SIDES), 2, 4))
 
     return name, ep.store, lambda tape: projected(tape, ep.encode_node(SIDES, frames, tape), r)
 
 
 def _objective_case(seed: int, name: str, loss, draw=None):
-    """``loss(tape, ep, x, y, fixed)`` on toy float64 encoders and one batch
-    of x and y windows; ``fixed = draw(rng)`` takes any further fixed input
-    from the case's stream."""
+    """``loss(tape, ep, frames, fixed)`` on toy float64 encoders and one
+    batch of y and x windows stacked as [2, N, L, d]; ``fixed = draw(rng)``
+    takes any further fixed input from the case's stream."""
     rng = case_rng(seed, name)
     ep = EncoderParams(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
     x = rng.normal(size=(2, 4, INPUT))
     y = rng.normal(size=(2, 4, INPUT))
+    frames = np.stack((y, x))
     fixed = draw(rng) if draw is not None else None
-    return name, ep.store, lambda tape: loss(tape, ep, x, y, fixed)
+    return name, ep.store, lambda tape: loss(tape, ep, frames, fixed)
 
 
-def _both_sides(tape, ep, x, y):
-    return ep.encode_node(CONFIRM, y, tape), ep.encode_node(PREDICT, x, tape)
-
-
-def _utterance_loss(tape, ep, x, y, buffered_rows):
-    return ob.utterance_loss(*_both_sides(tape, ep, x, y), tape, buffered_rows)[0]
+def _utterance_loss(tape, ep, frames, buffered_rows):
+    return ob.utterance_loss(ep.encode_node(SIDES, frames, tape), tape, buffered_rows)[0]
 
 
 def _buffered_rows(rng):
@@ -129,25 +123,25 @@ def _fixed_marginal(rng):
     return rng.dirichlet(np.ones(4))
 
 
-def _marginal_fit(tape, ep, x, y, _):
+def _marginal_fit(tape, ep, frames, _):
     # the confirm side is frozen: only the marginal's logits get gradients
-    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, y), ep.marginal_node(tape), tape)
+    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, frames[0]), ep.marginal_node(tape), tape)
 
 
-def _adversarial_encoder(tape, ep, x, y, marginal):
+def _adversarial_encoder(tape, ep, frames, marginal):
     # the encoder loss takes the marginal as a fixed distribution, as the
     # trainer passes it: the marginal is fitted by its own loss
-    return ob.adversarial_loss(*_both_sides(tape, ep, x, y), nm.Node(marginal), tape)[0]
+    return ob.adversarial_loss(ep.encode_node(SIDES, frames, tape), nm.Node(marginal), tape)[0]
 
 
 def gradcheck_cases(seed: int):
     """(name, store, loss_fn) for every primitive the program tapes, the GRU
-    sequence node at three shapes, both encoders in one paired call and
-    every loss training backpropagates."""
+    sequence node at three shapes, both encoders in a paired call at equal
+    and at unequal window lengths, and every loss training backpropagates."""
     cases = [
         simple_case(seed, name, build, *shapes)
         for name, build, *shapes in (
-            ("affine_batch", nm.affine, (3, 4), (3,), (5, 4)),
+            ("affine_batch", nm.affine, (2, 3, 4), (2, 3), (2, 5, 4)),
             ("softmax", nm.softmax, (6,)),
             ("softmax_batch", nm.softmax, (4, 6)),
         )
@@ -161,7 +155,10 @@ def gradcheck_cases(seed: int):
             ("gru_sequence_l1", (2, 1, INPUT)),
         )
     ]
-    cases.append(_encoder_pair_case(seed, "encoder_pair"))
+    cases += [
+        _encoder_pair_case(seed, name, lengths)
+        for name, lengths in (("encoder_pair", (5, 5)), ("encoder_pair_unequal", (5, 3)))
+    ]
     cases += [
         _objective_case(seed, name, loss, draw)
         for name, loss, draw in (

@@ -8,24 +8,24 @@ reads the earlier half (x) and tries to match it. A third model is a bare
 logit vector giving a trainable marginal over symbols for the adversarial
 objective.
 
-All three live in one float ``ParamStore``, laid out by
-``param_shapes``, whose ``Param``s enter the graph directly as tape
-leaves. Each GRU parameter of the two encoders is a row of one stacked
-[2, ...] array, confirm first, and each named ``Param`` is a view of its
-row, so both sides run as one GRU step loop without stacking their
-weights per call, and checkpoints keep one array per name.
+All three live in one float ``ParamStore`` whose ``Param``s enter the
+graph directly as tape leaves. Each encoder parameter is one stacked
+[2, ...] ``Param`` (``gru.w_r`` ... ``gru.h0``, ``out.w``, ``out.b``), row 0
+confirm and row 1 predict; ``named_arrays`` gives each side's rows under
+the per-side names of ``param_shapes``, the checkpoint's arrays.
 
-``encode_node`` maps one side's batch of windows [N, L, d] to symbol
-probabilities [N, Z]; a single window is a batch of one, ``frames[None]``.
-Given both sides, ``SIDES``, it maps their batches stacked as
-[2, N, L, d], confirm first, to a (confirm, predict) pair of [N, Z]
-nodes: one ``gru_sequence`` call runs both GRUs, and each side's values
-and gradients are bit-identical to its own call. Untaped, a side also
+``encode_node(SIDES, frames, tape)`` is the one taped encoder call: both
+sides' windows stacked as [2, N, L, d], confirm first, give symbol
+probabilities [2, N, Z] through one GRU pass, one affine map and one
+softmax, each side's values and gradients bit-identical to a model of that
+side alone. Windows whose two lengths differ come as a (y, x) pair of
+[N, L, d] batches: one GRU pass per side on its parameter row, joined
+before the paired head. One side, ``encode_node(CONFIRM or PREDICT,
+frames)``, runs untaped only, [N, L, d] to [N, Z]. Untaped, each side also
 takes a stack of equal-sized batches [B, N, L, d] (both sides
 [2, B, N, L, d]), giving [B, N, Z] whose every [N, Z] slice is
 bit-identical to that batch's own call. ``marginal_node`` gives the
-marginal's [Z] probabilities. With a tape the reverse sweep fills the
-``Param`` gradients; without one the pass is forward only.
+marginal's [Z] probabilities.
 
 The two encoders share no parameters; perturbing one side never changes
 the other side's outputs.
@@ -50,19 +50,20 @@ __all__ = [
 CONFIRM = "confirm"  # consumes y, the window's future frames
 PREDICT = "predict"  # consumes x, the window's past frames
 SIDES = (CONFIRM, PREDICT)
+MARGINAL = "marginal.logits"
 
 TAG_INIT = 101
 
 
 def param_shapes(input_dim: int, alphabet_size: int, hidden_dim: int) -> list[tuple[str, tuple]]:
-    """(name, shape) of every parameter, in store order."""
+    """(name, shape) of every parameter array a checkpoint holds, in its order."""
     h, d, z = hidden_dim, input_dim, alphabet_size
     gru = {"w": (h, d), "u": (h, h), "b": (h,)}
     shapes = []
     for side in SIDES:
         shapes += [(f"{side}.gru.{slot}", gru[slot[0]]) for slot in nm.GRU_SLOTS]
         shapes += [(f"{side}.gru.h0", (h,)), (f"{side}.out.w", (z, h)), (f"{side}.out.b", (z,))]
-    return shapes + [("marginal.logits", (z,))]
+    return shapes + [(MARGINAL, (z,))]
 
 
 class EncoderParams:
@@ -84,64 +85,89 @@ class EncoderParams:
         self.input_dim = input_dim
         self.alphabet_size = alphabet_size
         self.store = nm.ParamStore(dtype=dtype)
+        for name, shape in param_shapes(input_dim, alphabet_size, hidden_dim):
+            side, slot = name.split(".", 1)
+            if side == CONFIRM:
+                self.store.add(slot, np.zeros((len(SIDES),) + shape))
+            elif side not in SIDES:
+                self.store.add(name, np.zeros(shape))
+        self._gru = {slot: self.store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
+        # the draws fill the checkpoint's arrays in its order
         rng = nm.stream_rng(seed, TAG_INIT)
-        shapes = param_shapes(input_dim, alphabet_size, hidden_dim)
-        stacked = {
-            name.split(".")[-1]: np.empty((len(SIDES),) + shape, self.store.dtype)
-            for name, shape in shapes
-            if name.startswith(f"{CONFIRM}.gru.")
+        for array in self.named_arrays().values():
+            if array.ndim == 2:  # a weight matrix; its fan-in is its column count
+                array[...] = rng.uniform(-1.0, 1.0, size=array.shape) / np.sqrt(array.shape[1])
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter array under its ``param_shapes`` name, in that
+        order: each side's row of each encoder parameter, then the marginal
+        logits. The arrays are views: writing one writes the parameter."""
+        params = dict(self.store.items())
+        marginal = params.pop(MARGINAL)
+        arrays = {
+            f"{side}.{slot}": param.value[s]
+            for s, side in enumerate(SIDES)
+            for slot, param in params.items()
         }
-        for name, shape in shapes:
-            if len(shape) == 2:  # a weight matrix; its fan-in is its column count
-                value = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
-            else:
-                value = np.zeros(shape)
-            side, layer, *slot = name.split(".")
-            if layer == "gru":
-                row = stacked[slot[0]][SIDES.index(side)]
-                row[...] = value
-                value = row
-            self.store.add(name, value)
-        # the GRU parameter stacks of each side alone and of both sides
-        self._gru = {}
-        for key, rows in ((CONFIRM, slice(0, 1)), (PREDICT, slice(1, 2)), (SIDES, slice(0, 2))):
-            self._gru[key] = {
-                slot: nm.ParamStack(
-                    value[rows], [self.store[f"{side}.gru.{slot}"] for side in SIDES[rows]]
-                )
-                for slot, value in stacked.items()
-            }
+        arrays[MARGINAL] = marginal.value
+        return arrays
 
     def encode_node(
-        self, side: Union[str, tuple], frames: np.ndarray, tape: Optional[nm.Tape] = None
-    ) -> Union[nm.Node, tuple[nm.Node, ...]]:
-        """Symbol probabilities [N, Z] for one side's batch of windows
-        [N, L, d]; for ``SIDES``, the (confirm, predict) pair for both
-        sides' batches stacked as [2, N, L, d].
+        self, side: Union[str, tuple], frames, tape: Optional[nm.Tape] = None
+    ) -> nm.Node:
+        """Symbol probabilities [2, N, Z] for ``SIDES``' windows, stacked as
+        [2, N, L, d] or paired as (y, x); [N, Z] for one side's batch of
+        windows [N, L, d], untaped.
 
         Untaped, a stack of batches per side, [B, N, L, d] (both sides
         [2, B, N, L, d]), gives [B, N, Z] per side.
         """
-        stacks = self._gru.get(side) if isinstance(side, (str, tuple)) else None
-        if stacks is None:
+        if side == SIDES:
+            if isinstance(frames, tuple):
+                hidden = self._join(tape, frames)
+            else:
+                hidden = nm.gru_sequence(tape, self._gru, self._windows(frames, 4, tape))
+            logits = nm.affine(tape, self.store["out.w"], self.store["out.b"], hidden)
+            return nm.softmax(tape, logits)
+        if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
-        single = isinstance(side, str)
-        sides = (side,) if single else side
+        if tape is not None:
+            raise ValueError("one side alone runs untaped; a taped call takes both SIDES")
+        s = SIDES.index(side)
+        hidden = nm.gru_sequence(None, self._gru, self._windows(frames, 3, tape)[None], side=s)
+        w, b = (nm.Node(self.store[name].value[s : s + 1]) for name in ("out.w", "out.b"))
+        return nm.Node(nm.softmax(None, nm.affine(None, w, b, hidden)).value[0])
+
+    def _windows(self, frames, rank: int, tape: Optional[nm.Tape]) -> np.ndarray:
+        """`frames` in the store's dtype, once they are one side's batch of
+        windows [N, L, d] (`rank` 3) or both sides' [2, N, L, d] (`rank` 4);
+        untaped, each side may hold a stack of batches, one axis more."""
         given = np.asarray(frames, dtype=self.store.dtype)
-        frames = given[None] if single else given
-        ranks = (4,) if tape is not None else (4, 5)
-        if frames.ndim not in ranks or len(frames) != len(sides) or frames.shape[-1] != self.input_dim:
-            batch = "" if single else f"{len(sides)}, "
+        lead = f"{len(SIDES)}, " if rank == 4 else ""
+        if (given.ndim not in (rank, rank + (tape is None)) or given.shape[-1] != self.input_dim
+                or (rank == 4 and len(given) != len(SIDES))):
             raise ValueError(
-                f"encode_node takes windows [{batch}N, L, {self.input_dim}] (untaped also "
-                f"[{batch}B, N, L, {self.input_dim}]), got shape {given.shape}"
+                f"encode_node takes windows [{lead}N, L, {self.input_dim}] (untaped also "
+                f"[{lead}B, N, L, {self.input_dim}]), got shape {given.shape}"
             )
-        hidden = nm.gru_sequence(tape, stacks, frames)
-        probs = tuple(
-            nm.softmax(tape, nm.affine(tape, self.store[f"{s}.out.w"], self.store[f"{s}.out.b"], h))
-            for s, h in zip(sides, nm.unstack(tape, hidden))
-        )
-        return probs[0] if single else probs
+        return given
+
+    def _join(self, tape: Optional[nm.Tape], pair: tuple) -> nm.Node:
+        """One GRU pass per side of a (y, x) pair of batches whose window
+        lengths may differ, each on its side's parameter row, joined as the
+        [2, N, H] hidden state."""
+        parts = [
+            nm.gru_sequence(tape, self._gru, self._windows(frames, 3, tape)[None], side=s)
+            for s, frames in enumerate(pair)
+        ]
+        joined = nm.Node(np.concatenate([part.value for part in parts]))
+        if tape is not None:
+            def backward(g):
+                for s, part in enumerate(parts):
+                    nm._acc(part, g[s : s + 1])
+
+            tape._record(joined, backward)
+        return joined
 
     def marginal_node(self, tape: Optional[nm.Tape] = None) -> nm.Node:
-        return nm.softmax(tape, self.store["marginal.logits"])
+        return nm.softmax(tape, self.store[MARGINAL])

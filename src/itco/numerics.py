@@ -13,23 +13,23 @@ way: the losses in ``objective`` each record one node with
 A ``Param`` is itself a graph node: primitives take parameters directly
 as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
 
+Every primitive runs over a side axis S (2 for the two encoder sides):
+each parameter is one [S, ...] array, and each product runs as one GEMM
+per side through batched ``np.matmul``, so each side's values are those of
+its own S=1 call.
+
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
-hand-written backpropagation through time. It folds S independent GRUs
-(S = 1, or 2 for both encoder sides) in one step loop: frames [S, N, L, d],
-each GRU parameter a ``ParamStack`` of the S sides' parameters, each side
-from its own [H] initial state, and, untaped, a stack of batches per side
-[S, B, N, L, d]. Every product runs as one GEMM per side (and batch)
-through batched ``np.matmul``, so each side's values are those of its own
-call. It works on preallocated memory: each call's forward writes its
-gates in place into per-call [S, N, H] buffers, a taped call saves its
-state in one block of four time-major [L, S, N, H] arrays, and every
-backward draws its temporaries from one module-level scratch buffer,
-grown on demand and reused by all calls (so the numerics are not
-thread-safe). ``unstack`` hands each side its row of the output as a node
-of its own. The tests hold its oracles in ``tests/gru_oracle.py``: the
-same step composed from elementary taped primitives, and the earlier
-all-shapes fused node, which each side reproduces bit for bit.
+hand-written backpropagation through time. It folds the S GRUs in one
+step loop, or runs one side on its row of the parameters. It works on
+preallocated memory: each call's forward writes its gates in place into
+per-call [S, N, H] buffers, a taped call saves its state in one block of
+four time-major [L, S, N, H] arrays, and every backward draws its
+temporaries from one module-level scratch buffer, grown on demand and
+reused by all calls (so the numerics are not thread-safe). The tests hold
+its oracles in ``tests/gru_oracle.py``: the same step composed from
+elementary taped primitives, and the earlier all-shapes fused node, which
+each side reproduces bit for bit.
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -37,7 +37,7 @@ float64 ParamStore so central differences stay sharp.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -47,12 +47,10 @@ __all__ = [
     "Tape",
     "Param",
     "ParamStore",
-    "ParamStack",
     "stream_rng",
     "affine",
     "softmax",
     "gru_sequence",
-    "unstack",
     "sgd_apply",
     "finite_diff_check",
 ]
@@ -129,9 +127,7 @@ class ParamStore:
         self._entries: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray) -> Param:
-        """Register `value` under `name`. A C-contiguous array of the store's
-        dtype is kept as it is, not copied, so a parameter can be a row of a
-        ``ParamStack``."""
+        """Register `value`, cast to the store's dtype, under `name`."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         param = Param(name, np.ascontiguousarray(value, dtype=self.dtype))
@@ -163,40 +159,47 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
 # primitives
 
 
-def _acc(node: Node, g: np.ndarray) -> None:
-    """Add `g` into the node's gradient; the first gradient is copied in.
+def _acc(node: Node, g: np.ndarray, rows=...) -> None:
+    """Add `g` into the node's gradient, or into its `rows`; a first
+    gradient of the whole node is copied in.
 
     The copy is never an alias: callers pass read-only ``broadcast_to``
     views and views of the shared backward scratch, which later writes
     would change. Copying differs from adding into zeros in one case only:
     a copied -0.0 stays -0.0, where 0 + (-0.0) is +0.0. Either zero leaves
     a parameter that is not itself -0.0 unchanged under the SGD update.
+    A first gradient of some rows is added into zeros.
     """
-    if node.grad is None:
+    if node.grad is None and rows is ...:
         node.grad = np.empty_like(node.value)
         np.copyto(node.grad, g)  # broadcasts and casts as "+=" does
-    else:
-        node.grad += g
+        return
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad[rows] += g
 
 
 def affine(tape: Optional[Tape], w: Node, b: Node, v: Node) -> Node:
-    """v @ w.T + b for a batch of row vectors [N, n].
+    """v @ w.T + b on each side: w [S, m, n], b [S, m] and a batch of row
+    vectors per side, v [S, N, n], to [S, N, m].
 
-    An untaped call also takes a stack of batches [B, N, n], one GEMM per
-    batch.
+    An untaped call also takes a stack of batches per side [S, B, N, n],
+    one GEMM per side and batch.
     """
     wv, bv, vv = w.value, b.value, v.value
-    if wv.ndim != 2 or bv.shape != (wv.shape[0],) or vv.shape[-1] != wv.shape[1]:
+    ranks = (3,) if tape is not None else (3, 4)
+    if (wv.ndim != 3 or bv.shape != wv.shape[:2] or vv.ndim not in ranks
+            or vv.shape[0] != wv.shape[0] or vv.shape[-1] != wv.shape[2]):
         raise ValueError(
-            f"affine shape mismatch: w{wv.shape} b{bv.shape} v{vv.shape}"
+            f"affine takes w [S, m, n], b [S, m] and v [S, N, n] (untaped also "
+            f"[S, B, N, n]), got w{wv.shape} b{bv.shape} v{vv.shape}"
         )
-    if vv.ndim not in ((2,) if tape is not None else (2, 3)):
-        raise ValueError(f"affine input must be 2-d (untaped also 3-d), got {vv.ndim}-d")
-    out = Node(vv @ wv.T + bv)
+    lead = wv.shape[:1] + (1,) * (vv.ndim - 3)
+    out = Node(vv @ wv.reshape(lead + wv.shape[1:]).swapaxes(-1, -2) + bv.reshape(lead + (1, -1)))
     if tape is not None:
         def bw(g):
-            _acc(w, g.T @ vv)
-            _acc(b, g.sum(axis=0))
+            _acc(w, g.swapaxes(1, 2) @ vv)
+            _acc(b, g.sum(axis=1))
             _acc(v, g @ wv)
 
         tape._record(out, bw)
@@ -227,60 +230,23 @@ def softmax(tape: Optional[Tape], logits: Node) -> Node:
 GRU_SLOTS = ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_c", "u_c", "b_c")
 
 
-class ParamStack:
-    """S same-shaped parameters read as one [S, ...] array.
-
-    The rows of ``value`` are the values of ``parts`` themselves (views, not
-    copies), so an update of a part shows through the stack without
-    stacking again. A primitive that reads the stack adds each row's
-    gradient into its part; ``ParamStack.of(param)`` is a stack of one.
-    """
-
-    __slots__ = ("value", "parts")
-
-    def __init__(self, value: np.ndarray, parts: Sequence[Node]):
-        if len(value) != len(parts) or not all(
-            row.shape == part.value.shape and np.shares_memory(row, part.value)
-            for row, part in zip(value, parts)
-        ):
-            raise ValueError("each row of a parameter stack must be its part's value")
-        self.value = value
-        self.parts = tuple(parts)
-
-    @classmethod
-    def of(cls, param: Node) -> "ParamStack":
-        return cls(param.value[None], (param,))
-
-
-def unstack(tape: Optional[Tape], node: Node) -> tuple[Node, ...]:
-    """The rows of an [S, ...] node as S nodes, each a view of its row; each
-    row's gradient is added into its row of the node's gradient."""
-    rows = tuple(Node(row) for row in node.value)
-    if tape is not None:
-        for s, row in enumerate(rows):
-            def bw(g, s=s):
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.value)
-                node.grad[s] += g
-
-            tape._record(row, bw)
-    return rows
-
-
-def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.ndarray) -> Node:
+def gru_sequence(
+    tape: Optional[Tape], p: Mapping[str, Node], frames: np.ndarray, side: Optional[int] = None
+) -> Node:
     """Fold S independent GRUs, one per side, over their windows in one
     step loop.
 
-    ``p`` maps each of ``GRU_SLOTS`` and ``"h0"`` to the stack of the S
-    sides' parameters: weights [S, H, d] and [S, H, H], biases and the
-    trainable initial states [S, H]. ``frames`` is [S, N, L, d], one batch
-    of windows per side, of the parameters' dtype; returns the final hidden
-    states [S, N, H]. An untaped call also takes a stack of batches per
-    side, [S, B, N, L, d] to [S, B, N, H]. Every product runs through
-    batched ``np.matmul`` as one GEMM per side (and batch), the same
-    [N, K] x [K, H] product a call on that side (and batch) alone runs, so
-    each side's values are bit-identical to its own S=1 call. Other shapes
-    raise ``ValueError``.
+    ``p`` maps each of ``GRU_SLOTS`` and ``"h0"`` to the S sides' stacked
+    parameter: weights [S, H, d] and [S, H, H], biases and the trainable
+    initial states [S, H]. ``frames`` is [S, N, L, d], one batch of windows
+    per side, of the parameters' dtype; returns the final hidden states
+    [S, N, H]. An untaped call also takes a stack of batches per side,
+    [S, B, N, L, d] to [S, B, N, H]. With ``side`` given, the call runs
+    that side alone (S=1) on its row of each parameter, and its backward
+    adds into that row of each gradient. Every product is one GEMM per
+    side (and batch), the [N, K] x [K, H] product that side (and batch)
+    runs alone, so each side's values are bit-identical to its own S=1
+    call. Other shapes raise ``ValueError``.
 
     One step is
 
@@ -301,7 +267,9 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.n
     ``_gru_sequence_backward``).
     """
     frames = np.asarray(frames)
-    h0 = p["h0"].value
+    rows = ... if side is None else slice(side, side + 1)
+    values = {slot: p[slot].value[rows] for slot in (*GRU_SLOTS, "h0")}
+    h0 = values["h0"]
     ranks = (4,) if tape is not None else (4, 5)
     if (frames.ndim not in ranks or h0.ndim != 2 or frames.shape[0] != h0.shape[0]
             or frames.dtype != h0.dtype):
@@ -317,10 +285,10 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.n
     # with a unit axis over an untaped stack's batches
     lead = frames.shape[:1] + (1,) * (frames.ndim - 4)
     w_r, u_r, w_u, u_u, w_c, u_c = (
-        p[slot].value.swapaxes(1, 2).reshape(lead + p[slot].value.shape[:0:-1])
+        values[slot].swapaxes(1, 2).reshape(lead + values[slot].shape[:0:-1])
         for slot in ("w_r", "u_r", "w_u", "u_u", "w_c", "u_c")
     )
-    b_r, b_u, b_c, h = (p[slot].value.reshape(lead + (1, -1)) for slot in ("b_r", "b_u", "b_c", "h0"))
+    b_r, b_u, b_c, h = (values[key].reshape(lead + (1, -1)) for key in ("b_r", "b_u", "b_c", "h0"))
     shape = frames.shape[:-2] + h0.shape[1:]
     tmp = np.empty(shape, h0.dtype)
     out = np.empty(shape, h0.dtype)
@@ -349,7 +317,7 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.n
         a *= 0.5
 
     # step 0's recurrent products, one matrix-vector product per side on its h0
-    first_r, first_u = ((p[slot].value @ h0[..., None]).reshape(h.shape) for slot in ("u_r", "u_u"))
+    first_r, first_u = ((values[slot] @ h0[..., None]).reshape(h.shape) for slot in ("u_r", "u_u"))
     for t in range(steps):
         if tape is None:
             h_next = out
@@ -372,7 +340,7 @@ def gru_sequence(tape: Optional[Tape], p: Mapping[str, ParamStack], frames: np.n
         h = h_next
     node = Node(out)
     if tape is not None:
-        tape._record(node, _gru_sequence_backward(p, frames, saved))
+        tape._record(node, _gru_sequence_backward(p, rows, frames, saved))
     return node
 
 
@@ -391,7 +359,7 @@ def _scratch_array(dtype: np.dtype, size: int) -> np.ndarray:
 
 
 def _gru_sequence_backward(
-    p: Mapping[str, ParamStack], frames: np.ndarray, saved: np.ndarray
+    p: Mapping[str, Node], rows, frames: np.ndarray, saved: np.ndarray
 ) -> Callable[[np.ndarray], None]:
     """Backpropagation through time for one ``gru_sequence`` call.
 
@@ -405,24 +373,27 @@ def _gru_sequence_backward(
     again, as the forward formed it), so the product is the one a call on
     that side alone runs. The sweep consumes ``saved``: the spent u and c
     hold those copies. Every other temporary, the products included, is a
-    view of the shared scratch, and ``_acc`` copies each product out.
+    view of the shared scratch; each parameter's [S, ...] gradient is
+    gathered there, and ``_acc`` adds it into the parameter's ``rows``.
     """
     h_prev, r, u, c = saved
 
     def bw(g):
-        steps, sides, rows, hidden = r.shape
+        steps, sides, n, hidden = r.shape
         d = frames.shape[-1]
-        flat = steps * rows
-        sizes = (3 * r.size, 3 * g.size, flat * d, hidden * d, hidden * hidden, hidden)
+        flat = steps * n
+        sizes = (3 * r.size, 3 * g.size, flat * d, 3 * sides * hidden * d,
+                 3 * sides * hidden * hidden, 4 * sides * hidden)
         ends = np.cumsum(sizes)
         work = _scratch_array(r.dtype, int(ends[-1]))
         # the reverse loop turns each factor k_* into its gate's gradient da_*
         k_c, k_u, k_r = work[: ends[0]].reshape((3,) + r.shape)
         gh, drh, tmp = work[ends[0] : ends[1]].reshape((3,) + g.shape)
-        x = work[ends[1] : ends[2]].reshape(steps, rows, d)
-        grad_w = work[ends[2] : ends[3]].reshape(hidden, d)
-        grad_u = work[ends[3] : ends[4]].reshape(hidden, hidden)
-        grad_b = work[ends[4] :]
+        x = work[ends[1] : ends[2]].reshape(steps, n, d)
+        # per gate, then h0 among the biases
+        grad_w = work[ends[2] : ends[3]].reshape(3, sides, hidden, d)
+        grad_u = work[ends[3] : ends[4]].reshape(3, sides, hidden, hidden)
+        grad_b = work[ends[4] :].reshape(4, sides, hidden)
 
         # k_r is free until its own turn: it holds the factors' second terms
         np.subtract(1.0, u, out=k_c)
@@ -437,7 +408,7 @@ def _gru_sequence_backward(
         np.multiply(r, k_r, out=k_r)
         k_r *= h_prev  # d(r*h_prev)/da_r = h_prev * (r*(1-r))
 
-        u_r, u_u, u_c = p["u_r"].value, p["u_u"].value, p["u_c"].value
+        u_r, u_u, u_c = (p[slot].value[rows] for slot in ("u_r", "u_u", "u_c"))
         da_r, da_u, da_c = k_r, k_u, k_c
         np.copyto(gh, g)
         for t in reversed(range(steps)):
@@ -455,19 +426,24 @@ def _gru_sequence_backward(
             gh += tmp
 
         # one side's rows at a time, in the memory of the spent u and c
-        da_s, h_s = saved[2:].reshape(-1)[: 2 * flat * hidden].reshape(2, steps, rows, hidden)
+        da_s, h_s = saved[2:].reshape(-1)[: 2 * flat * hidden].reshape(2, steps, n, hidden)
         for s in range(sides):
             np.copyto(x, frames[s].swapaxes(0, 1))
             np.copyto(h_s, h_prev[:, s])
-            for gate, da in (("r", da_r), ("u", da_u), ("c", da_c)):
-                if gate == "c":
+            for i, da in enumerate((da_r, da_u, da_c)):
+                if i == 2:
                     h_s *= r[:, s]  # the candidate's input: the forward's r*h_prev
                 np.copyto(da_s, da[:, s])
                 a, v, h_in = (m.reshape(flat, -1) for m in (da_s, x, h_s))
-                _acc(p[f"w_{gate}"].parts[s], np.matmul(a.T, v, out=grad_w))
-                _acc(p[f"u_{gate}"].parts[s], np.matmul(a.T, h_in, out=grad_u))
-                _acc(p[f"b_{gate}"].parts[s], a.sum(axis=0, out=grad_b))
-            _acc(p["h0"].parts[s], gh[s].sum(axis=0, out=grad_b))
+                np.matmul(a.T, v, out=grad_w[i, s])
+                np.matmul(a.T, h_in, out=grad_u[i, s])
+                a.sum(axis=0, out=grad_b[i, s])
+            gh[s].sum(axis=0, out=grad_b[3, s])
+        for i, gate in enumerate("ruc"):
+            _acc(p[f"w_{gate}"], grad_w[i], rows)
+            _acc(p[f"u_{gate}"], grad_u[i], rows)
+            _acc(p[f"b_{gate}"], grad_b[i], rows)
+        _acc(p["h0"], grad_b[3], rows)
 
     return bw
 

@@ -20,10 +20,13 @@ one conversion constant. Logs are clamped at ``LOG_FLOOR``, so a zero
 probability costs a large finite penalty instead of infinity and passes
 no gradient.
 
-Each loss computes its terms in plain numpy and records one tape node
-whose backward is their closed-form gradient, taken in the order of the
-elementwise steps (log, product, row sum, mean, scale to bits) the terms
-are made of, so that it rounds as those steps' chain rule does.
+The encoders' losses take a window pair's probabilities as one
+[2, N, Z] node or array, confirm row first, as ``EncoderParams.encode_node``
+gives them for both sides. Each loss computes its terms in plain numpy
+and records one tape node whose backward is their closed-form gradient,
+taken in the order of the elementwise steps (log, product, row sum, mean,
+scale to bits) the terms are made of, so that it rounds as those steps'
+chain rule does; the pair's gradient is formed whole and handed on once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
 LOG2E = float(np.log2(np.e))
 LOG_FLOOR = 1e-30
 
-Dists = Union[nm.Node, np.ndarray]  # [N, Z], one distribution per window
+Dists = Union[nm.Node, np.ndarray]  # [N, Z], one distribution per window; a pair [2, N, Z]
 
 
 @dataclass
@@ -59,24 +62,18 @@ class ObjectiveTerms:
     adversarial_marginal_bits: Optional[float] = None
 
 
-def _as_batch_node(dists: Dists) -> nm.Node:
-    """Coerce a [N, Z] node or array to a node; N must be at least 1."""
+def _as_node(dists: Dists, pair: bool) -> nm.Node:
+    """Coerce one side's [N, Z] distributions, or a window pair's [2, N, Z]
+    (confirm, then predict; row i of each from window i), to a node; N must
+    be at least 1."""
     node = dists if isinstance(dists, nm.Node) else nm.Node(np.asarray(dists))
-    if node.value.ndim != 2:
-        raise ValueError(f"distributions must form a [N, Z] matrix, got shape {node.value.shape}")
-    if node.value.shape[0] == 0:
+    shape = node.value.shape
+    if len(shape) != 2 + pair or (pair and shape[0] != 2):
+        want = "[2, N, Z]" if pair else "[N, Z]"
+        raise ValueError(f"distributions must form a {want} array, got shape {shape}")
+    if shape[-2] == 0:
         raise ValueError("need at least one distribution")
     return node
-
-
-def _paired(confirm_dists: Dists, predict_dists: Dists) -> tuple[nm.Node, nm.Node]:
-    """Both sides as [N, Z] nodes; row i of each comes from window i."""
-    confirm, predict = _as_batch_node(confirm_dists), _as_batch_node(predict_dists)
-    if confirm.value.shape != predict.value.shape:
-        raise ValueError(
-            f"window-paired batches differ in shape: {confirm.value.shape} vs {predict.value.shape}"
-        )
-    return confirm, predict
 
 
 def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,20 +98,19 @@ def count_saturation(weights: np.ndarray, scored: np.ndarray) -> int:
     return int(np.count_nonzero((scored < LOG_FLOOR) & (weights > 0)))
 
 
-def _terms(ce, marginal_entropy, loss, confirm: nm.Node, predict: nm.Node, **extra):
+def _terms(ce, marginal_entropy, loss, probs: nm.Node, **extra):
     return ObjectiveTerms(
         cross_entropy_bits=float(ce),
         marginal_entropy_bits=float(marginal_entropy),
         mi_bound_bits=float(marginal_entropy) - float(ce),
         loss=float(loss.value),
-        saturation_count=count_saturation(confirm.value, predict.value),
+        saturation_count=count_saturation(*probs.value),
         **extra,
     )
 
 
 def utterance_loss(
-    confirm_dists: Dists,
-    predict_dists: Dists,
+    probs: Dists,
     tape: Optional[nm.Tape] = None,
     extra_entropy_rows: Optional[np.ndarray] = None,
 ) -> tuple[nm.Node, ObjectiveTerms]:
@@ -128,8 +124,8 @@ def utterance_loss(
     combined mean. Gradients reach the confirm side through both terms and
     the predict side through the first only.
     """
-    confirm, predict = _paired(confirm_dists, predict_dists)
-    c, p = confirm.value, predict.value
+    probs = _as_node(probs, pair=True)
+    c, p = probs.value
     n = c.shape[0]
     p_clamped, log_p = _clamped_log(p)
     ce = _cross_entropy_bits(c, log_p)
@@ -144,17 +140,19 @@ def utterance_loss(
     loss = nm.Node(ce - marginal_entropy)
     if tape is not None:
         def backward(g):
+            grad = np.empty_like(probs.value)
             to_bits = -g * -LOG2E  # the marginal term enters the loss negated
             dq = to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)
             if share is not None:
                 dq = dq * share
-            nm._acc(confirm, np.broadcast_to(dq / n, c.shape))
+            grad[0] = dq / n
             per_cell = (g * -LOG2E) / n
-            nm._acc(confirm, per_cell * log_p)
-            nm._acc(predict, _log_grad(per_cell * c, p, p_clamped))
+            grad[0] += per_cell * log_p
+            grad[1] = _log_grad(per_cell * c, p, p_clamped)
+            nm._acc(probs, grad)
 
         tape._record(loss, backward)
-    return loss, _terms(ce, marginal_entropy, loss, confirm, predict)
+    return loss, _terms(ce, marginal_entropy, loss, probs)
 
 
 def marginal_fit_loss(
@@ -165,7 +163,7 @@ def marginal_fit_loss(
     This is the marginal model's own training loss; gradients reach only
     the marginal.
     """
-    c = _as_batch_node(confirm_dists).value
+    c = _as_node(confirm_dists, pair=False).value
     clamped, log_m = _clamped_log(marginal.value)
     loss = nm.Node(_cross_entropy_bits(c, log_m))
     if tape is not None:
@@ -178,10 +176,7 @@ def marginal_fit_loss(
 
 
 def adversarial_loss(
-    confirm_dists: Dists,
-    predict_dists: Dists,
-    marginal: nm.Node,
-    tape: Optional[nm.Tape] = None,
+    probs: Dists, marginal: nm.Node, tape: Optional[nm.Tape] = None
 ) -> tuple[nm.Node, ObjectiveTerms]:
     """The encoders' loss against a fixed (untaped) [Z] marginal.
 
@@ -192,8 +187,8 @@ def adversarial_loss(
     loss, `marginal_fit_loss`, with the confirm side frozen instead; its
     value is reported as ``adversarial_marginal_bits``.
     """
-    confirm, predict = _paired(confirm_dists, predict_dists)
-    c, p = confirm.value, predict.value
+    probs = _as_node(probs, pair=True)
+    c, p = probs.value
     n = c.shape[0]
     p_clamped, log_p = _clamped_log(p)
     log_m = _clamped_log(marginal.value)[1]
@@ -202,15 +197,15 @@ def adversarial_loss(
     loss = nm.Node(ce - marginal_ce)
     if tape is not None:
         def backward(g):
-            nm._acc(confirm, np.broadcast_to(((-g * -LOG2E) / n) * log_m, c.shape))
+            grad = np.empty_like(probs.value)
+            grad[0] = ((-g * -LOG2E) / n) * log_m
             per_cell = (g * -LOG2E) / n
-            nm._acc(confirm, per_cell * log_p)
-            nm._acc(predict, _log_grad(per_cell * c, p, p_clamped))
+            grad[0] += per_cell * log_p
+            grad[1] = _log_grad(per_cell * c, p, p_clamped)
+            nm._acc(probs, grad)
 
         tape._record(loss, backward)
     q = c.mean(axis=0)
     marginal_entropy = (q * _clamped_log(q)[1]).sum() * -LOG2E
-    terms = _terms(
-        ce, marginal_entropy, loss, confirm, predict, adversarial_marginal_bits=float(marginal_ce)
-    )
+    terms = _terms(ce, marginal_entropy, loss, probs, adversarial_marginal_bits=float(marginal_ce))
     return loss, terms

@@ -45,6 +45,7 @@ __all__ = [
     "clone_symbols",
     "save_checkpoint",
     "load_checkpoint",
+    "replace_file",
     "evaluate_on_corpus",
 ]
 
@@ -283,14 +284,9 @@ def clone_symbols(state: TrainState) -> TrainState:
     n_pairs = min(dead.size, live_ranked.size)
     pairs = [(int(live_ranked[i]), int(dead[i])) for i in range(n_pairs)]
 
-    store = state.ep.store
-    targets = [
-        store[f"{CONFIRM}.out.w"].value,
-        store[f"{CONFIRM}.out.b"].value,
-        store[f"{PREDICT}.out.w"].value,
-        store[f"{PREDICT}.out.b"].value,
-        store["marginal.logits"].value,
-    ]
+    arrays = state.ep.named_arrays()
+    targets = [arrays[f"{side}.out.{key}"] for side in SIDES for key in "wb"]
+    targets.append(arrays["marginal.logits"])
     for src, dst in pairs:
         for arr in targets:
             arr[dst] = arr[src]
@@ -321,7 +317,7 @@ def clone_symbols(state: TrainState) -> TrainState:
 
 
 def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
-    arrays = [(name, param.value) for name, param in state.ep.store.items()]
+    arrays = list(state.ep.named_arrays().items())
     arrays.append(("epoch_max_confirm", state.epoch_max_confirm))
     arrays.append(("epoch_max_predict", state.epoch_max_predict))
     arrays.append(("entropy_buffer", state.entropy_buffer))
@@ -331,7 +327,8 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(state: TrainState, path: Path) -> None:
-    """ITCK container: magic, version, JSON header, f32 arrays, CRC32."""
+    """ITCK container: magic, version, JSON header, f32 arrays, CRC32,
+    written through `replace_file`."""
     arrays = _state_arrays(state)
     header = {
         "config": state.config.to_json_dict(),
@@ -360,9 +357,21 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     for _, arr in arrays:
         body += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     body += np.asarray([zlib.crc32(bytes(body))], dtype="<u4").tobytes()
+    replace_file(path, bytes(body))
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to `path` under a temporary name in the same directory,
+    then rename it over `path`: a write cut short leaves the earlier file
+    whole, and the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(bytes(body))
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)  # gone already once renamed
 
 
 def load_checkpoint(path: Path) -> TrainState:
@@ -451,8 +460,8 @@ def load_checkpoint(path: Path) -> TrainState:
     state.live_mask = np.asarray(live, dtype=bool)
     state.clone_history = history
     state.corpus_hash = corpus_hash
-    for name, param in state.ep.store.items():
-        param.value[...] = loaded[name]
+    for name, array in state.ep.named_arrays().items():
+        array[...] = loaded[name]
     state.epoch_max_confirm = loaded["epoch_max_confirm"]
     state.epoch_max_predict = loaded["epoch_max_predict"]
     state.entropy_buffer = loaded["entropy_buffer"]
@@ -544,8 +553,8 @@ def _stream_length_through(path: Path, step: int) -> int:
 
 
 def _minibatch_frames(u: Utterance, config: TrainConfig, dtype) -> Union[np.ndarray, tuple]:
-    """An utterance's training windows: both sides stacked as [2, N, L, d],
-    confirm (y) first, for one paired encoder call; a (y, x) pair when the
+    """An utterance's training windows for ``encode_node(SIDES, ...)``: both
+    sides stacked as [2, N, L, d], confirm (y) first; a (y, x) pair when the
     two sides' lengths differ."""
     x, y, _ = window_arrays(u, config.geometry, config.aligned_windows, dtype)
     return np.stack((y, x)) if x.shape == y.shape else (y, x)
@@ -555,20 +564,16 @@ def _train_minibatch(state: TrainState, frames, lr: float) -> ob.ObjectiveTerms:
     """One SGD step on one utterance's `_minibatch_frames`."""
     config = state.config
     tape = Tape()
-    if isinstance(frames, tuple):
-        confirm = state.ep.encode_node(CONFIRM, frames[0], tape)
-        predict = state.ep.encode_node(PREDICT, frames[1], tape)
-    else:
-        confirm, predict = state.ep.encode_node(SIDES, frames, tape)
+    probs = state.ep.encode_node(SIDES, frames, tape)
     extra = None
     if config.entropy_mode == "global" and state.entropy_buffer.shape[0] > 0:
         extra = state.entropy_buffer
     if config.mode == "base":
-        loss, terms = ob.utterance_loss(confirm, predict, tape, extra_entropy_rows=extra)
+        loss, terms = ob.utterance_loss(probs, tape, extra_entropy_rows=extra)
         tape.backward(loss)
         sgd_apply(state.ep.store, lr)
     else:
-        encoder_loss, terms = ob.adversarial_loss(confirm, predict, state.ep.marginal_node(), tape)
+        encoder_loss, terms = ob.adversarial_loss(probs, state.ep.marginal_node(), tape)
         tape.backward(encoder_loss)
         sgd_apply(state.ep.store, lr)
         # alternate: refresh the confirm pass (gradient-free, it only
@@ -579,8 +584,7 @@ def _train_minibatch(state: TrainState, frames, lr: float) -> ob.ObjectiveTerms:
         tape2.backward(marginal_loss)
         sgd_apply(state.ep.store, lr)
 
-    probs_confirm = confirm.value
-    probs_predict = predict.value
+    probs_confirm, probs_predict = probs.value
     state.epoch_max_confirm = np.maximum(state.epoch_max_confirm, probs_confirm.max(axis=0))
     state.epoch_max_predict = np.maximum(state.epoch_max_predict, probs_predict.max(axis=0))
     if config.entropy_mode == "global":
@@ -609,8 +613,9 @@ def train(
     total, saving `interrupted.itck` when a checkpoint directory is given;
     resuming from it reproduces the uninterrupted run's remaining metrics
     exactly. A ``stop_after`` at or below the count the run starts from
-    raises TrainerError before the metrics file is opened. When resuming into an existing ``metrics_path``, the file is
-    cut back to the checkpoint's step and continued. ``corpus_hash`` names
+    raises TrainerError before the metrics file is opened. When resuming
+    into an existing ``metrics_path``, the file is cut back to the
+    checkpoint's step and continued. ``corpus_hash`` names
     the training corpus; it is stored in every checkpoint, and resuming
     under another hash raises TrainerError. A NaN or infinity, or a
     saturated divergence (a minibatch whose bound is below

@@ -222,7 +222,19 @@ def _fused_backward(p, frames, saved):
 
 def runtime_sequence(tape, p, frames):
     """``numerics.gru_sequence`` on one side, as the references take it: the
-    side's parameters as stacks of one, its [N, L, d] frames as
-    [1, N, L, d], and its row of the output as a node of its own."""
-    stacks = {slot: nm.ParamStack.of(p[slot]) for slot in (*nm.GRU_SLOTS, "h0")}
-    return nm.unstack(tape, nm.gru_sequence(tape, stacks, np.asarray(frames)[None]))[0]
+    side's parameters as [1, ...] views, its [N, L, d] frames as
+    [1, N, L, d], and its row of the output as a node of its own. Taped,
+    each view's gradient is a view of its parameter's, zero-filled first,
+    so the sequence's backward adds into the parameter's own gradient."""
+    stacks = {}
+    for slot in (*nm.GRU_SLOTS, "h0"):
+        stacks[slot] = nm.Node(p[slot].value[None])
+        if tape is not None:
+            if p[slot].grad is None:
+                p[slot].grad = np.zeros_like(p[slot].value)
+            stacks[slot].grad = p[slot].grad[None]
+    out = nm.gru_sequence(tape, stacks, np.asarray(frames)[None])
+    row = nm.Node(out.value[0])
+    if tape is not None:
+        tape._record(row, lambda g: nm._acc(out, g[None]))
+    return row

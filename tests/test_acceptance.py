@@ -173,7 +173,7 @@ def test_criterion_3_cloning_one_bit_law():
     )
     state = TrainState(config, input_dim=2, dtype=np.float64)
     for side in (CONFIRM, PREDICT):
-        bias = state.ep.store[f"{side}.out.b"].value
+        bias = state.ep.named_arrays()[f"{side}.out.b"]
         bias[2:] = -2000.0  # exp underflow: exactly zero probability in f64
 
     def frozen_batch_terms():
@@ -184,7 +184,7 @@ def test_criterion_3_cloning_one_bit_law():
             ys.append(y)
         confirm = state.ep.encode_node(CONFIRM, np.concatenate(ys)).value
         predict = state.ep.encode_node(PREDICT, np.concatenate(xs)).value
-        _, terms = ob.utterance_loss(confirm, predict)
+        _, terms = ob.utterance_loss(np.stack((confirm, predict)))
         return terms
 
     before = frozen_batch_terms()
@@ -286,7 +286,7 @@ def test_criterion_6_oracle_equivalence():
         z = int(rng.integers(2, 9))
         confirm = rng.dirichlet(np.ones(z), size=n)
         predict = rng.dirichlet(np.ones(z), size=n)
-        terms = ob.utterance_loss(confirm, predict)[1]
+        terms = ob.utterance_loss(np.stack((confirm, predict)))[1]
         worst = max(
             worst,
             abs(terms.cross_entropy_bits - brute_force_cross_entropy_bits(confirm, predict)),

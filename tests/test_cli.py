@@ -821,9 +821,9 @@ def test_every_gru_pass_starts_inside_encode_node(tmp_path, corpus_dir, run_dir,
         finally:
             depth[0] -= 1
 
-    def counted(tape, p, frames):
+    def counted(tape, p, frames, **side):
         (inside if depth[0] else outside).append(tape is not None)
-        return sequence(tape, p, frames)
+        return sequence(tape, p, frames, **side)
 
     monkeypatch.setattr(EncoderParams, "encode_node", entered)
     monkeypatch.setattr(nm, "gru_sequence", counted)

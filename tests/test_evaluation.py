@@ -183,7 +183,7 @@ def reduce_corpus_oracle(
             entropy[side] += entropy_bits_sum(probs)
         agree += int((winners == predict.argmax(axis=1)).sum())
         windows += centers.size
-        terms.append(utterance_loss(confirm, predict)[1])
+        terms.append(utterance_loss(np.stack((confirm, predict)))[1])
     if windows == 0:
         raise EvaluationError("no full windows in the corpus")
     return CorpusReduction(
@@ -299,7 +299,7 @@ class TestReduceCorpus:
             assert got.entropy_bits[side] == sum(entropy_bits_sum(p) for p in sides)
             assert np.array_equal(got.mean(side), got.sums[side] / got.windows)
         assert got.agree == sum(int((c.argmax(1) == p.argmax(1)).sum()) for c, p in outputs)
-        assert got.terms == [utterance_loss(c, p)[1] for c, p in outputs]
+        assert got.terms == [utterance_loss(np.stack(pair))[1] for pair in outputs]
         assert got.symbols.tolist() == symbols and got.gold.tolist() == gold
 
     def test_entropy_bits_sum_adds_row_entropies(self):
@@ -562,11 +562,10 @@ class TestAgreementRate:
         # the argmaxes.
         geom = WindowGeometry(total=6, past=3, gap=0, future=3)
         ep = small_params(seed=11)
-        for slot, _ in ep.store.items():
-            if slot.startswith("confirm."):
-                ep.store["predict." + slot[len("confirm.") :]].value[...] = ep.store[
-                    slot
-                ].value
+        arrays = ep.named_arrays()
+        for name, array in arrays.items():
+            if name.startswith("confirm."):
+                arrays["predict." + name[len("confirm.") :]][...] = array
         u = Utterance("const", np.ones((20, 4), dtype=np.float64))
         assert reduce_stride1(ep, [u], geom).agreement == 1.0
 
@@ -576,9 +575,10 @@ class TestAgreementRate:
         geom = GEOM
         ep = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=0)
         other = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=999)
-        for slot, _ in ep.store.items():
-            if slot.startswith("predict."):
-                ep.store[slot].value[...] = other.store[slot].value
+        mine, theirs = ep.named_arrays(), other.named_arrays()
+        for name, array in mine.items():
+            if name.startswith("predict."):
+                array[...] = theirs[name]
         corpus = [random_utterance(100 + i, 80, uid=f"u{i}") for i in range(20)]
         rate = reduce_stride1(ep, corpus, geom).agreement
 

@@ -5,15 +5,15 @@ import pytest
 
 from itco import numerics as nm
 from itco.gradcheck import projected
-from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
+from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams, param_shapes
 
 
 def tiny_params(seed=0, dtype=np.float64):
     return EncoderParams(input_dim=3, alphabet_size=4, hidden_dim=5, seed=seed, dtype=dtype)
 
 
-def side_names(ep, side):
-    return [name for name, _ in ep.store.items() if name.startswith(f"{side}.")]
+def side_arrays(ep, side):
+    return {name: array for name, array in ep.named_arrays().items() if name.startswith(f"{side}.")}
 
 
 def zero_all(ep):
@@ -60,14 +60,23 @@ def test_sides_share_no_parameters():
     ep = tiny_params(seed=7)
     window = np.random.default_rng(4).standard_normal((1, 4, 3))
     before = ep.encode_node(CONFIRM, window).value
-    for name in side_names(ep, PREDICT):
-        ep.store[name].value += 0.37
+    for array in side_arrays(ep, PREDICT).values():
+        array += 0.37
     after = ep.encode_node(CONFIRM, window).value
     assert np.array_equal(before, after)
-    names_c = set(side_names(ep, CONFIRM))
-    names_p = set(side_names(ep, PREDICT))
-    assert len(names_c) == len(names_p) == 12
-    assert not names_c & names_p
+    arrays_c, arrays_p = side_arrays(ep, CONFIRM), side_arrays(ep, PREDICT)
+    assert len(arrays_c) == len(arrays_p) == 12
+    assert not arrays_c.keys() & arrays_p.keys()
+    assert not any(np.shares_memory(a, b) for a in arrays_c.values() for b in arrays_p.values())
+
+
+def test_named_arrays_are_the_checkpoint_layout():
+    # param_shapes' names, shapes and order, as writable views of the rows
+    ep = tiny_params()
+    arrays = ep.named_arrays()
+    assert [(name, array.shape) for name, array in arrays.items()] == param_shapes(3, 4, 5)
+    arrays["predict.out.b"][2] = 7.0
+    assert ep.store["out.b"].value[1, 2] == 7.0
 
 
 def test_encode_rejects_wrong_dimension_and_side():
@@ -104,14 +113,14 @@ def test_stacked_calls_equal_separate_calls_bit_for_bit(dtype, b, n):
     for _, param in ep.store.items():  # nonzero biases and h0 too
         param.value += (0.1 * rng.standard_normal(param.value.shape)).astype(dtype)
     frames = rng.standard_normal((b, n, 4, 64)).astype(dtype)
-    for side in (CONFIRM, PREDICT):
-        gru = {slot: nm.ParamStack.of(ep.store[f"{side}.gru.{slot}"]) for slot in (*nm.GRU_SLOTS, "h0")}
-        hidden = nm.gru_sequence(None, gru, frames[None]).value[0]
+    gru = {slot: ep.store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
+    for s, side in enumerate(SIDES):
+        hidden = nm.gru_sequence(None, gru, frames[None], side=s).value[0]
         probs = ep.encode_node(side, frames).value
         assert hidden.shape == (b, n, 64) and probs.shape == (b, n, 16)
         assert hidden.dtype == probs.dtype == dtype
         for i in range(b):
-            assert np.array_equal(hidden[i], nm.gru_sequence(None, gru, frames[i][None]).value[0])
+            assert np.array_equal(hidden[i], nm.gru_sequence(None, gru, frames[i][None], side=s).value[0])
             assert np.array_equal(probs[i], ep.encode_node(side, frames[i]).value)
 
 
@@ -119,78 +128,137 @@ def _distinct_params(dtype, seed):
     # every parameter drawn apart, so no bias or h0 of one side equals the other's
     rng = np.random.default_rng(seed)
     ep = EncoderParams(input_dim=4, alphabet_size=16, hidden_dim=64, seed=seed, dtype=dtype)
-    for _, param in ep.store.items():
-        param.value[...] = rng.uniform(-1.0, 1.0, param.value.shape) / np.sqrt(param.value.shape[-1])
+    for array in ep.named_arrays().values():
+        array[...] = rng.uniform(-1.0, 1.0, array.shape) / np.sqrt(array.shape[-1])
     return ep, rng
+
+
+def side_alone(ep, side):
+    """One side as an S=1 model of its own: copies of its rows of the
+    encoder parameters, in a store of their own."""
+    s = SIDES.index(side)
+    store = nm.ParamStore(ep.store.dtype)
+    for name, param in ep.store.items():
+        if name != "marginal.logits":
+            store.add(name, param.value[s : s + 1].copy())
+    return store
+
+
+def encode_alone(store, frames, tape):
+    """A `side_alone` model's [1, N, Z] probabilities for [N, L, d] windows."""
+    gru = {slot: store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
+    hidden = nm.gru_sequence(tape, gru, frames[None])
+    return nm.softmax(tape, nm.affine(tape, store["out.w"], store["out.b"], hidden))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("steps", [1, 15])
 @pytest.mark.parametrize("n", [1, 18, 596])
 def test_paired_call_is_bit_identical_to_two_single_side_calls(dtype, steps, n):
-    # the oracle is one S=1 call per side: the paired call must give the same
-    # forward values and every gradient (GRU, h0, output layer) bit for bit
+    # the oracle is each side alone, an S=1 model of copies of its rows: the
+    # paired call, on stacked windows and on a (y, x) pair, gives the same
+    # forward values and every gradient (GRU, h0, paired head) bit for bit
     ep, rng = _distinct_params(dtype, 1000 * steps + n)
     frames = rng.standard_normal((2, n, steps, 4)).astype(dtype)
     weights = rng.standard_normal((2, n, 16)).astype(dtype)
+    want, want_grads = [], []
+    for s, side in enumerate(SIDES):
+        store = side_alone(ep, side)
+        tape = nm.Tape()
+        probs = encode_alone(store, frames[s], tape)
+        tape.backward(projected(tape, probs, weights[s : s + 1]))
+        want.append(probs.value[0])
+        want_grads.append({name: param.grad[0] for name, param in store.items()})
+        assert np.array_equal(ep.encode_node(side, frames[s]).value, want[s])
 
-    def taped(encode):
+    for given in (frames, (frames[0], frames[1])):
         ep.store.zero_grads()
         tape = nm.Tape()
-        pair = encode(tape)
-        tape.backward(projected(tape, pair, weights))
-        return [node.value for node in pair], {name: p.grad for name, p in ep.store.items()}
-
-    paired, paired_grads = taped(lambda tape: ep.encode_node(SIDES, frames, tape))
-    single, single_grads = taped(
-        lambda tape: (ep.encode_node(CONFIRM, frames[0], tape), ep.encode_node(PREDICT, frames[1], tape))
-    )
-    for got, want in zip(paired, single):
-        assert got.dtype == dtype and np.array_equal(got, want)
-    assert paired_grads["marginal.logits"] is None is single_grads["marginal.logits"]
-    for name, grad in single_grads.items():
-        if name != "marginal.logits":
-            assert np.array_equal(paired_grads[name], grad), name
-    # an update of the named parameters shows through the paired call's stacks
+        probs = ep.encode_node(SIDES, given, tape)
+        tape.backward(projected(tape, probs, weights))
+        assert probs.value.dtype == dtype
+        for s in range(len(SIDES)):
+            assert np.array_equal(probs.value[s], want[s])
+            for name, grad in want_grads[s].items():
+                assert np.array_equal(ep.store[name].grad[s], grad), (name, s)
+        assert ep.store["marginal.logits"].grad is None
+    # after an update, untaped: the pair alone, and a stack of two batches per side
     nm.sgd_apply(ep.store, 0.5)
-    # untaped: the pair alone, and a stack of two batches per side
     stacked = np.stack([frames, rng.standard_normal(frames.shape).astype(dtype)], axis=1)
     for batch in (frames, stacked):
-        for side, node in zip(SIDES, ep.encode_node(SIDES, batch)):
-            assert np.array_equal(node.value, ep.encode_node(side, batch[SIDES.index(side)]).value)
-    assert not np.array_equal(ep.encode_node(CONFIRM, frames[0]).value, paired[0])
+        paired = ep.encode_node(SIDES, batch).value
+        for s, side in enumerate(SIDES):
+            assert np.array_equal(paired[s], ep.encode_node(side, batch[s]).value)
+    assert not np.array_equal(ep.encode_node(CONFIRM, frames[0]).value, want[0])
+
+
+@pytest.mark.parametrize("steps", [(4, 2), (1, 3)])
+def test_unequal_lengths_join_two_single_side_passes(steps):
+    # past != future: each side alone is the oracle of its row, values and
+    # gradients; the tape holds a GRU pass per side, the join and the head
+    ep, rng = _distinct_params(np.float32, 7)
+    y, x = (rng.standard_normal((18, length, 4)).astype(np.float32) for length in steps)
+    weights = rng.standard_normal((2, 18, 16)).astype(np.float32)
+    tape = nm.Tape()
+    probs = ep.encode_node(SIDES, (y, x), tape)
+    assert len(tape._nodes) == 5
+    tape.backward(projected(tape, probs, weights))
+    for s, (side, frames) in enumerate(zip(SIDES, (y, x))):
+        store = side_alone(ep, side)
+        alone = nm.Tape()
+        want = encode_alone(store, frames, alone)
+        alone.backward(projected(alone, want, weights[s : s + 1]))
+        assert np.array_equal(probs.value[s], want.value[0])
+        assert np.array_equal(ep.encode_node(side, frames).value, want.value[0])
+        for name, param in store.items():
+            assert np.array_equal(ep.store[name].grad[s], param.grad[0]), (name, s)
 
 
 def test_paired_call_takes_both_sides_stacked():
     ep = tiny_params()
     windows = np.zeros((2, 3, 4, 3))
-    assert [node.value.shape for node in ep.encode_node(SIDES, windows)] == [(3, 4), (3, 4)]
+    assert ep.encode_node(SIDES, windows).value.shape == (2, 3, 4)
+    assert ep.encode_node(SIDES, (windows[0], windows[1, :, :2])).value.shape == (2, 3, 4)
     for frames in (windows[0], windows[:1], np.zeros((3, 3, 4, 3))):
         with pytest.raises(ValueError, match=r"\[2, N, L, 3\]"):
             ep.encode_node(SIDES, frames)
     with pytest.raises(ValueError):
         ep.encode_node(SIDES, windows[:, None], nm.Tape())
+    # a (y, x) pair is two batches of one N, each [N, L, d] (untaped also a
+    # stack of batches)
+    for pair in ((windows[0], windows[1, :2]), (windows[0],), (windows[0], windows[1], windows[1]),
+                 (windows[0], windows[1, :, :, :2])):
+        with pytest.raises(ValueError):
+            ep.encode_node(SIDES, pair)
+    with pytest.raises(ValueError):
+        ep.encode_node(SIDES, (windows, windows), nm.Tape())
+    assert ep.encode_node(SIDES, (windows, windows[:, :, :1])).value.shape == (2, 2, 3, 4)
     for side in ((PREDICT, CONFIRM), [CONFIRM, PREDICT]):
         with pytest.raises(ValueError, match="unknown side"):
             ep.encode_node(side, windows)
+    # one side alone runs untaped only
+    with pytest.raises(ValueError, match="untaped"):
+        ep.encode_node(CONFIRM, windows[0], nm.Tape())
 
 
 def test_same_seed_same_init_different_seed_differs():
     a = tiny_params(seed=1)
     b = tiny_params(seed=1)
     c = tiny_params(seed=2)
-    assert np.array_equal(a.store["confirm.out.w"].value, b.store["confirm.out.w"].value)
-    assert not np.array_equal(a.store["confirm.out.w"].value, c.store["confirm.out.w"].value)
+    a, b, c = (ep.named_arrays()["confirm.out.w"] for ep in (a, b, c))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_init_scales_and_zero_starts():
     ep = EncoderParams(input_dim=9, alphabet_size=16, hidden_dim=4, seed=0)
-    w = ep.store["confirm.gru.w_r"].value
-    u = ep.store["confirm.gru.u_r"].value
+    arrays = ep.named_arrays()
+    w = arrays["confirm.gru.w_r"]
+    u = arrays["confirm.gru.u_r"]
     assert np.max(np.abs(w)) <= 1 / 3 + 1e-6  # fan-in 9
     assert np.max(np.abs(u)) <= 0.5 + 1e-6  # fan-in 4
     for name in ("confirm.gru.b_r", "confirm.gru.h0", "confirm.out.b", "marginal.logits"):
-        assert np.array_equal(ep.store[name].value, np.zeros_like(ep.store[name].value))
+        assert np.array_equal(arrays[name], np.zeros_like(arrays[name]))
     assert ep.store.dtype == np.float32
 
 
@@ -208,12 +276,14 @@ def test_marginal_log_target_recovers_target():
 
 def test_encode_gradients_flow_through_tape():
     ep = tiny_params(seed=11)
-    window = np.random.default_rng(5).standard_normal((1, 3, 3))
+    windows = np.random.default_rng(5).standard_normal((2, 1, 3, 3))
     tape = nm.Tape()
-    probs = ep.encode_node(CONFIRM, window, tape)
-    tape.backward(projected(tape, probs, np.arange(4.0)))
-    total = sum(np.abs(ep.store[n].grad).sum() for n in side_names(ep, CONFIRM))
-    assert total > 0
-    for name in side_names(ep, PREDICT):
-        assert ep.store[name].grad is None
+    probs = ep.encode_node(SIDES, windows, tape)
+    # only the confirm side's probabilities reach the loss
+    tape.backward(projected(tape, probs, np.stack((np.arange(4.0)[None], np.zeros((1, 4))))))
+    grads = [param.grad for name, param in ep.store.items() if name != "marginal.logits"]
+    assert len(grads) == 12
+    assert sum(np.abs(grad[0]).sum() for grad in grads) > 0
+    for grad in grads:
+        assert not grad[1].any()
 

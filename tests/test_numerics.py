@@ -28,65 +28,74 @@ def make_store(dtype=np.float64):
 
 def test_affine_identity_passthrough():
     store = make_store()
-    w = store.add("w", np.eye(3))
-    b = store.add("b", np.zeros(3))
+    w = store.add("w", np.eye(3)[None])
+    b = store.add("b", np.zeros((1, 3)))
     tape = nm.Tape()
-    v = nm.Node(np.array([[1.5, -2.0, 0.25]]))
+    v = nm.Node(np.array([[[1.5, -2.0, 0.25]]]))
     out = nm.affine(tape, w, b, v)
     assert np.array_equal(out.value, v.value)
 
 
 def test_affine_zero_map_gives_zeros():
     store = make_store()
-    w = store.add("w", np.zeros((2, 3)))
-    b = store.add("b", np.zeros(2))
-    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.Node(np.ones((4, 3))))
-    assert np.array_equal(out.value, np.zeros((4, 2)))
+    w = store.add("w", np.zeros((2, 2, 3)))
+    b = store.add("b", np.zeros((2, 2)))
+    out = nm.affine(None, nm.Node(w.value), nm.Node(b.value), nm.Node(np.ones((2, 4, 3))))
+    assert np.array_equal(out.value, np.zeros((2, 4, 2)))
 
 
 def test_affine_forward_and_grads_match_hand_arithmetic():
-    # W=[[1,2],[3,4]], b=[0.5,-0.5], rows v=[1,-1] and v'=[0,1]:
+    # side 0: W=[[1,2],[3,4]], b=[0.5,-0.5], rows v=[1,-1] and v'=[0,1]:
     #   Wv+b = [1-2+0.5, 3-4-0.5] = [-0.5, -1.5], Wv'+b = [2.5, 3.5]
-    # d(sum)/dW = outer([1,1], v+v'), d/db = [2,2], d/dv = [1,1]@W = [4,6]
+    # d(sum)/dW = outer([1,1], v+v'), d/db = [2,2], d/dv = [1,1]@W = [4,6];
+    # side 1 is -W, -b on the same rows: every value and the v gradient negate
     store = make_store()
-    w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = store.add("b", np.array([0.5, -0.5]))
+    w = store.add("w", np.array([[[1.0, 2.0], [3.0, 4.0]], [[-1.0, -2.0], [-3.0, -4.0]]]))
+    b = store.add("b", np.array([[0.5, -0.5], [-0.5, 0.5]]))
     tape = nm.Tape()
-    v = nm.Node(np.array([[1.0, -1.0], [0.0, 1.0]]))
+    v = nm.Node(np.array([[[1.0, -1.0], [0.0, 1.0]]] * 2))
     out = nm.affine(tape, w, b, v)
-    assert np.allclose(out.value, [[-0.5, -1.5], [2.5, 3.5]])
+    assert np.allclose(out.value, [[[-0.5, -1.5], [2.5, 3.5]], [[0.5, 1.5], [-2.5, -3.5]]])
     tape.backward(projected(tape, out, 1.0))
-    assert np.allclose(w.grad, [[1.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(b.grad, [2.0, 2.0])
-    assert np.allclose(v.grad, [[4.0, 6.0], [4.0, 6.0]])
+    assert np.allclose(w.grad, [[[1.0, 0.0], [1.0, 0.0]]] * 2)
+    assert np.allclose(b.grad, [[2.0, 2.0]] * 2)
+    assert np.allclose(v.grad, [[[4.0, 6.0], [4.0, 6.0]], [[-4.0, -6.0], [-4.0, -6.0]]])
 
 
 def test_affine_batched_matches_per_row():
+    # each side's batch, and each batch of an untaped stack, runs the product
+    # its own call runs
     rng = np.random.default_rng(7)
-    wv = rng.standard_normal((4, 3))
-    bv = rng.standard_normal(4)
-    batch = rng.standard_normal((5, 3))
-    out = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.Node(batch))
-    for i in range(5):
-        row = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.Node(batch[i : i + 1]))
-        assert np.allclose(out.value[i], row.value[0])
-        assert np.allclose(out.value[i], wv @ batch[i] + bv)
+    wv = rng.standard_normal((2, 4, 3))
+    bv = rng.standard_normal((2, 4))
+    stack = rng.standard_normal((2, 3, 5, 3))
+    out = nm.affine(None, nm.Node(wv), nm.Node(bv), nm.Node(stack))
+    for s in range(2):
+        one = nm.affine(None, nm.Node(wv[s : s + 1]), nm.Node(bv[s : s + 1]), nm.Node(stack[s : s + 1, 0]))
+        assert np.array_equal(out.value[s, 0], one.value[0])
+        for i in range(5):
+            assert np.allclose(out.value[s, 1, i], wv[s] @ stack[s, 1, i] + bv[s])
 
 
 def test_affine_rejects_shape_mismatch():
-    w = nm.Node(np.zeros((2, 3)))
-    b = nm.Node(np.zeros(2))
+    w = nm.Node(np.zeros((1, 2, 3)))
+    b = nm.Node(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        nm.affine(None, w, b, nm.Node(np.zeros((1, 4))))
+        nm.affine(None, w, b, nm.Node(np.zeros((1, 1, 4))))
     with pytest.raises(ValueError):
-        nm.affine(None, w, nm.Node(np.zeros(3)), nm.Node(np.zeros((1, 3))))
-    # a single vector is a batch of one, [1, n]
+        nm.affine(None, w, nm.Node(np.zeros((1, 3))), nm.Node(np.zeros((1, 1, 3))))
+    # more sides of input than of parameters, and parameters without a side axis
     with pytest.raises(ValueError):
-        nm.affine(None, w, b, nm.Node(np.zeros(3)))
-    # a stack of batches [B, N, n] runs untaped only
+        nm.affine(None, w, b, nm.Node(np.zeros((2, 1, 3))))
     with pytest.raises(ValueError):
-        nm.affine(nm.Tape(), w, b, nm.Node(np.zeros((2, 1, 3))))
-    assert nm.affine(None, w, b, nm.Node(np.zeros((2, 1, 3)))).value.shape == (2, 1, 2)
+        nm.affine(None, nm.Node(np.zeros((2, 3))), nm.Node(np.zeros(2)), nm.Node(np.zeros((1, 3))))
+    # a batch is [S, N, n]: a single vector per side is a batch of one
+    with pytest.raises(ValueError):
+        nm.affine(None, w, b, nm.Node(np.zeros((1, 3))))
+    # a stack of batches [S, B, N, n] runs untaped only
+    with pytest.raises(ValueError):
+        nm.affine(nm.Tape(), w, b, nm.Node(np.zeros((1, 2, 1, 3))))
+    assert nm.affine(None, w, b, nm.Node(np.zeros((1, 2, 1, 3)))).value.shape == (1, 2, 1, 2)
 
 
 def test_fan_out_accumulates_additively():
@@ -122,6 +131,13 @@ def test_first_gradient_is_copied_never_aliased():
     node = nm.Node(np.zeros(1))
     nm._acc(node, np.array([-0.0]))
     assert np.signbit(node.grad[0])
+    # a first gradient of some rows adds into zeros, and later ones add in
+    node = nm.Node(np.zeros((2, 3)))
+    nm._acc(node, np.full((1, 3), -0.0), slice(1, 2))
+    assert np.array_equal(node.grad, np.zeros((2, 3))) and not np.signbit(node.grad).any()
+    nm._acc(node, np.ones((1, 3)), slice(0, 1))
+    nm._acc(node, np.broadcast_to(source, (1, 3)), slice(0, 1))
+    assert np.array_equal(node.grad, [[8.0] * 3, [0.0] * 3])
 
 
 def test_param_leaf_accumulates_across_tapes_until_dropped():
@@ -337,8 +353,7 @@ def test_gru_sequence_fused_matches_composed_oracle(frames_shape, h0_shape, dtyp
 
 def _zero_gru_stacks(sides=1, h0_shape=(2,)):
     shapes = {"w": (2, 2), "u": (2, 2), "b": (2,), "h": h0_shape}
-    values = {slot: np.zeros((sides,) + shapes[slot[0]]) for slot in (*nm.GRU_SLOTS, "h0")}
-    return {slot: nm.ParamStack(value, [nm.Node(row) for row in value]) for slot, value in values.items()}
+    return {slot: nm.Node(np.zeros((sides,) + shapes[slot[0]])) for slot in (*nm.GRU_SLOTS, "h0")}
 
 
 def test_gru_sequence_rejects_empty_input():
@@ -363,10 +378,11 @@ def test_gru_sequence_rejects_shapes_the_program_never_runs():
         with pytest.raises(ValueError):
             nm.gru_sequence(nm.Tape(), params, np.zeros((sides, 2, 1, 3, 2)))
         assert nm.gru_sequence(None, params, np.zeros((sides, 2, 1, 3, 2))).value.shape == (sides, 2, 1, 2)
-    # a stack whose rows copy its parts would go on reading their old values
-    part = nm.Node(np.zeros(2))
+    # one side's row runs one side's frames
+    params = _zero_gru_stacks(2)
     with pytest.raises(ValueError):
-        nm.ParamStack(part.value[None].copy(), [part])
+        nm.gru_sequence(None, params, np.zeros((2, 1, 3, 2)), side=1)
+    assert nm.gru_sequence(None, params, np.zeros((1, 1, 3, 2)), side=1).value.shape == (1, 1, 2)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -486,38 +502,38 @@ def test_gru_backward_reuses_its_scratch():
 
 
 def _random_gru_store(seed, d=2, hdim=3, z=4):
+    # both sides' parameters, stacked
     rng = np.random.default_rng(seed)
+    sides = 2
     store = nm.ParamStore(dtype=np.float64)
     for name in nm.GRU_SLOTS:
         if name.startswith("b"):
-            val = np.zeros(hdim)
+            val = np.zeros((sides, hdim))
         elif name.startswith("w"):
-            val = rng.uniform(-0.5, 0.5, size=(hdim, d))
+            val = rng.uniform(-0.5, 0.5, size=(sides, hdim, d))
         else:
-            val = rng.uniform(-0.5, 0.5, size=(hdim, hdim))
+            val = rng.uniform(-0.5, 0.5, size=(sides, hdim, hdim))
         store.add(f"gru.{name}", val)
-    store.add("gru.h0", rng.uniform(-0.1, 0.1, size=hdim))
-    store.add("out.w", rng.uniform(-0.5, 0.5, size=(z, hdim)))
-    store.add("out.b", np.zeros(z))
+    store.add("gru.h0", rng.uniform(-0.1, 0.1, size=(sides, hdim)))
+    store.add("out.w", rng.uniform(-0.5, 0.5, size=(sides, z, hdim)))
+    store.add("out.b", np.zeros((sides, z)))
     return store, rng
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gru_softmax_pipeline_gradcheck(seed):
-    # End-to-end through every primitive: fold a GRU over a small batch of
-    # windows, map to symbol probabilities, and score them with the
-    # utterance loss against fixed weights, whose gradient is the weighted
-    # log loss's.
+    # End-to-end through every primitive the encoders run: fold both sides'
+    # GRUs over a small batch of windows each, map them to symbol
+    # probabilities through the paired head, and score the pair with the
+    # utterance loss.
     store, rng = _random_gru_store(seed)
-    frames = rng.uniform(-1.0, 1.0, size=(2, 3, 2))
-    weights = rng.uniform(0.1, 1.0, size=(2, 4))
+    frames = rng.uniform(-1.0, 1.0, size=(2, 2, 3, 2))
 
     def loss_fn(tape):
-        gru = {name: store[f"gru.{name}"] for name in nm.GRU_SLOTS}
-        gru["h0"] = store["gru.h0"]
-        h = gru_oracle.runtime_sequence(tape, gru, frames)
+        gru = {name: store[f"gru.{name}"] for name in (*nm.GRU_SLOTS, "h0")}
+        h = nm.gru_sequence(tape, gru, frames)
         logits = nm.affine(tape, store["out.w"], store["out.b"], h)
-        return ob.utterance_loss(weights, nm.softmax(tape, logits), tape)[0]
+        return ob.utterance_loss(nm.softmax(tape, logits), tape)[0]
 
     assert nm.finite_diff_check(loss_fn, store, epsilon=1e-5) < 1e-3
 
@@ -532,9 +548,13 @@ def test_every_primitive_gradient_across_100_seeds():
         b = store.add("b", rng.uniform(0.05, 1.0, size=3))
         w = store.add("w", rng.uniform(-1.0, 1.0, size=(4, 3)))
         bias = store.add("bias", rng.uniform(-0.5, 0.5, size=4))
+        # the program's affine map, on two sides' parameters and batches
+        side_w = store.add("side_w", rng.uniform(-1.0, 1.0, size=(2, 4, 3)))
+        side_b = store.add("side_b", rng.uniform(-0.5, 0.5, size=(2, 4)))
+        side_v = store.add("side_v", rng.uniform(-1.0, 1.0, size=(2, 2, 3)))
         checks = {
             "affine_vector": lambda t: projected(t, gru_oracle.affine(t, w, bias, b), 1.0),
-            "affine_batched": lambda t: projected(t, nm.affine(t, w, bias, a), 1.0),
+            "affine_batched": lambda t: projected(t, nm.affine(t, side_w, side_b, side_v), 1.0),
             "linear": lambda t: projected(t, gru_oracle.linear(t, w, a), 1.0),
             "add": lambda t: projected(t, gru_oracle.add(t, a, b), 1.0),
             "mul": lambda t: projected(t, gru_oracle.mul(t, a, b), 1.0),

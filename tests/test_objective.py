@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itco import numerics as nm
 from itco import objective as ob
-from itco.model import CONFIRM, PREDICT, EncoderParams
+from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
 
 
 def one_hots(symbols, size):
@@ -29,13 +29,19 @@ def row_entropy_bits(p):
     return float(-(p * np.log2(p)).sum())
 
 
-def side_names(ep, side):
-    return [name for name, _ in ep.store.items() if name.startswith(f"{side}.")]
+def encoder_params(ep):
+    return [param for name, param in ep.store.items() if name != "marginal.logits"]
+
+
+def side_grads(ep, side):
+    """Each encoder parameter's gradient row of `side`."""
+    return [param.grad[SIDES.index(side)] for param in encoder_params(ep)]
 
 
 def terms_of(confirm, predict=None, **kwargs):
     """The utterance loss's terms; `predict` defaults to `confirm`."""
-    return ob.utterance_loss(confirm, confirm if predict is None else predict, **kwargs)[1]
+    pair = np.stack((confirm, confirm if predict is None else predict))
+    return ob.utterance_loss(pair, **kwargs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +67,14 @@ def test_cross_entropy_two_symbol_hand_case():
 
 
 def test_cross_entropy_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ob.utterance_loss(uniform(1, 4), uniform(2, 4))
-    with pytest.raises(ValueError):
-        ob.utterance_loss(uniform(1, 4), uniform(1, 5))
-    with pytest.raises(ValueError):
-        ob.utterance_loss(uniform(0, 4), uniform(0, 4))
-    with pytest.raises(ValueError):
-        ob.utterance_loss(uniform(1, 4)[0], uniform(1, 4)[0])
+    # a pair is one [2, N, Z] array: one side alone, more than two sides, no
+    # window, or a single distribution per side are refused
+    for probs in (uniform(1, 4), np.stack([uniform(1, 4)] * 3), np.stack([uniform(0, 4)] * 2),
+                  np.stack([uniform(1, 4)[0]] * 2)):
+        with pytest.raises(ValueError):
+            ob.utterance_loss(probs)
+        with pytest.raises(ValueError):
+            ob.adversarial_loss(probs, nm.Node(uniform(1, 4)[0]))
 
 
 def test_cross_entropy_clamps_zeros_and_counts_saturation():
@@ -86,14 +92,13 @@ def test_log_clamped_floors_value_and_zeroes_gradient_below_floor():
     # predict cells at 0 and below the 1e-30 floor cost -log2(1e-30) bits
     # per unit of confirm mass and pass no gradient; the cell at 0.5 passes
     # d/dp of -c*log2(p), which is -c/(p ln 2)
-    confirm = nm.Node(np.array([[0.5, 0.25, 0.25]]))
-    predict = nm.Node(np.array([[0.5, 0.0, 1e-40]]))
+    probs = nm.Node(np.array([[[0.5, 0.25, 0.25]], [[0.5, 0.0, 1e-40]]]))
     tape = nm.Tape()
-    loss, terms = ob.utterance_loss(confirm, predict, tape)
+    loss, terms = ob.utterance_loss(probs, tape)
     assert abs(terms.cross_entropy_bits - (0.5 + 0.5 * 30 * np.log2(10))) < 1e-9
     assert terms.saturation_count == 2
     tape.backward(loss)
-    assert np.allclose(predict.grad, [[-ob.LOG2E, 0.0, 0.0]])
+    assert np.allclose(probs.grad[1], [[-ob.LOG2E, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,7 @@ def test_entropy_of_mean_with_buffer_matches_pooled_oracle():
 
 
 def test_utterance_loss_uniform_pair_is_zero():
-    loss, terms = ob.utterance_loss(uniform(1, 64), uniform(1, 64))
+    loss, terms = ob.utterance_loss(np.stack((uniform(1, 64), uniform(1, 64))))
     assert abs(float(loss.value)) < 1e-12
     assert abs(terms.cross_entropy_bits - 6.0) < 1e-12
     assert abs(terms.marginal_entropy_bits - 6.0) < 1e-12
@@ -134,7 +139,7 @@ def test_utterance_loss_uniform_pair_is_zero():
 
 def test_utterance_loss_perfect_agreement_reaches_optimum():
     batch = one_hots(range(64), 64)
-    loss, terms = ob.utterance_loss(batch, batch)
+    loss, terms = ob.utterance_loss(np.stack((batch, batch)))
     assert abs(float(loss.value) + 6.0) < 1e-9
     assert abs(terms.mi_bound_bits - 6.0) < 1e-9
     assert terms.saturation_count == 0
@@ -144,7 +149,7 @@ def test_loss_value_is_ce_minus_marginal_entropy():
     rng = np.random.default_rng(2)
     confirm = dirichlet_batch(rng, 6, 5)
     predict = dirichlet_batch(rng, 6, 5)
-    loss, terms = ob.utterance_loss(confirm, predict)
+    loss, terms = ob.utterance_loss(np.stack((confirm, predict)))
     assert abs(terms.loss - (terms.cross_entropy_bits - terms.marginal_entropy_bits)) < 1e-12
     assert abs(float(loss.value) - terms.loss) < 1e-15
 
@@ -164,9 +169,7 @@ def test_full_objective_gradient_matches_finite_differences(seed):
     ep, x, y = build_toy_encoders(seed)
 
     def loss_fn(tape):
-        confirm = ep.encode_node(CONFIRM, y, tape)
-        predict = ep.encode_node(PREDICT, x, tape)
-        loss, _ = ob.utterance_loss(confirm, predict, tape)
+        loss, _ = ob.utterance_loss(ep.encode_node(SIDES, (y, x), tape), tape)
         return loss
 
     assert nm.finite_diff_check(loss_fn, ep.store, epsilon=1e-5) < 1e-3
@@ -177,9 +180,8 @@ def test_objective_gradient_with_entropy_buffer():
     buffer = np.random.default_rng(9).dirichlet(np.ones(4), size=7)
 
     def loss_fn(tape):
-        confirm = ep.encode_node(CONFIRM, y, tape)
-        predict = ep.encode_node(PREDICT, x, tape)
-        loss, _ = ob.utterance_loss(confirm, predict, tape, extra_entropy_rows=buffer)
+        probs = ep.encode_node(SIDES, (y, x), tape)
+        loss, _ = ob.utterance_loss(probs, tape, extra_entropy_rows=buffer)
         return loss
 
     assert nm.finite_diff_check(loss_fn, ep.store, epsilon=1e-5) < 1e-3
@@ -192,13 +194,13 @@ def test_predict_side_gets_no_gradient_from_entropy_term():
     buffer = np.random.default_rng(10).dirichlet(np.ones(4), size=3)
     for extra in (None, buffer):
         tape = nm.Tape()
-        confirm = ep.encode_node(CONFIRM, y, tape)
-        predict = ep.encode_node(PREDICT, x, tape)
-        loss, _ = ob.utterance_loss(confirm, predict, tape, extra_entropy_rows=extra)
+        probs = ep.encode_node(SIDES, (y, x), tape)
+        loss, _ = ob.utterance_loss(probs, tape, extra_entropy_rows=extra)
         tape.backward(loss)
-        n = confirm.value.shape[0]
-        assert np.allclose(predict.grad, -ob.LOG2E * confirm.value / (n * predict.value), rtol=1e-12)
-        assert np.abs(confirm.grad).sum() > 0
+        (confirm, predict), (confirm_grad, predict_grad) = probs.value, probs.grad
+        n = confirm.shape[0]
+        assert np.allclose(predict_grad, -ob.LOG2E * confirm / (n * predict), rtol=1e-12)
+        assert np.abs(confirm_grad).sum() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def test_adversarial_uniform_marginal_costs_log_alphabet():
     confirm = dirichlet_batch(rng, 5, 64)
     predict = dirichlet_batch(rng, 5, 64)
     marginal = nm.Node(np.full(64, 1 / 64))
-    _, terms = ob.adversarial_loss(confirm, predict, marginal)
+    _, terms = ob.adversarial_loss(np.stack((confirm, predict)), marginal)
     assert abs(float(ob.marginal_fit_loss(confirm, marginal).value) - 6.0) < 1e-9
     assert abs(terms.adversarial_marginal_bits - 6.0) < 1e-9
 
@@ -220,7 +222,7 @@ def test_adversarial_marginal_at_batch_average_hits_entropy_of_mean():
     confirm = dirichlet_batch(rng, 8, 6)
     predict = dirichlet_batch(rng, 8, 6)
     marginal = nm.Node(confirm.mean(axis=0))
-    _, terms = ob.adversarial_loss(confirm, predict, marginal)
+    _, terms = ob.adversarial_loss(np.stack((confirm, predict)), marginal)
     marginal_loss = float(ob.marginal_fit_loss(confirm, marginal).value)
     assert abs(marginal_loss - terms.marginal_entropy_bits) < 1e-9
     # the reported term is the marginal's own loss, bit for bit
@@ -232,23 +234,22 @@ def test_adversarial_gradient_separation():
     # and not the marginal; the marginal's own loss reaches the marginal only
     ep, x, y = build_toy_encoders(6)
     tape = nm.Tape()
-    confirm = ep.encode_node(CONFIRM, y, tape)
-    predict = ep.encode_node(PREDICT, x, tape)
-    encoder_loss, _ = ob.adversarial_loss(confirm, predict, ep.marginal_node(), tape)
+    probs = ep.encode_node(SIDES, (y, x), tape)
+    encoder_loss, _ = ob.adversarial_loss(probs, ep.marginal_node(), tape)
 
     tape.backward(encoder_loss)
     assert ep.store["marginal.logits"].grad is None
-    assert sum(np.abs(ep.store[n].grad).sum() for n in side_names(ep, CONFIRM)) > 0
-    assert sum(np.abs(ep.store[n].grad).sum() for n in side_names(ep, PREDICT)) > 0
+    assert sum(np.abs(grad).sum() for grad in side_grads(ep, CONFIRM)) > 0
+    assert sum(np.abs(grad).sum() for grad in side_grads(ep, PREDICT)) > 0
 
     ep.store.zero_grads()
     tape2 = nm.Tape()
-    confirm2 = ep.encode_node(CONFIRM, y, tape2)
+    confirm2 = nm.Node(ep.encode_node(CONFIRM, y).value)
     tape2.backward(ob.marginal_fit_loss(confirm2, ep.marginal_node(tape2), tape2))
     assert np.abs(ep.store["marginal.logits"].grad).sum() > 0
-    for side in (CONFIRM, PREDICT):
-        for name in side_names(ep, side):
-            assert ep.store[name].grad is None
+    assert confirm2.grad is None
+    for param in encoder_params(ep):
+        assert param.grad is None
 
 
 def test_marginal_training_approaches_entropy_of_mean():

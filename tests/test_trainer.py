@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import tempfile
 import zlib
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itco import cli
 from itco import numerics as nm
 from itco import objective as ob
 from itco import trainer as tr
@@ -135,7 +137,7 @@ def test_forced_negative_logit_is_detected_dead():
     config = tiny_config()
     state = tr.TrainState(config, input_dim=2)
     for side in (CONFIRM, PREDICT):
-        state.ep.store[f"{side}.out.b"].value[3] = -1000.0
+        state.ep.named_arrays()[f"{side}.out.b"][3] = -1000.0
     live = tr.detect_dead_symbols(state, utts[:4])
     assert not live[3]
     assert live.sum() == 7
@@ -155,7 +157,7 @@ def test_dead_needs_both_models_below_threshold():
     utts, _ = tiny_corpus()
     config = tiny_config()
     state = tr.TrainState(config, input_dim=2)
-    state.ep.store[f"{CONFIRM}.out.b"].value[2] = -1000.0  # predict side still lives
+    state.ep.named_arrays()[f"{CONFIRM}.out.b"][2] = -1000.0  # predict side still lives
     live = tr.detect_dead_symbols(state, utts[:4])
     assert live[2]
 
@@ -165,7 +167,7 @@ def frozen_state_with_dead_slots(z=8, live=(0, 1), dtype=np.float64):
     config = tiny_config(alphabet_size=z)
     state = tr.TrainState(config, input_dim=2, dtype=dtype)
     for side in (CONFIRM, PREDICT):
-        bias = state.ep.store[f"{side}.out.b"].value
+        bias = state.ep.named_arrays()[f"{side}.out.b"]
         for sym in range(z):
             if sym not in live:
                 bias[sym] = -2000.0  # exp underflows to exactly 0 in f64
@@ -182,7 +184,7 @@ def batch_terms(state, utts):
     y = np.concatenate(ys).astype(state.ep.store.dtype)
     confirm = state.ep.encode_node(CONFIRM, y).value
     predict = state.ep.encode_node(PREDICT, x).value
-    _, terms = ob.utterance_loss(confirm, predict)
+    _, terms = ob.utterance_loss(np.stack((confirm, predict)))
     return terms
 
 
@@ -214,7 +216,7 @@ def test_clone_pairs_high_marginal_live_symbols_first():
     assert event["dead_before"] == 6
     assert state.live_mask[2] and state.live_mask[3]
     # copies are exact with zero noise
-    w = state.ep.store[f"{CONFIRM}.out.w"].value
+    w = state.ep.named_arrays()[f"{CONFIRM}.out.w"]
     assert np.array_equal(w[2], w[1])
     assert np.array_equal(w[3], w[0])
 
@@ -224,9 +226,9 @@ def test_clone_noise_perturbs_only_the_copies():
     state = frozen_state_with_dead_slots()
     state.config.clone_noise_sigma = 0.05
     tr.detect_dead_symbols(state, utts)
-    w_before = state.ep.store[f"{CONFIRM}.out.w"].value.copy()
+    w_before = state.ep.named_arrays()[f"{CONFIRM}.out.w"].copy()
     tr.clone_symbols(state)
-    w_after = state.ep.store[f"{CONFIRM}.out.w"].value
+    w_after = state.ep.named_arrays()[f"{CONFIRM}.out.w"]
     (src0, dst0), (src1, dst1) = state.clone_history[-1]["pairs"]
     assert np.array_equal(w_after[src0], w_before[src0])
     assert np.array_equal(w_after[src1], w_before[src1])
@@ -268,8 +270,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "state.itck"
     tr.save_checkpoint(state, path)
     loaded = tr.load_checkpoint(path)
-    for name, param in state.ep.store.items():
-        assert np.array_equal(loaded.ep.store[name].value, param.value), name
+    arrays = loaded.ep.named_arrays()
+    for name, array in state.ep.named_arrays().items():
+        assert np.array_equal(arrays[name], array), name
     assert loaded.epoch == state.epoch
     assert loaded.pos_in_epoch == state.pos_in_epoch
     assert loaded.processed == state.processed
@@ -280,6 +283,55 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.clone_history and loaded.clone_history == json.loads(
         json.dumps(state.clone_history)
     )
+
+
+# SHA-256 of two checkpoints of the tiny config. Neither path runs a matrix
+# product, so the bytes are the same on every platform; they pin the init
+# draw order, the clone noise order and the per-side array table.
+FRESH_CHECKPOINT_SHA256 = "150e1536638d7835aea78af77f2e41e1a56652f37ed4e406e152e5a9e5ad39ec"
+CLONED_CHECKPOINT_SHA256 = "3e7f9610f603ab535bd6f504b61b4ae16ab399f38e185d657a5e3522c38ce4b7"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    state = tr.TrainState(tiny_config(clone_noise_sigma=0.05), input_dim=2)
+    path = tmp_path / "state.itck"
+    tr.save_checkpoint(state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_CHECKPOINT_SHA256
+    state.live_mask = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
+    state.detect_mean_confirm = np.array([0.1, 0.0, 0.4, 0.2, 0.0, 0.0, 0.3, 0.0])
+    tr.clone_symbols(state)
+    tr.save_checkpoint(state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CLONED_CHECKPOINT_SHA256
+
+
+@pytest.mark.parametrize("name", ["state.itck", "run_manifest.json"])
+def test_a_write_cut_short_leaves_the_earlier_file_whole(tmp_path, monkeypatch, name):
+    # checkpoints and the CLI's JSON files are written under a temporary name
+    # and renamed into place; a write that fails midway leaves the earlier
+    # file byte for byte and no temporary file behind
+    state = tr.TrainState(tiny_config(), input_dim=2)
+
+    def write(path):
+        if name.endswith(".itck"):
+            tr.save_checkpoint(state, path)
+        else:
+            cli._dump_json({"step": state.step}, path)
+
+    path = tmp_path / name
+    write(path)
+    before = path.read_bytes()
+    state.step += 1
+    write_bytes = Path.write_bytes
+
+    def cut_short(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    with pytest.raises(OSError, match="no space"):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_checkpoint_rejects_bad_magic_and_corruption(tmp_path):
@@ -410,15 +462,10 @@ def test_resume_refuses_another_corpus(tmp_path):
 # the loop
 
 
-@pytest.mark.parametrize(
-    "mode, entropy_mode, nodes",
-    [("base", "per_utterance", [8]), ("base", "global", [8]), ("adversarial", "per_utterance", [8, 2])],
-)
-def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mode, nodes):
-    # both encoder sides tape one GRU sequence, then each side its row of it,
-    # its affine map and its softmax, and the loss is one node more; the
-    # adversarial marginal's own tape holds its softmax and its loss
-    tapes = []
+def tape_lengths(monkeypatch, config):
+    """Nodes on each tape of two training steps on one utterance (the
+    second global-mode step mixes in the first's rows), and the state."""
+    tapes, lengths = [], []
 
     class RecordedTape(tr.Tape):
         def __init__(self):
@@ -427,27 +474,45 @@ def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mod
 
     monkeypatch.setattr(tr, "Tape", RecordedTape)
     utts, _ = tiny_corpus()
-    config = tiny_config(mode=mode, entropy_mode=entropy_mode)
     state = tr.TrainState(config, input_dim=utts[0].frames.shape[1])
     frames = tr._minibatch_frames(utts[0], config, np.float32)
-    for step in range(2):  # the second global-mode step mixes in the first's rows
+    for _ in range(2):
         tapes.clear()
         tr._train_minibatch(state, frames, 0.1)
-        assert [len(tape._nodes) for tape in tapes] == nodes, step
-    assert state.entropy_buffer.shape[0] == (2 * frames.shape[1] if entropy_mode == "global" else 0)
+        lengths.append([len(tape._nodes) for tape in tapes])
+    return lengths, state
+
+
+@pytest.mark.parametrize(
+    "mode, entropy_mode, nodes",
+    [("base", "per_utterance", [4]), ("base", "global", [4]), ("adversarial", "per_utterance", [4, 2])],
+)
+def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mode, nodes):
+    # both encoder sides tape one GRU sequence, one paired affine map and
+    # one paired softmax, and the loss is one node more; the adversarial
+    # marginal's own tape holds its softmax and its loss
+    lengths, state = tape_lengths(monkeypatch, tiny_config(mode=mode, entropy_mode=entropy_mode))
+    assert lengths == [nodes, nodes]
+    assert state.entropy_buffer.shape[0] == (2 * 4 if entropy_mode == "global" else 0)
+
+
+def test_unequal_lengths_tape_a_gru_pass_per_side_and_their_join(monkeypatch):
+    # past != future: two GRU passes and the join take the one sequence's place
+    config = tiny_config(geometry=WindowGeometry(total=5, past=1, gap=1, future=3))
+    assert tape_lengths(monkeypatch, config)[0] == [[6], [6]]
 
 
 @pytest.mark.parametrize("geometry, sides", [((2, 1, 2), 2), ((1, 1, 3), 1)])
 def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(monkeypatch, geometry, sides):
     # past == future: one paired GRU call per minibatch; past != future:
-    # one single-side call per side
+    # one single-side call per side, on its row of the parameters
     taped = []
     sequence = nm.gru_sequence
 
-    def recording(tape, p, frames):
+    def recording(tape, p, frames, side=None):
         if tape is not None:
-            taped.append(frames.shape[0])
-        return sequence(tape, p, frames)
+            taped.append(frames.shape[0] if side is None else side)
+        return sequence(tape, p, frames, side=side)
 
     monkeypatch.setattr(nm, "gru_sequence", recording)
     utts, _ = tiny_corpus()
@@ -456,7 +521,7 @@ def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(monkeypatch, ge
     _, records = tr.train(utts, config)
     minibatches = [r for r in records if r["type"] == "minibatch"]
     assert len(minibatches) == 100
-    assert taped == [sides] * (100 * 2 // sides)
+    assert taped == ([2] * 100 if sides == 2 else [0, 1] * 100)
     assert all(np.isfinite(r["mi_bound_bits"]) for r in minibatches)
 
 

@@ -42,8 +42,9 @@ from .evaluation import (
     write_symbol_stats_csv,
 )
 from .gradcheck import run_gradcheck
-from .model import CONFIRM, PREDICT
-from .trainer import TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
+from .trainer import (
+    TrainConfig, TrainerError, TrainState, check_inputs, load_checkpoint, replace_file, train
+)
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +126,16 @@ def cmd_synth(args) -> int:
     except (TypeError, ValueError, KeyError) as exc:
         raise CliError(f"bad synthetic spec: {exc}", EXIT_DATA)
 
+    try:
+        utterances, joint_table = synth_corpus(spec)
+    except MemoryError:
+        raise CliError(
+            f"bad synthetic spec: num_utterances {spec.num_utterances} and windows_per_utterance "
+            f"{spec.windows_per_utterance} ({spec.window_total} frames a window) need more "
+            f"memory than can be allocated", EXIT_DATA
+        ) from None
+
+    # written once synthesis has succeeded, so a refused spec leaves no output
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_manifest(
@@ -135,8 +146,6 @@ def cmd_synth(args) -> int:
         None,
         ["manifest.tsv", "oracle.json", "features/", "labels/"],
     )
-
-    utterances, joint_table = synth_corpus(spec)
     write_corpus(
         out,
         utterances,
@@ -211,6 +220,17 @@ def cmd_train(args) -> int:
     usable, dev_usable = check_inputs(
         corpus.utterances, config, dev.utterances if dev else None, resume_state, corpus.hash
     )
+    # a fresh run's state is allocated here, before any output, and resumes from step 0
+    state = resume_state
+    if state is None:
+        try:
+            state = TrainState(config, input_dim=usable[0].frames.shape[1])
+        except MemoryError:
+            raise CliError(
+                f"bad train config: hidden_dim {config.hidden_dim} and alphabet_size "
+                f"{config.alphabet_size} need more memory than can be allocated", EXIT_USAGE
+            ) from None
+        state.corpus_hash = corpus.hash
 
     out = Path(args.out)
     checkpoint_dir = out / "checkpoints"
@@ -231,7 +251,7 @@ def cmd_train(args) -> int:
         dev_corpus=dev_usable,
         metrics_path=metrics_path,
         checkpoint_dir=checkpoint_dir,
-        resume=resume_state,
+        resume=state,
         stop_after=args.stop_after,
         corpus_hash=corpus.hash,
     )
@@ -284,13 +304,14 @@ def cmd_eval(args) -> int:
         ["summary.json", "confusion.csv", "symbol_stats.csv"],
     )
 
+    entropy_psi, entropy_phi = reduction.mean_entropy_bits().tolist()
     summary = {
         "overall_acc": overall_acc,
         "covered_acc": covered_acc,
         "coverage": coverage,
         "agreement_rate": reduction.agreement,
-        "mean_entropy_psi_bits": reduction.mean_entropy_bits(CONFIRM),
-        "mean_entropy_phi_bits": reduction.mean_entropy_bits(PREDICT),
+        "mean_entropy_psi_bits": entropy_psi,
+        "mean_entropy_phi_bits": entropy_phi,
         "live_symbols": int(state.live_mask.sum()),
         "tags_used": tags_used,
     }

@@ -6,10 +6,10 @@ have the same window count, up to `STACK_WINDOWS` windows a run. It
 normalizes and windows each utterance with the same scaling used in
 training (normalization is idempotent, so already-normalized input is
 unchanged), runs each encoder once over the run's stacked windows and
-folds every utterance's two output batches, in corpus order, into one
-`CorpusReduction`. Stacking changes no bit: each utterance's outputs are
-those of its own encoder call. Every corpus statistic, here and in the
-trainer (death detection and dev evaluation), is read from that record.
+folds every utterance's [2, N, Z] outputs, in corpus order, into one
+`CorpusReduction` of [2, ...] per-side arrays. Stacking changes no bit:
+each utterance's outputs are those of its own encoder call. Every corpus
+statistic, here and in the trainer, is read from that record.
 
 A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import Utterance, WindowGeometry, window_arrays, window_count
-from .model import CONFIRM, PREDICT, EncoderParams
+from .model import SIDES, EncoderParams
 from .objective import LOG_FLOOR, ObjectiveTerms, utterance_loss
 
 __all__ = [
@@ -71,9 +71,9 @@ class ConfusionMatrix:
 class CorpusReduction:
     """What one encoding pass over a corpus's windows adds up to.
 
-    `sums`, `maxima` and `entropy_bits` are keyed by side (CONFIRM,
-    PREDICT): the [Z] summed and the [Z] largest probabilities, and the
-    summed row entropy in bits, over every window. `terms` holds the
+    `sums` and `maxima` [2, Z] hold each side's summed and largest
+    probabilities, and `entropy_bits` [2] its summed row entropy in bits,
+    over every window, confirm first. `terms` holds the
     objective of each utterance that has a window, in corpus order.
     `symbols` [M] int64 and `gold` [M] str pair the confirm argmax of each
     window center with its gold label, for the utterances that have gold
@@ -81,32 +81,32 @@ class CorpusReduction:
     """
 
     windows: int
-    sums: dict[str, np.ndarray]
-    maxima: dict[str, np.ndarray]
-    entropy_bits: dict[str, float]
+    sums: np.ndarray
+    maxima: np.ndarray
+    entropy_bits: np.ndarray
     agree: int  # windows where both encoders pick the same symbol
     terms: list[ObjectiveTerms]
     symbols: np.ndarray
     gold: np.ndarray
 
-    def mean(self, side: str) -> np.ndarray:
-        return self.sums[side] / self.windows
+    def mean(self) -> np.ndarray:
+        return self.sums / self.windows
 
-    def mean_entropy_bits(self, side: str) -> float:
-        return self.entropy_bits[side] / self.windows
+    def mean_entropy_bits(self) -> np.ndarray:
+        return self.entropy_bits / self.windows
 
     @property
     def agreement(self) -> float:
         return self.agree / self.windows
 
 
-def entropy_bits_sum(probs: np.ndarray) -> float:
-    """Summed entropy in bits of the rows of `probs`; zero entries add nothing.
+def entropy_bits_sum(probs: np.ndarray) -> np.ndarray:
+    """Summed entropy in bits of the rows of `probs` [..., N, Z], per [N, Z].
 
     A zero entry meets the clipped log as 0 * log2(LOG_FLOOR), which is a
-    signed zero and leaves the sum unchanged.
+    signed zero and leaves the sum unchanged, so zero entries add nothing.
     """
-    return float(-(probs * np.log2(np.clip(probs, LOG_FLOOR, None))).sum())
+    return -(probs * np.log2(np.clip(probs, LOG_FLOOR, None))).sum(axis=(-2, -1))
 
 
 def _runs(
@@ -138,14 +138,15 @@ def _encode_run(
     """Confirm and predict probabilities [2, B, N, Z] in float64 for a run
     of B utterances, and the N window centers they share.
 
-    Each side is one untaped call. A one-utterance run is encoded from its
-    own [N, L, d] window arrays, as an unstacked call, and every window is
-    freed on return, before the next run is windowed.
+    Each side is one untaped call, so the sides' windows are never stacked
+    and their GRU buffers are never alive at once. A one-utterance run is
+    encoded from its own [N, L, d] window arrays, as an unstacked call, and
+    every window is freed on return, before the next run is windowed.
     """
     xs, ys, centers = zip(*(window_arrays(u, geometry, aligned, ep.store.dtype) for u in run))
     x, y = (parts[0] if len(run) == 1 else np.stack(parts) for parts in (xs, ys))
-    probs = np.empty((2, len(run), centers[0].size, ep.alphabet_size))
-    for side, frames, out in zip((CONFIRM, PREDICT), (y, x), probs):
+    probs = np.empty((len(SIDES), len(run), centers[0].size, ep.alphabet_size))
+    for side, frames, out in zip(SIDES, (y, x), probs):
         out[...] = ep.encode_node(side, frames).value.reshape(out.shape)
     return probs, centers[0]
 
@@ -165,25 +166,21 @@ def reduce_corpus(
     A window's symbol is its argmax, ties going to the smallest symbol id.
     Raises EvaluationError when the corpus has no full window.
     """
-    z = ep.alphabet_size
-    sums = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
-    maxima = {CONFIRM: np.zeros(z), PREDICT: np.zeros(z)}
-    entropy = {CONFIRM: 0.0, PREDICT: 0.0}
+    sums, maxima = np.zeros((2, len(SIDES), ep.alphabet_size))
+    entropy = np.zeros(len(SIDES))
     agree = windows = 0
     terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
     for run in _runs(corpus, geometry, aligned):
         pairs, centers = _encode_run(ep, run, geometry, aligned)
         for u, pair in zip(run, pairs.swapaxes(0, 1)):
-            confirm, predict = pair
-            winners = confirm.argmax(axis=1)
+            winners = pair.argmax(axis=2)
             if u.gold_labels is not None:
-                symbols.append(winners)
+                symbols.append(winners[0])
                 gold.append(np.asarray(u.gold_labels)[centers])
-            for side, probs in ((CONFIRM, confirm), (PREDICT, predict)):
-                sums[side] += probs.sum(axis=0)
-                np.maximum(maxima[side], probs.max(axis=0), out=maxima[side])
-                entropy[side] += entropy_bits_sum(probs)
-            agree += int((winners == predict.argmax(axis=1)).sum())
+            sums += pair.sum(axis=1)
+            np.maximum(maxima, pair.max(axis=1), out=maxima)
+            entropy += entropy_bits_sum(pair)
+            agree += int((winners[0] == winners[1]).sum())
             windows += centers.size
             terms.append(utterance_loss(pair)[1])
     if windows == 0:
@@ -231,7 +228,7 @@ def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:
 
 
 def write_symbol_stats_csv(reduction: CorpusReduction, path: Path, live_mask: np.ndarray) -> None:
-    avg_confirm, avg_predict = reduction.mean(CONFIRM), reduction.mean(PREDICT)
+    avg_confirm, avg_predict = reduction.mean()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["symbol", "avg_prob_psi", "avg_prob_phi", "live"])

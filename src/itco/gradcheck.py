@@ -78,40 +78,37 @@ def _gru_sequence_case(seed: int, name: str, frames_shape):
 
 
 def _encoder_pair_case(seed: int, name: str, lengths):
-    """Both encoders in one paired call, every parameter of each side drawn
-    apart, each side's probabilities projected by its own weights. Windows
-    of one length are stacked; a (y, x) pair of two lengths runs one GRU
-    pass per side, joined before the paired head."""
+    """Both encoders in one paired call on a (y, x) pair of window
+    `lengths`, every parameter of each side drawn apart, each side's
+    probabilities projected by its own weights."""
     rng = case_rng(seed, name)
     ep = EncoderParams(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
     for array in ep.named_arrays().values():
         array[...] = rng.uniform(-1.0, 1.0, size=array.shape) / np.sqrt(HIDDEN)
-    y, x = (rng.normal(size=(2, steps, INPUT)) for steps in lengths)
-    frames = np.stack((y, x)) if y.shape == x.shape else (y, x)
+    pair = tuple(rng.normal(size=(2, steps, INPUT)) for steps in lengths)
     r = rng.normal(size=(len(SIDES), 2, 4))
 
-    return name, ep.store, lambda tape: projected(tape, ep.encode_node(SIDES, frames, tape), r)
+    return name, ep.store, lambda tape: projected(tape, ep.encode_node(SIDES, pair, tape), r)
 
 
 def _objective_case(seed: int, name: str, loss, draw=None):
-    """``loss(tape, ep, frames, fixed)`` on toy float64 encoders and one
-    batch of y and x windows stacked as [2, N, L, d]; ``fixed = draw(rng)``
-    takes any further fixed input from the case's stream."""
+    """``loss(tape, ep, pair, fixed)`` on toy float64 encoders and the
+    (y, x) pair of one batch of windows; ``fixed = draw(rng)`` takes any
+    further fixed input from the case's stream."""
     rng = case_rng(seed, name)
     ep = EncoderParams(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
     x = rng.normal(size=(2, 4, INPUT))
     y = rng.normal(size=(2, 4, INPUT))
-    frames = np.stack((y, x))
     fixed = draw(rng) if draw is not None else None
-    return name, ep.store, lambda tape: loss(tape, ep, frames, fixed)
+    return name, ep.store, lambda tape: loss(tape, ep, (y, x), fixed)
 
 
-def _utterance_loss(tape, ep, frames, buffered_rows):
-    return ob.utterance_loss(ep.encode_node(SIDES, frames, tape), tape, buffered_rows)[0]
+def _utterance_loss(tape, ep, pair, buffered_rows):
+    return ob.utterance_loss(ep.encode_node(SIDES, pair, tape), tape, buffered_rows)[0]
 
 
 def _buffered_rows(rng):
@@ -123,15 +120,15 @@ def _fixed_marginal(rng):
     return rng.dirichlet(np.ones(4))
 
 
-def _marginal_fit(tape, ep, frames, _):
+def _marginal_fit(tape, ep, pair, _):
     # the confirm side is frozen: only the marginal's logits get gradients
-    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, frames[0]), ep.marginal_node(tape), tape)
+    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, pair[0]), ep.marginal_node(tape), tape)
 
 
-def _adversarial_encoder(tape, ep, frames, marginal):
+def _adversarial_encoder(tape, ep, pair, marginal):
     # the encoder loss takes the marginal as a fixed distribution, as the
     # trainer passes it: the marginal is fitted by its own loss
-    return ob.adversarial_loss(ep.encode_node(SIDES, frames, tape), nm.Node(marginal), tape)[0]
+    return ob.adversarial_loss(ep.encode_node(SIDES, pair, tape), nm.Node(marginal), tape)[0]
 
 
 def gradcheck_cases(seed: int):

@@ -14,17 +14,17 @@ graph directly as tape leaves. Each encoder parameter is one stacked
 confirm and row 1 predict; ``named_arrays`` gives each side's rows under
 the per-side names of ``param_shapes``, the checkpoint's arrays.
 
-``encode_node(SIDES, frames, tape)`` is the one taped encoder call: both
-sides' windows stacked as [2, N, L, d], confirm first, give symbol
-probabilities [2, N, Z] through one GRU pass, one affine map and one
-softmax, each side's values and gradients bit-identical to a model of that
-side alone. Windows whose two lengths differ come as a (y, x) pair of
-[N, L, d] batches: one GRU pass per side on its parameter row, joined
-before the paired head. One side, ``encode_node(CONFIRM or PREDICT,
-frames)``, runs untaped only, [N, L, d] to [N, Z]. Untaped, each side also
-takes a stack of equal-sized batches [B, N, L, d] (both sides
-[2, B, N, L, d]), giving [B, N, Z] whose every [N, Z] slice is
-bit-identical to that batch's own call. ``marginal_node`` gives the
+``encode_node(SIDES, (y, x), tape)`` is the one taped encoder call: both
+sides' windows as the (y, x) pair of [N, L, d] batches that
+``window_arrays`` cuts give symbol probabilities [2, N, Z], confirm first,
+each side's values and gradients bit-identical to a model of that side
+alone. Only this module puts the two sides on one axis: windows of one
+length are stacked once per call for one GRU pass; windows whose lengths
+differ run one GRU pass per side, joined before the paired head. Untaped,
+each batch may be a stack of equal-sized batches [B, N, L, d], giving
+[2, B, N, Z] whose every [2, N, Z] slice is bit-identical to that batch's
+own call. One side, ``encode_node(CONFIRM or PREDICT, frames)``, runs
+untaped only, giving [N, Z] (or [B, N, Z]). ``marginal_node`` gives the
 marginal's [Z] probabilities.
 
 The two encoders share no parameters; perturbing one side never changes
@@ -88,9 +88,9 @@ class EncoderParams:
         for name, shape in param_shapes(input_dim, alphabet_size, hidden_dim):
             side, slot = name.split(".", 1)
             if side == CONFIRM:
-                self.store.add(slot, np.zeros((len(SIDES),) + shape))
+                self.store.add(slot, np.zeros((len(SIDES),) + shape, self.store.dtype))
             elif side not in SIDES:
-                self.store.add(name, np.zeros(shape))
+                self.store.add(name, np.zeros(shape, self.store.dtype))
         self._gru = {slot: self.store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
         # the draws fill the checkpoint's arrays in its order
         rng = nm.stream_rng(seed, TAG_INIT)
@@ -115,18 +115,19 @@ class EncoderParams:
     def encode_node(
         self, side: Union[str, tuple], frames, tape: Optional[nm.Tape] = None
     ) -> nm.Node:
-        """Symbol probabilities [2, N, Z] for ``SIDES``' windows, stacked as
-        [2, N, L, d] or paired as (y, x); [N, Z] for one side's batch of
+        """Symbol probabilities [2, N, Z] for ``SIDES``' windows, given as the
+        (y, x) pair of [N, L, d] batches; [N, Z] for one side's batch of
         windows [N, L, d], untaped.
 
-        Untaped, a stack of batches per side, [B, N, L, d] (both sides
-        [2, B, N, L, d]), gives [B, N, Z] per side.
+        Untaped, each batch may be a stack of batches [B, N, L, d], giving
+        [2, B, N, Z] for the pair and [B, N, Z] for one side.
         """
         if side == SIDES:
-            if isinstance(frames, tuple):
-                hidden = self._join(tape, frames)
+            y, x = (self._windows(batch, tape) for batch in frames)
+            if y.shape == x.shape:
+                hidden = nm.gru_sequence(tape, self._gru, np.stack((y, x)))
             else:
-                hidden = nm.gru_sequence(tape, self._gru, self._windows(frames, 4, tape))
+                hidden = self._join(tape, (y, x))
             logits = nm.affine(tape, self.store["out.w"], self.store["out.b"], hidden)
             return nm.softmax(tape, logits)
         if side not in SIDES:
@@ -134,31 +135,27 @@ class EncoderParams:
         if tape is not None:
             raise ValueError("one side alone runs untaped; a taped call takes both SIDES")
         s = SIDES.index(side)
-        hidden = nm.gru_sequence(None, self._gru, self._windows(frames, 3, tape)[None], side=s)
+        hidden = nm.gru_sequence(None, self._gru, self._windows(frames, tape)[None], side=s)
         w, b = (nm.Node(self.store[name].value[s : s + 1]) for name in ("out.w", "out.b"))
         return nm.Node(nm.softmax(None, nm.affine(None, w, b, hidden)).value[0])
 
-    def _windows(self, frames, rank: int, tape: Optional[nm.Tape]) -> np.ndarray:
-        """`frames` in the store's dtype, once they are one side's batch of
-        windows [N, L, d] (`rank` 3) or both sides' [2, N, L, d] (`rank` 4);
-        untaped, each side may hold a stack of batches, one axis more."""
+    def _windows(self, frames, tape: Optional[nm.Tape]) -> np.ndarray:
+        """One side's batch of windows [N, L, d] in the store's dtype;
+        untaped, also a stack of batches [B, N, L, d]."""
         given = np.asarray(frames, dtype=self.store.dtype)
-        lead = f"{len(SIDES)}, " if rank == 4 else ""
-        if (given.ndim not in (rank, rank + (tape is None)) or given.shape[-1] != self.input_dim
-                or (rank == 4 and len(given) != len(SIDES))):
+        if given.ndim not in (3, 3 + (tape is None)) or given.shape[-1] != self.input_dim:
             raise ValueError(
-                f"encode_node takes windows [{lead}N, L, {self.input_dim}] (untaped also "
-                f"[{lead}B, N, L, {self.input_dim}]), got shape {given.shape}"
+                f"encode_node takes windows [N, L, {self.input_dim}] (untaped also "
+                f"[B, N, L, {self.input_dim}]), got shape {given.shape}"
             )
         return given
 
     def _join(self, tape: Optional[nm.Tape], pair: tuple) -> nm.Node:
         """One GRU pass per side of a (y, x) pair of batches whose window
-        lengths may differ, each on its side's parameter row, joined as the
+        lengths differ, each on its side's parameter row, joined as the
         [2, N, H] hidden state."""
         parts = [
-            nm.gru_sequence(tape, self._gru, self._windows(frames, 3, tape)[None], side=s)
-            for s, frames in enumerate(pair)
+            nm.gru_sequence(tape, self._gru, frames[None], side=s) for s, frames in enumerate(pair)
         ]
         joined = nm.Node(np.concatenate([part.value for part in parts]))
         if tape is not None:

@@ -1,8 +1,11 @@
 """Training loop: schedule, per-utterance minibatches, symbol death and
 cloning, checkpointing, metrics emission.
 
-Each utterance is one minibatch. The learning rate is a step function of
-hundreds of utterances processed. A single cloning event copies the
+Each utterance is one minibatch: the (y, x) pair of its windows, cut once
+per run by `window_arrays` and passed whole to one taped
+``encode_node(SIDES, (y, x), tape)`` call, which gives both sides'
+probabilities as one [2, N, Z] array. The learning rate is a step function
+of hundreds of utterances processed. A single cloning event copies the
 output-layer rows of high-marginal live symbols onto dead slots once the
 configured point in the schedule is crossed. Death detection and dev
 evaluation read the untaped `evaluation.reduce_corpus` pass; training
@@ -23,7 +26,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .corpus import (
     Utterance, WindowGeometry, check_fields, fits, rule, window_arrays, window_count
 )
 from .evaluation import reduce_corpus
-from .model import CONFIRM, PREDICT, SIDES, EncoderParams, param_shapes
+from .model import CONFIRM, SIDES, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
@@ -137,7 +140,12 @@ class TrainConfig:
 
 
 class TrainState:
-    """Mutable training-in-progress record; the checkpoint serializes it."""
+    """Mutable training-in-progress record; the checkpoint serializes it.
+
+    `epoch_max` [2, Z] holds the epoch's running max probability of each
+    symbol under each model, confirm first; the checkpoint stores its rows
+    as ``epoch_max_confirm`` and ``epoch_max_predict``.
+    """
 
     def __init__(self, config: TrainConfig, input_dim: int, dtype=np.float32):
         self.config = config
@@ -157,19 +165,16 @@ class TrainState:
         self.step = 0
         self.cloned = False
         self.clone_history: list[dict] = []
-        # per-epoch running max probability per symbol under each model
-        self.epoch_max_confirm = np.zeros(z, dtype=np.float32)
-        self.epoch_max_predict = np.zeros(z, dtype=np.float32)
+        self.epoch_max = np.zeros((len(SIDES), z), dtype=np.float32)
         self.epoch_accum = _fresh_accum()
         self.entropy_buffer = np.zeros((0, z), dtype=np.float32)
         self.detect_mean_confirm: Optional[np.ndarray] = None
         self.corpus_hash: Optional[str] = None  # of the corpus the run trains on
 
-    def live(self, max_confirm: np.ndarray, max_predict: np.ndarray) -> np.ndarray:
-        """A symbol is live iff its max probability reaches dead_threshold
-        under either model."""
-        thr = self.config.dead_threshold
-        return (max_confirm >= thr) | (max_predict >= thr)
+    def live(self, maxima: np.ndarray) -> np.ndarray:
+        """A symbol is live iff its max probability in `maxima` [2, Z]
+        reaches dead_threshold under either model."""
+        return (maxima >= self.config.dead_threshold).any(axis=0)
 
 
 def _fresh_accum() -> dict:
@@ -204,7 +209,8 @@ def check_inputs(
     can train `config`.
 
     Raises TrainerError when either corpus has no usable utterance, or when
-    a usable utterance's feature dimension is not the run's. With `resume`,
+    a usable utterance's feature dimension is not the run's or its frames
+    are all zero (its normalization scale is undefined). With `resume`,
     the run's dimension is the checkpoint's, and the checkpoint must carry
     the same config and corpus hash and must have stopped inside an epoch
     of the usable utterances.
@@ -236,6 +242,9 @@ def check_inputs(
             if u.frames.shape[1] != input_dim:
                 raise TrainerError(f"{role} {u.id!r} has dimension {u.frames.shape[1]}, "
                                    f"expected {input_dim}")
+            if not u.frames.any():
+                raise TrainerError(f"{role} {u.id!r} has all-zero frames, so its "
+                                   f"normalization scale is undefined")
     return usable, dev_corpus
 
 
@@ -255,8 +264,8 @@ def detect_dead_symbols(state: TrainState, corpus_sample: list[Utterance]) -> np
     """
     config = state.config
     reduction = reduce_corpus(state.ep, corpus_sample, config.geometry, config.aligned_windows)
-    state.live_mask = state.live(reduction.maxima[CONFIRM], reduction.maxima[PREDICT])
-    state.detect_mean_confirm = reduction.mean(CONFIRM)
+    state.live_mask = state.live(reduction.maxima)
+    state.detect_mean_confirm = reduction.mean()[0]
     return state.live_mask
 
 
@@ -318,8 +327,7 @@ def clone_symbols(state: TrainState) -> TrainState:
 
 def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
     arrays = list(state.ep.named_arrays().items())
-    arrays.append(("epoch_max_confirm", state.epoch_max_confirm))
-    arrays.append(("epoch_max_predict", state.epoch_max_predict))
+    arrays += [(f"epoch_max_{side}", row) for side, row in zip(SIDES, state.epoch_max)]
     arrays.append(("entropy_buffer", state.entropy_buffer))
     if state.detect_mean_confirm is not None:
         arrays.append(("detect_mean_confirm", state.detect_mean_confirm.astype(np.float32)))
@@ -462,8 +470,7 @@ def load_checkpoint(path: Path) -> TrainState:
     state.corpus_hash = corpus_hash
     for name, array in state.ep.named_arrays().items():
         array[...] = loaded[name]
-    state.epoch_max_confirm = loaded["epoch_max_confirm"]
-    state.epoch_max_predict = loaded["epoch_max_predict"]
+    state.epoch_max = np.array([loaded[f"epoch_max_{side}"] for side in SIDES])
     state.entropy_buffer = loaded["entropy_buffer"]
     if "detect_mean_confirm" in loaded:
         state.detect_mean_confirm = loaded["detect_mean_confirm"].astype(np.float64)
@@ -484,12 +491,13 @@ def evaluate_on_corpus(state: TrainState, corpus: list[Utterance]) -> dict:
     config = state.config
     reduction = reduce_corpus(state.ep, corpus, config.geometry, config.aligned_windows)
     terms = reduction.terms
+    entropy_psi, entropy_phi = reduction.mean_entropy_bits().tolist()
     return {
         "dev_cross_entropy_bits": float(np.mean([t.cross_entropy_bits for t in terms])),
         "dev_marginal_entropy_bits": float(np.mean([t.marginal_entropy_bits for t in terms])),
         "dev_mi_bound_bits": float(np.mean([t.mi_bound_bits for t in terms])),
-        "dev_mean_entropy_psi_bits": reduction.mean_entropy_bits(CONFIRM),
-        "dev_mean_entropy_phi_bits": reduction.mean_entropy_bits(PREDICT),
+        "dev_mean_entropy_psi_bits": entropy_psi,
+        "dev_mean_entropy_phi_bits": entropy_phi,
         "dev_agreement": reduction.agreement,
         "dev_utterances": len(terms),
     }
@@ -552,19 +560,11 @@ def _stream_length_through(path: Path, step: int) -> int:
     return length
 
 
-def _minibatch_frames(u: Utterance, config: TrainConfig, dtype) -> Union[np.ndarray, tuple]:
-    """An utterance's training windows for ``encode_node(SIDES, ...)``: both
-    sides stacked as [2, N, L, d], confirm (y) first; a (y, x) pair when the
-    two sides' lengths differ."""
-    x, y, _ = window_arrays(u, config.geometry, config.aligned_windows, dtype)
-    return np.stack((y, x)) if x.shape == y.shape else (y, x)
-
-
-def _train_minibatch(state: TrainState, frames, lr: float) -> ob.ObjectiveTerms:
-    """One SGD step on one utterance's `_minibatch_frames`."""
+def _train_minibatch(state: TrainState, pair: tuple, lr: float) -> ob.ObjectiveTerms:
+    """One SGD step on one utterance's (y, x) pair of training windows."""
     config = state.config
     tape = Tape()
-    probs = state.ep.encode_node(SIDES, frames, tape)
+    probs = state.ep.encode_node(SIDES, pair, tape)
     extra = None
     if config.entropy_mode == "global" and state.entropy_buffer.shape[0] > 0:
         extra = state.entropy_buffer
@@ -578,17 +578,15 @@ def _train_minibatch(state: TrainState, frames, lr: float) -> ob.ObjectiveTerms:
         sgd_apply(state.ep.store, lr)
         # alternate: refresh the confirm pass (gradient-free, it only
         # supplies frozen targets), then step the marginal alone
-        confirm2 = state.ep.encode_node(CONFIRM, frames[0])
+        confirm2 = state.ep.encode_node(CONFIRM, pair[0])
         tape2 = Tape()
         marginal_loss = ob.marginal_fit_loss(confirm2, state.ep.marginal_node(tape2), tape2)
         tape2.backward(marginal_loss)
         sgd_apply(state.ep.store, lr)
 
-    probs_confirm, probs_predict = probs.value
-    state.epoch_max_confirm = np.maximum(state.epoch_max_confirm, probs_confirm.max(axis=0))
-    state.epoch_max_predict = np.maximum(state.epoch_max_predict, probs_predict.max(axis=0))
+    state.epoch_max = np.maximum(state.epoch_max, probs.value.max(axis=1))
     if config.entropy_mode == "global":
-        state.entropy_buffer = np.concatenate([state.entropy_buffer, probs_confirm])[
+        state.entropy_buffer = np.concatenate([state.entropy_buffer, probs.value[0]])[
             -config.entropy_buffer_windows :
         ]
     return terms
@@ -609,6 +607,8 @@ def train(
 ) -> tuple[TrainState, list[dict]]:
     """Run the schedule (or resume inside it); returns final state + records.
 
+    ``resume`` is the state to continue from; a fresh `TrainState` carrying
+    ``corpus_hash`` resumes from step 0, exactly as a run given none.
     ``stop_after`` pauses once that many utterances have been processed in
     total, saving `interrupted.itck` when a checkpoint directory is given;
     resuming from it reproduces the uninterrupted run's remaining metrics
@@ -635,7 +635,10 @@ def train(
         state.corpus_hash = corpus_hash
 
     dtype = state.ep.store.dtype
-    batches = [_minibatch_frames(u, config, dtype) for u in usable]
+    # each utterance's (y, x) windows: window_arrays cuts (x, y, centers)
+    batches = [
+        window_arrays(u, config.geometry, config.aligned_windows, dtype)[1::-1] for u in usable
+    ]
     writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
@@ -648,8 +651,7 @@ def train(
         while state.processed < budget and not stopped:
             order = _epoch_order(config.seed, state.epoch, len(usable))
             if state.pos_in_epoch == 0:
-                state.epoch_max_confirm[...] = 0
-                state.epoch_max_predict[...] = 0
+                state.epoch_max[...] = 0
                 state.epoch_accum = _fresh_accum()
             for idx in order[state.pos_in_epoch :]:
                 lr = config.lr_at(state.processed)
@@ -695,7 +697,7 @@ def train(
 
             epoch_done = state.pos_in_epoch == len(usable)
             if epoch_done or state.processed >= budget:
-                live = state.live(state.epoch_max_confirm, state.epoch_max_predict)
+                live = state.live(state.epoch_max)
                 record = {
                     "type": "epoch",
                     "epoch": state.epoch,

@@ -6,6 +6,7 @@ The training-based criteria are deterministic for the fixed seeds used
 here, so their outcomes are stable on a given platform.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from itco import evaluation
 from itco import objective as ob
 from itco import trainer as tr
 from itco.gradcheck import run_gradcheck
@@ -89,6 +91,19 @@ def test_criterion_1_gradient_correctness():
 # criteria 2 and 5 share three full training runs on the zero-jitter task
 
 
+def bound_config(seed: int) -> TrainConfig:
+    """The training run of criteria 2, 5 and 9."""
+    return TrainConfig(
+        geometry=WindowGeometry(total=35, past=15, gap=5, future=15),
+        alphabet_size=64,
+        hidden_dim=64,
+        lr_schedule=((24, 0.4), (28, 0.2), (32, 0.1), (36, 0.05)),
+        clone_at=12,
+        seed=seed,
+        aligned_windows=True,
+    )
+
+
 @pytest.fixture(scope="module")
 def bound_runs():
     corpus, joint = synth_corpus(identity_spec(4, seed=1000, num_utterances=200))
@@ -96,17 +111,8 @@ def bound_runs():
     assert true_mi_oracle(joint) == pytest.approx(2.0, abs=1e-12)
     runs = []
     for seed in TRAIN_SEEDS:
-        config = TrainConfig(
-            geometry=WindowGeometry(total=35, past=15, gap=5, future=15),
-            alphabet_size=64,
-            hidden_dim=64,
-            lr_schedule=((24, 0.4), (28, 0.2), (32, 0.1), (36, 0.05)),
-            clone_at=12,
-            seed=seed,
-            aligned_windows=True,
-        )
         t0 = time.time()
-        _, records = train(corpus, config, dev_corpus=dev)
+        _, records = train(corpus, bound_config(seed), dev_corpus=dev)
         seconds = time.time() - t0
         epochs = [r for r in records if r["type"] == "epoch"]
         runs.append(
@@ -151,6 +157,55 @@ def test_criterion_5_confirm_model_sharper(bound_runs):
         sharper >= 2,
         f"held-out mean entropy confirm < predict for {sharper}/3 seeds ({pairs})",
     )
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: the DPI cap on a noisy channel, which a past/future leak breaks
+#
+# On the identity corpus I(x;y) = H(y symbols) = 2 bits, so a predictor that
+# sees the future half is capped there too. A symmetric noisy channel on both
+# sides keeps H(y symbols) at 2 bits but lowers I(x;y) to about 1 bit, so the
+# cap of criterion 2's run (seed 0) tells the honest model from a leak.
+
+NOISY_DIAGONAL = 0.9
+DPI_SLACK_BITS = 0.05
+
+
+def noisy_channel_spec(seed: int, num_utterances: int) -> SyntheticSpec:
+    channel = np.full((4, 4), (1.0 - NOISY_DIAGONAL) / 3)
+    np.fill_diagonal(channel, NOISY_DIAGONAL)
+    spec = identity_spec(4, seed=seed, num_utterances=num_utterances)
+    return dataclasses.replace(spec, x_channel=channel, y_channel=channel)
+
+
+def noisy_channel_gate() -> tuple[bool, str]:
+    """Whether every epoch's dev bound stays within DPI_SLACK_BITS of
+    I(x;y), and the line that reports it."""
+    corpus, joint = synth_corpus(noisy_channel_spec(1000, 200))
+    dev, _ = synth_corpus(noisy_channel_spec(2000, 100))
+    true_mi = true_mi_oracle(joint)
+    assert true_mi == pytest.approx(1.0097, abs=1e-4)
+    _, records = train(corpus, bound_config(0), dev_corpus=dev)
+    bounds = [r["dev_mi_bound_bits"] for r in records if r["type"] == "epoch"]
+    return max(bounds) <= true_mi + DPI_SLACK_BITS, (
+        f"max held-out bound {max(bounds):.4f} <= I(x;y) {true_mi:.4f} + {DPI_SLACK_BITS} "
+        f"over {len(bounds)} epochs, final {bounds[-1]:.4f}"
+    )
+
+
+def test_criterion_9_dpi_bound_on_a_noisy_channel():
+    report(9, "DPI bound on a noisy channel", *noisy_channel_gate())
+
+
+def test_criterion_9_fails_when_the_predictor_sees_the_future(monkeypatch):
+    def leaking(u, geometry, aligned, dtype):
+        _, y, centers = window_arrays(u, geometry, aligned, dtype)
+        return y.copy(), y, centers
+
+    for module in (tr, evaluation):
+        monkeypatch.setattr(module, "window_arrays", leaking)
+    within, line = noisy_channel_gate()
+    assert not within, line
 
 
 # ---------------------------------------------------------------------------

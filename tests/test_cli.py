@@ -177,6 +177,18 @@ class TestSynth:
         assert "bad synthetic spec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_spec_is_data_error_before_any_output(self, tmp_path, capsys, monkeypatch):
+        def unallocatable(spec):
+            raise MemoryError("Unable to allocate 102. TiB")
+
+        monkeypatch.setattr("itco.cli.synth_corpus", unallocatable)
+        spec = write_json(tmp_path / "spec.json", dict(identity_spec(), windows_per_utterance=10**12))
+        out = tmp_path / "c"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad synthetic spec: num_utterances 30 and windows_per_utterance 1000000000000" in err
+        assert not out.exists()
+
     def test_missing_spec_is_usage_error(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["synth", "--spec", str(missing), "--out", str(tmp_path / "c")]) == 1
@@ -409,6 +421,20 @@ class TestTrain:
         assert "bad train config" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_config_is_usage_error_before_any_output(
+        self, tmp_path, corpus_dir, capsys, monkeypatch
+    ):
+        def unallocatable(self, *args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+
+        monkeypatch.setattr(EncoderParams, "__init__", unallocatable)
+        cfg = write_json(tmp_path / "cfg.json", dict(train_config(), hidden_dim=1048576))
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad train config: hidden_dim 1048576 and alphabet_size 8" in err
+        assert not out.exists()
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", train_config())
         assert main(
@@ -489,7 +515,10 @@ class TestTrain:
         # the refusal comes before the manifest would name the refused leg
         assert manifest.read_bytes() == before
 
-    @pytest.mark.parametrize("refusal", ["dev_dimension", "dev_too_short", "corpus_too_short"])
+    @pytest.mark.parametrize(
+        "refusal", ["dev_dimension", "dev_too_short", "corpus_too_short", "dev_all_zero",
+                    "corpus_all_zero"],
+    )
     def test_refused_rerun_leaves_the_run_directory_as_it_was(
         self, tmp_path, corpus_dir, capsys, refusal
     ):
@@ -502,10 +531,16 @@ class TestTrain:
         write_corpus(short, [Utterance(f"s{i}", np.ones((3, 2), np.float32)) for i in range(2)])
         other_dim = tmp_path / "dim3"
         write_corpus(other_dim, [Utterance("d0", np.ones((9, 3), np.float32))])
+        # a short all-zero utterance is skipped as too short; a usable one is refused
+        zero = tmp_path / "zero"
+        write_corpus(zero, [Utterance(uid, np.full((n, 2), v, np.float32))
+                            for uid, n, v in (("n0", 9, 1.0), ("s0", 3, 0.0), ("z0", 9, 0.0))])
         corpus, dev, message = {
             "dev_dimension": (corpus_dir, other_dim, "dev utterance 'd0' has dimension 3, expected 2"),
             "dev_too_short": (corpus_dir, short, "dev corpus has no usable utterances"),
             "corpus_too_short": (short, corpus_dir, "no usable utterances"),
+            "dev_all_zero": (corpus_dir, zero, "dev utterance 'z0' has all-zero frames"),
+            "corpus_all_zero": (zero, corpus_dir, "utterance 'z0' has all-zero frames"),
         }[refusal]
         capsys.readouterr()
         rerun = argv + ["--corpus", str(corpus), "--dev-corpus", str(dev), "--seed", "9"]

@@ -156,8 +156,8 @@ def encode_alone(store, frames, tape):
 @pytest.mark.parametrize("n", [1, 18, 596])
 def test_paired_call_is_bit_identical_to_two_single_side_calls(dtype, steps, n):
     # the oracle is each side alone, an S=1 model of copies of its rows: the
-    # paired call, on stacked windows and on a (y, x) pair, gives the same
-    # forward values and every gradient (GRU, h0, paired head) bit for bit
+    # paired call on the (y, x) pair gives the same forward values and every
+    # gradient (GRU, h0, paired head) bit for bit
     ep, rng = _distinct_params(dtype, 1000 * steps + n)
     frames = rng.standard_normal((2, n, steps, 4)).astype(dtype)
     weights = rng.standard_normal((2, n, 16)).astype(dtype)
@@ -171,22 +171,20 @@ def test_paired_call_is_bit_identical_to_two_single_side_calls(dtype, steps, n):
         want_grads.append({name: param.grad[0] for name, param in store.items()})
         assert np.array_equal(ep.encode_node(side, frames[s]).value, want[s])
 
-    for given in (frames, (frames[0], frames[1])):
-        ep.store.zero_grads()
-        tape = nm.Tape()
-        probs = ep.encode_node(SIDES, given, tape)
-        tape.backward(projected(tape, probs, weights))
-        assert probs.value.dtype == dtype
-        for s in range(len(SIDES)):
-            assert np.array_equal(probs.value[s], want[s])
-            for name, grad in want_grads[s].items():
-                assert np.array_equal(ep.store[name].grad[s], grad), (name, s)
-        assert ep.store["marginal.logits"].grad is None
+    tape = nm.Tape()
+    probs = ep.encode_node(SIDES, (frames[0], frames[1]), tape)
+    tape.backward(projected(tape, probs, weights))
+    assert probs.value.dtype == dtype
+    for s in range(len(SIDES)):
+        assert np.array_equal(probs.value[s], want[s])
+        for name, grad in want_grads[s].items():
+            assert np.array_equal(ep.store[name].grad[s], grad), (name, s)
+    assert ep.store["marginal.logits"].grad is None
     # after an update, untaped: the pair alone, and a stack of two batches per side
     nm.sgd_apply(ep.store, 0.5)
     stacked = np.stack([frames, rng.standard_normal(frames.shape).astype(dtype)], axis=1)
     for batch in (frames, stacked):
-        paired = ep.encode_node(SIDES, batch).value
+        paired = ep.encode_node(SIDES, (batch[0], batch[1])).value
         for s, side in enumerate(SIDES):
             assert np.array_equal(paired[s], ep.encode_node(side, batch[s]).value)
     assert not np.array_equal(ep.encode_node(CONFIRM, frames[0]).value, want[0])
@@ -214,20 +212,16 @@ def test_unequal_lengths_join_two_single_side_passes(steps):
             assert np.array_equal(ep.store[name].grad[s], param.grad[0]), (name, s)
 
 
-def test_paired_call_takes_both_sides_stacked():
+def test_paired_call_takes_the_y_x_pair():
     ep = tiny_params()
     windows = np.zeros((2, 3, 4, 3))
-    assert ep.encode_node(SIDES, windows).value.shape == (2, 3, 4)
-    assert ep.encode_node(SIDES, (windows[0], windows[1, :, :2])).value.shape == (2, 3, 4)
-    for frames in (windows[0], windows[:1], np.zeros((3, 3, 4, 3))):
-        with pytest.raises(ValueError, match=r"\[2, N, L, 3\]"):
-            ep.encode_node(SIDES, frames)
-    with pytest.raises(ValueError):
-        ep.encode_node(SIDES, windows[:, None], nm.Tape())
-    # a (y, x) pair is two batches of one N, each [N, L, d] (untaped also a
-    # stack of batches)
-    for pair in ((windows[0], windows[1, :2]), (windows[0],), (windows[0], windows[1], windows[1]),
-                 (windows[0], windows[1, :, :, :2])):
+    y, x = windows
+    assert ep.encode_node(SIDES, (y, x)).value.shape == (2, 3, 4)
+    assert ep.encode_node(SIDES, (y, x[:, :2])).value.shape == (2, 3, 4)
+    # two batches of one N, each [N, L, d] (untaped also a stack of batches)
+    with pytest.raises(ValueError, match=r"\[N, L, 3\]"):
+        ep.encode_node(SIDES, (y[0], x[0]))
+    for pair in ((y, x[:2]), (y,), (y, x, x), (y, x[:, :, :2]), (windows, x)):
         with pytest.raises(ValueError):
             ep.encode_node(SIDES, pair)
     with pytest.raises(ValueError):
@@ -235,10 +229,10 @@ def test_paired_call_takes_both_sides_stacked():
     assert ep.encode_node(SIDES, (windows, windows[:, :, :1])).value.shape == (2, 2, 3, 4)
     for side in ((PREDICT, CONFIRM), [CONFIRM, PREDICT]):
         with pytest.raises(ValueError, match="unknown side"):
-            ep.encode_node(side, windows)
+            ep.encode_node(side, (y, x))
     # one side alone runs untaped only
     with pytest.raises(ValueError, match="untaped"):
-        ep.encode_node(CONFIRM, windows[0], nm.Tape())
+        ep.encode_node(CONFIRM, y, nm.Tape())
 
 
 def test_same_seed_same_init_different_seed_differs():
@@ -276,9 +270,9 @@ def test_marginal_log_target_recovers_target():
 
 def test_encode_gradients_flow_through_tape():
     ep = tiny_params(seed=11)
-    windows = np.random.default_rng(5).standard_normal((2, 1, 3, 3))
+    y, x = np.random.default_rng(5).standard_normal((2, 1, 3, 3))
     tape = nm.Tape()
-    probs = ep.encode_node(SIDES, windows, tape)
+    probs = ep.encode_node(SIDES, (y, x), tape)
     # only the confirm side's probabilities reach the loss
     tape.backward(projected(tape, probs, np.stack((np.arange(4.0)[None], np.zeros((1, 4))))))
     grads = [param.grad for name, param in ep.store.items() if name != "marginal.logits"]

@@ -475,7 +475,8 @@ def tape_lengths(monkeypatch, config):
     monkeypatch.setattr(tr, "Tape", RecordedTape)
     utts, _ = tiny_corpus()
     state = tr.TrainState(config, input_dim=utts[0].frames.shape[1])
-    frames = tr._minibatch_frames(utts[0], config, np.float32)
+    x, y, _ = window_arrays(utts[0], config.geometry, config.aligned_windows, np.float32)
+    frames = (y, x)
     for _ in range(2):
         tapes.clear()
         tr._train_minibatch(state, frames, 0.1)
@@ -555,13 +556,15 @@ def test_train_rejects_empty_and_unusably_short_corpora():
 
 def test_train_skips_short_utterances_with_warning(caplog):
     utts, _ = tiny_corpus(n_utts=4)
-    utts.append(Utterance("stub", np.ones((2, 2))))
+    # a short all-zero utterance is skipped too, not refused as all-zero
+    utts += [Utterance("stub", np.ones((2, 2))), Utterance("zero_stub", np.zeros((2, 2)))]
     config = tiny_config(lr_schedule=((1, 0.4),))
     with caplog.at_level("WARNING"):
         _, records = tr.train(utts, config)
-    assert any("stub" in message for message in caplog.messages)
     names = {r["utterance_id"] for r in records if r["type"] == "minibatch"}
-    assert "stub" not in names
+    for stub in ("stub", "zero_stub"):
+        assert any(f"skipping utterance {stub}:" in message for message in caplog.messages)
+        assert stub not in names
 
 
 def test_metrics_stream_shapes_and_lr_schedule(tmp_path):
@@ -721,8 +724,9 @@ def test_aligned_windows_restrict_to_generated_placements(monkeypatch):
 
     def counting(self, side, frames, tape=None):
         # a stacked call [B, N, L, d] holds B * N windows, a paired call
-        # [2, N, L, d] N windows of each side
-        calls.append((side, int(np.prod(frames.shape[:-2])), tape is None))
+        # (y, x) N windows of each side
+        batches = frames if side == SIDES else (frames,)
+        calls.append((side, sum(int(np.prod(b.shape[:-2])) for b in batches), tape is None))
         return encode(self, side, frames, tape)
 
     monkeypatch.setattr(EncoderParams, "encode_node", counting)

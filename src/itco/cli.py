@@ -11,7 +11,8 @@ leg, oldest first, under ``earlier_legs``.
 call, which reads every corpus file once and yields the corpus hash along
 with the utterances and the manifest metadata.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure, and
+128 + the signal number (130 SIGINT, 143 SIGTERM) for an interrupted run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
 from pathlib import Path
 from typing import Optional
@@ -43,7 +45,7 @@ from .evaluation import (
 )
 from .gradcheck import run_gradcheck
 from .trainer import (
-    TrainConfig, TrainerError, TrainState, check_inputs, load_checkpoint, replace_file, train
+    Interrupted, TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
 )
 
 log = logging.getLogger(__name__)
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
+EXIT_SIGNAL = 128  # plus the signal number, as a shell reports a death by that signal
 
 GRADCHECK_TOLERANCE = 1e-3
 
@@ -216,21 +219,16 @@ def cmd_train(args) -> int:
     if resume_state and args.stop_after is not None and args.stop_after <= resume_state.processed:
         raise CliError(f"--stop-after {args.stop_after} does not pass the {resume_state.processed} "
                        f"utterances the resume checkpoint has already processed", EXIT_USAGE)
-    # a refused run must leave the run directory as it was
-    usable, dev_usable = check_inputs(
-        corpus.utterances, config, dev.utterances if dev else None, resume_state, corpus.hash
-    )
-    # a fresh run's state is allocated here, before any output, and resumes from step 0
-    state = resume_state
-    if state is None:
-        try:
-            state = TrainState(config, input_dim=usable[0].frames.shape[1])
-        except MemoryError:
-            raise CliError(
-                f"bad train config: hidden_dim {config.hidden_dim} and alphabet_size "
-                f"{config.alphabet_size} need more memory than can be allocated", EXIT_USAGE
-            ) from None
-        state.corpus_hash = corpus.hash
+    # a refused run, an unallocatable fresh state included, leaves the run directory as it was
+    try:
+        state, usable, dev_usable = check_inputs(
+            corpus.utterances, config, dev.utterances if dev else None, resume_state, corpus.hash
+        )
+    except MemoryError:
+        raise CliError(
+            f"bad train config: hidden_dim {config.hidden_dim} and alphabet_size "
+            f"{config.alphabet_size} need more memory than can be allocated", EXIT_USAGE
+        ) from None
 
     out = Path(args.out)
     checkpoint_dir = out / "checkpoints"
@@ -245,16 +243,20 @@ def cmd_train(args) -> int:
     legs = _train_legs(out) if args.resume else None
     write_run_manifest(out, "train", snapshot, config.seed, corpus.hash, artifacts, legs)
 
-    state, records = train(
-        usable,
-        config,
-        dev_corpus=dev_usable,
-        metrics_path=metrics_path,
-        checkpoint_dir=checkpoint_dir,
-        resume=state,
-        stop_after=args.stop_after,
-        corpus_hash=corpus.hash,
-    )
+    try:
+        state, records = train(
+            usable,
+            config,
+            dev_corpus=dev_usable,
+            metrics_path=metrics_path,
+            checkpoint_dir=checkpoint_dir,
+            resume=state,
+            stop_after=args.stop_after,
+            corpus_hash=corpus.hash,
+        )
+    except Interrupted as exc:
+        print(f"{exc}; resume with --resume {checkpoint_dir / 'interrupted.itck'}", file=sys.stderr)
+        return EXIT_SIGNAL + exc.signum
     epochs = [r for r in records if r["type"] == "epoch"]
     tail = epochs[-1] if epochs else {}
     print(
@@ -444,6 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("interrupted by SIGINT", file=sys.stderr)
+        return EXIT_SIGNAL + signal.SIGINT
 
 
 if __name__ == "__main__":

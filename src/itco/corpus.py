@@ -370,17 +370,17 @@ def window_arrays(
     t + total//2. Windows start at every frame, or with ``aligned`` only
     at the back-to-back generated placements 0, total, 2*total, ...; N is
     0 when the utterance is shorter than one window. The normalized
-    frames are cast to `dtype` once, before any window is copied.
+    frames are cast to `dtype` once; x and y are read-only views of them.
     """
     frames = normalize_utterance(u).frames.astype(dtype)
     step = g.total if aligned else 1
     if frames.shape[0] >= g.total:
-        # [N, d, total] view, no copy; starts are selected before any slice is copied
+        # [N, d, total] read-only view, no copy
         view = np.lib.stride_tricks.sliding_window_view(frames, g.total, axis=0)[::step]
     else:
         view = np.zeros((0, frames.shape[1], g.total), dtype)
-    x = np.ascontiguousarray(view[:, :, : g.past].transpose(0, 2, 1))
-    y = np.ascontiguousarray(view[:, :, g.past + g.gap :].transpose(0, 2, 1))
+    x = view[:, :, : g.past].transpose(0, 2, 1)
+    y = view[:, :, g.past + g.gap :].transpose(0, 2, 1)
     centers = np.arange(view.shape[0]) * step + g.total // 2
     return x, y, centers
 

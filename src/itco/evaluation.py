@@ -140,15 +140,15 @@ def _encode_run(
 
     Each side is one untaped call, so the sides' windows are never stacked
     and their GRU buffers are never alive at once. A one-utterance run is
-    encoded from its own [N, L, d] window arrays, as an unstacked call, and
-    every window is freed on return, before the next run is windowed.
+    encoded from its own [N, L, d] window views, unstacked, and every window
+    is freed on return, before the next run is windowed. Each side's float64
+    cast is made as its call returns (the order of least measured peak RSS).
     """
     xs, ys, centers = zip(*(window_arrays(u, geometry, aligned, ep.store.dtype) for u in run))
     x, y = (parts[0] if len(run) == 1 else np.stack(parts) for parts in (xs, ys))
-    probs = np.empty((len(SIDES), len(run), centers[0].size, ep.alphabet_size))
-    for side, frames, out in zip(SIDES, (y, x), probs):
-        out[...] = ep.encode_node(side, frames).value.reshape(out.shape)
-    return probs, centers[0]
+    probs = np.stack([ep.encode_node(side, frames).value.astype(np.float64)
+                      for side, frames in zip(SIDES, (y, x))])
+    return probs.reshape(len(SIDES), len(run), centers[0].size, -1), centers[0]
 
 
 def reduce_corpus(

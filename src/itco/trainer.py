@@ -1,20 +1,25 @@
 """Training loop: schedule, per-utterance minibatches, symbol death and
 cloning, checkpointing, metrics emission.
 
-Each utterance is one minibatch: the (y, x) pair of its windows, cut once
-per run by `window_arrays` and passed whole to one taped
-``encode_node(SIDES, (y, x), tape)`` call, which gives both sides'
-probabilities as one [2, N, Z] array. The learning rate is a step function
-of hundreds of utterances processed. A single cloning event copies the
-output-layer rows of high-marginal live symbols onto dead slots once the
-configured point in the schedule is crossed. Death detection and dev
-evaluation read the untaped `evaluation.reduce_corpus` pass; training
-minibatches are the only other place the encoders run.
+Each utterance is one minibatch: the (y, x) pair of its windows, which
+`window_arrays` cuts once per run as read-only views of the utterance's
+one normalized copy (so a run holds one copy of its corpus, however many
+windows it has), passed whole to one taped ``encode_node(SIDES, (y, x),
+tape)`` call, which gives both sides' probabilities as one [2, N, Z] array.
+The learning rate is a step function of hundreds of utterances processed.
+A single cloning event copies the output-layer rows of high-marginal live
+symbols onto dead slots once the configured point in the schedule is
+crossed. Death detection and dev evaluation read the untaped
+`evaluation.reduce_corpus` pass; training minibatches are the only other
+place the encoders run.
 
 Determinism: utterance order, initialization, and clone noise all come
 from named random streams derived from (seed, tag, counters), so a run
 can be interrupted at any minibatch, resumed from the checkpoint, and
-reproduce the uninterrupted metrics stream byte for byte.
+reproduce the uninterrupted metrics stream byte for byte. A run has one
+start, `check_inputs`, which gives the state it continues from, and one
+loop, one step per pass, which ends at the budget, at ``stop_after``, or
+after the step in progress when SIGINT or SIGTERM arrives.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import json
 import logging
 import math
 import os
+import signal
+import threading
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,6 +47,7 @@ from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
     "TrainerError",
+    "Interrupted",
     "TrainConfig",
     "TrainState",
     "train",
@@ -68,6 +76,15 @@ MEAN_TERMS = ("cross_entropy_bits", "marginal_entropy_bits", "mi_bound_bits", "l
 
 class TrainerError(Exception):
     pass
+
+
+class Interrupted(Exception):
+    """SIGINT or SIGTERM stopped `train` after a step, whose state is saved
+    as ``interrupted.itck`` when a checkpoint directory is given."""
+
+    def __init__(self, signum: int, step: int):
+        super().__init__(f"interrupted by {signal.Signals(signum).name} after step {step}")
+        self.signum = signum
 
 
 @dataclass
@@ -147,7 +164,7 @@ class TrainState:
     as ``epoch_max_confirm`` and ``epoch_max_predict``.
     """
 
-    def __init__(self, config: TrainConfig, input_dim: int, dtype=np.float32):
+    def __init__(self, config: TrainConfig, input_dim: int, corpus_hash=None, dtype=np.float32):
         self.config = config
         self.input_dim = input_dim
         self.ep = EncoderParams(
@@ -169,7 +186,7 @@ class TrainState:
         self.epoch_accum = _fresh_accum()
         self.entropy_buffer = np.zeros((0, z), dtype=np.float32)
         self.detect_mean_confirm: Optional[np.ndarray] = None
-        self.corpus_hash: Optional[str] = None  # of the corpus the run trains on
+        self.corpus_hash = corpus_hash  # of the corpus the run trains on
 
     def live(self, maxima: np.ndarray) -> np.ndarray:
         """A symbol is live iff its max probability in `maxima` [2, Z]
@@ -204,9 +221,11 @@ def check_inputs(
     dev_corpus: Optional[list[Utterance]] = None,
     resume: Optional[TrainState] = None,
     corpus_hash: Optional[str] = None,
-) -> tuple[list[Utterance], Optional[list[Utterance]]]:
-    """The usable utterances of the training and the dev corpus, once they
-    can train `config`.
+) -> tuple[TrainState, list[Utterance], Optional[list[Utterance]]]:
+    """The state a run continues from, and the usable utterances of the
+    training and the dev corpus, once they can train `config`. The state is
+    `resume`, or a fresh `TrainState` at step 0 carrying `corpus_hash`,
+    allocated once every check below has passed.
 
     Raises TrainerError when either corpus has no usable utterance, or when
     a usable utterance's feature dimension is not the run's or its frames
@@ -245,7 +264,8 @@ def check_inputs(
             if not u.frames.any():
                 raise TrainerError(f"{role} {u.id!r} has all-zero frames, so its "
                                    f"normalization scale is undefined")
-    return usable, dev_corpus
+    state = resume if resume is not None else TrainState(config, input_dim, corpus_hash)
+    return state, usable, dev_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +480,13 @@ def load_checkpoint(path: Path) -> TrainState:
         if name not in loaded:
             raise TrainerError(f"checkpoint missing array {name}")
 
-    state = TrainState(config, input_dim=input_dim)
+    state = TrainState(config, input_dim, corpus_hash)
     for key, value in counters.items():
         setattr(state, key, value)
     state.cloned = cloned
     state.epoch_accum = accum
     state.live_mask = np.asarray(live, dtype=bool)
     state.clone_history = history
-    state.corpus_hash = corpus_hash
     for name, array in state.ep.named_arrays().items():
         array[...] = loaded[name]
     state.epoch_max = np.array([loaded[f"epoch_max_{side}"] for side in SIDES])
@@ -514,19 +533,19 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 class _MetricsWriter:
     """The metrics stream: one JSON line per record, flushed as it is written.
 
-    A fresh run starts the file empty. A resumed run keeps the lines the
-    file already holds up to the checkpoint's step and appends after them,
-    so resuming into the interrupted run's directory leaves the same bytes
-    as the uninterrupted run.
+    A run at step 0 starts the file empty. A run resumed at a later step
+    keeps the lines the file already holds up to that step and appends
+    after them, so resuming into the interrupted run's directory leaves the
+    same bytes as the uninterrupted run.
     """
 
-    def __init__(self, path: Optional[Path], resume_step: Optional[int] = None):
+    def __init__(self, path: Optional[Path], step: int):
         self.records: list[dict] = []
         self._fh = None
         if path:
-            if resume_step is not None and os.path.exists(path):
-                os.truncate(path, _stream_length_through(path, resume_step))
-            self._fh = open(path, "w" if resume_step is None else "a", encoding="utf-8")
+            if step and os.path.exists(path):
+                os.truncate(path, _stream_length_through(path, step))
+            self._fh = open(path, "a" if step else "w", encoding="utf-8")
 
     def emit(self, record: dict) -> None:
         self.records.append(record)
@@ -607,93 +626,97 @@ def train(
 ) -> tuple[TrainState, list[dict]]:
     """Run the schedule (or resume inside it); returns final state + records.
 
-    ``resume`` is the state to continue from; a fresh `TrainState` carrying
-    ``corpus_hash`` resumes from step 0, exactly as a run given none.
-    ``stop_after`` pauses once that many utterances have been processed in
-    total, saving `interrupted.itck` when a checkpoint directory is given;
-    resuming from it reproduces the uninterrupted run's remaining metrics
-    exactly. A ``stop_after`` at or below the count the run starts from
-    raises TrainerError before the metrics file is opened. When resuming
-    into an existing ``metrics_path``, the file is cut back to the
-    checkpoint's step and continued. ``corpus_hash`` names
-    the training corpus; it is stored in every checkpoint, and resuming
-    under another hash raises TrainerError. A NaN or infinity, or a
-    saturated divergence (a minibatch whose bound is below
-    -log2(alphabet_size) with cells at the log floor, written to the stream
-    first), raises TrainerError naming the step and the utterance.
+    ``resume`` is the state to continue from; without one, a fresh
+    `TrainState` carrying ``corpus_hash`` starts at step 0 (see
+    `check_inputs`). ``stop_after`` pauses once that many utterances have
+    been processed in total, saving `interrupted.itck` when a checkpoint
+    directory is given; resuming from it reproduces the uninterrupted run's
+    remaining metrics exactly. A ``stop_after`` at or below the count the
+    run starts from raises TrainerError before the metrics file is opened.
+    When resuming into an existing ``metrics_path``, the file is cut back
+    to the checkpoint's step and continued. ``corpus_hash`` names the
+    training corpus; it is stored in every checkpoint, and resuming under
+    another hash raises TrainerError. A NaN or infinity, a saturated
+    divergence (a minibatch whose bound is below -log2(alphabet_size) with
+    cells at the log floor, written to the stream first), or a MemoryError
+    raises TrainerError naming the step and the utterance.
+
+    On the main thread, SIGINT and SIGTERM are only recorded while the run
+    goes: the step in progress finishes (with its epoch record and epoch
+    checkpoint if it closes an epoch), `interrupted.itck` is saved as for
+    ``stop_after``, and `Interrupted` is raised. A signal that arrives once
+    the run has reached its end changes nothing. The previous handlers are
+    restored on return.
     """
-    usable, dev_corpus = check_inputs(corpus, config, dev_corpus, resume, corpus_hash)
-    start = resume.processed if resume is not None else 0
-    if stop_after is not None and stop_after <= start:
+    state, usable, dev_corpus = check_inputs(corpus, config, dev_corpus, resume, corpus_hash)
+    if stop_after is not None and stop_after <= state.processed:
         raise TrainerError(
-            f"stop_after {stop_after} does not exceed the {start} utterances already processed"
+            f"stop_after {stop_after} does not exceed the {state.processed} "
+            f"utterances already processed"
         )
-    if resume is not None:
-        state = resume
-    else:
-        state = TrainState(config, input_dim=usable[0].frames.shape[1])
-        state.corpus_hash = corpus_hash
 
     dtype = state.ep.store.dtype
     # each utterance's (y, x) windows: window_arrays cuts (x, y, centers)
     batches = [
         window_arrays(u, config.geometry, config.aligned_windows, dtype)[1::-1] for u in usable
     ]
-    writer = _MetricsWriter(metrics_path, resume_step=state.step if resume is not None else None)
+    writer = _MetricsWriter(metrics_path, state.step)
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
+    end = budget if stop_after is None else min(budget, stop_after)
     # a bound below this predicts worse than a uniform guess over the alphabet
     uniform_floor = -math.log2(config.alphabet_size)
-    stopped = False
     where = f"step {state.step}"
+    order = None
+    received: list[int] = []
+    handlers = {}
 
     try:
-        while state.processed < budget and not stopped:
-            order = _epoch_order(config.seed, state.epoch, len(usable))
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                handlers[signum] = signal.signal(signum, lambda got, _: received.append(got))
+        while state.processed < end and not received:
             if state.pos_in_epoch == 0:
                 state.epoch_max[...] = 0
                 state.epoch_accum = _fresh_accum()
-            for idx in order[state.pos_in_epoch :]:
-                lr = config.lr_at(state.processed)
-                where = f"step {state.step + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
-                terms = _train_minibatch(state, batches[idx], lr)
-                state.pos_in_epoch += 1
-                state.processed += 1
-                state.step += 1
-                record = {
-                    "type": "minibatch",
-                    "utterance_id": usable[idx].id,
-                    "step": state.step,
-                    "lr": lr,
-                    "cross_entropy_bits": terms.cross_entropy_bits,
-                    "marginal_entropy_bits": terms.marginal_entropy_bits,
-                    "mi_bound_bits": terms.mi_bound_bits,
-                    "saturation_count": terms.saturation_count,
-                }
-                if terms.adversarial_marginal_bits is not None:
-                    record["adversarial_marginal_bits"] = terms.adversarial_marginal_bits
-                writer.emit(record)
-                if terms.saturation_count > 0 and terms.mi_bound_bits < uniform_floor:
-                    raise TrainerError(
-                        f"training diverged at {where}: mi_bound_bits {terms.mi_bound_bits:.4f} "
-                        f"< {uniform_floor:g} = -log2(alphabet_size) with {terms.saturation_count} "
-                        f"cells at the log floor"
-                    )
-                for key in (*MEAN_TERMS, "saturation_count"):
-                    state.epoch_accum[key] += getattr(terms, key)
-                state.epoch_accum["count"] += 1
+            if state.pos_in_epoch == 0 or order is None:
+                order = _epoch_order(config.seed, state.epoch, len(usable))
+            idx = order[state.pos_in_epoch]
+            lr = config.lr_at(state.processed)
+            where = f"step {state.step + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
+            terms = _train_minibatch(state, batches[idx], lr)
+            state.pos_in_epoch += 1
+            state.processed += 1
+            state.step += 1
+            record = {
+                "type": "minibatch",
+                "utterance_id": usable[idx].id,
+                "step": state.step,
+                "lr": lr,
+                "cross_entropy_bits": terms.cross_entropy_bits,
+                "marginal_entropy_bits": terms.marginal_entropy_bits,
+                "mi_bound_bits": terms.mi_bound_bits,
+                "saturation_count": terms.saturation_count,
+            }
+            if terms.adversarial_marginal_bits is not None:
+                record["adversarial_marginal_bits"] = terms.adversarial_marginal_bits
+            writer.emit(record)
+            if terms.saturation_count > 0 and terms.mi_bound_bits < uniform_floor:
+                raise TrainerError(
+                    f"training diverged at {where}: mi_bound_bits {terms.mi_bound_bits:.4f} "
+                    f"< {uniform_floor:g} = -log2(alphabet_size) with {terms.saturation_count} "
+                    f"cells at the log floor"
+                )
+            for key in (*MEAN_TERMS, "saturation_count"):
+                state.epoch_accum[key] += getattr(terms, key)
+            state.epoch_accum["count"] += 1
 
-                if not state.cloned and state.processed >= config.clone_at * 100:
-                    sample = usable[: config.detect_sample_utterances]
-                    detect_dead_symbols(state, sample)
-                    clone_symbols(state)
-                    state.cloned = True
-                    writer.emit({"type": "clone", **state.clone_history[-1]})
-                if state.processed >= budget:
-                    break
-                if stop_after is not None and state.processed >= stop_after:
-                    stopped = True
-                    break
+            if not state.cloned and state.processed >= config.clone_at * 100:
+                sample = usable[: config.detect_sample_utterances]
+                detect_dead_symbols(state, sample)
+                clone_symbols(state)
+                state.cloned = True
+                writer.emit({"type": "clone", **state.clone_history[-1]})
 
             epoch_done = state.pos_in_epoch == len(usable)
             if epoch_done or state.processed >= budget:
@@ -702,7 +725,7 @@ def train(
                     "type": "epoch",
                     "epoch": state.epoch,
                     "utterances": state.epoch_accum["count"],
-                    "lr": config.lr_at(state.processed - 1),
+                    "lr": lr,
                     "live_symbols": int(live.sum()),
                     "saturation_total": state.epoch_accum["saturation_count"],
                 }
@@ -719,11 +742,17 @@ def train(
                 if checkpoint_dir is not None:
                     save_checkpoint(state, checkpoint_dir / f"epoch_{completed_epoch:04d}.itck")
         if checkpoint_dir is not None:
-            name = "interrupted.itck" if stopped else "final.itck"
+            name = "final.itck" if state.processed >= budget else "interrupted.itck"
             save_checkpoint(state, checkpoint_dir / name)
     except NonFiniteError as exc:
         # a dev or clone pass that fails runs on the parameters `where` wrote
         raise TrainerError(f"training hit a non-finite value at {where}: {exc}") from None
+    except MemoryError:
+        raise TrainerError(f"training ran out of memory at {where}") from None
     finally:
         writer.close()
+        for signum, handler in handlers.items():
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
+    if received and state.processed < end:
+        raise Interrupted(received[0], state.step)
     return state, writer.records

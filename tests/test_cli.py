@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -17,6 +19,7 @@ import pytest
 import itco
 from itco import gradcheck
 from itco import numerics as nm
+from itco import trainer
 from itco.cli import main
 from itco.corpus import Utterance, load_corpus, true_mi_oracle, write_corpus
 from itco.trainer import TrainConfig, TrainState, load_checkpoint, save_checkpoint
@@ -76,6 +79,24 @@ def run_dir(tmp_path_factory, corpus_dir) -> Path:
     )
     assert code == 0
     return out
+
+
+def module_env() -> dict[str, str]:
+    """The environment in which ``python -m itco`` imports this checkout."""
+    src = str(Path(itco.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory, corpus_dir) -> tuple[Path, Path]:
+    """The config of a run of 8,000 minibatches, long enough (at least 3 s)
+    for a signal sent after its third minibatch to arrive while it goes, and
+    that run's directory."""
+    root = tmp_path_factory.mktemp("long")
+    cfg = write_json(root / "train.json", dict(train_config(), lr_schedule=[[80, 0.4]]))
+    out = root / "out"
+    assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out
 
 
 def files_under(root: Path) -> dict[str, bytes]:
@@ -383,6 +404,67 @@ class TestTrain:
         last = [r for r in records if r["type"] == "minibatch"][-1]
         assert (last["step"], last["utterance_id"]) == (int(match.group(1)), match.group(2))
         assert last["saturation_count"] > 0 and last["mi_bound_bits"] < -np.log2(8)
+
+    def test_out_of_memory_in_training_is_data_error_naming_the_step(
+        self, tmp_path, corpus_dir, capsys, monkeypatch
+    ):
+        minibatch, calls = trainer._train_minibatch, []
+
+        def third_runs_out(state, pair, lr):
+            calls.append(lr)
+            if len(calls) == 3:
+                raise MemoryError("Unable to allocate 16.0 TiB")
+            return minibatch(state, pair, lr)
+
+        monkeypatch.setattr(trainer, "_train_minibatch", third_runs_out)
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "out"
+        assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"training ran out of memory at step 3 \(utterance '[^']+', lr 0.4\)", err)
+        assert "Traceback" not in err
+        # the records written before it stay
+        assert [json.loads(line)["step"] for line in (out / "metrics.jsonl").read_text().splitlines()] == [1, 2]
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_a_signal_stops_the_run_after_a_step_and_its_resume_is_exact(
+        self, tmp_path, corpus_dir, long_run, signum
+    ):
+        cfg, uninterrupted = long_run
+        out = tmp_path / "out"
+        argv = ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
+        proc = subprocess.Popen([sys.executable, "-m", "itco", *argv], env=module_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        metrics = out / "metrics.jsonl"
+        deadline = time.monotonic() + 60
+        while not (metrics.exists() and metrics.read_text().count('"type":"minibatch"') >= 3):
+            assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signum, err
+        assert "Traceback" not in err
+        checkpoint = out / "checkpoints" / "interrupted.itck"
+        assert re.fullmatch(
+            rf"interrupted by {signum.name} after step \d+; resume with --resume "
+            rf"{re.escape(str(checkpoint))}\n", err
+        )
+        assert main([*argv, "--resume", str(checkpoint)]) == 0
+        for name in ("metrics.jsonl", "checkpoints/final.itck"):
+            assert (out / name).read_bytes() == (uninterrupted / name).read_bytes(), name
+
+    def test_ctrl_c_outside_the_training_loop_exits_130_with_one_line(
+        self, tmp_path, corpus_dir, capsys, monkeypatch
+    ):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("itco.cli.load_corpus", interrupted)
+        cfg = write_json(tmp_path / "cfg.json", train_config())
+        out = tmp_path / "out"
+        assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "interrupted by SIGINT\n"
+        assert not out.exists()
 
     def test_bad_config_is_usage_error(self, tmp_path, corpus_dir):
         doc = train_config()
@@ -953,10 +1035,9 @@ class TestUsage:
         assert "itco" in capsys.readouterr().out
 
     def test_runs_as_a_module(self):
-        src = str(Path(itco.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "itco", "--help"], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "itco", "--help"], env=module_env(), capture_output=True, text=True,
+            timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert "usage: itco" in proc.stdout

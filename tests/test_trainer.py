@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -543,6 +544,54 @@ def test_stop_after_at_or_below_the_start_trains_nothing(tmp_path):
             tr.train(utts, config, metrics_path=metrics, resume=state, stop_after=stop)
         assert state.processed == 5 and state.step == 5
         assert metrics.read_bytes() == written
+
+
+def test_every_kind_of_stop_point_resumes_exactly(tmp_path):
+    # the clone step (1), steps inside an epoch (5, 37, 99) and every epoch
+    # boundary before the budget of 100: resumed into the same directory,
+    # each leaves the uninterrupted run's stream and checkpoints byte for byte
+    utts, _ = tiny_corpus(n_utts=10)
+    config = tiny_config()
+
+    def outputs(run: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.name != "interrupted.itck"}
+
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    tr.train(utts, config, metrics_path=whole / "metrics.jsonl", checkpoint_dir=whole)
+    expected = outputs(whole)
+    assert len(expected) == 1 + 10 + 1  # metrics, epoch_0000 ... epoch_0009, final
+    for stop in (1, 5, 37, 99, *range(10, 100, 10)):
+        run = tmp_path / f"stop_{stop}"
+        run.mkdir()
+        tr.train(utts, config, metrics_path=run / "metrics.jsonl", checkpoint_dir=run,
+                 stop_after=stop)
+        state = tr.load_checkpoint(run / "interrupted.itck")
+        assert state.processed == stop
+        tr.train(utts, config, metrics_path=run / "metrics.jsonl", checkpoint_dir=run,
+                 resume=state)
+        assert outputs(run) == expected, stop
+
+
+def test_stride1_training_memory_grows_with_the_corpus_not_its_windows():
+    # a 630-frame utterance has 596 stride-1 windows of 15 + 15 frames, so a
+    # copy of every window would hold about 28 times the corpus; the run
+    # holds its windows as views of one float32 copy of each utterance
+    config = tiny_config(geometry=WindowGeometry(), aligned_windows=False,
+                         lr_schedule=((2, 0.4),), clone_at=1)
+    rng = np.random.default_rng(0)
+    corpus = [Utterance(f"u{i}", rng.normal(size=(630, 4))) for i in range(40)]
+    tr.train(corpus[:4], config, stop_after=1)  # first-call allocations out of the way
+    peaks = {}
+    for n in (4, 40):
+        tracemalloc.start()
+        try:
+            tr.train(corpus[:n], config, stop_after=1)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    added_frame_bytes = 36 * 630 * 4 * np.dtype(np.float32).itemsize
+    assert peaks[40] - peaks[4] < 3 * added_frame_bytes, peaks
 
 
 def test_train_rejects_empty_and_unusably_short_corpora():

@@ -9,7 +9,7 @@ leg, oldest first, under ``earlier_legs``.
 
 ``train`` and ``eval`` take each corpus from one ``corpus.load_corpus``
 call, which reads every corpus file once and yields the corpus hash along
-with the utterances and the manifest metadata.
+with the utterances, their label names and the manifest metadata.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure, and
 128 + the signal number (130 SIGINT, 143 SIGTERM) for an interrupted run.
@@ -43,7 +43,6 @@ from .evaluation import (
     write_confusion_csv,
     write_symbol_stats_csv,
 )
-from .gradcheck import run_gradcheck
 from .trainer import (
     Interrupted, TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
 )
@@ -152,6 +151,7 @@ def cmd_synth(args) -> int:
     write_corpus(
         out,
         utterances,
+        spec.labels,
         metadata={
             "generator": "synthetic",
             "aligned_windows": "1",
@@ -285,12 +285,12 @@ def cmd_eval(args) -> int:
             f"checkpoint input dimension {state.input_dim}",
             EXIT_DATA,
         )
-    if all(u.gold_labels is None for u in corpus.utterances):
+    if all(u.gold is None for u in corpus.utterances):
         raise EvaluationError(NO_EVALUABLE_FRAMES)
 
     reduction = reduce_corpus(state.ep, corpus.utterances, state.config.geometry, aligned=False)
     confusion, overall_acc, covered_acc, coverage, tags_used = score(
-        reduction.symbols, reduction.gold
+        reduction.symbols, reduction.gold, corpus.labels
     )
 
     # written only once the reduction and the scoring have succeeded, so a
@@ -332,6 +332,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # imported here, so `train` and `eval` do not load it at start-up
+    from .gradcheck import run_gradcheck
+
     results = run_gradcheck(args.seed)
     failed = [name for name, err in results if not err < GRADCHECK_TOLERANCE]
     for name, err in results:

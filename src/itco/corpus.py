@@ -1,7 +1,10 @@
 """Corpus ingestion, windowing, and synthetic ground truth.
 
 Utterances are [T, d] float feature matrices with optional per-frame gold
-labels. Windows slide over each utterance with stride 1 (or step over its
+labels. A corpus holds its label names once, as one sorted tuple, and each
+labelled utterance holds one int code per frame: the rank of the frame's
+label in that tuple, so code order is the names' code-point order.
+Windows slide over each utterance with stride 1 (or step over its
 back-to-back generated placements) and never cross utterance boundaries.
 The synthetic generator draws (latent, x symbol, y symbol) triples
 through a pair of row-stochastic channels and emits one-hot frame blocks,
@@ -10,8 +13,9 @@ true mutual information is known in closed form.
 
 `load_corpus` is the only reader of the corpus format. It reads the
 manifest and every file it lists once, and hashes the bytes it read, so
-the utterances, the manifest metadata and the corpus hash come from one
-pass.
+the utterances, the label names, the manifest metadata and the corpus
+hash come from one pass. `write_corpus` writes each code back as its
+name, one per line.
 
 Every scalar input field, here and in the trainer's `TrainConfig`, is
 declared once with `rule` (type and range) and checked by `check_fields`.
@@ -72,7 +76,7 @@ class CorpusError(Exception):
 class Utterance:
     id: str
     frames: np.ndarray  # [T, d]
-    gold_labels: Optional[list[str]] = None
+    gold: Optional[np.ndarray] = None  # [T] int codes into its corpus's label names
     speaker: Optional[str] = None
 
     def __post_init__(self):
@@ -82,11 +86,18 @@ class Utterance:
                 f"frames must be a [T, d] matrix with T >= 1, got shape {self.frames.shape}",
                 self.id,
             )
-        if self.gold_labels is not None and len(self.gold_labels) != self.frames.shape[0]:
-            raise CorpusError(
-                f"{len(self.gold_labels)} labels for {self.frames.shape[0]} frames",
-                self.id,
-            )
+        if self.gold is not None:
+            self.gold = np.asarray(self.gold)
+            if self.gold.ndim != 1 or self.gold.dtype.kind not in "iu":
+                raise CorpusError(
+                    f"gold must be a [T] array of int label codes, got {self.gold.dtype} "
+                    f"of shape {self.gold.shape}",
+                    self.id,
+                )
+            if self.gold.size != self.frames.shape[0]:
+                raise CorpusError(
+                    f"{self.gold.size} labels for {self.frames.shape[0]} frames", self.id
+                )
 
 
 def fits(value, kind: type, lo=None, hi=None) -> bool:
@@ -181,6 +192,11 @@ class SyntheticSpec:
     def window_total(self) -> int:
         return 2 * self.frames_per_side + self.gap
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The sorted names of the latent classes, which the gold codes index."""
+        return tuple(sorted(map(latent_label, range(self.num_latent))))
+
     def to_json_dict(self) -> dict:
         doc = asdict(self)
         for name in ("x_channel", "y_channel", "latent_prior"):
@@ -236,12 +252,15 @@ def _parse_features(raw: bytes, path: Path, utterance_id: str) -> np.ndarray:
 def write_corpus(
     corpus_dir: Path,
     utterances: list[Utterance],
+    labels: tuple[str, ...] = (),
     metadata: Optional[dict[str, str]] = None,
 ) -> Path:
     """Write features/labels plus a manifest.tsv; returns the manifest path.
 
-    Metadata key=value pairs land as '#'-prefixed comment lines at the top
-    of the manifest and come back as `load_corpus`'s metadata.
+    A labelled utterance's label file holds `labels[code]` for each of its
+    codes, one per line. Metadata key=value pairs land as '#'-prefixed
+    comment lines at the top of the manifest and come back as
+    `load_corpus`'s metadata.
     """
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -252,11 +271,12 @@ def write_corpus(
         feat_rel = f"features/{u.id}.itcf"
         write_features(corpus_dir / feat_rel, u.frames)
         label_rel = ""
-        if u.gold_labels is not None:
+        if u.gold is not None:
             label_rel = f"labels/{u.id}.txt"
             label_path = corpus_dir / label_rel
             label_path.parent.mkdir(parents=True, exist_ok=True)
-            label_path.write_text("\n".join(u.gold_labels) + "\n", encoding="utf-8")
+            names = "\n".join(map(labels.__getitem__, u.gold.tolist()))
+            label_path.write_text(names + "\n", encoding="utf-8")
         lines.append("\t".join([u.id, feat_rel, label_rel, u.speaker or ""]))
     manifest = corpus_dir / MANIFEST
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -267,13 +287,16 @@ def write_corpus(
 class Corpus:
     """What one pass over a corpus's files yields.
 
-    ``metadata`` holds the manifest's ``# key=value`` lines. ``hash`` is the
-    SHA-256 hex digest of the manifest bytes, then of each row's feature
-    file and, when the row names one, its label file, in row order.
+    ``labels`` holds the sorted names of every gold label in the corpus's
+    label files, each once; every labelled utterance's ``gold`` codes index
+    it. ``metadata`` holds the manifest's ``# key=value`` lines. ``hash`` is
+    the SHA-256 hex digest of the manifest bytes, then of each row's
+    feature file and, when the row names one, its label file, in row order.
     """
 
     manifest: Path
     utterances: list[Utterance]
+    labels: tuple[str, ...]
     metadata: dict[str, str]
     hash: str
 
@@ -283,7 +306,9 @@ def load_corpus(path: Path) -> Corpus:
 
     Manifest rows are ``id<TAB>features[<TAB>labels[<TAB>speaker]]``, paths
     relative to the manifest; blank lines and ``#`` lines are not rows. An
-    id may name one row only.
+    id may name one row only. A label file holds one label per frame, one
+    per line; each utterance's labels become one int32 array of codes into
+    the corpus's sorted label names, so each name is held once per corpus.
     """
     path = Path(path)
     manifest = path / MANIFEST if path.is_dir() else path
@@ -306,6 +331,7 @@ def load_corpus(path: Path) -> Corpus:
     metadata: dict[str, str] = {}
     utterances = []
     seen: dict[str, int] = {}  # id -> the manifest line that lists it
+    index: dict[str, int] = {}  # label name -> code, in the order first read
     for lineno, line in enumerate(lines(manifest, read(manifest, "manifest")), 1):
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -321,17 +347,30 @@ def load_corpus(path: Path) -> Corpus:
         if uid in seen:
             raise CorpusError(f"manifest line {lineno} repeats the id of line {seen[uid]}", uid)
         seen[uid] = lineno
+        if any("\0" in p for p in parts[1:3]):
+            raise CorpusError(f"manifest line {lineno} names a path that holds a NUL byte", uid)
         feature_path = manifest.parent / parts[1]
         frames = _parse_features(read(feature_path, "feature file", uid), feature_path, uid)
-        labels = None
+        gold = None
         if len(parts) > 2 and parts[2]:
             label_path = manifest.parent / parts[2]
-            labels = lines(label_path, read(label_path, "label file", uid), uid)
+            names = lines(label_path, read(label_path, "label file", uid), uid)
+            for name in sorted(set(names).difference(index)):
+                index[name] = len(index)
+            # the lookups run in C: no Python-level loop over the frames
+            gold = np.fromiter(map(index.__getitem__, names), np.int32, len(names))
         speaker = parts[3] if len(parts) > 3 and parts[3] else None
-        utterances.append(Utterance(uid, frames, labels, speaker))
+        utterances.append(Utterance(uid, frames, gold, speaker))
     if not utterances:
         raise CorpusError(f"manifest lists no utterances: {manifest}")
-    return Corpus(manifest, utterances, metadata, digest.hexdigest())
+    labels = tuple(sorted(index))
+    if labels != tuple(index):  # a later file brought a name that sorts earlier
+        rank = np.empty(len(labels), np.int32)  # code in reading order -> code in sorted order
+        rank[[index[name] for name in labels]] = np.arange(len(labels))
+        for u in utterances:
+            if u.gold is not None:
+                u.gold = rank[u.gold]
+    return Corpus(manifest, utterances, labels, metadata, digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +434,10 @@ def synth_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], np.ndarray]:
     Every window draws latent s ~ prior, x symbol ~ x_channel[s], y symbol
     ~ y_channel[s]; its frames are one-hot(x) repeated frames_per_side
     times, `gap` zero frames, then one-hot(y) repeated. Gaussian jitter of
-    scale jitter_sigma lands on the one-hot frames only. Gold labels carry
-    the latent class name on every frame of the window.
+    scale jitter_sigma lands on the one-hot frames only. Every frame of the
+    window carries its latent class as its gold code: the rank of
+    `latent_label(s)` in `spec.labels` (names sort as strings, so k10
+    comes before k2).
 
     joint_table[a, b] = sum_s prior[s] * x_channel[s, a] * y_channel[s, b].
     """
@@ -406,12 +447,13 @@ def synth_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], np.ndarray]:
     fps = spec.frames_per_side
     total = spec.window_total
     eye = np.eye(a, dtype=np.float64)
+    codes = [spec.labels.index(latent_label(s)) for s in range(k)]
 
     utterances = []
     width = max(4, len(str(spec.num_utterances - 1)))
     for i in range(spec.num_utterances):
         frames = np.zeros((spec.windows_per_utterance * total, a), dtype=np.float64)
-        labels: list[str] = []
+        gold = np.empty(spec.windows_per_utterance * total, np.int32)
         for w in range(spec.windows_per_utterance):
             s = int(rng.choice(k, p=spec.latent_prior))
             x_sym = int(rng.choice(a, p=spec.x_channel[s]))
@@ -424,8 +466,8 @@ def synth_corpus(spec: SyntheticSpec) -> tuple[list[Utterance], np.ndarray]:
                 frames[base + fps + spec.gap : base + total] += rng.normal(
                     0.0, spec.jitter_sigma, (fps, a)
                 )
-            labels.extend([latent_label(s)] * total)
-        utterances.append(Utterance(f"synth-{i:0{width}d}", frames, labels))
+            gold[base : base + total] = codes[s]
+        utterances.append(Utterance(f"synth-{i:0{width}d}", frames, gold))
 
     joint_table = spec.x_channel.T @ (spec.latent_prior[:, None] * spec.y_channel)
     return utterances, joint_table

@@ -14,10 +14,11 @@ statistic, here and in the trainer, is read from that record.
 A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
 to the utterance edges are excluded rather than padded. The reduction
-pairs each such symbol with its frame's gold label, and `score` counts
+pairs each such symbol with its frame's gold code, and `score` counts
 the pairs once into a symbol-by-gold table: each symbol is tagged with
 the majority gold label of its frames, and frame accuracy is scored
-through those tags, all as reductions of that table.
+through those tags, all as reductions of that table. Label names enter
+only there, to name the confusion matrix's rows and columns.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class CorpusReduction:
     probabilities, and `entropy_bits` [2] its summed row entropy in bits,
     over every window, confirm first. `terms` holds the
     objective of each utterance that has a window, in corpus order.
-    `symbols` [M] int64 and `gold` [M] str pair the confirm argmax of each
-    window center with its gold label, for the utterances that have gold
+    `symbols` [M] int64 and `gold` [M] int pair the confirm argmax of each
+    window center with its gold code, for the utterances that have gold
     labels.
     """
 
@@ -169,14 +170,14 @@ def reduce_corpus(
     sums, maxima = np.zeros((2, len(SIDES), ep.alphabet_size))
     entropy = np.zeros(len(SIDES))
     agree = windows = 0
-    terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
+    terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, np.int32)]
     for run in _runs(corpus, geometry, aligned):
         pairs, centers = _encode_run(ep, run, geometry, aligned)
         for u, pair in zip(run, pairs.swapaxes(0, 1)):
             winners = pair.argmax(axis=2)
-            if u.gold_labels is not None:
+            if u.gold is not None:
                 symbols.append(winners[0])
-                gold.append(np.asarray(u.gold_labels)[centers])
+                gold.append(u.gold[centers])
             sums += pair.sum(axis=1)
             np.maximum(maxima, pair.max(axis=1), out=maxima)
             entropy += entropy_bits_sum(pair)
@@ -191,13 +192,15 @@ def reduce_corpus(
 
 
 def score(
-    symbols: np.ndarray, gold: np.ndarray
+    symbols: np.ndarray, gold: np.ndarray, labels: tuple[str, ...]
 ) -> tuple[ConfusionMatrix, float, float, float, int]:
     """Frame accuracy of `symbols` through their majority gold tags.
 
-    Counts the frames once into a [Z, G] symbol-by-gold table, with the
-    gold labels sorted. Each claimed symbol is tagged with its row's first
-    maximum, so a tie goes to the lexicographically smaller label. Returns
+    `gold` holds codes into the sorted label names `labels`. The frames are
+    counted once into a [Z, G] symbol-by-gold table, one column per code,
+    and the columns of labels no frame carries are dropped. Each claimed
+    symbol is tagged with its row's first maximum; codes follow the sorted
+    names, so a tie goes to the lexicographically smaller label. Returns
     (confusion, overall_acc, covered_acc, coverage, tags_used): the
     confusion matrix has a row per tag used and a column per gold label;
     overall accuracy is over every frame, covered accuracy over the frames
@@ -205,17 +208,18 @@ def score(
     """
     if symbols.size == 0:
         raise EvaluationError(NO_EVALUABLE_FRAMES)
-    names, gold_index = np.unique(gold, return_inverse=True)
-    g = names.size
-    table = np.bincount(symbols * g + gold_index, minlength=(symbols.max() + 1) * g).reshape(-1, g)
-    claimed = table[table.any(axis=1)]
+    g = len(labels)
+    table = np.bincount(symbols * g + gold, minlength=(symbols.max() + 1) * g).reshape(-1, g)
+    carried = table.any(axis=0)  # the labels some frame carries
+    names = [name for name, c in zip(labels, carried) if c]
+    claimed = table[table.any(axis=1)][:, carried]
     used, row = np.unique(claimed.argmax(axis=1), return_inverse=True)
-    counts = np.zeros((used.size, g), np.int64)
+    counts = np.zeros((used.size, len(names)), np.int64)
     np.add.at(counts, row, claimed)
     evaluable = int(counts.sum())
     correct = int(counts[np.arange(used.size), used].sum())
     covered = int(counts[:, used].sum())
-    confusion = ConfusionMatrix(names[used].tolist(), names.tolist(), counts)
+    confusion = ConfusionMatrix([names[i] for i in used], names, counts)
     return confusion, correct / evaluable, correct / covered, covered / evaluable, int(used.size)
 
 

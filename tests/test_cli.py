@@ -757,7 +757,7 @@ class TestEval:
     def test_corpus_without_a_full_window_leaves_no_manifest(self, tmp_path, run_dir, capsys):
         short = tmp_path / "short"
         frames = np.eye(2)[np.arange(5) % 2]  # 5 frames; a window needs 7
-        write_corpus(short, [Utterance("u0", frames, gold_labels=["a"] * 5)])
+        write_corpus(short, [Utterance("u0", frames, np.zeros(5, np.int32))], ("a",))
         out = tmp_path / "o"
         assert main(
             ["eval", "--corpus", str(short), "--checkpoint",
@@ -887,6 +887,34 @@ def test_non_utf8_corpus_text_is_data_error_naming_the_file(
         assert not out.exists(), argv[0]
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_nul_byte_in_a_manifest_path_is_data_error_naming_the_row(
+    tmp_path, corpus_dir, run_dir, capsys, column
+):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(corpus_dir, broken)
+    manifest = broken / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if not line.startswith("#"))
+    fields = lines[lineno - 1].split("\t")
+    fields[column] = "\0" + fields[column]
+    lines[lineno - 1] = "\t".join(fields)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_json(tmp_path / "cfg.json", train_config())
+    checkpoint = run_dir / "checkpoints" / "final.itck"
+    for argv in (["train", "--config", str(cfg)], ["eval", "--checkpoint", str(checkpoint)]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--corpus", str(broken), "--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: utterance {fields[0]!r}: manifest line {lineno} names a path "
+            f"that holds a NUL byte\n"
+        ), argv[0]
+        assert not out.exists(), argv[0]
+
+
 def test_train_and_eval_read_each_corpus_file_once(tmp_path, corpus_dir, run_dir, monkeypatch):
     dev = tmp_path / "dev"
     assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", identity_spec(utterances=3))),
@@ -975,6 +1003,11 @@ def test_corpus_hash_is_sha256_of_manifest_then_listed_files(corpus_dir, run_dir
 class TestGradcheck:
     def test_fresh_build_passes(self):
         assert main(["gradcheck", "--seed", "0"]) == 0
+
+    def test_only_the_gradcheck_command_imports_it(self):
+        # so `itco train` and `itco eval` do not load the module at start-up
+        code = "import sys, itco.cli; sys.exit('itco.gradcheck' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=module_env()).returncode == 0
 
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
         # a tanh whose backward is 1.5 times too large must fail the check

@@ -1,6 +1,9 @@
 """Corpus ingestion, windowing, synthesis, and the exact MI oracle."""
 
 import hashlib
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,35 +87,38 @@ def test_load_corpus_single_utterance_shape(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].id == "u0"
     assert loaded[0].frames.shape == (10, 39)
-    assert loaded[0].gold_labels is None
+    assert loaded[0].gold is None
 
 
 def test_write_load_round_trip_preserves_floats_labels_speaker(tmp_path):
     rng = np.random.default_rng(3)
     utts = [
         cp.Utterance("a", rng.standard_normal((7, 4)).astype(np.float32),
-                     [f"l{i}" for i in range(7)], speaker="spk1"),
+                     np.arange(7), speaker="spk1"),
         cp.Utterance("b", rng.standard_normal((5, 4)).astype(np.float32)),
     ]
-    cp.write_corpus(tmp_path, utts, metadata={"kind": "test"})
+    labels = tuple(f"l{i}" for i in range(7))
+    cp.write_corpus(tmp_path, utts, labels, metadata={"kind": "test"})
+    assert (tmp_path / "labels" / "a.txt").read_text() == "".join(f"{n}\n" for n in labels)
     corpus = cp.load_corpus(tmp_path / "manifest.tsv")
     loaded = corpus.utterances
     assert [u.id for u in loaded] == ["a", "b"]
     assert np.array_equal(loaded[0].frames, utts[0].frames)
-    assert loaded[0].gold_labels == utts[0].gold_labels
+    assert corpus.labels == labels
+    assert loaded[0].gold.dtype == np.int32 and loaded[0].gold.tolist() == list(range(7))
     assert loaded[0].speaker == "spk1"
-    assert loaded[1].gold_labels is None and loaded[1].speaker is None
+    assert loaded[1].gold is None and loaded[1].speaker is None
     assert corpus.metadata == {"kind": "test"}
 
 
 def test_corpus_hash_covers_manifest_then_each_row_files_in_order(tmp_path):
     # a labeled row, an unlabeled one, then another labeled one
     utts = [
-        cp.Utterance("b", np.ones((3, 2), dtype=np.float32), ["x", "y", "z"]),
+        cp.Utterance("b", np.ones((3, 2), dtype=np.float32), [1, 2, 3]),
         cp.Utterance("a", np.full((2, 2), 2.0, dtype=np.float32)),
-        cp.Utterance("c", np.full((1, 2), 3.0, dtype=np.float32), ["w"]),
+        cp.Utterance("c", np.full((1, 2), 3.0, dtype=np.float32), [0]),
     ]
-    manifest = cp.write_corpus(tmp_path, utts, metadata={"kind": "test"})
+    manifest = cp.write_corpus(tmp_path, utts, ("w", "x", "y", "z"), metadata={"kind": "test"})
     read = lambda rel: (tmp_path / rel).read_bytes()  # noqa: E731
     expected = hashlib.sha256(
         manifest.read_bytes()
@@ -129,9 +135,8 @@ def test_corpus_hash_covers_manifest_then_each_row_files_in_order(tmp_path):
 
 
 def test_load_corpus_label_length_mismatch_names_utterance(tmp_path):
-    u = cp.Utterance("short-labels", np.zeros((10, 2), dtype=np.float32),
-                     ["x"] * 10)
-    cp.write_corpus(tmp_path, [u])
+    u = cp.Utterance("short-labels", np.zeros((10, 2), dtype=np.float32), np.zeros(10, int))
+    cp.write_corpus(tmp_path, [u], ("x",))
     label_file = tmp_path / "labels" / "short-labels.txt"
     label_file.write_text("\n".join(["x"] * 9) + "\n")
     with pytest.raises(cp.CorpusError) as err:
@@ -161,7 +166,7 @@ def test_repeated_utterance_id_names_the_id_and_both_lines(tmp_path):
 
 
 def test_non_utf8_label_file_names_the_file_and_utterance(tmp_path):
-    cp.write_corpus(tmp_path, [cp.Utterance("u3", np.ones((2, 2)), ["a", "b"])])
+    cp.write_corpus(tmp_path, [cp.Utterance("u3", np.ones((2, 2)), [0, 1])], ("a", "b"))
     label_file = tmp_path / "labels" / "u3.txt"
     label_file.write_bytes(label_file.read_bytes() + b"\xff\xfe")
     with pytest.raises(cp.CorpusError) as err:
@@ -177,11 +182,129 @@ def test_non_utf8_manifest_names_it(tmp_path):
     assert f"{manifest} is not UTF-8 text" in str(err.value)
 
 
+def test_load_corpus_codes_are_ranks_in_the_sorted_names(tmp_path):
+    # "Z" < "a" < "é" by code point; the first name read ("é") is the last
+    # in order, the second file brings "Z", which sorts before both names
+    # of the first, and u2 has no labels
+    files = {"u0": ["é", "a", "é", "a"], "u1": ["Z", "é"]}
+    for uid, names in files.items():
+        (tmp_path / f"{uid}.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+        cp.write_features(tmp_path / f"{uid}.itcf", np.ones((len(names), 2)))
+    cp.write_features(tmp_path / "u2.itcf", np.ones((3, 2)))
+    (tmp_path / "manifest.tsv").write_text(
+        "u0\tu0.itcf\tu0.txt\nu1\tu1.itcf\tu1.txt\nu2\tu2.itcf\n", encoding="utf-8"
+    )
+    corpus = cp.load_corpus(tmp_path)
+    assert corpus.labels == ("Z", "a", "é")
+    u0, u1, u2 = corpus.utterances
+    assert u0.gold.dtype == u1.gold.dtype == np.int32
+    assert u0.gold.tolist() == [2, 1, 2, 1] and u1.gold.tolist() == [0, 2]
+    assert u2.gold is None
+    # written back, every label file is byte-identical
+    again = cp.write_corpus(tmp_path / "again", corpus.utterances, corpus.labels)
+    for uid in files:
+        assert (again.parent / "labels" / f"{uid}.txt").read_bytes() == (tmp_path / f"{uid}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("column", [1, 2])
+def test_nul_byte_in_a_manifest_path_names_the_row(tmp_path, column):
+    manifest = cp.write_corpus(
+        tmp_path, [cp.Utterance(uid, np.ones((2, 2)), [0, 0]) for uid in ("u0", "u1")], ("a",)
+    )
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[column] = fields[column][:3] + "\0" + fields[column][3:]
+    lines[1] = "\t".join(fields)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(cp.CorpusError) as err:
+        cp.load_corpus(tmp_path)
+    assert str(err.value) == "utterance 'u1': manifest line 2 names a path that holds a NUL byte"
+
+
+def test_loaded_labels_cost_at_most_8_bytes_a_frame_beyond_the_frames(tmp_path):
+    # 40 utterances of 630 frames (d = 4) with 4 label names: one int32
+    # code per frame plus each utterance's objects. One Python str per
+    # frame held about 59 bytes a frame.
+    spec = make_spec(num_utterances=40, windows_per_utterance=18, frames_per_side=15, gap=5)
+    utterances, _ = cp.synth_corpus(spec)
+    cp.write_corpus(tmp_path, utterances, spec.labels)
+    cp.load_corpus(tmp_path)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        corpus = cp.load_corpus(tmp_path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    frames = sum(u.frames.shape[0] for u in corpus.utterances)
+    assert frames == 40 * 630
+    beyond = held - sum(u.frames.nbytes for u in corpus.utterances)
+    assert beyond / frames <= 8.0, beyond / frames
+
+
+def fuzz_corpus_files() -> dict[str, bytes]:
+    """The bytes of a 3-utterance labelled corpus, by path in its directory."""
+    rng = np.random.default_rng(17)
+    labels = ("Z", "a", "é")
+    utterances = [
+        cp.Utterance(f"u{i}", rng.standard_normal((4 + i, 2)).astype(np.float32),
+                     rng.integers(0, 3, 4 + i) if i < 2 else None, speaker="s" if i else None)
+        for i in range(3)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        cp.write_corpus(tmp, utterances, labels, metadata={"kind": "fuzz"})
+        root = Path(tmp)
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+FUZZ_FILES = fuzz_corpus_files()
+# bytes that mean something to the format, drawn as often as all the others
+FUZZ_BYTES = st.one_of(st.sampled_from(list(b"\x00\t\n\r#=/.\xff\xc3")), st.integers(0, 255))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_corpus_byte_fuzz_raises_only_corpus_error(tmp_path_factory, data):
+    # bytes of the manifest, a feature file or a label file are replaced,
+    # inserted or deleted; loading gives a corpus or a CorpusError, nothing
+    # else, and every code of a corpus it gives indexes its names and reads
+    # back as its label file's line
+    root = tmp_path_factory.getbasetemp() / "fuzzed-corpus"
+    name = data.draw(st.sampled_from(sorted(FUZZ_FILES)), "file")
+    raw = bytearray(FUZZ_FILES[name])
+    for _ in range(data.draw(st.integers(1, 3), "edits")):
+        at = data.draw(st.integers(0, len(raw)), "at")
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), "kind")
+        if kind == "insert" or at == len(raw):
+            raw.insert(at, data.draw(FUZZ_BYTES, "byte"))
+        elif kind == "replace":
+            raw[at] = data.draw(FUZZ_BYTES, "byte")
+        else:
+            del raw[at]
+    for rel, content in FUZZ_FILES.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(bytes(raw) if rel == name else content)
+    try:
+        corpus = cp.load_corpus(root)
+    except cp.CorpusError:
+        return
+    assert list(corpus.labels) == sorted(set(corpus.labels))
+    rows = [line.split("\t") for line in (root / "manifest.tsv").read_text("utf-8").splitlines()]
+    label_files = {row[0]: row[2] for row in rows if len(row) > 2 and row[2] and row[0][:1] != "#"}
+    for u in corpus.utterances:
+        if u.gold is not None:
+            assert u.gold.shape == (u.frames.shape[0],)
+            assert 0 <= u.gold.min() and u.gold.max() < len(corpus.labels)
+            lines = (root / label_files[u.id]).read_text("utf-8").splitlines()
+            assert [corpus.labels[c] for c in u.gold] == lines
+
+
 def test_utterance_invariants():
     with pytest.raises(cp.CorpusError):
         cp.Utterance("empty", np.zeros((0, 3)))
-    with pytest.raises(cp.CorpusError):
-        cp.Utterance("bad-labels", np.zeros((4, 3)), ["a", "b"])
+    with pytest.raises(cp.CorpusError, match="2 labels for 4 frames"):
+        cp.Utterance("bad-labels", np.zeros((4, 3)), [0, 1])
+    with pytest.raises(cp.CorpusError, match="int label codes"):
+        cp.Utterance("names", np.zeros((2, 3)), ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +495,7 @@ def test_synth_window_layout_and_labels():
     total = spec.window_total
     for u in utts:
         assert u.frames.shape == (3 * total, 4)
-        assert len(u.gold_labels) == 3 * total
+        assert u.gold.shape == (3 * total,)
         for w in range(3):
             block = u.frames[w * total : (w + 1) * total]
             x_part, gap_part, y_part = block[:3], block[3:5], block[5:]
@@ -382,12 +505,27 @@ def test_synth_window_layout_and_labels():
                 assert np.allclose(part.sum(axis=1), 1.0)
                 assert np.array_equal(part[0], part[1])
             # one label per window, shared by every frame in the block
-            labels = set(u.gold_labels[w * total : (w + 1) * total])
+            labels = {spec.labels[c] for c in u.gold[w * total : (w + 1) * total]}
             assert len(labels) == 1
             # identity channels make the x symbol equal the latent class
             s = int(np.argmax(x_part[0]))
             assert labels == {cp.latent_label(s)}
             assert np.array_equal(x_part[0], y_part[0])
+
+
+def test_synth_codes_rank_the_latent_names_as_strings():
+    # with 12 classes the names sort k0, k1, k10, k11, k2, ...: a latent
+    # class's code is its name's rank, not its index
+    spec = make_spec(num_latent=12, x_channel=np.eye(12), y_channel=np.eye(12),
+                     latent_prior=np.full(12, 1 / 12), num_utterances=4, windows_per_utterance=20)
+    assert spec.labels == ("k0", "k1", "k10", "k11") + tuple(f"k{s}" for s in range(2, 10))
+    utts, _ = cp.synth_corpus(spec)
+    total = spec.window_total
+    for u in utts:
+        assert u.gold.dtype == np.int32
+        for w in range(20):
+            s = int(np.argmax(u.frames[w * total]))  # identity channel: x symbol = latent
+            assert set(u.gold[w * total : (w + 1) * total].tolist()) == {spec.labels.index(f"k{s}")}
 
 
 def test_synth_is_deterministic_per_seed():

@@ -18,7 +18,9 @@ from itco.corpus import (
     window_count,
 )
 from itco.evaluation import (
+    NO_EVALUABLE_FRAMES,
     STACK_WINDOWS,
+    ConfusionMatrix,
     CorpusReduction,
     EvaluationError,
     entropy_bits_sum,
@@ -45,6 +47,18 @@ def small_params(seed: int = 0, zero: bool = False, alphabet: int = 8) -> Encode
 def random_utterance(seed: int, frames: int, dim: int = 4, uid: str = "u0") -> Utterance:
     rng = stream_rng(seed, 909)
     return Utterance(uid, rng.normal(size=(frames, dim)).astype(np.float64))
+
+
+def with_gold(corpus: list[Utterance], gold: list) -> tuple[list[Utterance], tuple[str, ...]]:
+    """`corpus` with each utterance's label list (or None) as codes, and
+    the sorted names the codes index: what `load_corpus` returns, built
+    here from strings without it."""
+    labels = tuple(sorted({name for names in gold if names is not None for name in names}))
+    code = {name: c for c, name in enumerate(labels)}
+    return [
+        u if names is None else replace(u, gold=np.array([code[n] for n in names], np.int32))
+        for u, names in zip(corpus, gold)
+    ], labels
 
 
 def stride1_windows(u: Utterance, geometry: WindowGeometry) -> list:
@@ -77,13 +91,13 @@ def frame_symbols(ep: EncoderParams, corpus: list[Utterance], geometry: WindowGe
     is one nonzero cell of the symbol-by-gold count table and names the
     frame it came from.
     """
-    tagged = [replace(u, gold_labels=[f"{u.id}/{t}" for t in range(len(u.frames))]) for u in corpus]
+    tagged, labels = with_gold(corpus, [[f"{u.id}/{t}" for t in range(len(u.frames))] for u in corpus])
     reduction = reduce_stride1(ep, tagged, geometry)
     symbols, gold = reduction.symbols, reduction.gold
     assert len(set(gold.tolist())) == gold.size
     out = {u.id: np.full(len(u.frames), -1, dtype=np.int64) for u in corpus}
-    for z, label in zip(symbols.tolist(), gold.tolist()):
-        uid, t = label.rsplit("/", 1)
+    for z, code in zip(symbols.tolist(), gold.tolist()):
+        uid, t = labels[code].rsplit("/", 1)
         out[uid][int(t)] = z
     return out
 
@@ -145,22 +159,30 @@ class TestLabelFrames:
         # frames of an utterance without gold labels are not scored, but its
         # windows still count toward agreement and the symbol statistics
         ep = small_params(seed=9)
-        labeled = replace(random_utterance(10, 15, uid="a"), gold_labels=["g"] * 15)
-        unlabeled = random_utterance(11, 20, uid="b")
-        reduction = reduce_stride1(ep, [labeled, unlabeled])
-        assert reduction.symbols.dtype == np.int64
+        corpus, labels = with_gold(
+            [random_utterance(10, 15, uid="a"), random_utterance(11, 20, uid="b")], [["g"] * 15, None]
+        )
+        unlabeled = corpus[1]
+        reduction = reduce_stride1(ep, corpus)
+        assert reduction.symbols.dtype == np.int64 and reduction.gold.dtype == np.int32
         assert reduction.symbols.size == reduction.gold.size == 15 - GEOM.total + 1
-        assert set(reduction.gold.tolist()) == {"g"}
+        assert labels == ("g",) and set(reduction.gold.tolist()) == {0}
         assert reduction.windows == (15 - GEOM.total + 1) + (20 - GEOM.total + 1)
         none = reduce_stride1(ep, [unlabeled])
         assert none.symbols.size == none.gold.size == 0
 
 
 def reduce_corpus_oracle(
-    ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
+    ep: EncoderParams,
+    corpus: list[Utterance],
+    geometry: WindowGeometry,
+    aligned: bool,
+    labels: tuple[str, ...] = (),
 ) -> CorpusReduction:
     """The per-utterance loop `reduce_corpus` stacks: one encoder call per
-    utterance and side, every utterance windowed, kept as its oracle."""
+    utterance and side, every utterance windowed, kept as its oracle.
+    Its `gold` holds each center's label name, read through `labels`: the
+    string path, kept as the oracle of the reduction's codes."""
     z = ep.alphabet_size
     sums, maxima = np.zeros((2, 2, z))
     entropy = np.zeros(2)
@@ -173,9 +195,9 @@ def reduce_corpus_oracle(
         confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
         predict = ep.encode_node(PREDICT, x).value.astype(np.float64)
         winners = confirm.argmax(axis=1)
-        if u.gold_labels is not None:
+        if u.gold is not None:
             symbols.append(winners)
-            gold.append(np.asarray(u.gold_labels)[centers])
+            gold.append(np.asarray([labels[c] for c in u.gold])[centers])
         for s, probs in enumerate((confirm, predict)):
             sums[s] += probs.sum(axis=0)
             np.maximum(maxima[s], probs.max(axis=0), out=maxima[s])
@@ -190,13 +212,18 @@ def reduce_corpus_oracle(
     )
 
 
-def assert_same_reduction(got: CorpusReduction, want: CorpusReduction) -> None:
-    """Every field equal, compared with ==, arrays in dtype and shape too."""
+def assert_same_reduction(
+    got: CorpusReduction, want: CorpusReduction, labels: tuple[str, ...]
+) -> None:
+    """Every field equal, compared with ==, arrays in dtype and shape too;
+    `got`'s gold codes read as names through `labels`."""
     assert got.windows == want.windows and got.agree == want.agree
     assert got.terms == want.terms
-    for name in ("entropy_bits", "sums", "maxima", "symbols", "gold"):
+    for name in ("entropy_bits", "sums", "maxima", "symbols"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+    assert got.gold.dtype == np.int32
+    assert [labels[c] for c in got.gold] == want.gold.tolist()
 
 
 # Frame counts that make runs split on the window count and on the stack
@@ -220,21 +247,22 @@ class TestReduceCorpus:
             ),
             min_size=1, max_size=4,
         ), "blocks")
-        corpus = []
+        corpus, gold = [], []
         for frames, repeats, labeled in blocks:
             for _ in range(repeats):
                 i = len(corpus)
-                u = random_utterance(i, frames, uid=f"u{i}")
-                corpus.append(replace(u, gold_labels=[f"g{(t + i) % 3}" for t in range(frames)])
-                              if labeled else u)
+                corpus.append(random_utterance(i, frames, uid=f"u{i}"))
+                # non-ASCII names; a short utterance lacks some of them
+                gold.append(["Zaé"[(t + i) % 3] for t in range(frames)] if labeled else None)
+        corpus, labels = with_gold(corpus, gold)
         ep = EncoderParams(input_dim=4, alphabet_size=8, hidden_dim=5, seed=len(corpus), dtype=dtype)
         try:
-            want = reduce_corpus_oracle(ep, corpus, GEOM, aligned)
+            want = reduce_corpus_oracle(ep, corpus, GEOM, aligned, labels)
         except EvaluationError:
             with pytest.raises(EvaluationError):
                 reduce_corpus(ep, corpus, GEOM, aligned)
             return
-        assert_same_reduction(reduce_corpus(ep, corpus, GEOM, aligned), want)
+        assert_same_reduction(reduce_corpus(ep, corpus, GEOM, aligned), want, labels)
 
     def test_stride1_peak_memory_is_no_higher_than_the_oracle(self):
         # 630-frame utterances have 596 stride-1 windows, more than one stack
@@ -261,20 +289,20 @@ class TestReduceCorpus:
         # over separately encoded float64 outputs; the short utterance is
         # skipped without an encoder call
         ep = small_params(seed=12)
-        corpus = [
-            replace(random_utterance(40, 30, uid="a"), gold_labels=[f"g{t % 3}" for t in range(30)]),
-            random_utterance(41, GEOM.total - 1, uid="short"),
-            random_utterance(42, 16, uid="b"),
-        ]
+        corpus, labels = with_gold(
+            [random_utterance(40, 30, uid="a"), random_utterance(41, GEOM.total - 1, uid="short"),
+             random_utterance(42, 16, uid="b")],
+            [[f"g{t % 3}" for t in range(30)], None, None],
+        )
         outputs, symbols, gold = [], [], []
         for u in corpus:
             x, y, centers = window_arrays(u, GEOM, aligned, np.float32)
             if centers.size:
                 confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
                 outputs.append((confirm, ep.encode_node(PREDICT, x).value.astype(np.float64)))
-                if u.gold_labels is not None:
+                if u.gold is not None:
                     symbols += confirm.argmax(axis=1).tolist()
-                    gold += [u.gold_labels[c] for c in centers]
+                    gold += [labels[u.gold[c]] for c in centers]
         calls = []
         encode = EncoderParams.encode_node
 
@@ -296,7 +324,7 @@ class TestReduceCorpus:
         assert np.array_equal(got.mean(), got.sums / got.windows)
         assert got.agree == sum(int((c.argmax(1) == p.argmax(1)).sum()) for c, p in outputs)
         assert got.terms == [utterance_loss(np.stack(pair))[1] for pair in outputs]
-        assert got.symbols.tolist() == symbols and got.gold.tolist() == gold
+        assert got.symbols.tolist() == symbols and [labels[c] for c in got.gold] == gold
 
     def test_entropy_bits_sum_adds_row_entropies(self):
         rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
@@ -426,9 +454,9 @@ def make_labeling(symbols: list[int], uid: str = "u0") -> FrameLabeling:
     return FrameLabeling(uid, np.array(symbols, dtype=np.int64))
 
 
-def labeled_frames(labelings: list[FrameLabeling], gold: list) -> tuple[np.ndarray, np.ndarray]:
-    """(symbols, gold) of the labeled frames of utterances with gold labels,
-    in corpus order: what a reduction hands to `score`."""
+def labeled_names(labelings: list[FrameLabeling], gold: list) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, gold names) of the labeled frames of utterances with gold
+    labels, in corpus order."""
     symbols, names = [np.zeros(0, np.int64)], [np.zeros(0, str)]
     for labeling, labels in zip(labelings, gold):
         if labels is not None:
@@ -436,6 +464,46 @@ def labeled_frames(labelings: list[FrameLabeling], gold: list) -> tuple[np.ndarr
             symbols.append(labeling.symbols[keep])
             names.append(np.asarray(labels)[keep])
     return np.concatenate(symbols), np.concatenate(names)
+
+
+def labeled_frames(
+    labelings: list[FrameLabeling], gold: list
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """(symbols, gold codes, label names) of the labeled frames: what a
+    reduction and its corpus hand to `score`. The names are every label of
+    every frame, scored or not, as a corpus's names are."""
+    symbols, names = labeled_names(labelings, gold)
+    labels = tuple(sorted({name for labels in gold if labels is not None for name in labels}))
+    code = {name: c for c, name in enumerate(labels)}
+    return symbols, np.array([code[n] for n in names.tolist()], np.int32), labels
+
+
+def score_on_names(symbols: np.ndarray, gold: np.ndarray) -> tuple:
+    """`score` on [M] gold names, kept as the oracle of its codes: the
+    names are sorted by `np.unique`, and only the names some frame carries
+    are columns."""
+    if symbols.size == 0:
+        raise EvaluationError(NO_EVALUABLE_FRAMES)
+    names, gold_index = np.unique(gold, return_inverse=True)
+    g = names.size
+    table = np.bincount(symbols * g + gold_index, minlength=(symbols.max() + 1) * g).reshape(-1, g)
+    claimed = table[table.any(axis=1)]
+    used, row = np.unique(claimed.argmax(axis=1), return_inverse=True)
+    counts = np.zeros((used.size, g), np.int64)
+    np.add.at(counts, row, claimed)
+    evaluable = int(counts.sum())
+    correct = int(counts[np.arange(used.size), used].sum())
+    covered = int(counts[:, used].sum())
+    confusion = ConfusionMatrix(names[used].tolist(), names.tolist(), counts)
+    return confusion, correct / evaluable, correct / covered, covered / evaluable, int(used.size)
+
+
+def assert_same_score(got: tuple, want: tuple) -> None:
+    assert got[0].predicted_labels == want[0].predicted_labels
+    assert got[0].gold_labels == want[0].gold_labels
+    assert got[0].counts.dtype == want[0].counts.dtype == np.int64
+    assert got[0].counts.tolist() == want[0].counts.tolist()
+    assert got[1:] == want[1:]
 
 
 def score_of(symbols: list[int], gold: list[str]):
@@ -525,7 +593,8 @@ class TestEvaluate:
     @settings(max_examples=200, deadline=None)
     def test_score_matches_per_frame_oracle(self, data):
         # few names and few symbols, so ties and unclaimed symbols are common
-        names = data.draw(st.lists(st.sampled_from(["a", "b", "ab", "B", ""]), min_size=1, max_size=3, unique=True))
+        names = data.draw(st.lists(st.sampled_from(["a", "b", "ab", "B", "", "Z", "é"]),
+                                   min_size=1, max_size=3, unique=True))
         labelings, gold = [], []
         for i in range(data.draw(st.integers(min_value=1, max_value=4))):
             n = data.draw(st.integers(min_value=1, max_value=12))
@@ -541,7 +610,9 @@ class TestEvaluate:
                 score(*labeled_frames(labelings, gold))
             assert str(got.value) == str(exc)
             return
-        confusion, overall, covered, coverage, tags_used = score(*labeled_frames(labelings, gold))
+        got = score(*labeled_frames(labelings, gold))
+        assert_same_score(got, score_on_names(*labeled_names(labelings, gold)))
+        confusion, overall, covered, coverage, tags_used = got
         (want_rows, want_cols, want_counts), *want_rates = want
         assert confusion.predicted_labels == want_rows
         assert confusion.gold_labels == want_cols
@@ -549,6 +620,52 @@ class TestEvaluate:
         assert confusion.counts.tolist() == want_counts.tolist()
         assert [overall, covered, coverage] == want_rates
         assert tags_used == tagmap.tags_used
+
+
+class TestScoreOnCodes:
+    """`score` on codes against its two oracles on names: the string
+    `score_on_names` and the per-frame `majority_tag`/`evaluate`."""
+
+    # "Z" < "a" < "é" in code-point order; "é" is on no scored frame of the
+    # second utterance and on no frame at all of the third
+    GOLD = [["é", "Z", "a", "é", "Z", "a"], ["a", "Z", "é"], ["Z", "a"]]
+    SYMBOLS = [[0, 0, 0, 0, 0, 0], [1, 1, -1], [2, 2]]
+
+    def both(self, symbols, gold):
+        labelings = [make_labeling(s, uid=f"u{i}") for i, s in enumerate(symbols)]
+        got = score(*labeled_frames(labelings, gold))
+        assert_same_score(got, score_on_names(*labeled_names(labelings, gold)))
+        tagmap = majority_tag(labelings, gold)
+        (rows, cols, counts), *rates = evaluate(labelings, tagmap, gold)
+        assert (got[0].predicted_labels, got[0].gold_labels) == (rows, cols)
+        assert got[0].counts.tolist() == counts.tolist() and list(got[1:4]) == rates
+        return got, tagmap
+
+    def test_ties_go_to_the_smaller_code_point(self):
+        (confusion, *_), tagmap = self.both(self.SYMBOLS, self.GOLD)
+        assert tagmap.ties == [0, 1, 2]
+        assert tagmap.tags == {0: "Z", 1: "Z", 2: "Z"}
+        assert confusion.predicted_labels == ["Z"]
+        assert confusion.gold_labels == ["Z", "a", "é"]
+        assert confusion.counts.tolist() == [[4, 4, 2]]
+
+    def test_a_label_on_no_scored_frame_is_no_column(self):
+        # "é" is in the corpus's names (frame 2 of u1), but only on a frame
+        # without a symbol, so it is neither a column nor a tag
+        symbols, gold = [[0, 0, 1], [1, 0, -1]], [["Z", "a", "a"], ["a", "Z", "é"]]
+        (confusion, *_), _ = self.both(symbols, gold)
+        assert labeled_frames([make_labeling(s) for s in symbols], gold)[2] == ("Z", "a", "é")
+        assert confusion.gold_labels == ["Z", "a"]
+        assert confusion.predicted_labels == ["Z", "a"]
+
+    def test_a_missing_label_moves_no_code_of_the_others(self):
+        # the same frames scored with and without an extra name that no
+        # frame carries give the same result
+        symbols, codes, labels = labeled_frames(
+            [make_labeling(s) for s in self.SYMBOLS], self.GOLD
+        )
+        wider = ("A",) + labels  # "A" sorts first, so every code moves up one
+        assert_same_score(score(symbols, codes + 1, wider), score(symbols, codes, labels))
 
 
 class TestAgreementRate:
@@ -668,7 +785,7 @@ class TestEndToEnd:
 
         def run():
             reduction = reduce_stride1(ep, corpus, geom)
-            return score(reduction.symbols, reduction.gold)
+            return score(reduction.symbols, reduction.gold, spec.labels)
 
         first = run()
         second = run()
@@ -678,7 +795,7 @@ class TestEndToEnd:
 
         # the same scores as the per-frame oracle on the frames' symbols
         labelings = [make_labeling(s, uid) for uid, s in frame_symbols(ep, corpus, geom).items()]
-        gold = [u.gold_labels for u in corpus]
+        gold = [[spec.labels[c] for c in u.gold] for u in corpus]
         (rows, cols, counts), *rates = evaluate(labelings, majority_tag(labelings, gold), gold)
         assert (first[0].predicted_labels, first[0].gold_labels) == (rows, cols)
         assert first[0].counts.tolist() == counts.tolist()

@@ -244,7 +244,7 @@ def cmd_train(args) -> int:
     write_run_manifest(out, "train", snapshot, config.seed, corpus.hash, artifacts, legs)
 
     try:
-        state, records = train(
+        state, last_epoch = train(
             usable,
             config,
             dev_corpus=dev_usable,
@@ -257,17 +257,11 @@ def cmd_train(args) -> int:
     except Interrupted as exc:
         print(f"{exc}; resume with --resume {checkpoint_dir / 'interrupted.itck'}", file=sys.stderr)
         return EXIT_SIGNAL + exc.signum
-    epochs = [r for r in records if r["type"] == "epoch"]
-    tail = epochs[-1] if epochs else {}
-    print(
-        f"train: processed {state.processed} utterances over {state.epoch} epochs, "
-        f"live symbols {int(state.live_mask.sum())}"
-        + (
-            f", last epoch mi_bound {tail['mean_mi_bound_bits']:.4f} bits"
-            if "mean_mi_bound_bits" in tail
-            else ""
-        )
-    )
+    line = (f"train: processed {state.processed} utterances over {state.epoch} epochs, "
+            f"live symbols {int(state.live_mask.sum())}")
+    if last_epoch is not None:
+        line += f", last epoch mi_bound {last_epoch['mean_mi_bound_bits']:.4f} bits"
+    print(line)
     return EXIT_OK
 
 
@@ -279,10 +273,10 @@ def cmd_eval(args) -> int:
     state = load_checkpoint(Path(args.checkpoint))
     corpus = load_corpus(args.corpus)
     dims = {u.frames.shape[1] for u in corpus.utterances}
-    if dims != {state.input_dim}:
+    if dims != {state.ep.input_dim}:
         raise CliError(
             f"corpus feature dimension {sorted(dims)} does not match "
-            f"checkpoint input dimension {state.input_dim}",
+            f"checkpoint input dimension {state.ep.input_dim}",
             EXIT_DATA,
         )
     if all(u.gold is None for u in corpus.utterances):

@@ -249,6 +249,33 @@ def _parse_features(raw: bytes, path: Path, utterance_id: str) -> np.ndarray:
     return frames
 
 
+def _one_line(text: str) -> bool:
+    """Whether `text` holds no character that `str.splitlines` breaks at."""
+    return "".join(text.splitlines()) == text
+
+
+def _unreadable(u: Utterance, labels: tuple[str, ...], ids: set[str]) -> Optional[str]:
+    """Why `load_corpus` would not read `u` back as `write_corpus` writes it, or None."""
+    if u.id in ids:
+        return "its id names an earlier utterance too"
+    if u.id.startswith("#"):
+        return "an id starting with '#' makes its manifest row a comment"
+    if "/" in u.id or "\0" in u.id:
+        return "an id holding '/' or a NUL byte does not name one feature file"
+    for what, text in (("id", u.id), ("speaker", u.speaker or "")):
+        if "\t" in text or not _one_line(text):
+            return f"its {what} holds a tab or a line break, which split its manifest row"
+    if u.speaker == "":
+        return "an empty speaker reads back as no speaker"
+    if not np.all(np.abs(u.frames) <= np.finfo(np.float32).max):  # NaN fails too
+        return "its frames hold a value that is not a finite float32"
+    codes = () if u.gold is None else np.unique(u.gold).tolist()
+    if any(c < 0 or c >= len(labels) for c in codes):
+        return f"its gold codes do not all index the {len(labels)} label names"
+    bad = [labels[c] for c in codes if not _one_line(labels[c])]
+    return f"label name {bad[0]!r} holds a line break, which splits its label file" if bad else None
+
+
 def write_corpus(
     corpus_dir: Path,
     utterances: list[Utterance],
@@ -260,8 +287,18 @@ def write_corpus(
     A labelled utterance's label file holds `labels[code]` for each of its
     codes, one per line. Metadata key=value pairs land as '#'-prefixed
     comment lines at the top of the manifest and come back as
-    `load_corpus`'s metadata.
+    `load_corpus`'s metadata. What `load_corpus` would read back otherwise,
+    or not at all, raises CorpusError naming the utterance before any write.
     """
+    for key, value in (metadata or {}).items():
+        if "=" in key or not all(_one_line(t) and t == t.strip() for t in (key, value)):
+            raise CorpusError(f"metadata {key!r}={value!r} does not read back from a manifest line")
+    ids: set[str] = set()
+    for u in utterances:
+        problem = _unreadable(u, labels, ids)
+        if problem is not None:
+            raise CorpusError(f"cannot write: {problem}", u.id)
+        ids.add(u.id)
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -11,7 +11,9 @@ A single cloning event copies the output-layer rows of high-marginal live
 symbols onto dead slots once the configured point in the schedule is
 crossed. Death detection and dev evaluation read the untaped
 `evaluation.reduce_corpus` pass; training minibatches are the only other
-place the encoders run.
+place the encoders run. Each fact is held once: the metrics stream is
+the only copy of the records, and the state's `processed` count is also
+the step number of its minibatch records.
 
 Determinism: utterance order, initialization, and clone noise all come
 from named random streams derived from (seed, tag, counters), so a run
@@ -166,7 +168,6 @@ class TrainState:
 
     def __init__(self, config: TrainConfig, input_dim: int, corpus_hash=None, dtype=np.float32):
         self.config = config
-        self.input_dim = input_dim
         self.ep = EncoderParams(
             input_dim=input_dim,
             alphabet_size=config.alphabet_size,
@@ -178,14 +179,11 @@ class TrainState:
         self.live_mask = np.ones(z, dtype=bool)
         self.epoch = 0
         self.pos_in_epoch = 0
-        self.processed = 0
-        self.step = 0
-        self.cloned = False
+        self.processed = 0  # also the step number of the last minibatch
         self.clone_history: list[dict] = []
         self.epoch_max = np.zeros((len(SIDES), z), dtype=np.float32)
         self.epoch_accum = _fresh_accum()
         self.entropy_buffer = np.zeros((0, z), dtype=np.float32)
-        self.detect_mean_confirm: Optional[np.ndarray] = None
         self.corpus_hash = corpus_hash  # of the corpus the run trains on
 
     def live(self, maxima: np.ndarray) -> np.ndarray:
@@ -255,7 +253,7 @@ def check_inputs(
                 f"resume checkpoint stopped {resume.pos_in_epoch} utterances into an epoch "
                 f"of a corpus with only {len(usable)} usable utterances"
             )
-        input_dim = resume.input_dim
+        input_dim = resume.ep.input_dim
     for role, utterances in (("utterance", usable), ("dev utterance", dev_corpus or [])):
         for u in utterances:
             if u.frames.shape[1] != input_dim:
@@ -272,41 +270,36 @@ def check_inputs(
 # symbol death and cloning
 
 
-def detect_dead_symbols(state: TrainState, corpus_sample: list[Utterance]) -> np.ndarray:
-    """Fresh forward passes over the sample; a symbol is dead iff it is not
-    `TrainState.live` on the sample's per-symbol maxima.
-
-    Also records the sample-average confirm distribution on the state,
-    which clone_symbols uses to rank live symbols by marginal mass. The
-    numbers are only meaningful once training has shaped the models
-    (normally at least one full epoch); that is a caller obligation, not
-    a checked error, so constructed states can be probed directly.
+def detect_dead_symbols(state: TrainState, sample: list[Utterance]) -> tuple[np.ndarray, np.ndarray]:
+    """(live [Z] bool, marginal [Z]) from fresh forward passes over the
+    sample, leaving the state alone: a symbol is live iff it is
+    `TrainState.live` on the sample's per-symbol maxima, and `marginal`,
+    the sample-average confirm distribution, ranks the live symbols for
+    `clone_symbols`. The numbers are only meaningful once training has
+    shaped the models (normally at least one full epoch); that is a caller
+    obligation, not a checked error, so constructed states can be probed.
     """
     config = state.config
-    reduction = reduce_corpus(state.ep, corpus_sample, config.geometry, config.aligned_windows)
-    state.live_mask = state.live(reduction.maxima)
-    state.detect_mean_confirm = reduction.mean()[0]
-    return state.live_mask
+    reduction = reduce_corpus(state.ep, sample, config.geometry, config.aligned_windows)
+    return state.live(reduction.maxima), reduction.mean()[0]
 
 
-def clone_symbols(state: TrainState) -> TrainState:
+def clone_symbols(state: TrainState, live_mask: np.ndarray, marginal: np.ndarray) -> TrainState:
     """Copy output rows of top-marginal live symbols onto dead slots.
 
-    Pairs live symbols (descending sample-average marginal, index as tie
-    break) with dead slots (ascending index), copying the output-layer row
-    and bias in both encoders plus the marginal logit, then perturbing the
-    copies with Gaussian noise of scale clone_noise_sigma. With zero noise
-    each pair splits its probability mass exactly in half. Every call
-    appends its event to `clone_history`, with no pairs when no symbol is
-    dead.
+    `live_mask` and `marginal` are what `detect_dead_symbols` returns.
+    Pairs live symbols (descending `marginal`, index as tie break) with
+    dead slots (ascending index), copying the output-layer row and bias in
+    both encoders plus the marginal logit, then perturbing the copies with
+    Gaussian noise of scale clone_noise_sigma. With zero noise each pair
+    splits its probability mass exactly in half. The state's live mask
+    becomes `live_mask` with the filled slots live. Every call appends its
+    event to `clone_history`, with no pairs when no symbol is dead.
     """
-    if state.detect_mean_confirm is None:
-        raise TrainerError("run detect_dead_symbols before cloning")
-    dead = np.flatnonzero(~state.live_mask)
-    live = np.flatnonzero(state.live_mask)
+    dead = np.flatnonzero(~live_mask)
+    live = np.flatnonzero(live_mask)
     if dead.size == 0:
         log.warning("clone requested but no symbols are dead; copying nothing")
-    marginal = state.detect_mean_confirm
     # stable sort on index then reorder by descending marginal keeps the
     # index tie-break deterministic
     live_ranked = live[np.argsort(-marginal[live], kind="stable")]
@@ -326,12 +319,12 @@ def clone_symbols(state: TrainState) -> TrainState:
             for arr in targets:
                 noise = rng.normal(0.0, sigma, size=np.shape(arr[dst]))
                 arr[dst] = arr[dst] + noise.astype(arr.dtype)
-    for _, dst in pairs:
-        state.live_mask[dst] = True
+    state.live_mask = np.array(live_mask, dtype=bool)
+    state.live_mask[[dst for _, dst in pairs]] = True
     state.clone_history.append(
         {
             "processed": state.processed,
-            "step": state.step,
+            "step": state.processed,
             "dead_before": int(dead.size),
             "live_before": int(live.size),
             "pairs": pairs,
@@ -349,8 +342,6 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
     arrays = list(state.ep.named_arrays().items())
     arrays += [(f"epoch_max_{side}", row) for side, row in zip(SIDES, state.epoch_max)]
     arrays.append(("entropy_buffer", state.entropy_buffer))
-    if state.detect_mean_confirm is not None:
-        arrays.append(("detect_mean_confirm", state.detect_mean_confirm.astype(np.float32)))
     return arrays
 
 
@@ -360,13 +351,11 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     arrays = _state_arrays(state)
     header = {
         "config": state.config.to_json_dict(),
-        "input_dim": state.input_dim,
+        "input_dim": state.ep.input_dim,
         "counters": {
             "epoch": state.epoch,
             "pos_in_epoch": state.pos_in_epoch,
             "processed": state.processed,
-            "step": state.step,
-            "cloned": state.cloned,
         },
         "epoch_accum": state.epoch_accum,
         "live_mask": [int(b) for b in state.live_mask],
@@ -407,7 +396,9 @@ def load_checkpoint(path: Path) -> TrainState:
 
     Every header field is type-checked, and the array table is checked
     against the config and the payload before any state is allocated, so
-    a header that claims a huge model is refused, not allocated.
+    a header that claims a huge model is refused, not allocated. An older
+    checkpoint's ``step`` and ``cloned`` counters and ``detect_mean_confirm``
+    array are ignored.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -424,9 +415,7 @@ def load_checkpoint(path: Path) -> TrainState:
     try:
         config = TrainConfig.from_json_dict(header["config"])
         input_dim = header["input_dim"]
-        keys = ("epoch", "pos_in_epoch", "processed", "step")
-        counters = {key: header["counters"][key] for key in keys}
-        cloned = header["counters"]["cloned"]
+        counters = {key: header["counters"][key] for key in ("epoch", "pos_in_epoch", "processed")}
         accum = dict(header["epoch_accum"])
         live = header["live_mask"]
         history = header["clone_history"]
@@ -437,7 +426,7 @@ def load_checkpoint(path: Path) -> TrainState:
     z, fresh = config.alphabet_size, _fresh_accum()
     valid = {
         "input_dim": fits(input_dim, int, 1),
-        "counters": all(fits(v, int, 0) for v in counters.values()) and fits(cloned, bool),
+        "counters": all(fits(v, int, 0) for v in counters.values()),
         "epoch_accum": accum.keys() == fresh.keys()
         and all(fits(value, type(fresh[key])) for key, value in accum.items()),
         "live_mask": isinstance(live, list) and len(live) == z and all(fits(b, int, 0, 1) for b in live),
@@ -483,7 +472,6 @@ def load_checkpoint(path: Path) -> TrainState:
     state = TrainState(config, input_dim, corpus_hash)
     for key, value in counters.items():
         setattr(state, key, value)
-    state.cloned = cloned
     state.epoch_accum = accum
     state.live_mask = np.asarray(live, dtype=bool)
     state.clone_history = history
@@ -491,8 +479,6 @@ def load_checkpoint(path: Path) -> TrainState:
         array[...] = loaded[name]
     state.epoch_max = np.array([loaded[f"epoch_max_{side}"] for side in SIDES])
     state.entropy_buffer = loaded["entropy_buffer"]
-    if "detect_mean_confirm" in loaded:
-        state.detect_mean_confirm = loaded["detect_mean_confirm"].astype(np.float64)
     return state
 
 
@@ -530,32 +516,19 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return stream_rng(seed, TAG_SHUFFLE, epoch).permutation(n)
 
 
-class _MetricsWriter:
-    """The metrics stream: one JSON line per record, flushed as it is written.
+def _open_stream(path: Optional[Path], step: int):
+    """The metrics stream of a run at training step `step` (os.devnull without a path).
 
     A run at step 0 starts the file empty. A run resumed at a later step
     keeps the lines the file already holds up to that step and appends
     after them, so resuming into the interrupted run's directory leaves the
     same bytes as the uninterrupted run.
     """
-
-    def __init__(self, path: Optional[Path], step: int):
-        self.records: list[dict] = []
-        self._fh = None
-        if path:
-            if step and os.path.exists(path):
-                os.truncate(path, _stream_length_through(path, step))
-            self._fh = open(path, "a" if step else "w", encoding="utf-8")
-
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+    if not path:
+        return open(os.devnull, "w")
+    if step and os.path.exists(path):
+        os.truncate(path, _stream_length_through(path, step))
+    return open(path, "a" if step else "w", encoding="utf-8")
 
 
 def _stream_length_through(path: Path, step: int) -> int:
@@ -623,23 +596,23 @@ def train(
     resume: Optional[TrainState] = None,
     stop_after: Optional[int] = None,
     corpus_hash: Optional[str] = None,
-) -> tuple[TrainState, list[dict]]:
-    """Run the schedule (or resume inside it); returns final state + records.
+) -> tuple[TrainState, Optional[dict]]:
+    """Run the schedule (or resume inside it); returns the final state and
+    the last epoch record this call wrote, or None when it wrote none.
 
-    ``resume`` is the state to continue from; without one, a fresh
-    `TrainState` carrying ``corpus_hash`` starts at step 0 (see
-    `check_inputs`). ``stop_after`` pauses once that many utterances have
-    been processed in total, saving `interrupted.itck` when a checkpoint
-    directory is given; resuming from it reproduces the uninterrupted run's
-    remaining metrics exactly. A ``stop_after`` at or below the count the
-    run starts from raises TrainerError before the metrics file is opened.
-    When resuming into an existing ``metrics_path``, the file is cut back
-    to the checkpoint's step and continued. ``corpus_hash`` names the
-    training corpus; it is stored in every checkpoint, and resuming under
-    another hash raises TrainerError. A NaN or infinity, a saturated
-    divergence (a minibatch whose bound is below -log2(alphabet_size) with
-    cells at the log floor, written to the stream first), or a MemoryError
-    raises TrainerError naming the step and the utterance.
+    Every record goes to ``metrics_path`` and none is kept: the file is the
+    run's one record. The run continues from ``resume``, or from a fresh
+    state carrying ``corpus_hash`` (see `check_inputs`). ``stop_after``
+    pauses once that many utterances have been processed in total, saving
+    `interrupted.itck` when a checkpoint directory is given; resuming from
+    it reproduces the uninterrupted run's remaining metrics exactly. A
+    ``stop_after`` at or below the count the run starts from raises
+    TrainerError before the metrics file is opened; a resumed run's file is
+    cut back to its step (see `_open_stream`). A NaN or infinity, a
+    saturated divergence (a minibatch whose bound is below
+    -log2(alphabet_size) with cells at the log floor, written to the stream
+    first), or a MemoryError raises TrainerError naming the step and the
+    utterance.
 
     On the main thread, SIGINT and SIGTERM are only recorded while the run
     goes: the step in progress finishes (with its epoch record and epoch
@@ -660,13 +633,20 @@ def train(
     batches = [
         window_arrays(u, config.geometry, config.aligned_windows, dtype)[1::-1] for u in usable
     ]
-    writer = _MetricsWriter(metrics_path, state.step)
+    stream = _open_stream(metrics_path, state.processed)
+
+    def emit(record: dict) -> None:
+        # one JSON line per record, flushed as it is written and not kept
+        stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        stream.flush()
+
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
     budget = config.budget_utterances
     end = budget if stop_after is None else min(budget, stop_after)
     # a bound below this predicts worse than a uniform guess over the alphabet
     uniform_floor = -math.log2(config.alphabet_size)
-    where = f"step {state.step}"
+    where = f"step {state.processed}"
+    last_epoch = None
     order = None
     received: list[int] = []
     handlers = {}
@@ -683,24 +663,14 @@ def train(
                 order = _epoch_order(config.seed, state.epoch, len(usable))
             idx = order[state.pos_in_epoch]
             lr = config.lr_at(state.processed)
-            where = f"step {state.step + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
+            where = f"step {state.processed + 1} (utterance {usable[idx].id!r}, lr {lr:g})"
             terms = _train_minibatch(state, batches[idx], lr)
             state.pos_in_epoch += 1
             state.processed += 1
-            state.step += 1
-            record = {
-                "type": "minibatch",
-                "utterance_id": usable[idx].id,
-                "step": state.step,
-                "lr": lr,
-                "cross_entropy_bits": terms.cross_entropy_bits,
-                "marginal_entropy_bits": terms.marginal_entropy_bits,
-                "mi_bound_bits": terms.mi_bound_bits,
-                "saturation_count": terms.saturation_count,
-            }
-            if terms.adversarial_marginal_bits is not None:
-                record["adversarial_marginal_bits"] = terms.adversarial_marginal_bits
-            writer.emit(record)
+            # every objective term but the loss (the adversarial one only in that mode)
+            terms_written = {k: v for k, v in vars(terms).items() if k != "loss" and v is not None}
+            emit({"type": "minibatch", "utterance_id": usable[idx].id, "step": state.processed,
+                  "lr": lr, **terms_written})
             if terms.saturation_count > 0 and terms.mi_bound_bits < uniform_floor:
                 raise TrainerError(
                     f"training diverged at {where}: mi_bound_bits {terms.mi_bound_bits:.4f} "
@@ -711,12 +681,10 @@ def train(
                 state.epoch_accum[key] += getattr(terms, key)
             state.epoch_accum["count"] += 1
 
-            if not state.cloned and state.processed >= config.clone_at * 100:
+            if not state.clone_history and state.processed >= config.clone_at * 100:
                 sample = usable[: config.detect_sample_utterances]
-                detect_dead_symbols(state, sample)
-                clone_symbols(state)
-                state.cloned = True
-                writer.emit({"type": "clone", **state.clone_history[-1]})
+                clone_symbols(state, *detect_dead_symbols(state, sample))
+                emit({"type": "clone", **state.clone_history[-1]})
 
             epoch_done = state.pos_in_epoch == len(usable)
             if epoch_done or state.processed >= budget:
@@ -734,13 +702,13 @@ def train(
                     record[f"mean_{key}"] = state.epoch_accum[key] / n
                 if dev_corpus is not None:
                     record.update(evaluate_on_corpus(state, dev_corpus))
-                writer.emit(record)
-                completed_epoch = state.epoch
+                emit(record)
+                last_epoch = record
                 if epoch_done:
                     state.epoch += 1
                     state.pos_in_epoch = 0
                 if checkpoint_dir is not None:
-                    save_checkpoint(state, checkpoint_dir / f"epoch_{completed_epoch:04d}.itck")
+                    save_checkpoint(state, checkpoint_dir / f"epoch_{record['epoch']:04d}.itck")
         if checkpoint_dir is not None:
             name = "final.itck" if state.processed >= budget else "interrupted.itck"
             save_checkpoint(state, checkpoint_dir / name)
@@ -750,9 +718,9 @@ def train(
     except MemoryError:
         raise TrainerError(f"training ran out of memory at {where}") from None
     finally:
-        writer.close()
+        stream.close()
         for signum, handler in handlers.items():
             signal.signal(signum, signal.SIG_DFL if handler is None else handler)
     if received and state.processed < end:
-        raise Interrupted(received[0], state.step)
-    return state, writer.records
+        raise Interrupted(received[0], state.processed)
+    return state, last_epoch

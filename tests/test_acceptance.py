@@ -9,6 +9,7 @@ here, so their outcomes are stable on a given platform.
 import dataclasses
 import math
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from itco.corpus import (
 from itco.model import CONFIRM, PREDICT
 from itco.numerics import stream_rng
 from itco.trainer import TrainConfig, TrainState, detect_dead_symbols, train
+from runs import map_seeds, read_records
 
 GRADCHECK_SEEDS = 20
 TRAIN_SEEDS = (0, 1, 2)
@@ -104,27 +106,40 @@ def bound_config(seed: int) -> TrainConfig:
     )
 
 
-@pytest.fixture(scope="module")
-def bound_runs():
+def bound_corpora():
+    """The zero-jitter training and dev corpora of criteria 2 and 5, and the
+    training corpus's joint table."""
     corpus, joint = synth_corpus(identity_spec(4, seed=1000, num_utterances=200))
     dev, _ = synth_corpus(identity_spec(4, seed=2000, num_utterances=100))
-    assert true_mi_oracle(joint) == pytest.approx(2.0, abs=1e-12)
-    runs = []
-    for seed in TRAIN_SEEDS:
-        t0 = time.time()
-        _, records = train(corpus, bound_config(seed), dev_corpus=dev)
-        seconds = time.time() - t0
-        epochs = [r for r in records if r["type"] == "epoch"]
-        runs.append(
-            {
-                "seed": seed,
-                "seconds": seconds,
-                "dev_bounds": [r["dev_mi_bound_bits"] for r in epochs],
-                "psi_entropy": epochs[-1]["dev_mean_entropy_psi_bits"],
-                "phi_entropy": epochs[-1]["dev_mean_entropy_phi_bits"],
-            }
-        )
-    return runs
+    return corpus, dev, joint
+
+
+def epoch_records(corpus, config, **kwargs) -> list[dict]:
+    """The epoch records of one training run, read back from its metrics file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics = Path(tmp) / "metrics.jsonl"
+        train(corpus, config, metrics_path=metrics, **kwargs)
+        return [r for r in read_records(metrics) if r["type"] == "epoch"]
+
+
+def bound_run(seed: int) -> dict:
+    """One seed's run of criteria 2 and 5, timed in the process that runs it."""
+    corpus, dev, _ = bound_corpora()
+    t0 = time.time()
+    epochs = epoch_records(corpus, bound_config(seed), dev_corpus=dev)
+    return {
+        "seed": seed,
+        "seconds": time.time() - t0,
+        "dev_bounds": [r["dev_mi_bound_bits"] for r in epochs],
+        "psi_entropy": epochs[-1]["dev_mean_entropy_psi_bits"],
+        "phi_entropy": epochs[-1]["dev_mean_entropy_phi_bits"],
+    }
+
+
+@pytest.fixture(scope="module")
+def bound_runs():
+    assert true_mi_oracle(bound_corpora()[2]) == pytest.approx(2.0, abs=1e-12)
+    return map_seeds(bound_run, TRAIN_SEEDS)
 
 
 def test_criterion_2_dpi_bound_respected(bound_runs):
@@ -185,8 +200,8 @@ def noisy_channel_gate() -> tuple[bool, str]:
     dev, _ = synth_corpus(noisy_channel_spec(2000, 100))
     true_mi = true_mi_oracle(joint)
     assert true_mi == pytest.approx(1.0097, abs=1e-4)
-    _, records = train(corpus, bound_config(0), dev_corpus=dev)
-    bounds = [r["dev_mi_bound_bits"] for r in records if r["type"] == "epoch"]
+    epochs = epoch_records(corpus, bound_config(0), dev_corpus=dev)
+    bounds = [r["dev_mi_bound_bits"] for r in epochs]
     return max(bounds) <= true_mi + DPI_SLACK_BITS, (
         f"max held-out bound {max(bounds):.4f} <= I(x;y) {true_mi:.4f} + {DPI_SLACK_BITS} "
         f"over {len(bounds)} epochs, final {bounds[-1]:.4f}"
@@ -243,9 +258,9 @@ def test_criterion_3_cloning_one_bit_law():
         return terms
 
     before = frozen_batch_terms()
-    detect_dead_symbols(state, utts)
-    assert int(state.live_mask.sum()) == 2
-    tr.clone_symbols(state)
+    live, marginal = detect_dead_symbols(state, utts)
+    assert int(live.sum()) == 2
+    tr.clone_symbols(state, live, marginal)
     after = frozen_batch_terms()
 
     d_entropy = after.marginal_entropy_bits - before.marginal_entropy_bits
@@ -265,28 +280,31 @@ def test_criterion_3_cloning_one_bit_law():
 # criterion 4: symbol death
 
 
-def test_criterion_4_symbol_death():
+def dead_after_six_epochs(seed: int) -> int:
+    """Criterion 4's run of one seed: the dead symbols on a 100-utterance
+    sample after six epochs."""
     # The zero-jitter corpus cannot exhibit death: solutions that spread a
     # class over several exactly-coordinated symbols score identically to
     # concentrated ones, so no gradient ever drains the tails. Frame jitter
     # breaks the tie (the predict side cannot see the confirm side's noise),
     # which is the regime where the death-and-clone dynamic exists at all.
     corpus, _ = synth_corpus(identity_spec(4, seed=1000, num_utterances=1000, jitter=0.3))
-    sample = corpus[:100]
-    dead_counts = []
-    for seed in TRAIN_SEEDS:
-        config = TrainConfig(
-            geometry=WindowGeometry(total=35, past=15, gap=5, future=15),
-            alphabet_size=64,
-            hidden_dim=64,
-            lr_schedule=((40, 0.4), (60, 1.0)),
-            clone_at=0,  # fires at start, before anything is dead: a no-op
-            seed=seed,
-            aligned_windows=True,
-        )
-        state, _ = train(corpus, config, stop_after=6 * len(corpus))
-        live = detect_dead_symbols(state, sample)
-        dead_counts.append(64 - int(live.sum()))
+    config = TrainConfig(
+        geometry=WindowGeometry(total=35, past=15, gap=5, future=15),
+        alphabet_size=64,
+        hidden_dim=64,
+        lr_schedule=((40, 0.4), (60, 1.0)),
+        clone_at=0,  # fires at start, before anything is dead: a no-op
+        seed=seed,
+        aligned_windows=True,
+    )
+    state, _ = train(corpus, config, stop_after=6 * len(corpus))
+    live, _ = detect_dead_symbols(state, corpus[:100])
+    return 64 - int(live.sum())
+
+
+def test_criterion_4_symbol_death():
+    dead_counts = map_seeds(dead_after_six_epochs, TRAIN_SEEDS)
     passed = sum(d >= 40 for d in dead_counts)
     report(
         4,
@@ -382,24 +400,23 @@ def test_criterion_7_determinism_and_resume(tmp_path):
         )
 
     paths = [tmp_path / f"m{i}.jsonl" for i in range(4)]
-    _, rec_a = train(corpus, config(), metrics_path=paths[0])
-    _, rec_b = train(corpus, config(), metrics_path=paths[1])
-    identical = rec_a == rec_b and paths[0].read_bytes() == paths[1].read_bytes()
+    train(corpus, config(), metrics_path=paths[0])
+    train(corpus, config(), metrics_path=paths[1])
+    whole = paths[0].read_bytes()
+    identical = whole == paths[1].read_bytes()
 
     ckpt_dir = tmp_path / "ck"
-    _, rec_head = train(
-        corpus, config(), metrics_path=paths[2], checkpoint_dir=ckpt_dir, stop_after=130
-    )
+    train(corpus, config(), metrics_path=paths[2], checkpoint_dir=ckpt_dir, stop_after=130)
     resumed = tr.load_checkpoint(ckpt_dir / "interrupted.itck")
-    _, rec_tail = train(corpus, config(), metrics_path=paths[3], resume=resumed)
-    resume_exact = rec_head + rec_tail == rec_a
+    train(corpus, config(), metrics_path=paths[3], resume=resumed)
+    resume_exact = paths[2].read_bytes() + paths[3].read_bytes() == whole
 
     ok = identical and resume_exact
     report(
         7,
         "determinism and resume",
         ok,
-        f"dual runs bit-identical: {identical} ({len(rec_a)} records); "
+        f"dual runs bit-identical: {identical} ({len(whole.splitlines())} records); "
         f"stop-at-130/resume stitches to the uninterrupted stream: {resume_exact}",
     )
 
@@ -418,8 +435,7 @@ def test_criterion_8_timit_recorded_not_gated():
         )
     train_corpus = load_corpus(Path(data_dir) / "train").utterances
     dev_corpus = load_corpus(Path(data_dir) / "dev").utterances
-    state, records = train(train_corpus, TrainConfig(), dev_corpus=dev_corpus)
-    last = [r for r in records if r["type"] == "epoch"][-1]
+    state, last = train(train_corpus, TrainConfig(), dev_corpus=dev_corpus)
     detail = (
         f"recorded (not gated): dev confirm entropy {last['dev_mean_entropy_psi_bits']:.2f} "
         f"bits (target 5.0 +/- 0.5), agreement {100 * last['dev_agreement']:.1f} "

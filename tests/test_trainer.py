@@ -21,6 +21,7 @@ from itco import trainer as tr
 from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_arrays
 from itco.evaluation import STACK_WINDOWS
 from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
+from runs import read_records
 
 
 def tiny_corpus(seed=0, n_utts=10, windows=4, k=2):
@@ -139,7 +140,7 @@ def test_forced_negative_logit_is_detected_dead():
     state = tr.TrainState(config, input_dim=2)
     for side in (CONFIRM, PREDICT):
         state.ep.named_arrays()[f"{side}.out.b"][3] = -1000.0
-    live = tr.detect_dead_symbols(state, utts[:4])
+    live, _ = tr.detect_dead_symbols(state, utts[:4])
     assert not live[3]
     assert live.sum() == 7
 
@@ -150,7 +151,7 @@ def test_uniform_models_have_no_dead_symbols():
     state = tr.TrainState(config, input_dim=2)
     for name, param in state.ep.store.items():
         param.value[...] = 0  # uniform outputs: 1/8 each, above 1e-3
-    live = tr.detect_dead_symbols(state, utts[:4])
+    live, _ = tr.detect_dead_symbols(state, utts[:4])
     assert live.all()
 
 
@@ -159,7 +160,7 @@ def test_dead_needs_both_models_below_threshold():
     config = tiny_config()
     state = tr.TrainState(config, input_dim=2)
     state.ep.named_arrays()[f"{CONFIRM}.out.b"][2] = -1000.0  # predict side still lives
-    live = tr.detect_dead_symbols(state, utts[:4])
+    live, _ = tr.detect_dead_symbols(state, utts[:4])
     assert live[2]
 
 
@@ -194,9 +195,9 @@ def test_clone_with_zero_noise_adds_exactly_one_bit_to_both_terms():
     state = frozen_state_with_dead_slots()
     state.config.clone_noise_sigma = 0.0
     before = batch_terms(state, utts)
-    tr.detect_dead_symbols(state, utts)
-    assert state.live_mask.sum() == 2
-    tr.clone_symbols(state)
+    live, marginal = tr.detect_dead_symbols(state, utts)
+    assert live.sum() == 2
+    tr.clone_symbols(state, live, marginal)
     after = batch_terms(state, utts)
     assert abs(after.marginal_entropy_bits - before.marginal_entropy_bits - 1.0) < 1e-9
     assert abs(after.cross_entropy_bits - before.cross_entropy_bits - 1.0) < 1e-9
@@ -207,10 +208,9 @@ def test_clone_pairs_high_marginal_live_symbols_first():
     utts, _ = tiny_corpus(n_utts=4)
     state = frozen_state_with_dead_slots(live=(0, 1))
     state.config.clone_noise_sigma = 0.0
-    tr.detect_dead_symbols(state, utts)
-    # make symbol 1 the heavier live symbol in the recorded sample average
-    state.detect_mean_confirm = np.array([0.3, 0.7, 0, 0, 0, 0, 0, 0.0])
-    tr.clone_symbols(state)
+    live, _ = tr.detect_dead_symbols(state, utts)
+    # make symbol 1 the heavier live symbol in the sample average
+    tr.clone_symbols(state, live, np.array([0.3, 0.7, 0, 0, 0, 0, 0, 0.0]))
     event = state.clone_history[-1]
     assert tuple(event["pairs"][0]) == (1, 2)
     assert tuple(event["pairs"][1]) == (0, 3)
@@ -226,9 +226,9 @@ def test_clone_noise_perturbs_only_the_copies():
     utts, _ = tiny_corpus(n_utts=4)
     state = frozen_state_with_dead_slots()
     state.config.clone_noise_sigma = 0.05
-    tr.detect_dead_symbols(state, utts)
+    detected = tr.detect_dead_symbols(state, utts)
     w_before = state.ep.named_arrays()[f"{CONFIRM}.out.w"].copy()
-    tr.clone_symbols(state)
+    tr.clone_symbols(state, *detected)
     w_after = state.ep.named_arrays()[f"{CONFIRM}.out.w"]
     (src0, dst0), (src1, dst1) = state.clone_history[-1]["pairs"]
     assert np.array_equal(w_after[src0], w_before[src0])
@@ -243,9 +243,9 @@ def test_clone_without_dead_symbols_is_a_noop():
     state = tr.TrainState(config, input_dim=2)
     for _, param in state.ep.store.items():
         param.value[...] = 0
-    tr.detect_dead_symbols(state, utts[:4])
+    detected = tr.detect_dead_symbols(state, utts[:4])
     before = state.ep.store["marginal.logits"].value.copy()
-    tr.clone_symbols(state)
+    tr.clone_symbols(state, *detected)
     assert np.array_equal(state.ep.store["marginal.logits"].value, before)
     # the event is recorded all the same, and is what the metrics stream emits
     assert state.clone_history == [
@@ -254,10 +254,27 @@ def test_clone_without_dead_symbols_is_a_noop():
     ]
 
 
-def test_clone_requires_detection_stats():
-    state = tr.TrainState(tiny_config(), input_dim=2)
-    with pytest.raises(tr.TrainerError):
-        tr.clone_symbols(state)
+def test_detection_leaves_the_state_alone():
+    # what detection finds reaches the state only through clone_symbols
+    utts, _ = tiny_corpus(n_utts=4)
+    state = frozen_state_with_dead_slots()
+    before = dict(vars(state))
+    live, marginal = tr.detect_dead_symbols(state, utts)
+    assert live.tolist() == [True, True] + [False] * 6
+    assert marginal.shape == (8,) and abs(marginal.sum() - 1.0) < 1e-9
+    assert vars(state).keys() == before.keys()
+    assert all(vars(state)[key] is value for key, value in before.items())
+    assert state.live_mask.all()
+    tr.clone_symbols(state, live, marginal)
+    assert state.live_mask.sum() == 4 and live.sum() == 2
+
+
+def test_the_state_holds_each_fact_once():
+    # the step is `processed`, a clone happened iff `clone_history` is
+    # non-empty, and the input dimension is the encoders'
+    state = tr.TrainState(tiny_config(), input_dim=3)
+    assert {"step", "cloned", "input_dim", "detect_mean_confirm"}.isdisjoint(vars(state))
+    assert state.ep.input_dim == 3
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +294,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.epoch == state.epoch
     assert loaded.pos_in_epoch == state.pos_in_epoch
     assert loaded.processed == state.processed
-    assert loaded.step == state.step
-    assert loaded.cloned == state.cloned
+    assert loaded.ep.input_dim == state.ep.input_dim
     assert np.array_equal(loaded.live_mask, state.live_mask)
     assert loaded.epoch_accum == state.epoch_accum
     assert loaded.clone_history and loaded.clone_history == json.loads(
@@ -289,8 +305,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 # SHA-256 of two checkpoints of the tiny config. Neither path runs a matrix
 # product, so the bytes are the same on every platform; they pin the init
 # draw order, the clone noise order and the per-side array table.
-FRESH_CHECKPOINT_SHA256 = "150e1536638d7835aea78af77f2e41e1a56652f37ed4e406e152e5a9e5ad39ec"
-CLONED_CHECKPOINT_SHA256 = "3e7f9610f603ab535bd6f504b61b4ae16ab399f38e185d657a5e3522c38ce4b7"
+FRESH_CHECKPOINT_SHA256 = "74cdeef3dad114e3bdb16da94d6f9de1b514ab118d3d07af6bbcea65f8c78bd9"
+CLONED_CHECKPOINT_SHA256 = "9e6d0ffe8b6f0263c88c9029057ac572c90e0c8973c8757f026e01bb110523de"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -298,11 +314,43 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "state.itck"
     tr.save_checkpoint(state, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_CHECKPOINT_SHA256
-    state.live_mask = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
-    state.detect_mean_confirm = np.array([0.1, 0.0, 0.4, 0.2, 0.0, 0.0, 0.3, 0.0])
-    tr.clone_symbols(state)
+    cloned_state(state)
     tr.save_checkpoint(state, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CLONED_CHECKPOINT_SHA256
+
+
+def cloned_state(state):
+    """`state` after the clone of `test_checkpoint_bytes_are_pinned`."""
+    live = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
+    return tr.clone_symbols(state, live, np.array([0.1, 0.0, 0.4, 0.2, 0.0, 0.0, 0.3, 0.0]))
+
+
+# `test_checkpoint_bytes_are_pinned`'s clone case as written before the state
+# held each fact once: its header counts `step` and `cloned` besides
+# `processed`, and it stores the detection's `detect_mean_confirm` array
+LEGACY_CLONED_CHECKPOINT = Path(__file__).parent / "data" / "legacy_cloned.itck"
+LEGACY_CLONED_CHECKPOINT_SHA256 = "3e7f9610f603ab535bd6f504b61b4ae16ab399f38e185d657a5e3522c38ce4b7"
+
+
+def test_a_checkpoint_of_the_older_layout_loads_and_resumes_alike(tmp_path):
+    raw = LEGACY_CLONED_CHECKPOINT.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == LEGACY_CLONED_CHECKPOINT_SHA256
+    header = json.loads(raw[12 : 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])])
+    assert {"step", "cloned"} <= header["counters"].keys()
+    assert "detect_mean_confirm" in [entry["name"] for entry in header["arrays"]]
+    legacy = tr.load_checkpoint(LEGACY_CLONED_CHECKPOINT)
+    current = cloned_state(tr.TrainState(tiny_config(clone_noise_sigma=0.05), input_dim=2))
+    tr.save_checkpoint(current, tmp_path / "current.itck")
+    assert tr.load_checkpoint(tmp_path / "current.itck").clone_history == legacy.clone_history
+    # both resume to the same stream, without a second clone
+    utts, _ = tiny_corpus(n_utts=4)
+    streams = []
+    for name, state in (("legacy", legacy), ("current", tr.load_checkpoint(tmp_path / "current.itck"))):
+        metrics = tmp_path / f"{name}.jsonl"
+        tr.train(utts, state.config, metrics_path=metrics, resume=state)
+        streams.append(metrics.read_bytes())
+    assert streams[0] == streams[1]
+    assert b'"type":"clone"' not in streams[0] and streams[0].count(b"\n") == 100 + 25
 
 
 @pytest.mark.parametrize("name", ["state.itck", "run_manifest.json"])
@@ -316,12 +364,12 @@ def test_a_write_cut_short_leaves_the_earlier_file_whole(tmp_path, monkeypatch, 
         if name.endswith(".itck"):
             tr.save_checkpoint(state, path)
         else:
-            cli._dump_json({"step": state.step}, path)
+            cli._dump_json({"processed": state.processed}, path)
 
     path = tmp_path / name
     write(path)
     before = path.read_bytes()
-    state.step += 1
+    state.processed += 1
     write_bytes = Path.write_bytes
 
     def cut_short(self, data):
@@ -505,7 +553,9 @@ def test_unequal_lengths_tape_a_gru_pass_per_side_and_their_join(monkeypatch):
 
 
 @pytest.mark.parametrize("geometry, sides", [((2, 1, 2), 2), ((1, 1, 3), 1)])
-def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(monkeypatch, geometry, sides):
+def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(
+    tmp_path, monkeypatch, geometry, sides
+):
     # past == future: one paired GRU call per minibatch; past != future:
     # one single-side call per side, on its row of the parameters
     taped = []
@@ -520,8 +570,8 @@ def test_taped_gru_pairs_the_sides_only_when_their_lengths_match(monkeypatch, ge
     utts, _ = tiny_corpus()
     past, gap, future = geometry
     config = tiny_config(geometry=WindowGeometry(total=5, past=past, gap=gap, future=future))
-    _, records = tr.train(utts, config)
-    minibatches = [r for r in records if r["type"] == "minibatch"]
+    tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl")
+    minibatches = [r for r in read_records(tmp_path / "metrics.jsonl") if r["type"] == "minibatch"]
     assert len(minibatches) == 100
     assert taped == ([2] * 100 if sides == 2 else [0, 1] * 100)
     assert all(np.isfinite(r["mi_bound_bits"]) for r in minibatches)
@@ -542,7 +592,7 @@ def test_stop_after_at_or_below_the_start_trains_nothing(tmp_path):
     for stop in (3, 5):
         with pytest.raises(tr.TrainerError, match=f"stop_after {stop} does not exceed the 5"):
             tr.train(utts, config, metrics_path=metrics, resume=state, stop_after=stop)
-        assert state.processed == 5 and state.step == 5
+        assert state.processed == 5
         assert metrics.read_bytes() == written
 
 
@@ -594,6 +644,26 @@ def test_stride1_training_memory_grows_with_the_corpus_not_its_windows():
     assert peaks[40] - peaks[4] < 3 * added_frame_bytes, peaks
 
 
+def test_the_memory_train_holds_on_return_does_not_grow_with_its_minibatches(tmp_path):
+    # every record goes to the metrics file and none is kept, so a run of
+    # 600 minibatches returns holding what a run of 100 does: its state and
+    # one epoch record (a list of every record held about 0.44 KB each)
+    utts, _ = tiny_corpus(n_utts=4)
+    tr.train(utts, tiny_config(), stop_after=1)  # first-call allocations out of the way
+    held = {}
+    for hundreds in (1, 6):
+        metrics = tmp_path / f"metrics_{hundreds}.jsonl"
+        tracemalloc.start()
+        try:
+            result = tr.train(utts, tiny_config(lr_schedule=((hundreds, 0.4),)), metrics_path=metrics)
+            held[hundreds] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result[0].processed == 100 * hundreds
+        del result
+    assert held[6] - held[1] < 25_000, held
+
+
 def test_train_rejects_empty_and_unusably_short_corpora():
     config = tiny_config()
     with pytest.raises(tr.TrainerError):
@@ -603,13 +673,14 @@ def test_train_rejects_empty_and_unusably_short_corpora():
         tr.train(short, config)
 
 
-def test_train_skips_short_utterances_with_warning(caplog):
+def test_train_skips_short_utterances_with_warning(tmp_path, caplog):
     utts, _ = tiny_corpus(n_utts=4)
     # a short all-zero utterance is skipped too, not refused as all-zero
     utts += [Utterance("stub", np.ones((2, 2))), Utterance("zero_stub", np.zeros((2, 2)))]
     config = tiny_config(lr_schedule=((1, 0.4),))
     with caplog.at_level("WARNING"):
-        _, records = tr.train(utts, config)
+        tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl")
+    records = read_records(tmp_path / "metrics.jsonl")
     names = {r["utterance_id"] for r in records if r["type"] == "minibatch"}
     for stub in ("stub", "zero_stub"):
         assert any(f"skipping utterance {stub}:" in message for message in caplog.messages)
@@ -620,8 +691,9 @@ def test_metrics_stream_shapes_and_lr_schedule(tmp_path):
     utts, _ = tiny_corpus(n_utts=10)
     config = tiny_config(lr_schedule=((1, 0.4), (2, 0.2)), clone_at=1)
     metrics_path = tmp_path / "metrics.jsonl"
-    state, records = tr.train(utts, config, metrics_path=metrics_path)
+    state, last_epoch = tr.train(utts, config, metrics_path=metrics_path)
     assert state.processed == 200
+    records = read_records(metrics_path)
     minibatches = [r for r in records if r["type"] == "minibatch"]
     epochs = [r for r in records if r["type"] == "epoch"]
     clones = [r for r in records if r["type"] == "clone"]
@@ -635,16 +707,15 @@ def test_metrics_stream_shapes_and_lr_schedule(tmp_path):
         for key in ("utterance_id", "step", "cross_entropy_bits",
                     "marginal_entropy_bits", "mi_bound_bits", "saturation_count"):
             assert key in r
-    # file mirrors the records list
-    lines = metrics_path.read_text().splitlines()
-    assert len(lines) == len(records)
-    assert json.loads(lines[0]) == records[0]
+    # train returns the last epoch record it wrote, and keeps no other
+    assert last_epoch == epochs[-1]
 
 
-def test_epoch_aggregates_average_the_minibatches():
+def test_epoch_aggregates_average_the_minibatches(tmp_path):
     utts, _ = tiny_corpus(n_utts=5)
     config = tiny_config(lr_schedule=((1, 0.4),))  # budget 100 = 20 epochs
-    _, records = tr.train(utts, config)
+    tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl")
+    records = read_records(tmp_path / "metrics.jsonl")
     first_epoch = next(r for r in records if r["type"] == "epoch")
     first_five = [r for r in records if r["type"] == "minibatch"][:5]
     want = np.mean([r["mi_bound_bits"] for r in first_five])
@@ -653,37 +724,40 @@ def test_epoch_aggregates_average_the_minibatches():
     assert "live_symbols" in first_epoch
 
 
-def test_training_makes_progress_on_easy_synthetic_task():
+def test_training_makes_progress_on_easy_synthetic_task(tmp_path):
     utts, _ = tiny_corpus(n_utts=10, windows=6)
     config = tiny_config(lr_schedule=((3, 0.4),), clone_at=2)
-    _, records = tr.train(utts, config)
-    epochs = [r for r in records if r["type"] == "epoch"]
+    tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl")
+    epochs = [r for r in read_records(tmp_path / "metrics.jsonl") if r["type"] == "epoch"]
     assert epochs[-1]["mean_mi_bound_bits"] > epochs[0]["mean_mi_bound_bits"]
 
 
 def test_two_runs_with_same_seed_are_byte_identical(tmp_path):
     utts, _ = tiny_corpus(n_utts=6)
     config = tiny_config(lr_schedule=((1, 0.4),))
-    _, rec_a = tr.train(utts, config, metrics_path=tmp_path / "a.jsonl")
-    _, rec_b = tr.train(utts, config, metrics_path=tmp_path / "b.jsonl")
+    _, last_a = tr.train(utts, config, metrics_path=tmp_path / "a.jsonl")
+    _, last_b = tr.train(utts, config, metrics_path=tmp_path / "b.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert rec_a == rec_b
-    _, rec_c = tr.train(utts, tiny_config(lr_schedule=((1, 0.4),), seed=1))
-    assert rec_a != rec_c
+    assert last_a == last_b
+    tr.train(utts, tiny_config(lr_schedule=((1, 0.4),), seed=1), metrics_path=tmp_path / "c.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "c.jsonl").read_bytes()
 
 
 def test_resume_reproduces_uninterrupted_run_exactly(tmp_path):
     utts, _ = tiny_corpus(n_utts=7)
     # clone fires at processed=100, stop straddles epochs and the clone
     config = tiny_config(lr_schedule=((2, 0.4),), clone_at=1)
-    _, full = tr.train(utts, config, dev_corpus=utts[:2])
+    tr.train(utts, config, dev_corpus=utts[:2], metrics_path=tmp_path / "full.jsonl")
 
     ck = tmp_path / "ck"
-    _, prefix = tr.train(utts, config, dev_corpus=utts[:2], checkpoint_dir=ck, stop_after=108)
+    tr.train(utts, config, dev_corpus=utts[:2], metrics_path=tmp_path / "prefix.jsonl",
+             checkpoint_dir=ck, stop_after=108)
     resumed_state = tr.load_checkpoint(ck / "interrupted.itck")
-    _, suffix = tr.train(utts, config, dev_corpus=utts[:2], resume=resumed_state)
+    tr.train(utts, config, dev_corpus=utts[:2], metrics_path=tmp_path / "suffix.jsonl",
+             resume=resumed_state)
 
-    stitched = prefix + suffix
+    stitched = read_records(tmp_path / "prefix.jsonl") + read_records(tmp_path / "suffix.jsonl")
+    full = read_records(tmp_path / "full.jsonl")
     assert len(stitched) == len(full)
     for a, b in zip(stitched, full):
         assert a == b
@@ -725,25 +799,27 @@ def test_global_entropy_mode_runs_and_checkpoints_buffer(tmp_path):
         lr_schedule=((1, 0.4),), entropy_mode="global", entropy_buffer_windows=12
     )
     ck = tmp_path / "ck"
-    state, records = tr.train(utts, config, checkpoint_dir=ck)
+    state, _ = tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl", checkpoint_dir=ck)
     assert state.entropy_buffer.shape == (12, 8)
     loaded = tr.load_checkpoint(ck / "final.itck")
     assert np.array_equal(loaded.entropy_buffer, state.entropy_buffer)
-    assert any(r["type"] == "minibatch" for r in records)
+    assert any(r["type"] == "minibatch" for r in read_records(tmp_path / "metrics.jsonl"))
 
 
 def test_adversarial_mode_emits_marginal_term_and_resumes(tmp_path):
     utts, _ = tiny_corpus(n_utts=6)
     config = tiny_config(lr_schedule=((1, 0.4),), mode="adversarial")
-    _, full = tr.train(utts, config)
+    metrics = {name: tmp_path / f"{name}.jsonl" for name in ("full", "prefix", "suffix")}
+    tr.train(utts, config, metrics_path=metrics["full"])
+    full = read_records(metrics["full"])
     assert all(
         "adversarial_marginal_bits" in r for r in full if r["type"] == "minibatch"
     )
     ck = tmp_path / "ck"
-    _, prefix = tr.train(utts, config, checkpoint_dir=ck, stop_after=33)
+    tr.train(utts, config, metrics_path=metrics["prefix"], checkpoint_dir=ck, stop_after=33)
     state = tr.load_checkpoint(ck / "interrupted.itck")
-    _, suffix = tr.train(utts, config, resume=state)
-    assert prefix + suffix == full
+    tr.train(utts, config, metrics_path=metrics["suffix"], resume=state)
+    assert read_records(metrics["prefix"]) + read_records(metrics["suffix"]) == full
 
 
 def test_evaluate_on_corpus_is_deterministic_and_complete():

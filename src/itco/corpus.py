@@ -49,6 +49,7 @@ __all__ = [
     "normalize_utterance",
     "window_count",
     "window_arrays",
+    "cut_windows",
     "synth_corpus",
     "true_mi_oracle",
     "latent_label",
@@ -441,23 +442,35 @@ def window_arrays(
     """Normalize one utterance and cut it into window batches.
 
     Returns x [N, past, d] (each window's first `past` frames), y
-    [N, future, d] (its last `future` frames) and centers [N], where the
-    window starting at frame t covers [t, t+total) and centers on
-    t + total//2. Windows start at every frame, or with ``aligned`` only
-    at the back-to-back generated placements 0, total, 2*total, ...; N is
-    0 when the utterance is shorter than one window. The normalized
-    frames are cast to `dtype` once; x and y are read-only views of them.
+    [N, future, d] (its last `future` frames) and centers [N], as
+    `cut_windows` cuts them. The normalized frames are cast to `dtype` once;
+    x and y are read-only views of them.
     """
-    frames = normalize_utterance(u).frames.astype(dtype)
+    return cut_windows(normalize_utterance(u).frames.astype(dtype), g, aligned)
+
+
+def cut_windows(
+    frames: np.ndarray, g: WindowGeometry, aligned: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut frames [..., F, d] into x [..., N, past, d], y [..., N, future, d]
+    and centers [N], read-only views of `frames`, no copy.
+
+    The window starting at frame t covers [t, t+total) and centers on
+    t + total//2. Windows start at every frame, or with ``aligned`` only at
+    the back-to-back generated placements 0, total, 2*total, ...; N is 0
+    when F is shorter than one window. At stride 1, each window starts one
+    frame after the previous one: a sliding view, whose N+L-1 distinct
+    frames ``numerics.gru_sequence`` projects once.
+    """
     step = g.total if aligned else 1
-    if frames.shape[0] >= g.total:
-        # [N, d, total] read-only view, no copy
-        view = np.lib.stride_tricks.sliding_window_view(frames, g.total, axis=0)[::step]
+    if frames.shape[-2] >= g.total:
+        # [..., N, d, total]
+        view = np.lib.stride_tricks.sliding_window_view(frames, g.total, axis=-2)[..., ::step, :, :]
     else:
-        view = np.zeros((0, frames.shape[1], g.total), dtype)
-    x = view[:, :, : g.past].transpose(0, 2, 1)
-    y = view[:, :, g.past + g.gap :].transpose(0, 2, 1)
-    centers = np.arange(view.shape[0]) * step + g.total // 2
+        view = np.zeros(frames.shape[:-2] + (0, frames.shape[-1], g.total), frames.dtype)
+    x = view[..., : g.past].swapaxes(-1, -2)
+    y = view[..., g.past + g.gap :].swapaxes(-1, -2)
+    centers = np.arange(view.shape[-3]) * step + g.total // 2
     return x, y, centers
 
 

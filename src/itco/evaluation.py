@@ -3,13 +3,16 @@ frame scoring from one count table.
 
 `reduce_corpus` streams a corpus in runs of consecutive utterances that
 have the same window count, up to `STACK_WINDOWS` windows a run. It
-normalizes and windows each utterance with the same scaling used in
-training (normalization is idempotent, so already-normalized input is
-unchanged), runs each encoder once over the run's stacked windows and
-folds every utterance's [2, N, Z] outputs, in corpus order, into one
-`CorpusReduction` of [2, ...] per-side arrays. Stacking changes no bit:
-each utterance's outputs are those of its own encoder call. Every corpus
-statistic, here and in the trainer, is read from that record.
+normalizes each utterance with the same scaling used in training
+(normalization is idempotent, so already-normalized input is unchanged),
+stacks the run's frames, cuts one window view of the stack, runs each
+encoder once over it and folds every utterance's [2, N, Z] outputs, in
+corpus order, into one `CorpusReduction` of [2, ...] per-side arrays.
+Stacking changes no bit: a run of one and a run of many reach the GRU in
+the same layout (a sliding view at stride 1), so each batch runs the
+GEMMs of its own encoder call, and each utterance's outputs are those of
+its own call on `window_arrays`' views. Every corpus statistic, here and
+in the trainer, is read from that record.
 
 A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
@@ -30,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Utterance, WindowGeometry, window_arrays, window_count
+from .corpus import Utterance, WindowGeometry, cut_windows, normalize_utterance, window_count
 from .model import SIDES, EncoderParams
 from .objective import LOG_FLOOR, ObjectiveTerms, utterance_loss
 
@@ -50,7 +53,7 @@ __all__ = [
 NO_EVALUABLE_FRAMES = "no evaluable frames (no labeled frame carries a gold label)"
 
 # Most windows one stacked encoder call holds; an utterance with more runs
-# alone, unstacked. With 18 aligned windows per utterance, a stack holds 14
+# alone. With 18 aligned windows per utterance, a stack holds 14
 # utterances: enough that arithmetic rather than numpy's per-call dispatch
 # sets the time, while a stack holds fewer windows than one 596-window
 # stride-1 utterance.
@@ -139,17 +142,24 @@ def _encode_run(
     """Confirm and predict probabilities [2, B, N, Z] in float64 for a run
     of B utterances, and the N window centers they share.
 
-    Each side is one untaped call, so the sides' windows are never stacked
-    and their GRU buffers are never alive at once. A one-utterance run is
-    encoded from its own [N, L, d] window views, unstacked, and every window
-    is freed on return, before the next run is windowed. Each side's float64
-    cast is made as its call returns (the order of least measured peak RSS).
+    The run's normalized frames, each cut to the span its N windows read,
+    are cast into one [B, F, d] stack of the model's dtype, and
+    `cut_windows` cuts its [B, N, L, d] window views. A run of one and a
+    run of many thus reach ``gru_sequence`` in one layout: at stride 1 a
+    sliding view, whose frames each gate projects once. Each side is one
+    untaped call, so the sides' GRU buffers are never alive at once, and
+    each side's float64 cast is made as its call returns (the order of
+    least measured peak RSS).
     """
-    xs, ys, centers = zip(*(window_arrays(u, geometry, aligned, ep.store.dtype) for u in run))
-    x, y = (parts[0] if len(run) == 1 else np.stack(parts) for parts in (xs, ys))
-    probs = np.stack([ep.encode_node(side, frames).value.astype(np.float64)
-                      for side, frames in zip(SIDES, (y, x))])
-    return probs.reshape(len(SIDES), len(run), centers[0].size, -1), centers[0]
+    count = window_count(run[0].frames.shape[0], geometry, aligned)
+    span = (count - 1) * (geometry.total if aligned else 1) + geometry.total
+    frames = np.empty((len(run), span, run[0].frames.shape[1]), ep.store.dtype)
+    for stacked, u in zip(frames, run):
+        stacked[...] = normalize_utterance(u).frames[:span]
+    x, y, centers = cut_windows(frames, geometry, aligned)
+    probs = [ep.encode_node(side, windows).value.astype(np.float64)
+             for side, windows in zip(SIDES, (y, x))]
+    return np.stack(probs), centers
 
 
 def reduce_corpus(
@@ -157,13 +167,14 @@ def reduce_corpus(
 ) -> CorpusReduction:
     """Encode every window of `corpus` once per side and reduce the outputs.
 
-    Each utterance's windows come from `window_arrays` in the model's
-    dtype; an utterance without a full window is skipped. Each run of
+    Each utterance's frames are normalized and cast to the model's dtype;
+    an utterance without a full window is skipped. Each run of
     consecutive utterances with one window count (see `_runs`) is encoded
-    by one untaped call per side on [B, N, L, d] (a run of one on its own
-    [N, L, d]), confirm first, and the probabilities are cast to float64
-    into one [2, B, N, Z] array. Every utterance's [2, N, Z] slice is then
-    reduced in corpus order, exactly as if it had been encoded alone.
+    by one untaped call per side on the [B, N, L, d] windows of its
+    stacked frames (see `_encode_run`), confirm first, and the
+    probabilities are cast to float64 into one [2, B, N, Z] array. Every
+    utterance's [2, N, Z] slice is then reduced in corpus order, exactly
+    as if it had been encoded alone.
     A window's symbol is its argmax, ties going to the smallest symbol id.
     Raises EvaluationError when the corpus has no full window.
     """
@@ -184,6 +195,7 @@ def reduce_corpus(
             agree += int((winners[0] == winners[1]).sum())
             windows += centers.size
             terms.append(utterance_loss(pair)[1])
+        del pairs, pair  # freed before the next run is encoded
     if windows == 0:
         raise EvaluationError("no full windows in the corpus")
     return CorpusReduction(

@@ -82,7 +82,7 @@ def _encoder_pair_case(seed: int, name: str, lengths):
     `lengths`, every parameter of each side drawn apart, each side's
     probabilities projected by its own weights."""
     rng = case_rng(seed, name)
-    ep = EncoderParams(
+    ep = EncoderParams.fresh(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
     for array in ep.named_arrays().values():
@@ -98,7 +98,7 @@ def _objective_case(seed: int, name: str, loss, draw=None):
     (y, x) pair of one batch of windows; ``fixed = draw(rng)`` takes any
     further fixed input from the case's stream."""
     rng = case_rng(seed, name)
-    ep = EncoderParams(
+    ep = EncoderParams.fresh(
         input_dim=INPUT, alphabet_size=4, hidden_dim=HIDDEN, seed=seed, dtype=np.float64
     )
     x = rng.normal(size=(2, 4, INPUT))

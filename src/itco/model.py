@@ -33,7 +33,7 @@ the other side's outputs.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -69,34 +69,41 @@ def param_shapes(input_dim: int, alphabet_size: int, hidden_dim: int) -> list[tu
 class EncoderParams:
     """Parameter store for both encoders plus the marginal logit vector.
 
-    GRU weights draw from U(-a, a) with a = 1/sqrt(fan-in); biases, the
-    trainable initial hidden state, and the marginal logits start at zero,
-    so freshly initialized models emit the uniform distribution.
+    It holds the arrays it is given, under their ``param_shapes`` names
+    (what ``named_arrays`` returns, or a checkpoint holds), cast to
+    `dtype`. ``fresh`` draws a new model's.
     """
 
-    def __init__(
-        self,
-        input_dim: int,
-        alphabet_size: int = 64,
-        hidden_dim: int = 64,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        self.input_dim = input_dim
-        self.alphabet_size = alphabet_size
+    def __init__(self, arrays: Mapping[str, np.ndarray], dtype=np.float32):
+        self.input_dim = arrays[f"{CONFIRM}.gru.w_r"].shape[1]
+        self.alphabet_size = arrays[MARGINAL].shape[0]
+        hidden_dim = arrays[f"{CONFIRM}.gru.h0"].shape[0]
         self.store = nm.ParamStore(dtype=dtype)
-        for name, shape in param_shapes(input_dim, alphabet_size, hidden_dim):
+        for name, _ in param_shapes(self.input_dim, self.alphabet_size, hidden_dim):
             side, slot = name.split(".", 1)
             if side == CONFIRM:
-                self.store.add(slot, np.zeros((len(SIDES),) + shape, self.store.dtype))
+                self.store.add(slot, np.stack([arrays[f"{s}.{slot}"] for s in SIDES]))
             elif side not in SIDES:
-                self.store.add(name, np.zeros(shape, self.store.dtype))
+                self.store.add(name, arrays[name])
         self._gru = {slot: self.store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
-        # the draws fill the checkpoint's arrays in its order
+
+    @classmethod
+    def fresh(
+        cls, input_dim: int, alphabet_size: int = 64, hidden_dim: int = 64, seed: int = 0,
+        dtype=np.float32,
+    ) -> "EncoderParams":
+        """A newly initialized model. GRU weights draw from U(-a, a) with
+        a = 1/sqrt(fan-in), in the checkpoint's array order; biases, the
+        trainable initial hidden state, and the marginal logits start at
+        zero, so a fresh model emits the uniform distribution."""
         rng = nm.stream_rng(seed, TAG_INIT)
-        for array in self.named_arrays().values():
-            if array.ndim == 2:  # a weight matrix; its fan-in is its column count
-                array[...] = rng.uniform(-1.0, 1.0, size=array.shape) / np.sqrt(array.shape[1])
+        arrays = {
+            # a weight matrix's fan-in is its column count
+            name: rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
+            if len(shape) == 2 else np.zeros(shape)
+            for name, shape in param_shapes(input_dim, alphabet_size, hidden_dim)
+        }
+        return cls(arrays, dtype)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Every parameter array under its ``param_shapes`` name, in that

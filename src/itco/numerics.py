@@ -21,15 +21,20 @@ its own S=1 call.
 A whole GRU sequence is one fused primitive: ``gru_sequence`` runs the
 steps itself and records a single tape node whose backward is a
 hand-written backpropagation through time. It folds the S GRUs in one
-step loop, or runs one side on its row of the parameters. It works on
-preallocated memory: each call's forward writes its gates in place into
+step loop, or runs one side on its row of the parameters. Sigmoid's 0.5
+factors are folded into the r and u gates' weights once per call. On a
+sliding view of stride-1 windows it projects each distinct frame once per
+gate; every other layout runs one input GEMM per gate and step. It works
+on preallocated memory: each call's forward writes its gates in place into
 per-call [S, N, H] buffers, a taped call saves its state in one block of
 four time-major [L, S, N, H] arrays, and every backward draws its
 temporaries from one module-level scratch buffer, grown on demand and
 reused by all calls (so the numerics are not thread-safe). The tests hold
 its oracles in ``tests/gru_oracle.py``: the same step composed from
 elementary taped primitives, and the earlier all-shapes fused node, which
-each side reproduces bit for bit.
+runs one input GEMM per step and which each side reproduces bit for bit
+on the per-step route (and on the sliding route wherever the OpenBLAS
+kernel rounds a GEMM row alike at any row count; see ``gru_sequence``).
 
 Training arithmetic runs in float32 by default; gradient checking uses a
 float64 ParamStore so central differences stay sharp.
@@ -244,9 +249,9 @@ def gru_sequence(
     [S, B, N, L, d] to [S, B, N, H]. With ``side`` given, the call runs
     that side alone (S=1) on its row of each parameter, and its backward
     adds into that row of each gradient. Every product is one GEMM per
-    side (and batch), the [N, K] x [K, H] product that side (and batch)
-    runs alone, so each side's values are bit-identical to its own S=1
-    call. Other shapes raise ``ValueError``.
+    side (and batch), the product that side (and batch) runs alone, so
+    each side's values are bit-identical to its own S=1 call. Other shapes
+    raise ``ValueError``.
 
     One step is
 
@@ -256,13 +261,51 @@ def gru_sequence(
     with sig(a) = 0.5 * (tanh(0.5 * a) + 1), which cannot overflow; the
     reset gate multiplies the hidden state before the candidate's recurrent
     matrix. Each step computes these gate by gate in the order of the
-    composed cell in ``tests/gru_oracle.py``, so the forward values are
-    bit-identical to folding that cell. The gates are written in place into
-    buffers allocated once per call. Step 0's recurrent products stay one
-    matrix-vector product per side on its [H] h0 ([S, H, H] @ [S, H, 1]):
-    broadcasting h0 to [N, H] first would change the bits. A taped call
-    writes (h_prev, r, u, c) of every step straight into four time-major
-    [L, S, N, H] arrays and records one tape node whose backward is a
+    composed cell in ``tests/gru_oracle.py``. The 0.5 * a of the r and u
+    gates comes from operands halved once per call (0.5 * W, 0.5 * U,
+    0.5 * b); an untaped call keeps 2r = tanh + 1 and gives the candidate
+    0.5 * U_c, while a taped call forms r itself, the value its backward
+    reads. Halving is exact in binary floating point and commutes with the
+    rounding of every product and sum, so the fold changes no bit while no
+    operand or product is subnormal (halving a subnormal rounds: with
+    float32 input weights and biases of 1e-39 and h0 = 0 the untaped
+    values move by a few units of the smallest subnormal).
+
+    The input products take one of two routes, picked by the layout of
+    ``frames``:
+
+    - *Sliding*: when window i+1 starts one frame after window i
+      (``frames.strides[-3] == frames.strides[-2]``) and N >= 2, as
+      ``corpus.cut_windows`` cuts stride-1 windows, a side's (and batch's)
+      N windows of L frames read only N+L-1 distinct frames. Each gate
+      projects those once, [N+L-1, d] @ W.T, then adds its bias; step t
+      reads rows t..t+N-1 of that table in place of its own input GEMM and
+      bias add.
+    - *Per step*: every other layout (aligned windows, copied stacks, the
+      taped (y, x) stack, a single window) runs one [N, d] @ W.T GEMM per
+      gate and step, then adds the bias.
+
+    Both routes sum v @ W.T + b + recurrent in the composed cell's order.
+    The per-step route is bit-identical to folding that cell. The sliding
+    route is too, as long as a GEMM row's value does not depend on the
+    GEMM's row count, which is a property of the OpenBLAS kernel. Measured
+    at d in {4, 13, 39, 64} and N = 1-69, 100, 200, 596 and 1000, the
+    hoisted rows differ from the per-step rows:
+
+        kernel        where the rows differ
+        SkylakeX      N=1; and 5 <= N <= 18 for d >= 39
+        Haswell       nearly every N for d >= 13
+        Sandybridge   N=1 only
+
+    At d=4 with N >= 2 they match on all three; elsewhere the two routes
+    agree to float32 rounding. The gates are written in place into buffers
+    allocated once per call: four [S, N, H] buffers untaped (r, u, a
+    scratch and the output; r*h and the candidate reuse the spent r). Step
+    0's recurrent products stay one matrix-vector product per side on its
+    [H] h0 ([S, H, H] @ [S, H, 1]): broadcasting h0 to [N, H] first would
+    change the bits. A taped call writes (h_prev, r, u, c) of every step
+    straight into four time-major [L, S, N, H] arrays (r*h passes through
+    the step's c) and records one tape node whose backward is a
     hand-written backpropagation through time (see
     ``_gru_sequence_backward``).
     """
@@ -278,9 +321,14 @@ def gru_sequence(
             f"[S, H] h0 of one dtype, got frames {frames.shape} {frames.dtype} and h0 "
             f"{h0.shape} {h0.dtype}"
         )
-    steps = frames.shape[-2]
+    steps, n = frames.shape[-2], frames.shape[-3]
     if steps < 1:
         raise ValueError("gru_sequence requires at least one frame")
+    # sigmoid's 0.5 factors folded into the r and u gates' operands; untaped,
+    # the candidate takes 0.5 * U_c, as the reset gate keeps 2r
+    halved = ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u") + (("u_c",) if tape is None else ())
+    for slot in halved:
+        values[slot] = 0.5 * values[slot]
     # each side's operands, weights transposed for the row products v @ W.T,
     # with a unit axis over an untaped stack's batches
     lead = frames.shape[:1] + (1,) * (frames.ndim - 4)
@@ -289,13 +337,26 @@ def gru_sequence(
         for slot in ("w_r", "u_r", "w_u", "u_u", "w_c", "u_c")
     )
     b_r, b_u, b_c, h = (values[key].reshape(lead + (1, -1)) for key in ("b_r", "b_u", "b_c", "h0"))
+    inputs = ((w_r, b_r), (w_u, b_u), (w_c, b_c))
+    # a sliding view (window i+1 starts one frame after window i) has N+L-1
+    # distinct frames: each gate projects them once, into a table whose rows
+    # t..t+N-1 are step t's input rows
+    tables = ()
+    if n >= 2 and frames.strides[-3] == frames.strides[-2]:
+        distinct = np.lib.stride_tricks.as_strided(
+            frames, frames.shape[:-3] + (n + steps - 1, frames.shape[-1]),
+            frames.strides[:-3] + frames.strides[-2:], writeable=False,
+        )
+        tables = tuple(np.matmul(distinct, w) for w, _ in inputs)
+        for table, (_, b) in zip(tables, inputs):
+            table += b
     shape = frames.shape[:-2] + h0.shape[1:]
-    tmp = np.empty(shape, h0.dtype)
-    out = np.empty(shape, h0.dtype)
     if tape is None:
-        r, u, rh, c = np.empty((4,) + shape, h0.dtype)
+        # the candidate and r*h take the spent r
+        r, u, tmp, out = np.empty((4,) + shape, h0.dtype)
     else:
-        rh = np.empty(shape, h0.dtype)
+        tmp = np.empty(shape, h0.dtype)
+        out = np.empty(shape, h0.dtype)
         # one block: four separate arrays of this size (138 KB each at S=2,
         # N=18, L=15, H=64) were each mapped and unmapped by the C allocator
         # at every call, page faults included
@@ -303,34 +364,36 @@ def gru_sequence(
         h_prev, r_all, u_all, c_all = saved
         h_prev[0] = h
 
-    def gate(a, v, w, b, recurrent):
-        # a = v @ W.T + b + recurrent (w is W.T), summed in the composed cell's order
-        np.matmul(v, w, out=a)
-        a += b
-        a += recurrent
-
-    def sigmoid_(a):
-        # 0.5 * (tanh(0.5 * a) + 1), in place
-        a *= 0.5
-        np.tanh(a, out=a)
-        a += 1.0
-        a *= 0.5
+    def gate(a, g, t, recurrent):
+        # a = v @ W.T + b + recurrent, summed in the composed cell's order
+        if tables:
+            np.add(tables[g][..., t : t + n, :], recurrent, out=a)
+        else:
+            np.matmul(frames[..., t, :], inputs[g][0], out=a)
+            a += inputs[g][1]
+            a += recurrent
 
     # step 0's recurrent products, one matrix-vector product per side on its h0
     first_r, first_u = ((values[slot] @ h0[..., None]).reshape(h.shape) for slot in ("u_r", "u_u"))
     for t in range(steps):
         if tape is None:
-            h_next = out
+            h_next, c = out, r
         else:
             r, u, c = r_all[t], u_all[t], c_all[t]
             h_next = h_prev[t + 1] if t + 1 < steps else out
-        v = frames[..., t, :]
-        gate(r, v, w_r, b_r, first_r if t == 0 else np.matmul(h, u_r, out=tmp))
-        sigmoid_(r)
-        gate(u, v, w_u, b_u, first_u if t == 0 else np.matmul(h, u_u, out=tmp))
-        sigmoid_(u)
-        np.multiply(r, h, out=rh)
-        gate(c, v, w_c, b_c, np.matmul(rh, u_c, out=tmp))
+        # r = sig(a_r) = 0.5 * (tanh(0.5 * a_r) + 1), the 0.5 * a_r formed by
+        # the folded operands; untaped, r holds 2r
+        gate(r, 0, t, first_r if t == 0 else np.matmul(h, u_r, out=tmp))
+        np.tanh(r, out=r)
+        r += 1.0
+        if tape is not None:
+            r *= 0.5
+        gate(u, 1, t, first_u if t == 0 else np.matmul(h, u_u, out=tmp))
+        np.tanh(u, out=u)
+        u += 1.0
+        u *= 0.5
+        np.multiply(r, h, out=c)
+        gate(c, 2, t, np.matmul(c, u_c, out=tmp))
         np.tanh(c, out=c)
         # h' = u*h + (1-u)*c
         np.multiply(u, h, out=h_next)
@@ -387,7 +450,8 @@ def _gru_sequence_backward(
         ends = np.cumsum(sizes)
         work = _scratch_array(r.dtype, int(ends[-1]))
         # the reverse loop turns each factor k_* into its gate's gradient da_*
-        k_c, k_u, k_r = work[: ends[0]].reshape((3,) + r.shape)
+        factors = work[: ends[0]].reshape((3,) + r.shape)
+        k_c, k_u, k_r = factors
         gh, drh, tmp = work[ends[0] : ends[1]].reshape((3,) + g.shape)
         x = work[ends[1] : ends[2]].reshape(steps, n, d)
         # per gate, then h0 among the biases
@@ -412,8 +476,7 @@ def _gru_sequence_backward(
         da_r, da_u, da_c = k_r, k_u, k_c
         np.copyto(gh, g)
         for t in reversed(range(steps)):
-            da_c[t] *= gh
-            da_u[t] *= gh
+            factors[:2, t] *= gh  # da_c and da_u at once
             np.matmul(da_c[t], u_c, out=drh)
             da_r[t] *= drh
             # gh = gh*u + drh*r + da_r @ u_r + da_u @ u_u, summed left to right

@@ -166,15 +166,9 @@ class TrainState:
     as ``epoch_max_confirm`` and ``epoch_max_predict``.
     """
 
-    def __init__(self, config: TrainConfig, input_dim: int, corpus_hash=None, dtype=np.float32):
+    def __init__(self, config: TrainConfig, ep: EncoderParams, corpus_hash=None):
         self.config = config
-        self.ep = EncoderParams(
-            input_dim=input_dim,
-            alphabet_size=config.alphabet_size,
-            hidden_dim=config.hidden_dim,
-            seed=config.seed,
-            dtype=dtype,
-        )
+        self.ep = ep
         z = config.alphabet_size
         self.live_mask = np.ones(z, dtype=bool)
         self.epoch = 0
@@ -185,6 +179,14 @@ class TrainState:
         self.epoch_accum = _fresh_accum()
         self.entropy_buffer = np.zeros((0, z), dtype=np.float32)
         self.corpus_hash = corpus_hash  # of the corpus the run trains on
+
+    @classmethod
+    def fresh(cls, config: TrainConfig, input_dim: int, corpus_hash=None, dtype=np.float32):
+        """The state a new run starts from: a freshly drawn model."""
+        ep = EncoderParams.fresh(
+            input_dim, config.alphabet_size, config.hidden_dim, config.seed, dtype
+        )
+        return cls(config, ep, corpus_hash)
 
     def live(self, maxima: np.ndarray) -> np.ndarray:
         """A symbol is live iff its max probability in `maxima` [2, Z]
@@ -262,7 +264,7 @@ def check_inputs(
             if not u.frames.any():
                 raise TrainerError(f"{role} {u.id!r} has all-zero frames, so its "
                                    f"normalization scale is undefined")
-    state = resume if resume is not None else TrainState(config, input_dim, corpus_hash)
+    state = resume if resume is not None else TrainState.fresh(config, input_dim, corpus_hash)
     return state, usable, dev_corpus
 
 
@@ -469,14 +471,12 @@ def load_checkpoint(path: Path) -> TrainState:
         if name not in loaded:
             raise TrainerError(f"checkpoint missing array {name}")
 
-    state = TrainState(config, input_dim, corpus_hash)
+    state = TrainState(config, EncoderParams(loaded), corpus_hash)
     for key, value in counters.items():
         setattr(state, key, value)
     state.epoch_accum = accum
     state.live_mask = np.asarray(live, dtype=bool)
     state.clone_history = history
-    for name, array in state.ep.named_arrays().items():
-        array[...] = loaded[name]
     state.epoch_max = np.array([loaded[f"epoch_max_{side}"] for side in SIDES])
     state.entropy_buffer = loaded["entropy_buffer"]
     return state

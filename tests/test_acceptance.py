@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itco import evaluation
+from itco import corpus, evaluation
 from itco import objective as ob
 from itco import trainer as tr
 from itco.gradcheck import run_gradcheck
 from itco.corpus import (
     SyntheticSpec,
     WindowGeometry,
+    cut_windows,
     load_corpus,
     synth_corpus,
     true_mi_oracle,
@@ -213,12 +214,13 @@ def test_criterion_9_dpi_bound_on_a_noisy_channel():
 
 
 def test_criterion_9_fails_when_the_predictor_sees_the_future(monkeypatch):
-    def leaking(u, geometry, aligned, dtype):
-        _, y, centers = window_arrays(u, geometry, aligned, dtype)
+    # every window batch, training's and evaluation's, is cut by cut_windows
+    def leaking(frames, geometry, aligned):
+        _, y, centers = cut_windows(frames, geometry, aligned)
         return y.copy(), y, centers
 
-    for module in (tr, evaluation):
-        monkeypatch.setattr(module, "window_arrays", leaking)
+    for module in (corpus, evaluation):
+        monkeypatch.setattr(module, "cut_windows", leaking)
     within, line = noisy_channel_gate()
     assert not within, line
 
@@ -241,7 +243,7 @@ def test_criterion_3_cloning_one_bit_law():
         clone_noise_sigma=0.0,
         aligned_windows=True,
     )
-    state = TrainState(config, input_dim=2, dtype=np.float64)
+    state = TrainState.fresh(config, input_dim=2, dtype=np.float64)
     for side in (CONFIRM, PREDICT):
         bias = state.ep.named_arrays()[f"{side}.out.b"]
         bias[2:] = -2000.0  # exp underflow: exactly zero probability in f64

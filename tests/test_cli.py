@@ -690,9 +690,18 @@ class TestEval:
         assert stats_lines[0] == "symbol,avg_prob_psi,avg_prob_phi,live"
         assert len(stats_lines) == 1 + 8
 
+    def test_eval_draws_no_random_initialization(self, tmp_path, corpus_dir, run_dir):
+        # a loaded checkpoint's arrays are the model's values: nothing is
+        # drawn, so numpy loads no random module
+        argv = ["eval", "--corpus", str(corpus_dir), "--checkpoint",
+                str(run_dir / "checkpoints" / "final.itck"), "--out", str(tmp_path / "eval")]
+        code = (f"import sys; from itco import cli; assert cli.main({argv!r}) == 0; "
+                "sys.exit('numpy.random' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=module_env()).returncode == 0
+
     def test_uniform_checkpoint_scores_chance(self, tmp_path, corpus_dir):
         config = TrainConfig.from_json_dict(train_config())
-        state = TrainState(config, input_dim=2)
+        state = TrainState.fresh(config, input_dim=2)
         for _, p in state.ep.store.items():
             p.value[...] = 0.0
         ckpt = tmp_path / "uniform.itck"
@@ -783,7 +792,7 @@ class TestEval:
             lr_schedule=((1, 0.4),),
             clone_at=0,
         )
-        state = TrainState(config, input_dim=5)  # corpus features have d=2
+        state = TrainState.fresh(config, input_dim=5)  # corpus features have d=2
         ckpt = tmp_path / "wide.itck"
         save_checkpoint(state, ckpt)
         assert main(

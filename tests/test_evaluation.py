@@ -37,7 +37,7 @@ GEOM = WindowGeometry(total=7, past=3, gap=1, future=3)
 
 
 def small_params(seed: int = 0, zero: bool = False, alphabet: int = 8) -> EncoderParams:
-    ep = EncoderParams(input_dim=4, alphabet_size=alphabet, hidden_dim=5, seed=seed)
+    ep = EncoderParams.fresh(input_dim=4, alphabet_size=alphabet, hidden_dim=5, seed=seed)
     if zero:
         for _, p in ep.store.items():
             p.value[...] = 0.0
@@ -239,6 +239,8 @@ class TestReduceCorpus:
     def test_equals_the_per_utterance_oracle(self, data):
         aligned = data.draw(st.booleans(), "aligned")
         dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+        # at d=13 and H=8 some OpenBLAS kernels round a GEMM row by the row count
+        dim = data.draw(st.sampled_from([4, 13]), "d")
         blocks = data.draw(st.lists(
             st.tuples(
                 st.one_of(st.sampled_from(RUN_FRAMES), st.integers(1, 20 * GEOM.total)),
@@ -251,11 +253,11 @@ class TestReduceCorpus:
         for frames, repeats, labeled in blocks:
             for _ in range(repeats):
                 i = len(corpus)
-                corpus.append(random_utterance(i, frames, uid=f"u{i}"))
+                corpus.append(random_utterance(i, frames, dim=dim, uid=f"u{i}"))
                 # non-ASCII names; a short utterance lacks some of them
                 gold.append(["Zaé"[(t + i) % 3] for t in range(frames)] if labeled else None)
         corpus, labels = with_gold(corpus, gold)
-        ep = EncoderParams(input_dim=4, alphabet_size=8, hidden_dim=5, seed=len(corpus), dtype=dtype)
+        ep = EncoderParams.fresh(input_dim=dim, alphabet_size=8, hidden_dim=8, seed=len(corpus), dtype=dtype)
         try:
             want = reduce_corpus_oracle(ep, corpus, GEOM, aligned, labels)
         except EvaluationError:
@@ -269,7 +271,7 @@ class TestReduceCorpus:
         # holds, so each runs alone: no copy of its windows, and nothing of
         # the previous utterance's windows alive while the next is cut
         geometry = WindowGeometry()
-        ep = EncoderParams(input_dim=8, alphabet_size=16, hidden_dim=16, seed=1)
+        ep = EncoderParams.fresh(input_dim=8, alphabet_size=16, hidden_dim=16, seed=1)
         corpus = [random_utterance(i, 630, dim=8, uid=f"u{i}") for i in range(3)]
         assert window_count(630, geometry, aligned=False) == 596 > STACK_WINDOWS
         peaks = {}
@@ -692,8 +694,8 @@ class TestAgreementRate:
         # Two independently drawn encoders over noise windows: agreement
         # should match the product-of-marginals chance rate, far below 1.
         geom = GEOM
-        ep = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=0)
-        other = EncoderParams(input_dim=4, alphabet_size=64, hidden_dim=8, seed=999)
+        ep = EncoderParams.fresh(input_dim=4, alphabet_size=64, hidden_dim=8, seed=0)
+        other = EncoderParams.fresh(input_dim=4, alphabet_size=64, hidden_dim=8, seed=999)
         mine, theirs = ep.named_arrays(), other.named_arrays()
         for name, array in mine.items():
             if name.startswith("predict."):
@@ -786,7 +788,7 @@ class TestEndToEnd:
             seed=5,
         )
         corpus, _ = synth_corpus(spec)
-        ep = EncoderParams(input_dim=2, alphabet_size=8, hidden_dim=5, seed=3)
+        ep = EncoderParams.fresh(input_dim=2, alphabet_size=8, hidden_dim=5, seed=3)
         geom = WindowGeometry(total=7, past=3, gap=1, future=3)
 
         def run():

@@ -9,7 +9,7 @@ from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams, param_shapes
 
 
 def tiny_params(seed=0, dtype=np.float64):
-    return EncoderParams(input_dim=3, alphabet_size=4, hidden_dim=5, seed=seed, dtype=dtype)
+    return EncoderParams.fresh(input_dim=3, alphabet_size=4, hidden_dim=5, seed=seed, dtype=dtype)
 
 
 def side_arrays(ep, side):
@@ -109,7 +109,7 @@ def test_stacked_calls_equal_separate_calls_bit_for_bit(dtype, b, n):
     # the products of its separate call; one [B*N, K] GEMM would not do:
     # OpenBLAS can round rows of an M <= 18 product apart from M >= 19
     rng = np.random.default_rng(100 * b + n)
-    ep = EncoderParams(input_dim=64, alphabet_size=16, hidden_dim=64, seed=n, dtype=dtype)
+    ep = EncoderParams.fresh(input_dim=64, alphabet_size=16, hidden_dim=64, seed=n, dtype=dtype)
     for _, param in ep.store.items():  # nonzero biases and h0 too
         param.value += (0.1 * rng.standard_normal(param.value.shape)).astype(dtype)
     frames = rng.standard_normal((b, n, 4, 64)).astype(dtype)
@@ -127,7 +127,7 @@ def test_stacked_calls_equal_separate_calls_bit_for_bit(dtype, b, n):
 def _distinct_params(dtype, seed):
     # every parameter drawn apart, so no bias or h0 of one side equals the other's
     rng = np.random.default_rng(seed)
-    ep = EncoderParams(input_dim=4, alphabet_size=16, hidden_dim=64, seed=seed, dtype=dtype)
+    ep = EncoderParams.fresh(input_dim=4, alphabet_size=16, hidden_dim=64, seed=seed, dtype=dtype)
     for array in ep.named_arrays().values():
         array[...] = rng.uniform(-1.0, 1.0, array.shape) / np.sqrt(array.shape[-1])
     return ep, rng
@@ -245,7 +245,7 @@ def test_same_seed_same_init_different_seed_differs():
 
 
 def test_init_scales_and_zero_starts():
-    ep = EncoderParams(input_dim=9, alphabet_size=16, hidden_dim=4, seed=0)
+    ep = EncoderParams.fresh(input_dim=9, alphabet_size=16, hidden_dim=4, seed=0)
     arrays = ep.named_arrays()
     w = arrays["confirm.gru.w_r"]
     u = arrays["confirm.gru.u_r"]

@@ -444,6 +444,139 @@ def test_gru_sequence_bit_identical_to_reference(n, steps, d, dtype, seed):
         assert np.array_equal(grads[name], grad), name
 
 
+def _sliding_windows(rng, lead, n, steps, d, dtype):
+    """[*lead, N, L, d] windows, window i+1 starting one frame after window
+    i: a read-only view of [*lead, N+L-1, d] frames, as stride-1
+    ``cut_windows`` cuts them."""
+    frames = rng.standard_normal(lead + (n + steps - 1, d)).astype(dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(frames, steps, axis=-2).swapaxes(-1, -2)
+    assert windows.strides[-3] == windows.strides[-2]
+    return windows
+
+
+def _side_stores(rng, sides, d, hdim, dtype):
+    """Each side's parameters apart, and all of them as [S, ...] nodes."""
+    stores = [_nonzero_gru_store(rng, d, hdim, dtype) for _ in range(sides)]
+    stacked = {name: nm.Node(np.stack([s[name].value for s in stores]))
+               for name in (*nm.GRU_SLOTS, "h0")}
+    return stores, stacked
+
+
+def _per_step_oracle(stores, windows):
+    """The reference fused node, on each side's (and batch's) own copy of
+    its windows [S, (B,) N, L, d]."""
+    out = np.empty(windows.shape[:-2] + stores[0]["h0"].value.shape, windows.dtype)
+    for index in np.ndindex(windows.shape[:-3]):
+        params = dict(stores[index[0]].items())
+        out[index] = gru_oracle.fused_sequence(None, params, np.ascontiguousarray(windows[index])).value
+    return out
+
+
+def _input_projections(monkeypatch, d):
+    """Count, from here on, the products of frames with an input weight: the
+    np.matmul calls whose left operand has d columns (d is not H)."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-1] == d:
+            calls.append(np.shape(a))
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 18, 596])
+def test_sliding_windows_match_the_per_step_oracle_bit_for_bit(n, dtype):
+    # At d=4 a GEMM row's value does not depend on the row count (N >= 2) on
+    # the OpenBLAS kernels measured, so projecting the N+L-1 distinct frames
+    # once per gate gives the per-step route's bits: one side taped, with
+    # every gradient, and an untaped [S, B, N, L, d] stack of two sides
+    rng = np.random.default_rng(n)
+    steps, d, hdim = 15, 4, 16
+    (store,), _ = _side_stores(rng, 1, d, hdim, dtype)
+    windows = _sliding_windows(rng, (), n, steps, d, dtype)
+    weights = rng.standard_normal((n, hdim)).astype(dtype)
+    out, grads = _taped_grads(gru_oracle.runtime_sequence, store, windows, weights)
+    copied = np.ascontiguousarray(windows)
+    ref_out, ref_grads = _taped_grads(gru_oracle.fused_sequence, store, copied, weights)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(gru_oracle.runtime_sequence(None, dict(store.items()), windows).value, ref_out)
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+
+    stores, stacked = _side_stores(rng, 2, d, hdim, dtype)
+    windows = _sliding_windows(rng, (2, 3), n, steps, d, dtype)
+    got = nm.gru_sequence(None, stacked, windows).value
+    assert np.array_equal(got, _per_step_oracle(stores, windows))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("d", [13, 64])
+@pytest.mark.parametrize("n", [2, 18, 596])
+def test_sliding_windows_match_the_per_step_oracle_closely(n, d, dtype, tol):
+    # at d >= 13 some OpenBLAS kernels (Haswell) round a GEMM row by the row
+    # count, so the hoisted rows may differ from the per-step rows in their
+    # last bit
+    rng = np.random.default_rng(1000 * d + n)
+    stores, stacked = _side_stores(rng, 2, d, 16, dtype)
+    for lead in ((2,), (2, 3)):
+        windows = _sliding_windows(rng, lead, n, 15, d, dtype)
+        got = nm.gru_sequence(None, stacked, windows).value
+        want = _per_step_oracle(stores, windows)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [4, 13, 64])
+def test_sliding_view_projects_each_frame_once(d, monkeypatch):
+    # three input GEMMs per call on a sliding view of N >= 2 windows, one per
+    # gate over its N+L-1 frames; one window, copied windows and aligned
+    # windows take the per-step route, three GEMMs of N rows per step, and a
+    # single window matches the oracle bit for bit on every kernel
+    rng = np.random.default_rng(d)
+    steps = 15
+    stores, stacked = _side_stores(rng, 1, d, 16, np.float32)
+    sliding = _sliding_windows(rng, (1,), 18, steps, d, np.float32)
+    aligned = _sliding_windows(rng, (1,), 18 * steps, steps, d, np.float32)[:, ::steps]
+    single = _sliding_windows(rng, (1,), 1, steps, d, np.float32)
+    calls = _input_projections(monkeypatch, d)
+    nm.gru_sequence(None, stacked, sliding)
+    assert calls == [(1, 18 + steps - 1, d)] * 3
+    for windows in (np.ascontiguousarray(sliding), aligned, single):
+        calls.clear()
+        nm.gru_sequence(None, stacked, windows)
+        assert calls == [(1, windows.shape[1], d)] * 3 * steps
+    assert np.array_equal(nm.gru_sequence(None, stacked, single).value, _per_step_oracle(stores, single))
+
+
+def test_the_sigmoid_fold_with_subnormal_weights():
+    # Halving a subnormal rounds, so the folded 0.5 factors are exact only
+    # while no operand or product is subnormal. With input weights of 1e-39
+    # (float32 subnormals) and h0 = 0, the hidden state is subnormal: the
+    # taped forward, which keeps r and the full U_c, still equals the oracle
+    # with every gradient, and the untaped 2r * h and 0.5 * U_c stay within
+    # a few subnormal units of it.
+    rng = np.random.default_rng(7)
+    n, steps, d, hdim = 5, 6, 4, 8
+    store = _nonzero_gru_store(rng, d, hdim, np.float32)
+    for name in ("w_r", "w_u", "w_c", "b_r", "b_u", "b_c"):
+        store[name].value[...] = rng.uniform(-1.0, 1.0, store[name].value.shape) * 1e-39
+    store["h0"].value[...] = 0.0
+    frames = rng.standard_normal((n, steps, d)).astype(np.float32)
+    weights = rng.standard_normal((n, hdim)).astype(np.float32)
+    out, grads = _taped_grads(gru_oracle.runtime_sequence, store, frames, weights)
+    ref_out, ref_grads = _taped_grads(gru_oracle.fused_sequence, store, frames, weights)
+    subnormal = np.finfo(np.float32).smallest_subnormal
+    assert 0 < np.abs(ref_out).max() < np.finfo(np.float32).tiny
+    assert np.array_equal(out, ref_out)
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    untaped = gru_oracle.runtime_sequence(None, dict(store.items()), frames).value
+    assert np.abs(untaped - ref_out).max() <= 16 * subnormal
+
+
 def test_gru_sequence_interleaved_calls_share_no_state():
     # Between one side's taped forward and its backward, the same side runs
     # untaped and the other side runs a whole taped step, at batch sizes and

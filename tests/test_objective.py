@@ -155,7 +155,7 @@ def test_loss_value_is_ce_minus_marginal_entropy():
 
 
 def build_toy_encoders(seed):
-    ep = EncoderParams(input_dim=3, alphabet_size=4, hidden_dim=4, seed=seed, dtype=np.float64)
+    ep = EncoderParams.fresh(input_dim=3, alphabet_size=4, hidden_dim=4, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1000)
     x = rng.uniform(-1, 1, size=(2, 2, 3))  # 2 windows, 2 past frames
     y = rng.uniform(-1, 1, size=(2, 3, 3))  # 2 windows, 3 future frames

@@ -137,7 +137,7 @@ def test_config_json_round_trip():
 def test_forced_negative_logit_is_detected_dead():
     utts, _ = tiny_corpus()
     config = tiny_config()
-    state = tr.TrainState(config, input_dim=2)
+    state = tr.TrainState.fresh(config, input_dim=2)
     for side in (CONFIRM, PREDICT):
         state.ep.named_arrays()[f"{side}.out.b"][3] = -1000.0
     live, _ = tr.detect_dead_symbols(state, utts[:4])
@@ -148,7 +148,7 @@ def test_forced_negative_logit_is_detected_dead():
 def test_uniform_models_have_no_dead_symbols():
     utts, _ = tiny_corpus()
     config = tiny_config()
-    state = tr.TrainState(config, input_dim=2)
+    state = tr.TrainState.fresh(config, input_dim=2)
     for name, param in state.ep.store.items():
         param.value[...] = 0  # uniform outputs: 1/8 each, above 1e-3
     live, _ = tr.detect_dead_symbols(state, utts[:4])
@@ -158,7 +158,7 @@ def test_uniform_models_have_no_dead_symbols():
 def test_dead_needs_both_models_below_threshold():
     utts, _ = tiny_corpus()
     config = tiny_config()
-    state = tr.TrainState(config, input_dim=2)
+    state = tr.TrainState.fresh(config, input_dim=2)
     state.ep.named_arrays()[f"{CONFIRM}.out.b"][2] = -1000.0  # predict side still lives
     live, _ = tr.detect_dead_symbols(state, utts[:4])
     assert live[2]
@@ -167,7 +167,7 @@ def test_dead_needs_both_models_below_threshold():
 def frozen_state_with_dead_slots(z=8, live=(0, 1), dtype=np.float64):
     """f64 state whose non-live symbols carry exactly zero probability."""
     config = tiny_config(alphabet_size=z)
-    state = tr.TrainState(config, input_dim=2, dtype=dtype)
+    state = tr.TrainState.fresh(config, input_dim=2, dtype=dtype)
     for side in (CONFIRM, PREDICT):
         bias = state.ep.named_arrays()[f"{side}.out.b"]
         for sym in range(z):
@@ -240,7 +240,7 @@ def test_clone_noise_perturbs_only_the_copies():
 def test_clone_without_dead_symbols_is_a_noop():
     utts, _ = tiny_corpus()
     config = tiny_config()
-    state = tr.TrainState(config, input_dim=2)
+    state = tr.TrainState.fresh(config, input_dim=2)
     for _, param in state.ep.store.items():
         param.value[...] = 0
     detected = tr.detect_dead_symbols(state, utts[:4])
@@ -272,7 +272,7 @@ def test_detection_leaves_the_state_alone():
 def test_the_state_holds_each_fact_once():
     # the step is `processed`, a clone happened iff `clone_history` is
     # non-empty, and the input dimension is the encoders'
-    state = tr.TrainState(tiny_config(), input_dim=3)
+    state = tr.TrainState.fresh(tiny_config(), input_dim=3)
     assert {"step", "cloned", "input_dim", "detect_mean_confirm"}.isdisjoint(vars(state))
     assert state.ep.input_dim == 3
 
@@ -310,7 +310,7 @@ CLONED_CHECKPOINT_SHA256 = "9e6d0ffe8b6f0263c88c9029057ac572c90e0c8973c8757f026e
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    state = tr.TrainState(tiny_config(clone_noise_sigma=0.05), input_dim=2)
+    state = tr.TrainState.fresh(tiny_config(clone_noise_sigma=0.05), input_dim=2)
     path = tmp_path / "state.itck"
     tr.save_checkpoint(state, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_CHECKPOINT_SHA256
@@ -339,7 +339,7 @@ def test_a_checkpoint_of_the_older_layout_loads_and_resumes_alike(tmp_path):
     assert {"step", "cloned"} <= header["counters"].keys()
     assert "detect_mean_confirm" in [entry["name"] for entry in header["arrays"]]
     legacy = tr.load_checkpoint(LEGACY_CLONED_CHECKPOINT)
-    current = cloned_state(tr.TrainState(tiny_config(clone_noise_sigma=0.05), input_dim=2))
+    current = cloned_state(tr.TrainState.fresh(tiny_config(clone_noise_sigma=0.05), input_dim=2))
     tr.save_checkpoint(current, tmp_path / "current.itck")
     assert tr.load_checkpoint(tmp_path / "current.itck").clone_history == legacy.clone_history
     # both resume to the same stream, without a second clone
@@ -358,7 +358,7 @@ def test_a_write_cut_short_leaves_the_earlier_file_whole(tmp_path, monkeypatch, 
     # checkpoints and the CLI's JSON files are written under a temporary name
     # and renamed into place; a write that fails midway leaves the earlier
     # file byte for byte and no temporary file behind
-    state = tr.TrainState(tiny_config(), input_dim=2)
+    state = tr.TrainState.fresh(tiny_config(), input_dim=2)
 
     def write(path):
         if name.endswith(".itck"):
@@ -384,7 +384,7 @@ def test_a_write_cut_short_leaves_the_earlier_file_whole(tmp_path, monkeypatch, 
 
 
 def test_checkpoint_rejects_bad_magic_and_corruption(tmp_path):
-    state = tr.TrainState(tiny_config(), input_dim=2)
+    state = tr.TrainState.fresh(tiny_config(), input_dim=2)
     path = tmp_path / "state.itck"
     tr.save_checkpoint(state, path)
     raw = bytearray(path.read_bytes())
@@ -400,7 +400,7 @@ def test_checkpoint_rejects_bad_magic_and_corruption(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
-    state = tr.TrainState(tiny_config(), input_dim=2)
+    state = tr.TrainState.fresh(tiny_config(), input_dim=2)
     path = tmp_path / "state.itck"
     tr.save_checkpoint(state, path)
     raw = bytearray(path.read_bytes())
@@ -523,7 +523,7 @@ def tape_lengths(monkeypatch, config):
 
     monkeypatch.setattr(tr, "Tape", RecordedTape)
     utts, _ = tiny_corpus()
-    state = tr.TrainState(config, input_dim=utts[0].frames.shape[1])
+    state = tr.TrainState.fresh(config, input_dim=utts[0].frames.shape[1])
     x, y, _ = window_arrays(utts[0], config.geometry, config.aligned_windows, np.float32)
     frames = (y, x)
     for _ in range(2):

@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     Corpus,
@@ -43,6 +45,7 @@ from .evaluation import (
     write_confusion_csv,
     write_symbol_stats_csv,
 )
+from .numerics import NonFiniteError
 from .trainer import (
     Interrupted, TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
 )
@@ -181,10 +184,6 @@ def _train_config_from_args(args, manifest_meta: dict[str, str]) -> TrainConfig:
         raise CliError(f"bad train config: {args.config} holds no JSON object", EXIT_USAGE)
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.mode is not None:
-        doc["mode"] = args.mode
-    if args.entropy_mode is not None:
-        doc["entropy_mode"] = args.entropy_mode.replace("-", "_")
     if "aligned_windows" not in doc:
         # synthetic corpora mark their generated placements in the manifest
         doc["aligned_windows"] = manifest_meta.get("aligned_windows") == "1"
@@ -282,7 +281,13 @@ def cmd_eval(args) -> int:
     if all(u.gold is None for u in corpus.utterances):
         raise EvaluationError(NO_EVALUABLE_FRAMES)
 
-    reduction = reduce_corpus(state.ep, corpus.utterances, state.config.geometry, aligned=False)
+    # parameters that overflow make numpy warn before softmax refuses the
+    # logits; the error below is the report, so the warnings would only repeat it
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduction = reduce_corpus(state.ep, corpus.utterances, state.config.geometry, aligned=False)
+    except NonFiniteError as exc:
+        raise CliError(f"checkpoint {args.checkpoint} gives a non-finite value: {exc}", EXIT_DATA) from None
     confusion, overall_acc, covered_acc, coverage, tags_used = score(
         reduction.symbols, reduction.gold, corpus.labels
     )
@@ -401,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="run output directory")
     p_train.add_argument("--dev-corpus", default=None, help="held-out corpus directory or manifest.tsv path")
     p_train.add_argument("--seed", type=_int_at_least(0), default=None)
-    p_train.add_argument("--mode", choices=("base", "adversarial"), default=None)
-    p_train.add_argument(
-        "--entropy-mode", choices=("per-utterance", "global"), default=None
-    )
     p_train.add_argument("--resume", default=None, help="checkpoint to resume from")
     p_train.add_argument(
         "--stop-after", type=_int_at_least(1), default=None, help="pause after this many utterances"

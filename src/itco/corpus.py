@@ -18,7 +18,8 @@ hash come from one pass. `write_corpus` writes each code back as its
 name, one per line.
 
 Every scalar input field, here and in the trainer's `TrainConfig`, is
-declared once with `rule` (type and range) and checked by `check_fields`.
+declared once with `rule` (type and range, or the values it allows) and
+checked by `check_fields`.
 """
 
 from __future__ import annotations
@@ -113,16 +114,19 @@ def fits(value, kind: type, lo=None, hi=None) -> bool:
     return ok and (lo is None or value >= lo) and (hi is None or value <= hi)
 
 
-def rule(kind: type, lo=None, hi=None, default=MISSING):
-    """A dataclass field that `check_fields` holds to `fits(value, kind, lo, hi)`."""
-    return field(default=default, metadata={"rule": (kind, lo, hi)})
+def rule(kind: type, lo=None, hi=None, default=MISSING, choices=None):
+    """A dataclass field that `check_fields` holds to `fits(value, kind, lo, hi)`
+    and, given `choices`, to one of those values."""
+    return field(default=default, metadata={"rule": (kind, lo, hi, choices)})
 
 
 def check_fields(obj, error: type) -> None:
     """Raise `error` naming the first field of `obj` that breaks its `rule`."""
     for f in (f for f in fields(obj) if "rule" in f.metadata):
-        kind, lo, hi = f.metadata["rule"]
+        kind, lo, hi, choices = f.metadata["rule"]
         value = getattr(obj, f.name)
+        if choices is not None and not (fits(value, kind) and value in choices):
+            raise error(f"{f.name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
         if not fits(value, kind, lo, hi):
             span = f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}" if lo is not None else ""
             what = "a finite float" if kind is float else f"an {kind.__name__}"

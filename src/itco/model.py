@@ -8,9 +8,9 @@ reads the earlier half (x) and tries to match it. A third model is a bare
 logit vector giving a trainable marginal over symbols for the adversarial
 objective.
 
-All three live in one float ``ParamStore`` whose ``Param``s enter the
-graph directly as tape leaves. Each encoder parameter is one stacked
-[2, ...] ``Param`` (``gru.w_r`` ... ``gru.h0``, ``out.w``, ``out.b``), row 0
+All three live in one float ``ParamStore`` whose nodes enter the graph
+directly as tape leaves. Each encoder parameter is one stacked [2, ...]
+node (``gru.w_r`` ... ``gru.h0``, ``out.w``, ``out.b``), row 0
 confirm and row 1 predict; ``named_arrays`` gives each side's rows under
 the per-side names of ``param_shapes``, the checkpoint's arrays.
 

@@ -10,8 +10,8 @@ way: the losses in ``objective`` each record one node with
 ``Tape._record`` whose backward adds into its inputs' gradients with
 ``_acc``.
 
-A ``Param`` is itself a graph node: primitives take parameters directly
-as leaves, and the reverse sweep accumulates straight into ``Param.grad``.
+Each parameter is a plain graph node: primitives take parameters directly
+as leaves, and the reverse sweep accumulates straight into their ``grad``.
 
 Every primitive runs over a side axis S (2 for the two encoder sides):
 each parameter is one [S, ...] array, and each product runs as one GEMM
@@ -50,7 +50,6 @@ __all__ = [
     "NonFiniteError",
     "Node",
     "Tape",
-    "Param",
     "ParamStore",
     "stream_rng",
     "affine",
@@ -84,7 +83,7 @@ class Tape:
 
     Nodes are appended at creation, so iterating in reverse visits every
     primitive after all of its consumers; gradients accumulate with "+=".
-    Parameters are the leaves: a ``Param`` used many times (e.g. GRU
+    Parameters are the leaves: a parameter node used many times (e.g. GRU
     weights across time steps) fans in to its own ``grad``, which the
     update drops between steps.
     """
@@ -105,41 +104,28 @@ class Tape:
                 node._backward(node.grad)
 
 
-class Param(Node):
-    """A named parameter array, used directly as a graph leaf.
-
-    As for any node, ``grad`` is None (a zero gradient) until a gradient
-    reaches it; it then accumulates across tapes until ``sgd_apply`` or
-    ``zero_grads`` drops it.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, value: np.ndarray):
-        super().__init__(value)
-        self.name = name
-
-
 class ParamStore:
-    """Named flat parameter arrays.
+    """Parameter nodes by name, each a graph leaf.
 
     Iteration order is insertion order and is relied on for deterministic
-    updates, checkpoints and finite-difference sweeps.
+    updates, checkpoints and finite-difference sweeps. A node's ``grad`` is
+    None (a zero gradient) until a gradient reaches it; it then accumulates
+    across tapes until ``sgd_apply`` or ``zero_grads`` drops it.
     """
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._entries: dict[str, Param] = {}
+        self._entries: dict[str, Node] = {}
 
-    def add(self, name: str, value: np.ndarray) -> Param:
-        """Register `value`, cast to the store's dtype, under `name`."""
+    def add(self, name: str, value: np.ndarray) -> Node:
+        """Register a node holding `value`, cast to the store's dtype, under `name`."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
-        param = Param(name, np.ascontiguousarray(value, dtype=self.dtype))
-        self._entries[name] = param
-        return param
+        node = Node(np.ascontiguousarray(value, dtype=self.dtype))
+        self._entries[name] = node
+        return node
 
-    def __getitem__(self, name: str) -> Param:
+    def __getitem__(self, name: str) -> Node:
         return self._entries[name]
 
     def items(self):

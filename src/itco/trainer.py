@@ -107,8 +107,8 @@ class TrainConfig:
     dead_threshold: float = rule(float, 0, 1, default=1e-3)
     clone_noise_sigma: float = rule(float, 0, default=0.01)
     seed: int = rule(int, 0, default=0)
-    mode: str = "base"  # base | adversarial
-    entropy_mode: str = "per_utterance"  # per_utterance | global
+    mode: str = rule(str, choices=("base", "adversarial"), default="base")
+    entropy_mode: str = rule(str, choices=("per_utterance", "global"), default="per_utterance")
     aligned_windows: bool = rule(bool, default=False)  # only generated placements (synthetic)
     entropy_buffer_windows: int = rule(int, 1, default=1024)  # global mode: cross-utterance buffer
     detect_sample_utterances: int = rule(int, 1, default=100)  # prefix scanned by death detection
@@ -128,10 +128,6 @@ class TrainConfig:
         self.lr_schedule = tuple((end, float(lr)) for end, lr in self.lr_schedule)
         if self.clone_at >= self.lr_schedule[-1][0]:
             raise TrainerError("clone_at must fall inside the schedule")
-        if self.mode not in ("base", "adversarial"):
-            raise TrainerError(f"unknown mode {self.mode!r}")
-        if self.entropy_mode not in ("per_utterance", "global"):
-            raise TrainerError(f"unknown entropy_mode {self.entropy_mode!r}")
 
     @property
     def budget_utterances(self) -> int:
@@ -163,7 +159,8 @@ class TrainState:
 
     `epoch_max` [2, Z] holds the epoch's running max probability of each
     symbol under each model, confirm first; the checkpoint stores its rows
-    as ``epoch_max_confirm`` and ``epoch_max_predict``.
+    as ``epoch_max_confirm`` and ``epoch_max_predict``. `epoch_accum` sums
+    the objective terms of the epoch's first `pos_in_epoch` minibatches.
     """
 
     def __init__(self, config: TrainConfig, ep: EncoderParams, corpus_hash=None):
@@ -195,7 +192,7 @@ class TrainState:
 
 
 def _fresh_accum() -> dict:
-    return {**dict.fromkeys(MEAN_TERMS, 0.0), "saturation_count": 0, "count": 0}
+    return {**dict.fromkeys(MEAN_TERMS, 0.0), "saturation_count": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,6 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
         "live_mask": [int(b) for b in state.live_mask],
         "clone_history": state.clone_history,
         "corpus_hash": state.corpus_hash,
-        "rng": {"scheme": "streams derived from (seed, tag, counters)", "seed": state.config.seed},
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays
         ],
@@ -399,8 +395,8 @@ def load_checkpoint(path: Path) -> TrainState:
     Every header field is type-checked, and the array table is checked
     against the config and the payload before any state is allocated, so
     a header that claims a huge model is refused, not allocated. An older
-    checkpoint's ``step`` and ``cloned`` counters and ``detect_mean_confirm``
-    array are ignored.
+    checkpoint's ``step`` and ``cloned`` counters, ``epoch_accum.count``,
+    ``rng`` block and ``detect_mean_confirm`` array are ignored.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -419,6 +415,7 @@ def load_checkpoint(path: Path) -> TrainState:
         input_dim = header["input_dim"]
         counters = {key: header["counters"][key] for key in ("epoch", "pos_in_epoch", "processed")}
         accum = dict(header["epoch_accum"])
+        accum.pop("count", None)  # an older checkpoint's copy of pos_in_epoch
         live = header["live_mask"]
         history = header["clone_history"]
         corpus_hash = header.get("corpus_hash")  # absent from older checkpoints
@@ -679,7 +676,6 @@ def train(
                 )
             for key in (*MEAN_TERMS, "saturation_count"):
                 state.epoch_accum[key] += getattr(terms, key)
-            state.epoch_accum["count"] += 1
 
             if not state.clone_history and state.processed >= config.clone_at * 100:
                 sample = usable[: config.detect_sample_utterances]
@@ -692,14 +688,13 @@ def train(
                 record = {
                     "type": "epoch",
                     "epoch": state.epoch,
-                    "utterances": state.epoch_accum["count"],
+                    "utterances": state.pos_in_epoch,
                     "lr": lr,
                     "live_symbols": int(live.sum()),
                     "saturation_total": state.epoch_accum["saturation_count"],
                 }
-                n = max(1, state.epoch_accum["count"])
                 for key in MEAN_TERMS:
-                    record[f"mean_{key}"] = state.epoch_accum[key] / n
+                    record[f"mean_{key}"] = state.epoch_accum[key] / state.pos_in_epoch
                 if dev_corpus is not None:
                     record.update(evaluate_on_corpus(state, dev_corpus))
                 emit(record)

@@ -266,25 +266,13 @@ class TestTrain:
         ]
         assert {r["lr"] for r in records if r["type"] == "minibatch"} == {0.3}
 
-    def test_seed_and_mode_flags_override_config(self, tmp_path, corpus_dir):
-        cfg = write_json(tmp_path / "cfg.json", train_config(seed=3))
+    def test_seed_flag_overrides_config(self, tmp_path, corpus_dir):
+        # the modes come from the config file, as every option but the seed does
+        doc = dict(train_config(seed=3), mode="adversarial", entropy_mode="global")
+        cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
         code = main(
-            [
-                "train",
-                "--corpus",
-                str(corpus_dir),
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-                "--seed",
-                "11",
-                "--mode",
-                "adversarial",
-                "--entropy-mode",
-                "global",
-            ]
+            ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out), "--seed", "11"]
         )
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
@@ -491,10 +479,11 @@ class TestTrain:
             dict(train_config(), geometry=0),
             dict(train_config(), geometry=[]),
             dict(train_config(), geometry=False),
+            dict(train_config(), entropy_mode="per-utterance"),
         ],
         ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
              "nan_dead_threshold", "negative_clone_noise_sigma", "zero_geometry", "empty_list_geometry",
-             "false_geometry"],
+             "false_geometry", "dashed_entropy_mode"],
     )
     def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -799,6 +788,35 @@ class TestEval:
             ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]
         ) == 2
 
+    @pytest.mark.parametrize("case", ["overflowing", "nan"])
+    def test_non_finite_checkpoint_is_data_error_naming_it(self, tmp_path, capsys, case):
+        corpus = tmp_path / "corpus"
+        spec = write_json(tmp_path / "spec.json", identity_spec(seed=0, utterances=1))
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus)]) == 0
+        doc = {"geometry": {"total": 7, "past": 3, "gap": 1, "future": 3}, "alphabet_size": 4,
+               "hidden_dim": 4, "lr_schedule": [[2, 1e30]], "clone_at": 1, "seed": 0}
+        if case == "overflowing":
+            # step 2 diverges, after step 1's update is saved as the epoch checkpoint:
+            # finite parameters whose logits overflow float32
+            cfg = write_json(tmp_path / "cfg.json", doc)
+            run = tmp_path / "run"
+            assert main(["train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(run)]) == 2
+            ckpt = run / "checkpoints" / "epoch_0000.itck"
+            arrays = np.concatenate([a.ravel() for a in load_checkpoint(ckpt).ep.named_arrays().values()])
+            assert np.isfinite(arrays).all() and np.abs(arrays).max() > 1e20
+        else:
+            state = TrainState.fresh(TrainConfig.from_json_dict(doc), input_dim=2)
+            state.ep.store["out.b"].value[0, 1] = np.nan
+            ckpt = tmp_path / "nan.itck"
+            save_checkpoint(state, ckpt)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings would only repeat the error
+            assert main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert f"checkpoint {ckpt} gives a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, corpus_dir, run_dir):
         good = (run_dir / "checkpoints" / "final.itck").read_bytes()
         bad = tmp_path / "bad.itck"
@@ -1071,6 +1089,15 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["synth", "--out", "/tmp/x"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--mode", "adversarial"], ["--entropy-mode", "global"]])
+    def test_train_takes_its_modes_only_from_the_config(self, tmp_path, capsys, corpus_dir, argv):
+        assert main(["train", "--help"]) == 0
+        assert argv[0] not in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(corpus_dir), "--out", str(out), *argv]) == 1
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

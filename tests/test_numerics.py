@@ -141,12 +141,12 @@ def test_first_gradient_is_copied_never_aliased():
 
 
 def test_param_leaf_accumulates_across_tapes_until_dropped():
-    # backward adds into the Param's own grad, across tapes, until the
-    # caller drops it; a Param no loss reaches has no gradient
+    # backward adds into the parameter node's own grad, across tapes, until
+    # the caller drops it; a parameter no loss reaches has no gradient
     store = make_store()
     w = store.add("w", np.array([1.0, 2.0]))
     unused = store.add("unused", np.ones(3))
-    assert isinstance(w, nm.Node) and w.grad is None
+    assert type(w) is nm.Node and w.grad is None
     for _ in range(2):
         tape = nm.Tape()
         tape.backward(projected(tape, w, np.array([3.0, 5.0])))

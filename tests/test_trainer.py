@@ -96,28 +96,30 @@ def test_config_rejects_bad_schedules():
         tiny_config(lr_schedule=((2, 0.0),))
     with pytest.raises(tr.TrainerError):
         tiny_config(lr_schedule=((2, 0.4),), clone_at=2)
-    with pytest.raises(tr.TrainerError):
-        tiny_config(mode="sampled")
-    with pytest.raises(tr.TrainerError):
-        tiny_config(entropy_mode="windowed")
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("seed", -1), ("alphabet_size", 8.0), ("dead_threshold", "x"), ("aligned_windows", 1),
      ("entropy_buffer_windows", 0), ("detect_sample_utterances", 0), ("dead_threshold", 2.0),
-     ("clone_noise_sigma", -1.0), ("clone_noise_sigma", float("nan"))],
+     ("clone_noise_sigma", -1.0), ("clone_noise_sigma", float("nan")), ("mode", "sampled"),
+     ("mode", 1), ("entropy_mode", "windowed"), ("entropy_mode", "per-utterance")],
 )
 def test_config_rejects_wrong_types_and_ranges(field, value):
     with pytest.raises(tr.TrainerError, match=field):
         tiny_config(**{field: value})
 
 
+def test_a_choice_field_names_the_values_it_allows():
+    with pytest.raises(tr.TrainerError) as refused:
+        tiny_config(entropy_mode="per-utterance")
+    assert str(refused.value) == "entropy_mode must be one of 'per_utterance', 'global', got 'per-utterance'"
+
+
 @pytest.mark.parametrize("cls", [WindowGeometry, SyntheticSpec, tr.TrainConfig])
 def test_every_scalar_field_declares_a_rule(cls):
     # fields without a rule keep their own cross-field checks
-    exempt = {"x_channel", "y_channel", "latent_prior", "lr_schedule", "geometry", "mode",
-              "entropy_mode"}
+    exempt = {"x_channel", "y_channel", "latent_prior", "lr_schedule", "geometry"}
     undeclared = [f.name for f in dataclasses.fields(cls)
                   if f.name not in exempt and "rule" not in f.metadata]
     assert undeclared == []
@@ -304,9 +306,11 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 # SHA-256 of two checkpoints of the tiny config. Neither path runs a matrix
 # product, so the bytes are the same on every platform; they pin the init
-# draw order, the clone noise order and the per-side array table.
-FRESH_CHECKPOINT_SHA256 = "74cdeef3dad114e3bdb16da94d6f9de1b514ab118d3d07af6bbcea65f8c78bd9"
-CLONED_CHECKPOINT_SHA256 = "9e6d0ffe8b6f0263c88c9029057ac572c90e0c8973c8757f026e01bb110523de"
+# draw order, the clone noise order and the per-side array table. The header
+# holds each fact once, so it has no `rng` block (the seed is the config's)
+# and no count of the epoch's minibatches beside `pos_in_epoch`.
+FRESH_CHECKPOINT_SHA256 = "b2dd908230a908177157e1102a6a6fe22399e6fa5342ef996d93cb8f780fbcbf"
+CLONED_CHECKPOINT_SHA256 = "74a1b7081d798b1c79e03e4c8157746b59d68c197211e6fd37e174cdcf51836a"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -351,6 +355,34 @@ def test_a_checkpoint_of_the_older_layout_loads_and_resumes_alike(tmp_path):
         streams.append(metrics.read_bytes())
     assert streams[0] == streams[1]
     assert b'"type":"clone"' not in streams[0] and streams[0].count(b"\n") == 100 + 25
+
+
+# the tiny config's run on `tiny_corpus()` stopped at step 37, 7 utterances
+# into its fourth epoch and after the clone, as written while the header
+# still held the `rng` block and `epoch_accum.count`. Its arrays come from
+# matrix products, which the FMA kernels (Haswell, SkylakeX, Zen) round alike.
+LEGACY_MID_EPOCH_CHECKPOINT = Path(__file__).parent / "data" / "legacy_mid_epoch.itck"
+LEGACY_MID_EPOCH_CHECKPOINT_SHA256 = "b54961d0eb79b7298871a7dd2bb109c7285e3fa0b74d00c8dca397312c23a981"
+
+
+def test_a_mid_epoch_checkpoint_of_the_older_layout_resumes_exactly(tmp_path):
+    raw = LEGACY_MID_EPOCH_CHECKPOINT.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == LEGACY_MID_EPOCH_CHECKPOINT_SHA256
+    header = json.loads(raw[12 : 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])])
+    assert header["epoch_accum"]["count"] == header["counters"]["pos_in_epoch"] == 7
+    assert header["rng"]["seed"] == 0 and header["clone_history"]
+    legacy = tr.load_checkpoint(LEGACY_MID_EPOCH_CHECKPOINT)
+    assert (legacy.epoch, legacy.pos_in_epoch, legacy.processed) == (3, 7, 37)
+    assert legacy.config.to_json_dict() == tiny_config().to_json_dict()
+    assert "count" not in legacy.epoch_accum and legacy.epoch_accum["cross_entropy_bits"] > 0
+    utts, _ = tiny_corpus()
+    full = tmp_path / "full.jsonl"
+    tr.train(utts, legacy.config, metrics_path=full)
+    # the interrupted run's stream: 37 minibatches, the clone and three epochs
+    interrupted = tmp_path / "interrupted.jsonl"
+    interrupted.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:41]))
+    tr.train(utts, legacy.config, metrics_path=interrupted, resume=legacy)
+    assert interrupted.read_bytes() == full.read_bytes()
 
 
 @pytest.mark.parametrize("name", ["state.itck", "run_manifest.json"])
@@ -712,16 +744,21 @@ def test_metrics_stream_shapes_and_lr_schedule(tmp_path):
 
 
 def test_epoch_aggregates_average_the_minibatches(tmp_path):
-    utts, _ = tiny_corpus(n_utts=5)
-    config = tiny_config(lr_schedule=((1, 0.4),))  # budget 100 = 20 epochs
+    utts, _ = tiny_corpus(n_utts=6)
+    config = tiny_config(lr_schedule=((1, 0.4),))  # budget 100: 16 epochs of 6, then 4
     tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl")
-    records = read_records(tmp_path / "metrics.jsonl")
-    first_epoch = next(r for r in records if r["type"] == "epoch")
-    first_five = [r for r in records if r["type"] == "minibatch"][:5]
-    want = np.mean([r["mi_bound_bits"] for r in first_five])
-    assert abs(first_epoch["mean_mi_bound_bits"] - want) < 1e-12
-    assert first_epoch["utterances"] == 5
-    assert "live_symbols" in first_epoch
+    epochs, minibatches = [], []
+    for r in read_records(tmp_path / "metrics.jsonl"):
+        if r["type"] == "minibatch":
+            minibatches.append(r)
+        elif r["type"] == "epoch":
+            want = np.mean([m["mi_bound_bits"] for m in minibatches])
+            assert abs(r["mean_mi_bound_bits"] - want) < 1e-12
+            assert r["utterances"] == len(minibatches)
+            epochs.append(r)
+            minibatches = []
+    assert [r["utterances"] for r in epochs] == [6] * 16 + [4]
+    assert "live_symbols" in epochs[0]
 
 
 def test_training_makes_progress_on_easy_synthetic_task(tmp_path):

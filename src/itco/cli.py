@@ -33,6 +33,7 @@ from .corpus import (
     CorpusError,
     SyntheticSpec,
     load_corpus,
+    replace_file,
     synth_corpus,
     true_mi_oracle,
     write_corpus,
@@ -47,7 +48,7 @@ from .evaluation import (
 )
 from .numerics import NonFiniteError
 from .trainer import (
-    Interrupted, TrainConfig, TrainerError, check_inputs, load_checkpoint, replace_file, train
+    Interrupted, TrainConfig, TrainerError, check_inputs, load_checkpoint, train
 )
 
 log = logging.getLogger(__name__)

@@ -25,6 +25,7 @@ checked by `check_fields`.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -44,6 +45,7 @@ __all__ = [
     "rule",
     "check_fields",
     "Corpus",
+    "replace_file",
     "write_features",
     "load_corpus",
     "write_corpus",
@@ -219,6 +221,20 @@ def latent_label(s: int) -> str:
 
 # ---------------------------------------------------------------------------
 # feature file and manifest IO
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to `path` under a temporary name in the same directory,
+    then rename it over `path`: a write cut short leaves the earlier file
+    whole, and the temporary file is removed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)  # gone already once renamed
 
 
 def write_features(path: Path, frames: np.ndarray) -> None:

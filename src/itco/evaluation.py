@@ -27,13 +27,16 @@ only there, to name the confusion matrix's rows and columns.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import Utterance, WindowGeometry, cut_windows, normalize_utterance, window_count
+from .corpus import (
+    Utterance, WindowGeometry, cut_windows, normalize_utterance, replace_file, window_count
+)
 from .model import SIDES, EncoderParams
 from .objective import LOG_FLOOR, ObjectiveTerms, utterance_loss
 
@@ -235,19 +238,21 @@ def score(
     return confusion, correct / evaluable, correct / covered, covered / evaluable, int(used.size)
 
 
+def _write_csv(path: Path, rows) -> None:
+    """`rows` as CSV (``\r\n`` line ends), written through `replace_file`."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    replace_file(path, text.getvalue().encode("utf-8"))
+
+
 def write_confusion_csv(confusion: ConfusionMatrix, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["predicted"] + confusion.gold_labels)
-        for i, label in enumerate(confusion.predicted_labels):
-            writer.writerow([label] + confusion.counts[i].tolist())
+    labelled = zip(confusion.predicted_labels, confusion.counts.tolist())
+    rows = [[label, *counts] for label, counts in labelled]
+    _write_csv(path, [["predicted", *confusion.gold_labels], *rows])
 
 
 def write_symbol_stats_csv(reduction: CorpusReduction, path: Path, live_mask: np.ndarray) -> None:
     avg_confirm, avg_predict = reduction.mean()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["symbol", "avg_prob_psi", "avg_prob_phi", "live"])
-        for z in range(avg_confirm.shape[0]):
-            row = [z, repr(float(avg_confirm[z])), repr(float(avg_predict[z]))]
-            writer.writerow(row + [int(live_mask[z])])
+    columns = zip(avg_confirm.tolist(), avg_predict.tolist(), live_mask)
+    rows = [[z, repr(c), repr(p), int(live)] for z, (c, p, live) in enumerate(columns)]
+    _write_csv(path, [["symbol", "avg_prob_psi", "avg_prob_phi", "live"], *rows])

@@ -128,7 +128,7 @@ def _marginal_fit(tape, ep, pair, _):
 def _adversarial_encoder(tape, ep, pair, marginal):
     # the encoder loss takes the marginal as a fixed distribution, as the
     # trainer passes it: the marginal is fitted by its own loss
-    return ob.adversarial_loss(ep.encode_node(SIDES, pair, tape), nm.Node(marginal), tape)[0]
+    return ob.utterance_loss(ep.encode_node(SIDES, pair, tape), tape, marginal=nm.Node(marginal))[0]
 
 
 def gradcheck_cases(seed: int):

@@ -11,9 +11,9 @@ objective differentiable:
     loss            cross entropy - marginal term
 
 The gap between the batch-mean entropy and the cross entropy is the
-reported mutual-information lower bound. An adversarial variant replaces
-the marginal term with a cross entropy against a standalone trainable
-marginal, updated in alternation.
+reported mutual-information lower bound. The adversarial variant, the same
+loss given a ``marginal``, replaces the marginal term with a cross entropy
+against a standalone trainable marginal, updated in alternation.
 
 Everything is reported in bits; gradients flow through natural logs with
 one conversion constant. Logs are clamped at ``LOG_FLOOR``, so a zero
@@ -42,7 +42,6 @@ __all__ = [
     "ObjectiveTerms",
     "utterance_loss",
     "marginal_fit_loss",
-    "adversarial_loss",
     "LOG2E",
 ]
 
@@ -113,17 +112,24 @@ def utterance_loss(
     probs: Dists,
     tape: Optional[nm.Tape] = None,
     extra_entropy_rows: Optional[np.ndarray] = None,
+    marginal: Optional[nm.Node] = None,
 ) -> tuple[nm.Node, ObjectiveTerms]:
-    """Training loss for one utterance: cross entropy minus marginal entropy.
+    """The encoders' loss for one utterance: cross entropy minus the marginal term.
 
     The cross entropy is averaged over the minibatch's windows; the
     marginal term is one entropy of the batch mean and is deliberately not
     averaged. ``extra_entropy_rows`` mixes fixed rows from earlier
     utterances into that mean (the sliding-buffer global mode); gradients
     flow only through the current batch, weighted by its share of the
-    combined mean. Gradients reach the confirm side through both terms and
-    the predict side through the first only.
+    combined mean. Given a fixed (untaped) [Z] ``marginal`` instead, the
+    marginal term is the confirm side's cross entropy against it, reported
+    as ``adversarial_marginal_bits``: the confirm side pushes its average
+    away from the marginal's reach, and the marginal gets no gradient (its
+    own loss is `marginal_fit_loss`). Gradients reach the confirm side
+    through both terms and the predict side through the first only.
     """
+    if extra_entropy_rows is not None and marginal is not None:
+        raise ValueError("an entropy buffer and an adversarial marginal exclude each other")
     probs = _as_node(probs, pair=True)
     c, p = probs.value
     n = c.shape[0]
@@ -137,22 +143,30 @@ def utterance_loss(
         q = q * share + buffered.mean(axis=0) * (m / (n + m))
     q_clamped, log_q = _clamped_log(q)
     marginal_entropy = (q * log_q).sum() * -LOG2E
-    loss = nm.Node(ce - marginal_entropy)
+    extra, marginal_term = {}, marginal_entropy
+    if marginal is not None:
+        log_m = _clamped_log(marginal.value)[1]
+        marginal_term = _cross_entropy_bits(c, log_m)
+        extra["adversarial_marginal_bits"] = float(marginal_term)
+    loss = nm.Node(ce - marginal_term)
     if tape is not None:
         def backward(g):
             grad = np.empty_like(probs.value)
             to_bits = -g * -LOG2E  # the marginal term enters the loss negated
-            dq = to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)
-            if share is not None:
-                dq = dq * share
-            grad[0] = dq / n
+            if marginal is None:
+                dq = to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)
+                if share is not None:
+                    dq = dq * share
+                grad[0] = dq / n
+            else:
+                grad[0] = (to_bits / n) * log_m
             per_cell = (g * -LOG2E) / n
             grad[0] += per_cell * log_p
             grad[1] = _log_grad(per_cell * c, p, p_clamped)
             nm._acc(probs, grad)
 
         tape._record(loss, backward)
-    return loss, _terms(ce, marginal_entropy, loss, probs)
+    return loss, _terms(ce, marginal_entropy, loss, probs, **extra)
 
 
 def marginal_fit_loss(
@@ -173,39 +187,3 @@ def marginal_fit_loss(
 
         tape._record(loss, backward)
     return loss
-
-
-def adversarial_loss(
-    probs: Dists, marginal: nm.Node, tape: Optional[nm.Tape] = None
-) -> tuple[nm.Node, ObjectiveTerms]:
-    """The encoders' loss against a fixed (untaped) [Z] marginal.
-
-    Returns (encoder_loss, terms). The encoder loss is the predict-side
-    cross entropy minus the confirm side's cross entropy against the
-    marginal, so the confirm side pushes its average away from the
-    marginal's reach. That second cross entropy is also the marginal's own
-    loss, `marginal_fit_loss`, with the confirm side frozen instead; its
-    value is reported as ``adversarial_marginal_bits``.
-    """
-    probs = _as_node(probs, pair=True)
-    c, p = probs.value
-    n = c.shape[0]
-    p_clamped, log_p = _clamped_log(p)
-    log_m = _clamped_log(marginal.value)[1]
-    ce = _cross_entropy_bits(c, log_p)
-    marginal_ce = _cross_entropy_bits(c, log_m)
-    loss = nm.Node(ce - marginal_ce)
-    if tape is not None:
-        def backward(g):
-            grad = np.empty_like(probs.value)
-            grad[0] = ((-g * -LOG2E) / n) * log_m
-            per_cell = (g * -LOG2E) / n
-            grad[0] += per_cell * log_p
-            grad[1] = _log_grad(per_cell * c, p, p_clamped)
-            nm._acc(probs, grad)
-
-        tape._record(loss, backward)
-    q = c.mean(axis=0)
-    marginal_entropy = (q * _clamped_log(q)[1]).sum() * -LOG2E
-    terms = _terms(ce, marginal_entropy, loss, probs, adversarial_marginal_bits=float(marginal_ce))
-    return loss, terms

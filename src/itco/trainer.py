@@ -41,7 +41,7 @@ import numpy as np
 
 from . import objective as ob
 from .corpus import (
-    Utterance, WindowGeometry, check_fields, fits, rule, window_arrays, window_count
+    Utterance, WindowGeometry, check_fields, fits, replace_file, rule, window_arrays, window_count
 )
 from .evaluation import reduce_corpus
 from .model import CONFIRM, SIDES, EncoderParams, param_shapes
@@ -58,7 +58,6 @@ __all__ = [
     "clone_symbols",
     "save_checkpoint",
     "load_checkpoint",
-    "replace_file",
     "evaluate_on_corpus",
 ]
 
@@ -128,6 +127,8 @@ class TrainConfig:
         self.lr_schedule = tuple((end, float(lr)) for end, lr in self.lr_schedule)
         if self.clone_at >= self.lr_schedule[-1][0]:
             raise TrainerError("clone_at must fall inside the schedule")
+        if self.mode == "adversarial" and self.entropy_mode == "global":
+            raise TrainerError("entropy_mode 'global' needs mode 'base', not 'adversarial'")
 
     @property
     def budget_utterances(self) -> int:
@@ -322,7 +323,6 @@ def clone_symbols(state: TrainState, live_mask: np.ndarray, marginal: np.ndarray
     state.live_mask[[dst for _, dst in pairs]] = True
     state.clone_history.append(
         {
-            "processed": state.processed,
             "step": state.processed,
             "dead_before": int(dead.size),
             "live_before": int(live.size),
@@ -375,20 +375,6 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     replace_file(path, bytes(body))
 
 
-def replace_file(path: Path, data: bytes) -> None:
-    """Write `data` to `path` under a temporary name in the same directory,
-    then rename it over `path`: a write cut short leaves the earlier file
-    whole, and the temporary file is removed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(f".{path.name}.tmp")
-    try:
-        temporary.write_bytes(data)
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)  # gone already once renamed
-
-
 def load_checkpoint(path: Path) -> TrainState:
     """Read an ITCK file; any file this program did not write raises TrainerError.
 
@@ -396,7 +382,8 @@ def load_checkpoint(path: Path) -> TrainState:
     against the config and the payload before any state is allocated, so
     a header that claims a huge model is refused, not allocated. An older
     checkpoint's ``step`` and ``cloned`` counters, ``epoch_accum.count``,
-    ``rng`` block and ``detect_mean_confirm`` array are ignored.
+    ``rng`` block, ``detect_mean_confirm`` array and clone events'
+    ``processed`` are ignored.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -473,7 +460,8 @@ def load_checkpoint(path: Path) -> TrainState:
         setattr(state, key, value)
     state.epoch_accum = accum
     state.live_mask = np.asarray(live, dtype=bool)
-    state.clone_history = history
+    # an older checkpoint's clone events also hold `processed`, a copy of `step`
+    state.clone_history = [{k: v for k, v in e.items() if k != "processed"} for e in history]
     state.epoch_max = np.array([loaded[f"epoch_max_{side}"] for side in SIDES])
     state.entropy_buffer = loaded["entropy_buffer"]
     return state
@@ -554,17 +542,13 @@ def _train_minibatch(state: TrainState, pair: tuple, lr: float) -> ob.ObjectiveT
     config = state.config
     tape = Tape()
     probs = state.ep.encode_node(SIDES, pair, tape)
-    extra = None
-    if config.entropy_mode == "global" and state.entropy_buffer.shape[0] > 0:
-        extra = state.entropy_buffer
-    if config.mode == "base":
-        loss, terms = ob.utterance_loss(probs, tape, extra_entropy_rows=extra)
-        tape.backward(loss)
-        sgd_apply(state.ep.store, lr)
-    else:
-        encoder_loss, terms = ob.adversarial_loss(probs, state.ep.marginal_node(), tape)
-        tape.backward(encoder_loss)
-        sgd_apply(state.ep.store, lr)
+    adversarial = config.mode == "adversarial"
+    buffer = state.entropy_buffer if config.entropy_mode == "global" else None
+    marginal = state.ep.marginal_node() if adversarial else None
+    loss, terms = ob.utterance_loss(probs, tape, buffer, marginal)
+    tape.backward(loss)
+    sgd_apply(state.ep.store, lr)
+    if adversarial:
         # alternate: refresh the confirm pass (gradient-free, it only
         # supplies frozen targets), then step the marginal alone
         confirm2 = state.ep.encode_node(CONFIRM, pair[0])

@@ -267,8 +267,8 @@ class TestTrain:
         assert {r["lr"] for r in records if r["type"] == "minibatch"} == {0.3}
 
     def test_seed_flag_overrides_config(self, tmp_path, corpus_dir):
-        # the modes come from the config file, as every option but the seed does
-        doc = dict(train_config(seed=3), mode="adversarial", entropy_mode="global")
+        # the mode comes from the config file, as every option but the seed does
+        doc = dict(train_config(seed=3), mode="adversarial")
         cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
         code = main(
@@ -278,7 +278,6 @@ class TestTrain:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["config"]["mode"] == "adversarial"
-        assert manifest["config"]["entropy_mode"] == "global"
         records = [
             json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()
         ]
@@ -480,10 +479,12 @@ class TestTrain:
             dict(train_config(), geometry=[]),
             dict(train_config(), geometry=False),
             dict(train_config(), entropy_mode="per-utterance"),
+            # the adversarial loss has no entropy term for the buffer to feed
+            dict(train_config(), mode="adversarial", entropy_mode="global"),
         ],
         ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
              "nan_dead_threshold", "negative_clone_noise_sigma", "zero_geometry", "empty_list_geometry",
-             "false_geometry", "dashed_entropy_mode"],
+             "false_geometry", "dashed_entropy_mode", "global_entropy_under_adversarial"],
     )
     def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -815,6 +816,18 @@ class TestEval:
             warnings.simplefilter("error")  # numpy's overflow warnings would only repeat the error
             assert main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
         assert f"checkpoint {ckpt} gives a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_global_entropy_under_the_adversarial_mode_is_data_error(
+        self, tmp_path, corpus_dir, run_dir, capsys
+    ):
+        state = load_checkpoint(run_dir / "checkpoints" / "final.itck")
+        state.config.mode, state.config.entropy_mode = "adversarial", "global"
+        ckpt = tmp_path / "pair.itck"
+        save_checkpoint(state, ckpt)
+        out = tmp_path / "o"
+        assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert "entropy_mode 'global' needs mode 'base', not 'adversarial'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, corpus_dir, run_dir):

@@ -1,5 +1,6 @@
 """Frame labeling, tagging, scoring, agreement, and symbol statistics."""
 
+import os
 import tracemalloc
 from dataclasses import dataclass, field, replace
 
@@ -772,6 +773,34 @@ class TestCsvWriters:
         assert len(lines) == 5
         assert lines[3].split(",")[-1] == "0"
         assert float(lines[1].split(",")[1]) == pytest.approx(0.25, abs=1e-7)
+
+    @pytest.mark.parametrize("name", ["confusion.csv", "symbol_stats.csv"])
+    def test_a_failed_rename_leaves_the_earlier_csv_whole(self, tmp_path, monkeypatch, name):
+        # each CSV is written under a temporary name and renamed into place,
+        # as checkpoints and the JSON files are
+        reduction = reduce_stride1(small_params(zero=True, alphabet=4), [random_utterance(30, 10)])
+
+        def write(k):
+            if name == "confusion.csv":
+                write_confusion_csv(score_of([0, k, 1], ["a", "b", "b"])[0], path)
+            else:
+                write_symbol_stats_csv(reduction, path, live_mask=np.arange(4) != k)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        path = tmp_path / name
+        write(1)
+        before = path.read_bytes()
+        assert before.endswith(b"\r\n") and before.count(b"\r\n") == before.count(b"\n")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write(0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        monkeypatch.undo()
+        write(0)
+        assert path.read_bytes() != before
 
 
 class TestEndToEnd:

@@ -74,7 +74,7 @@ def test_cross_entropy_length_mismatch_rejected():
         with pytest.raises(ValueError):
             ob.utterance_loss(probs)
         with pytest.raises(ValueError):
-            ob.adversarial_loss(probs, nm.Node(uniform(1, 4)[0]))
+            ob.utterance_loss(probs, marginal=nm.Node(uniform(1, 4)[0]))
 
 
 def test_cross_entropy_clamps_zeros_and_counts_saturation():
@@ -212,7 +212,7 @@ def test_adversarial_uniform_marginal_costs_log_alphabet():
     confirm = dirichlet_batch(rng, 5, 64)
     predict = dirichlet_batch(rng, 5, 64)
     marginal = nm.Node(np.full(64, 1 / 64))
-    _, terms = ob.adversarial_loss(np.stack((confirm, predict)), marginal)
+    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=marginal)
     assert abs(float(ob.marginal_fit_loss(confirm, marginal).value) - 6.0) < 1e-9
     assert abs(terms.adversarial_marginal_bits - 6.0) < 1e-9
 
@@ -222,7 +222,7 @@ def test_adversarial_marginal_at_batch_average_hits_entropy_of_mean():
     confirm = dirichlet_batch(rng, 8, 6)
     predict = dirichlet_batch(rng, 8, 6)
     marginal = nm.Node(confirm.mean(axis=0))
-    _, terms = ob.adversarial_loss(np.stack((confirm, predict)), marginal)
+    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=marginal)
     marginal_loss = float(ob.marginal_fit_loss(confirm, marginal).value)
     assert abs(marginal_loss - terms.marginal_entropy_bits) < 1e-9
     # the reported term is the marginal's own loss, bit for bit
@@ -235,7 +235,7 @@ def test_adversarial_gradient_separation():
     ep, x, y = build_toy_encoders(6)
     tape = nm.Tape()
     probs = ep.encode_node(SIDES, (y, x), tape)
-    encoder_loss, _ = ob.adversarial_loss(probs, ep.marginal_node(), tape)
+    encoder_loss, _ = ob.utterance_loss(probs, tape, marginal=ep.marginal_node())
 
     tape.backward(encoder_loss)
     assert ep.store["marginal.logits"].grad is None
@@ -250,6 +250,30 @@ def test_adversarial_gradient_separation():
     assert confirm2.grad is None
     for param in encoder_params(ep):
         assert param.grad is None
+
+
+def test_adversarial_gradient_is_the_closed_form():
+    # against a fixed marginal m, the confirm side's gradient is
+    # LOG2E * (ln m - ln p) / N and the predict side's is the base loss's
+    ep, x, y = build_toy_encoders(11)
+    marginal = nm.Node(np.random.default_rng(11).dirichlet(np.ones(4)))
+    grads = {}
+    for name, kwargs in (("base", {}), ("adversarial", {"marginal": marginal})):
+        tape = nm.Tape()
+        probs = ep.encode_node(SIDES, (y, x), tape)
+        tape.backward(ob.utterance_loss(probs, tape, **kwargs)[0])
+        grads[name] = probs.grad
+    (confirm, predict), n = probs.value, probs.value.shape[1]
+    expected = ob.LOG2E * (np.log(marginal.value) - np.log(predict)) / n
+    assert np.allclose(grads["adversarial"][0], expected, rtol=1e-12, atol=0)
+    assert np.allclose(grads["adversarial"][1], grads["base"][1], rtol=1e-12, atol=0)
+    assert marginal.grad is None
+
+
+def test_a_buffer_and_a_marginal_are_refused_together():
+    pair = np.stack([uniform(2, 4)] * 2)
+    with pytest.raises(ValueError, match="entropy buffer and an adversarial marginal"):
+        ob.utterance_loss(pair, extra_entropy_rows=uniform(3, 4), marginal=nm.Node(uniform(1, 4)[0]))
 
 
 def test_marginal_training_approaches_entropy_of_mean():

@@ -126,10 +126,17 @@ def test_every_scalar_field_declares_a_rule(cls):
 
 
 def test_config_json_round_trip():
-    config = tiny_config(mode="adversarial", entropy_mode="global")
-    again = tr.TrainConfig.from_json_dict(config.to_json_dict())
-    assert again.to_json_dict() == config.to_json_dict()
-    assert again.geometry == config.geometry
+    for config in (tiny_config(mode="adversarial"), tiny_config(entropy_mode="global")):
+        again = tr.TrainConfig.from_json_dict(config.to_json_dict())
+        assert again.to_json_dict() == config.to_json_dict()
+        assert again.geometry == config.geometry
+
+
+def test_global_entropy_is_refused_under_the_adversarial_mode():
+    # the adversarial loss has no entropy term, so the buffer would only be filled
+    with pytest.raises(tr.TrainerError) as refused:
+        tiny_config(mode="adversarial", entropy_mode="global")
+    assert str(refused.value) == "entropy_mode 'global' needs mode 'base', not 'adversarial'"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ def test_clone_without_dead_symbols_is_a_noop():
     assert np.array_equal(state.ep.store["marginal.logits"].value, before)
     # the event is recorded all the same, and is what the metrics stream emits
     assert state.clone_history == [
-        {"processed": 0, "step": 0, "dead_before": 0, "live_before": 8, "pairs": [],
+        {"step": 0, "dead_before": 0, "live_before": 8, "pairs": [],
          "sigma": config.clone_noise_sigma}
     ]
 
@@ -307,10 +314,11 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 # SHA-256 of two checkpoints of the tiny config. Neither path runs a matrix
 # product, so the bytes are the same on every platform; they pin the init
 # draw order, the clone noise order and the per-side array table. The header
-# holds each fact once, so it has no `rng` block (the seed is the config's)
-# and no count of the epoch's minibatches beside `pos_in_epoch`.
+# holds each fact once, so it has no `rng` block (the seed is the config's),
+# no count of the epoch's minibatches beside `pos_in_epoch`, and no clone
+# event's `processed` beside its `step`.
 FRESH_CHECKPOINT_SHA256 = "b2dd908230a908177157e1102a6a6fe22399e6fa5342ef996d93cb8f780fbcbf"
-CLONED_CHECKPOINT_SHA256 = "74a1b7081d798b1c79e03e4c8157746b59d68c197211e6fd37e174cdcf51836a"
+CLONED_CHECKPOINT_SHA256 = "7ba218df8ae08f3013fb5ec0f1eb09bd3f01f4994d6ec3e8b5e43aad6fdf6e50"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -732,7 +740,7 @@ def test_metrics_stream_shapes_and_lr_schedule(tmp_path):
     assert len(minibatches) == 200
     assert len(epochs) == 20  # 10 utterances per epoch, budget 200
     assert len(clones) == 1
-    assert clones[0]["processed"] == 100
+    assert clones[0]["step"] == 100
     assert all(r["lr"] == 0.4 for r in minibatches[:100])
     assert all(r["lr"] == 0.2 for r in minibatches[100:])
     for r in minibatches:

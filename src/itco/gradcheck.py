@@ -1,5 +1,5 @@
 """Finite-difference check of every differentiable primitive the program
-runs, the fused GRU sequence, the encoders and each training loss: small
+runs, the fused GRU sequence, the encoders and the training loss: small
 float64 cases, each brought to a scalar by its loss or by a random
 projection, scored by their worst relative gradient error.
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import objective as ob
-from .model import CONFIRM, SIDES, EncoderParams
+from .model import SIDES, EncoderParams
 
 TAG_GRADCHECK = 777
 HIDDEN, INPUT = 4, 3  # GRU cases: hidden width and frame width
@@ -107,34 +107,20 @@ def _objective_case(seed: int, name: str, loss, draw=None):
     return name, ep.store, lambda tape: loss(tape, ep, (y, x), fixed)
 
 
-def _utterance_loss(tape, ep, pair, buffered_rows):
-    return ob.utterance_loss(ep.encode_node(SIDES, pair, tape), tape, buffered_rows)[0]
+def _utterance_loss(tape, ep, pair, marginal):
+    return ob.utterance_loss(ep.encode_node(SIDES, pair, tape), tape, marginal)[0]
 
 
-def _buffered_rows(rng):
-    # global entropy mode: earlier utterances' confirm rows, held fixed
-    return rng.dirichlet(np.ones(4), size=6)
-
-
-def _fixed_marginal(rng):
-    return rng.dirichlet(np.ones(4))
-
-
-def _marginal_fit(tape, ep, pair, _):
-    # the confirm side is frozen: only the marginal's logits get gradients
-    return ob.marginal_fit_loss(ep.encode_node(CONFIRM, pair[0]), ep.marginal_node(tape), tape)
-
-
-def _adversarial_encoder(tape, ep, pair, marginal):
-    # the encoder loss takes the marginal as a fixed distribution, as the
-    # trainer passes it: the marginal is fitted by its own loss
-    return ob.utterance_loss(ep.encode_node(SIDES, pair, tape), tape, marginal=nm.Node(marginal))[0]
+def _buffered_reference(rng):
+    # global entropy mode: the mean of earlier utterances' confirm rows, held fixed
+    return rng.dirichlet(np.ones(4), size=6).mean(axis=0)
 
 
 def gradcheck_cases(seed: int):
     """(name, store, loss_fn) for every primitive the program tapes, the GRU
     sequence node at three shapes, both encoders in a paired call at equal
-    and at unequal window lengths, and every loss training backpropagates."""
+    and at unequal window lengths, and the training loss in both entropy
+    modes."""
     cases = [
         simple_case(seed, name, build, *shapes)
         for name, build, *shapes in (
@@ -160,9 +146,7 @@ def gradcheck_cases(seed: int):
         _objective_case(seed, name, loss, draw)
         for name, loss, draw in (
             ("utterance_loss", _utterance_loss, None),
-            ("utterance_loss_global", _utterance_loss, _buffered_rows),
-            ("marginal_fit_loss", _marginal_fit, None),
-            ("adversarial_encoder_loss", _adversarial_encoder, _fixed_marginal),
+            ("utterance_loss_global", _utterance_loss, _buffered_reference),
         )
     ]
     return cases

@@ -1,14 +1,12 @@
-"""The three parametric models over the symbol alphabet.
+"""The two parametric models over the symbol alphabet.
 
 Two independent window encoders share one architecture: a GRU folded over
 the window's frames followed by a linear layer and softmax. The confirm
 side reads the later half (y) of a window pair and produces the
 distribution whose samples act as training targets; the predict side
-reads the earlier half (x) and tries to match it. A third model is a bare
-logit vector giving a trainable marginal over symbols for the adversarial
-objective.
+reads the earlier half (x) and tries to match it.
 
-All three live in one float ``ParamStore`` whose nodes enter the graph
+Both live in one float ``ParamStore`` whose nodes enter the graph
 directly as tape leaves. Each encoder parameter is one stacked [2, ...]
 node (``gru.w_r`` ... ``gru.h0``, ``out.w``, ``out.b``), row 0
 confirm and row 1 predict; ``named_arrays`` gives each side's rows under
@@ -24,8 +22,7 @@ differ run one GRU pass per side, joined before the paired head. Untaped,
 each batch may be a stack of equal-sized batches [B, N, L, d], giving
 [2, B, N, Z] whose every [2, N, Z] slice is bit-identical to that batch's
 own call. One side, ``encode_node(CONFIRM or PREDICT, frames)``, runs
-untaped only, giving [N, Z] (or [B, N, Z]). ``marginal_node`` gives the
-marginal's [Z] probabilities.
+untaped only, giving [N, Z] (or [B, N, Z]).
 
 The two encoders share no parameters; perturbing one side never changes
 the other side's outputs.
@@ -50,7 +47,6 @@ __all__ = [
 CONFIRM = "confirm"  # consumes y, the window's future frames
 PREDICT = "predict"  # consumes x, the window's past frames
 SIDES = (CONFIRM, PREDICT)
-MARGINAL = "marginal.logits"
 
 TAG_INIT = 101
 
@@ -63,11 +59,11 @@ def param_shapes(input_dim: int, alphabet_size: int, hidden_dim: int) -> list[tu
     for side in SIDES:
         shapes += [(f"{side}.gru.{slot}", gru[slot[0]]) for slot in nm.GRU_SLOTS]
         shapes += [(f"{side}.gru.h0", (h,)), (f"{side}.out.w", (z, h)), (f"{side}.out.b", (z,))]
-    return shapes + [(MARGINAL, (z,))]
+    return shapes
 
 
 class EncoderParams:
-    """Parameter store for both encoders plus the marginal logit vector.
+    """Parameter store for both encoders.
 
     It holds the arrays it is given, under their ``param_shapes`` names
     (what ``named_arrays`` returns, or a checkpoint holds), cast to
@@ -76,15 +72,13 @@ class EncoderParams:
 
     def __init__(self, arrays: Mapping[str, np.ndarray], dtype=np.float32):
         self.input_dim = arrays[f"{CONFIRM}.gru.w_r"].shape[1]
-        self.alphabet_size = arrays[MARGINAL].shape[0]
+        self.alphabet_size = arrays[f"{CONFIRM}.out.b"].shape[0]
         hidden_dim = arrays[f"{CONFIRM}.gru.h0"].shape[0]
         self.store = nm.ParamStore(dtype=dtype)
         for name, _ in param_shapes(self.input_dim, self.alphabet_size, hidden_dim):
             side, slot = name.split(".", 1)
             if side == CONFIRM:
                 self.store.add(slot, np.stack([arrays[f"{s}.{slot}"] for s in SIDES]))
-            elif side not in SIDES:
-                self.store.add(name, arrays[name])
         self._gru = {slot: self.store[f"gru.{slot}"] for slot in (*nm.GRU_SLOTS, "h0")}
 
     @classmethod
@@ -93,9 +87,9 @@ class EncoderParams:
         dtype=np.float32,
     ) -> "EncoderParams":
         """A newly initialized model. GRU weights draw from U(-a, a) with
-        a = 1/sqrt(fan-in), in the checkpoint's array order; biases, the
-        trainable initial hidden state, and the marginal logits start at
-        zero, so a fresh model emits the uniform distribution."""
+        a = 1/sqrt(fan-in), in the checkpoint's array order; biases and the
+        trainable initial hidden state start at zero, so a fresh model emits
+        the uniform distribution."""
         rng = nm.stream_rng(seed, TAG_INIT)
         arrays = {
             # a weight matrix's fan-in is its column count
@@ -107,17 +101,13 @@ class EncoderParams:
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Every parameter array under its ``param_shapes`` name, in that
-        order: each side's row of each encoder parameter, then the marginal
-        logits. The arrays are views: writing one writes the parameter."""
-        params = dict(self.store.items())
-        marginal = params.pop(MARGINAL)
-        arrays = {
+        order: each side's row of each encoder parameter. The arrays are
+        views: writing one writes the parameter."""
+        return {
             f"{side}.{slot}": param.value[s]
             for s, side in enumerate(SIDES)
-            for slot, param in params.items()
+            for slot, param in self.store.items()
         }
-        arrays[MARGINAL] = marginal.value
-        return arrays
 
     def encode_node(
         self, side: Union[str, tuple], frames, tape: Optional[nm.Tape] = None
@@ -172,6 +162,3 @@ class EncoderParams:
 
             tape._record(joined, backward)
         return joined
-
-    def marginal_node(self, tape: Optional[nm.Tape] = None) -> nm.Node:
-        return nm.softmax(tape, self.store[MARGINAL])

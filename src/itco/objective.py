@@ -11,9 +11,10 @@ objective differentiable:
     loss            cross entropy - marginal term
 
 The gap between the batch-mean entropy and the cross entropy is the
-reported mutual-information lower bound. The adversarial variant, the same
-loss given a ``marginal``, replaces the marginal term with a cross entropy
-against a standalone trainable marginal, updated in alternation.
+reported mutual-information lower bound. Given a fixed reference
+``marginal`` (the global entropy mode's mean of earlier confirm rows), the
+same loss replaces the marginal term with the confirm side's cross entropy
+against that reference.
 
 Everything is reported in bits; gradients flow through natural logs with
 one conversion constant. Logs are clamped at ``LOG_FLOOR``, so a zero
@@ -41,7 +42,6 @@ from . import numerics as nm
 __all__ = [
     "ObjectiveTerms",
     "utterance_loss",
-    "marginal_fit_loss",
     "LOG2E",
 ]
 
@@ -58,7 +58,7 @@ class ObjectiveTerms:
     mi_bound_bits: float
     loss: float
     saturation_count: int
-    adversarial_marginal_bits: Optional[float] = None
+    reference_cross_entropy_bits: Optional[float] = None
 
 
 def _as_node(dists: Dists, pair: bool) -> nm.Node:
@@ -88,7 +88,7 @@ def _log_grad(g: np.ndarray, p: np.ndarray, clamped: np.ndarray) -> np.ndarray:
 
 def _cross_entropy_bits(weights: np.ndarray, log_scored: np.ndarray):
     """(1/N) sum_i sum_z weights_i[z] * (-log2 scored[z]) from the natural
-    log of `scored`, which is [N, Z] (per window) or [Z] (one marginal)."""
+    log of `scored`, which is [N, Z] (per window) or [Z] (one reference)."""
     return (weights * log_scored).sum(axis=1).mean() * -LOG2E
 
 
@@ -109,55 +109,39 @@ def _terms(ce, marginal_entropy, loss, probs: nm.Node, **extra):
 
 
 def utterance_loss(
-    probs: Dists,
-    tape: Optional[nm.Tape] = None,
-    extra_entropy_rows: Optional[np.ndarray] = None,
-    marginal: Optional[nm.Node] = None,
+    probs: Dists, tape: Optional[nm.Tape] = None, marginal: Optional[np.ndarray] = None
 ) -> tuple[nm.Node, ObjectiveTerms]:
     """The encoders' loss for one utterance: cross entropy minus the marginal term.
 
     The cross entropy is averaged over the minibatch's windows; the
     marginal term is one entropy of the batch mean and is deliberately not
-    averaged. ``extra_entropy_rows`` mixes fixed rows from earlier
-    utterances into that mean (the sliding-buffer global mode); gradients
-    flow only through the current batch, weighted by its share of the
-    combined mean. Given a fixed (untaped) [Z] ``marginal`` instead, the
-    marginal term is the confirm side's cross entropy against it, reported
-    as ``adversarial_marginal_bits``: the confirm side pushes its average
-    away from the marginal's reach, and the marginal gets no gradient (its
-    own loss is `marginal_fit_loss`). Gradients reach the confirm side
-    through both terms and the predict side through the first only.
+    averaged. Given a fixed [Z] reference ``marginal`` instead, the marginal
+    term is the confirm side's cross entropy against it, reported as
+    ``reference_cross_entropy_bits``: the confirm side pushes its average
+    away from the reference, which gets no gradient. Gradients reach the
+    confirm side through both terms and the predict side through the first
+    only.
     """
-    if extra_entropy_rows is not None and marginal is not None:
-        raise ValueError("an entropy buffer and an adversarial marginal exclude each other")
     probs = _as_node(probs, pair=True)
     c, p = probs.value
     n = c.shape[0]
     p_clamped, log_p = _clamped_log(p)
     ce = _cross_entropy_bits(c, log_p)
-    q, share = c.mean(axis=0), None
-    if extra_entropy_rows is not None and len(extra_entropy_rows) > 0:
-        buffered = np.asarray(extra_entropy_rows, dtype=c.dtype)
-        m = buffered.shape[0]
-        share = n / (n + m)
-        q = q * share + buffered.mean(axis=0) * (m / (n + m))
+    q = c.mean(axis=0)
     q_clamped, log_q = _clamped_log(q)
     marginal_entropy = (q * log_q).sum() * -LOG2E
     extra, marginal_term = {}, marginal_entropy
     if marginal is not None:
-        log_m = _clamped_log(marginal.value)[1]
+        log_m = _clamped_log(marginal)[1]
         marginal_term = _cross_entropy_bits(c, log_m)
-        extra["adversarial_marginal_bits"] = float(marginal_term)
+        extra["reference_cross_entropy_bits"] = float(marginal_term)
     loss = nm.Node(ce - marginal_term)
     if tape is not None:
         def backward(g):
             grad = np.empty_like(probs.value)
             to_bits = -g * -LOG2E  # the marginal term enters the loss negated
             if marginal is None:
-                dq = to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)
-                if share is not None:
-                    dq = dq * share
-                grad[0] = dq / n
+                grad[0] = (to_bits * log_q + _log_grad(to_bits * q, q, q_clamped)) / n
             else:
                 grad[0] = (to_bits / n) * log_m
             per_cell = (g * -LOG2E) / n
@@ -167,23 +151,3 @@ def utterance_loss(
 
         tape._record(loss, backward)
     return loss, _terms(ce, marginal_entropy, loss, probs, **extra)
-
-
-def marginal_fit_loss(
-    confirm_dists: Dists, marginal: nm.Node, tape: Optional[nm.Tape] = None
-) -> nm.Node:
-    """Cross entropy (bits) of the frozen confirm batch against the [Z] marginal.
-
-    This is the marginal model's own training loss; gradients reach only
-    the marginal.
-    """
-    c = _as_node(confirm_dists, pair=False).value
-    clamped, log_m = _clamped_log(marginal.value)
-    loss = nm.Node(_cross_entropy_bits(c, log_m))
-    if tape is not None:
-        def backward(g):
-            per_cell = (g * -LOG2E) / c.shape[0]
-            nm._acc(marginal, _log_grad((per_cell * c).sum(axis=0), marginal.value, clamped))
-
-        tape._record(loss, backward)
-    return loss

@@ -44,7 +44,7 @@ from .corpus import (
     Utterance, WindowGeometry, check_fields, fits, replace_file, rule, window_arrays, window_count
 )
 from .evaluation import reduce_corpus
-from .model import CONFIRM, SIDES, EncoderParams, param_shapes
+from .model import SIDES, EncoderParams, param_shapes
 from .numerics import NonFiniteError, Tape, sgd_apply, stream_rng
 
 __all__ = [
@@ -106,10 +106,10 @@ class TrainConfig:
     dead_threshold: float = rule(float, 0, 1, default=1e-3)
     clone_noise_sigma: float = rule(float, 0, default=0.01)
     seed: int = rule(int, 0, default=0)
-    mode: str = rule(str, choices=("base", "adversarial"), default="base")
     entropy_mode: str = rule(str, choices=("per_utterance", "global"), default="per_utterance")
     aligned_windows: bool = rule(bool, default=False)  # only generated placements (synthetic)
-    entropy_buffer_windows: int = rule(int, 1, default=1024)  # global mode: cross-utterance buffer
+    # global mode: the latest confirm rows, whose mean is the fixed reference
+    entropy_buffer_windows: int = rule(int, 1, default=1024)
     detect_sample_utterances: int = rule(int, 1, default=100)  # prefix scanned by death detection
 
     def __post_init__(self):
@@ -127,8 +127,6 @@ class TrainConfig:
         self.lr_schedule = tuple((end, float(lr)) for end, lr in self.lr_schedule)
         if self.clone_at >= self.lr_schedule[-1][0]:
             raise TrainerError("clone_at must fall inside the schedule")
-        if self.mode == "adversarial" and self.entropy_mode == "global":
-            raise TrainerError("entropy_mode 'global' needs mode 'base', not 'adversarial'")
 
     @property
     def budget_utterances(self) -> int:
@@ -290,7 +288,7 @@ def clone_symbols(state: TrainState, live_mask: np.ndarray, marginal: np.ndarray
     `live_mask` and `marginal` are what `detect_dead_symbols` returns.
     Pairs live symbols (descending `marginal`, index as tie break) with
     dead slots (ascending index), copying the output-layer row and bias in
-    both encoders plus the marginal logit, then perturbing the copies with
+    both encoders, then perturbing the copies with
     Gaussian noise of scale clone_noise_sigma. With zero noise each pair
     splits its probability mass exactly in half. The state's live mask
     becomes `live_mask` with the filled slots live. Every call appends its
@@ -308,7 +306,6 @@ def clone_symbols(state: TrainState, live_mask: np.ndarray, marginal: np.ndarray
 
     arrays = state.ep.named_arrays()
     targets = [arrays[f"{side}.out.{key}"] for side in SIDES for key in "wb"]
-    targets.append(arrays["marginal.logits"])
     for src, dst in pairs:
         for arr in targets:
             arr[dst] = arr[src]
@@ -383,7 +380,10 @@ def load_checkpoint(path: Path) -> TrainState:
     a header that claims a huge model is refused, not allocated. An older
     checkpoint's ``step`` and ``cloned`` counters, ``epoch_accum.count``,
     ``rng`` block, ``detect_mean_confirm`` array and clone events'
-    ``processed`` are ignored.
+    ``processed`` are ignored. An older checkpoint whose config names a
+    ``mode`` loads without it and without its ``marginal.logits`` array if
+    it trained the objective that remains (``base`` with per-utterance
+    entropy), and is refused otherwise.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -398,7 +398,9 @@ def load_checkpoint(path: Path) -> TrainState:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TrainerError(f"checkpoint header is not valid JSON: {path}: {exc}") from None
     try:
-        config = TrainConfig.from_json_dict(header["config"])
+        doc = dict(header["config"])
+        mode = doc.pop("mode", None)
+        config = TrainConfig.from_json_dict(doc)
         input_dim = header["input_dim"]
         counters = {key: header["counters"][key] for key in ("epoch", "pos_in_epoch", "processed")}
         accum = dict(header["epoch_accum"])
@@ -426,11 +428,17 @@ def load_checkpoint(path: Path) -> TrainState:
     invalid = [name for name, ok in valid.items() if not ok]
     if invalid:
         raise TrainerError(f"checkpoint header has invalid {', '.join(invalid)}: {path}")
+    if mode is not None and (mode, config.entropy_mode) != ("base", "per_utterance"):
+        raise TrainerError(
+            f"checkpoint was trained under mode {mode!r} with entropy_mode "
+            f"{config.entropy_mode!r}, an objective that no longer exists: {path}"
+        )
 
     # every array but the entropy buffer, whose row count varies, has one shape
     expected = dict(param_shapes(input_dim, z, config.hidden_dim))
     required = [*expected, "epoch_max_confirm", "epoch_max_predict", "entropy_buffer"]
     expected.update(epoch_max_confirm=(z,), epoch_max_predict=(z,), detect_mean_confirm=(z,))
+    expected["marginal.logits"] = (z,)  # an older checkpoint's fitted marginal, ignored
     offset, end = 12 + int(header_len), len(raw) - 4
     loaded: dict[str, np.ndarray] = {}
     for name, shape in table:
@@ -538,24 +546,18 @@ def _stream_length_through(path: Path, step: int) -> int:
 
 
 def _train_minibatch(state: TrainState, pair: tuple, lr: float) -> ob.ObjectiveTerms:
-    """One SGD step on one utterance's (y, x) pair of training windows."""
+    """One SGD step on one utterance's (y, x) pair of training windows. In
+    the global entropy mode the marginal term scores the confirm side
+    against the mean of the buffered earlier confirm rows, held fixed; the
+    step's own rows join the buffer after it."""
     config = state.config
     tape = Tape()
     probs = state.ep.encode_node(SIDES, pair, tape)
-    adversarial = config.mode == "adversarial"
-    buffer = state.entropy_buffer if config.entropy_mode == "global" else None
-    marginal = state.ep.marginal_node() if adversarial else None
-    loss, terms = ob.utterance_loss(probs, tape, buffer, marginal)
+    buffered = config.entropy_mode == "global" and len(state.entropy_buffer) > 0
+    marginal = state.entropy_buffer.mean(axis=0) if buffered else None
+    loss, terms = ob.utterance_loss(probs, tape, marginal)
     tape.backward(loss)
     sgd_apply(state.ep.store, lr)
-    if adversarial:
-        # alternate: refresh the confirm pass (gradient-free, it only
-        # supplies frozen targets), then step the marginal alone
-        confirm2 = state.ep.encode_node(CONFIRM, pair[0])
-        tape2 = Tape()
-        marginal_loss = ob.marginal_fit_loss(confirm2, state.ep.marginal_node(tape2), tape2)
-        tape2.backward(marginal_loss)
-        sgd_apply(state.ep.store, lr)
 
     state.epoch_max = np.maximum(state.epoch_max, probs.value.max(axis=1))
     if config.entropy_mode == "global":
@@ -648,7 +650,7 @@ def train(
             terms = _train_minibatch(state, batches[idx], lr)
             state.pos_in_epoch += 1
             state.processed += 1
-            # every objective term but the loss (the adversarial one only in that mode)
+            # every objective term but the loss (the reference's once global mode has one)
             terms_written = {k: v for k, v in vars(terms).items() if k != "loss" and v is not None}
             emit({"type": "minibatch", "utterance_id": usable[idx].id, "step": state.processed,
                   "lr": lr, **terms_written})

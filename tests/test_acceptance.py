@@ -6,12 +6,14 @@ The training-based criteria are deterministic for the fixed seeds used
 here, so their outcomes are stable on a given platform.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,14 +73,14 @@ def identity_spec(
 # criterion 1: gradient correctness
 
 
+def worst_gradcheck_case(seed: int) -> tuple[float, str]:
+    """One seed's worst relative gradient error and the case that made it."""
+    return max((err, name) for name, err in run_gradcheck(seed))
+
+
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    worst_err = 0.0
-    worst_name = ""
-    for seed in range(GRADCHECK_SEEDS):
-        for name, err in run_gradcheck(seed):
-            if err > worst_err:
-                worst_err, worst_name = err, name
+    worst_err, worst_name = max(map_seeds(worst_gradcheck_case, range(GRADCHECK_SEEDS)))
     elapsed = time.time() - t0
     ok = worst_err < 1e-3 and elapsed < 60.0
     report(
@@ -181,10 +183,20 @@ def test_criterion_5_confirm_model_sharper(bound_runs):
 # On the identity corpus I(x;y) = H(y symbols) = 2 bits, so a predictor that
 # sees the future half is capped there too. A symmetric noisy channel on both
 # sides keeps H(y symbols) at 2 bits but lowers I(x;y) to about 1 bit, so the
-# cap of criterion 2's run (seed 0) tells the honest model from a leak.
+# cap of criterion 2's run (seed 0) tells the honest model from a leak. The
+# global entropy mode trains against a fixed reference, the mean of earlier
+# confirm rows; it must respect the cap too, and must learn: its final bound
+# clears a floor. Over seeds 0-4 its final dev bounds were 0.885, 0.883,
+# 0.322, 0.883 and 0.342 bits (two seeds settle on fewer classes), so the
+# floor sits below the worst of them and far above the 0.000 bits of a
+# model that learns nothing. The leak test runs under the per-utterance
+# entropy only: under the global mode the leaking run's bound (0.963 at
+# seed 0) stays inside the cap.
 
 NOISY_DIAGONAL = 0.9
 DPI_SLACK_BITS = 0.05
+GLOBAL_FLOOR_BITS = 0.25
+NOISY_CHANNEL_RUNS = ("honest", "leaking", "global")
 
 
 def noisy_channel_spec(seed: int, num_utterances: int) -> SyntheticSpec:
@@ -194,35 +206,61 @@ def noisy_channel_spec(seed: int, num_utterances: int) -> SyntheticSpec:
     return dataclasses.replace(spec, x_channel=channel, y_channel=channel)
 
 
-def noisy_channel_gate() -> tuple[bool, str]:
-    """Whether every epoch's dev bound stays within DPI_SLACK_BITS of
-    I(x;y), and the line that reports it."""
-    corpus, joint = synth_corpus(noisy_channel_spec(1000, 200))
+def leaking_cut_windows(frames, geometry, aligned):
+    """`cut_windows` with the future half in place of the past one."""
+    _, y, centers = cut_windows(frames, geometry, aligned)
+    return y.copy(), y, centers
+
+
+def noisy_channel_run(case: str) -> dict:
+    """Every epoch's dev bound of one of `NOISY_CHANNEL_RUNS` on the noisy
+    channel, and I(x;y). The leaking run patches the `cut_windows` that
+    cuts every window batch, training's and evaluation's, while it runs."""
+    train_corpus, joint = synth_corpus(noisy_channel_spec(1000, 200))
     dev, _ = synth_corpus(noisy_channel_spec(2000, 100))
     true_mi = true_mi_oracle(joint)
     assert true_mi == pytest.approx(1.0097, abs=1e-4)
-    epochs = epoch_records(corpus, bound_config(0), dev_corpus=dev)
-    bounds = [r["dev_mi_bound_bits"] for r in epochs]
+    config = bound_config(0)
+    if case == "global":
+        config = dataclasses.replace(config, entropy_mode="global")
+    with contextlib.ExitStack() as patches:
+        if case == "leaking":
+            for module in (corpus, evaluation):
+                patches.enter_context(mock.patch.object(module, "cut_windows", leaking_cut_windows))
+        epochs = epoch_records(train_corpus, config, dev_corpus=dev)
+    return {"bounds": [r["dev_mi_bound_bits"] for r in epochs], "true_mi": true_mi}
+
+
+@pytest.fixture(scope="module")
+def noisy_channel_runs():
+    return dict(zip(NOISY_CHANNEL_RUNS, map_seeds(noisy_channel_run, NOISY_CHANNEL_RUNS)))
+
+
+def noisy_channel_gate(run: dict) -> tuple[bool, str]:
+    """Whether every epoch's dev bound of `run` stays within DPI_SLACK_BITS
+    of I(x;y), and the line that reports it."""
+    bounds, true_mi = run["bounds"], run["true_mi"]
     return max(bounds) <= true_mi + DPI_SLACK_BITS, (
         f"max held-out bound {max(bounds):.4f} <= I(x;y) {true_mi:.4f} + {DPI_SLACK_BITS} "
         f"over {len(bounds)} epochs, final {bounds[-1]:.4f}"
     )
 
 
-def test_criterion_9_dpi_bound_on_a_noisy_channel():
-    report(9, "DPI bound on a noisy channel", *noisy_channel_gate())
+def test_criterion_9_dpi_bound_on_a_noisy_channel(noisy_channel_runs):
+    report(9, "DPI bound on a noisy channel", *noisy_channel_gate(noisy_channel_runs["honest"]))
 
 
-def test_criterion_9_fails_when_the_predictor_sees_the_future(monkeypatch):
-    # every window batch, training's and evaluation's, is cut by cut_windows
-    def leaking(frames, geometry, aligned):
-        _, y, centers = cut_windows(frames, geometry, aligned)
-        return y.copy(), y, centers
-
-    for module in (corpus, evaluation):
-        monkeypatch.setattr(module, "cut_windows", leaking)
-    within, line = noisy_channel_gate()
+def test_criterion_9_fails_when_the_predictor_sees_the_future(noisy_channel_runs):
+    within, line = noisy_channel_gate(noisy_channel_runs["leaking"])
     assert not within, line
+
+
+def test_criterion_9_dpi_bound_under_the_global_entropy_mode(noisy_channel_runs):
+    run = noisy_channel_runs["global"]
+    within, line = noisy_channel_gate(run)
+    learned = run["bounds"][-1] >= GLOBAL_FLOOR_BITS
+    report(9, "DPI bound under the global entropy mode", within and learned,
+           f"{line} >= {GLOBAL_FLOOR_BITS}")
 
 
 # ---------------------------------------------------------------------------

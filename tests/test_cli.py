@@ -26,6 +26,7 @@ from itco.trainer import TrainConfig, TrainState, load_checkpoint, save_checkpoi
 from itco.corpus import WindowGeometry
 from itco.evaluation import STACK_WINDOWS
 from itco.model import EncoderParams
+from test_trainer import LEGACY_MID_EPOCH_CHECKPOINT, with_header_config
 
 
 def write_json(path: Path, doc: dict) -> Path:
@@ -79,6 +80,16 @@ def run_dir(tmp_path_factory, corpus_dir) -> Path:
     )
     assert code == 0
     return out
+
+
+EVAL_FILES = ("summary.json", "confusion.csv", "symbol_stats.csv")
+
+
+def with_older_mode(run_dir: Path, path: Path, mode: str, entropy_mode: str) -> Path:
+    """`path` holding the run's final checkpoint, its header config naming
+    `mode` and `entropy_mode` as an older checkpoint's does."""
+    raw = (run_dir / "checkpoints" / "final.itck").read_bytes()
+    return with_header_config(raw, path, mode=mode, entropy_mode=entropy_mode)
 
 
 def module_env() -> dict[str, str]:
@@ -267,8 +278,8 @@ class TestTrain:
         assert {r["lr"] for r in records if r["type"] == "minibatch"} == {0.3}
 
     def test_seed_flag_overrides_config(self, tmp_path, corpus_dir):
-        # the mode comes from the config file, as every option but the seed does
-        doc = dict(train_config(seed=3), mode="adversarial")
+        # the entropy mode comes from the config file, as every option but the seed does
+        doc = dict(train_config(seed=3), entropy_mode="global")
         cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
         code = main(
@@ -277,13 +288,13 @@ class TestTrain:
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["seed"] == 11
-        assert manifest["config"]["mode"] == "adversarial"
+        assert manifest["config"]["entropy_mode"] == "global"
         records = [
             json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()
         ]
-        assert all(
-            "adversarial_marginal_bits" in r for r in records if r["type"] == "minibatch"
-        )
+        # every step after the first scores against the buffered rows
+        minibatches = [r for r in records if r["type"] == "minibatch"]
+        assert all("reference_cross_entropy_bits" in r for r in minibatches[1:])
 
     def test_same_seed_runs_are_byte_identical(self, tmp_path, corpus_dir):
         cfg = write_json(tmp_path / "cfg.json", train_config())
@@ -479,7 +490,7 @@ class TestTrain:
             dict(train_config(), geometry=[]),
             dict(train_config(), geometry=False),
             dict(train_config(), entropy_mode="per-utterance"),
-            # the adversarial loss has no entropy term for the buffer to feed
+            # a config has no mode field: the adversarial objective is gone
             dict(train_config(), mode="adversarial", entropy_mode="global"),
         ],
         ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
@@ -821,14 +832,43 @@ class TestEval:
     def test_checkpoint_with_global_entropy_under_the_adversarial_mode_is_data_error(
         self, tmp_path, corpus_dir, run_dir, capsys
     ):
-        state = load_checkpoint(run_dir / "checkpoints" / "final.itck")
-        state.config.mode, state.config.entropy_mode = "adversarial", "global"
-        ckpt = tmp_path / "pair.itck"
-        save_checkpoint(state, ckpt)
+        # an older checkpoint's config names its mode, and this pair trained
+        # an objective that no longer exists
+        ckpt = with_older_mode(run_dir, tmp_path / "pair.itck", "adversarial", "global")
         out = tmp_path / "o"
         assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
-        assert "entropy_mode 'global' needs mode 'base', not 'adversarial'" in capsys.readouterr().err
+        assert "trained under mode 'adversarial' with entropy_mode 'global'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, entropy_mode", [("adversarial", "per_utterance"), ("base", "global")])
+    def test_checkpoint_of_a_removed_objective_is_data_error(
+        self, tmp_path, corpus_dir, run_dir, capsys, mode, entropy_mode
+    ):
+        # refused by eval, and by a resumed train before it writes anything
+        ckpt = with_older_mode(run_dir, tmp_path / "older.itck", mode, entropy_mode)
+        cfg = write_json(tmp_path / "cfg.json", dict(train_config(), entropy_mode=entropy_mode))
+        out = tmp_path / "o"
+        for argv in (["eval", "--checkpoint", str(ckpt)],
+                     ["train", "--config", str(cfg), "--resume", str(ckpt)]):
+            assert main([*argv, "--corpus", str(corpus_dir), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"trained under mode {mode!r} with entropy_mode {entropy_mode!r}" in err
+            assert not out.exists()
+
+    def test_a_base_checkpoint_of_the_older_layout_evaluates_as_in_the_current_one(
+        self, tmp_path, corpus_dir
+    ):
+        # its config names the base mode and it holds a marginal.logits array;
+        # saved again, it holds neither, and eval writes the same bytes
+        current = tmp_path / "current.itck"
+        save_checkpoint(load_checkpoint(LEGACY_MID_EPOCH_CHECKPOINT), current)
+        written = []
+        for ckpt in (LEGACY_MID_EPOCH_CHECKPOINT, current):
+            out = tmp_path / ckpt.stem
+            argv = ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]
+            assert main(argv) == 0
+            written.append([(out / name).read_bytes() for name in EVAL_FILES])
+        assert written[0] == written[1]
 
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, corpus_dir, run_dir):
         good = (run_dir / "checkpoints" / "final.itck").read_bytes()
@@ -994,7 +1034,7 @@ def test_train_and_eval_read_each_corpus_file_once(tmp_path, corpus_dir, run_dir
 def test_every_gru_pass_starts_inside_encode_node(tmp_path, corpus_dir, run_dir, monkeypatch):
     # the benchmark's set-up probe stops the clock at the first
     # EncoderParams.encode_node call, so no GRU pass of train (minibatches,
-    # the adversarial refresh, cloning's detection, dev evaluation) or of
+    # cloning's detection, dev evaluation) in either entropy mode or of
     # eval may run outside one
     depth, inside, outside = [0], [], []
     encode, sequence = EncoderParams.encode_node, nm.gru_sequence
@@ -1015,8 +1055,8 @@ def test_every_gru_pass_starts_inside_encode_node(tmp_path, corpus_dir, run_dir,
     dev = tmp_path / "dev"
     assert main(["synth", "--spec", str(write_json(tmp_path / "s.json", identity_spec(utterances=3))),
                  "--out", str(dev)]) == 0
-    for mode in ("base", "adversarial"):
-        cfg = write_json(tmp_path / f"{mode}.json", {**train_config(), "mode": mode})
+    for mode in ("per_utterance", "global"):
+        cfg = write_json(tmp_path / f"{mode}.json", {**train_config(), "entropy_mode": mode})
         assert main(["train", "--corpus", str(corpus_dir), "--dev-corpus", str(dev), "--config", str(cfg),
                      "--out", str(tmp_path / mode), "--stop-after", "120"]) == 0
     assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint",
@@ -1072,7 +1112,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "1", "--out", str(out)]) == 0
         report = json.loads((out / "gradcheck.json").read_text())
         assert report["failed"] == []
-        assert {"utterance_loss", "utterance_loss_global", "adversarial_encoder_loss"} <= set(
+        assert {"utterance_loss", "utterance_loss_global"} <= set(
             report["results"]
         )
         manifest = json.loads((out / "run_manifest.json").read_text())

@@ -1,4 +1,4 @@
-"""Encoder and marginal model behavior."""
+"""Encoder model behavior."""
 
 import numpy as np
 import pytest
@@ -139,8 +139,7 @@ def side_alone(ep, side):
     s = SIDES.index(side)
     store = nm.ParamStore(ep.store.dtype)
     for name, param in ep.store.items():
-        if name != "marginal.logits":
-            store.add(name, param.value[s : s + 1].copy())
+        store.add(name, param.value[s : s + 1].copy())
     return store
 
 
@@ -179,7 +178,6 @@ def test_paired_call_is_bit_identical_to_two_single_side_calls(dtype, steps, n):
         assert np.array_equal(probs.value[s], want[s])
         for name, grad in want_grads[s].items():
             assert np.array_equal(ep.store[name].grad[s], grad), (name, s)
-    assert ep.store["marginal.logits"].grad is None
     # after an update, untaped: the pair alone, and a stack of two batches per side
     nm.sgd_apply(ep.store, 0.5)
     stacked = np.stack([frames, rng.standard_normal(frames.shape).astype(dtype)], axis=1)
@@ -251,21 +249,9 @@ def test_init_scales_and_zero_starts():
     u = arrays["confirm.gru.u_r"]
     assert np.max(np.abs(w)) <= 1 / 3 + 1e-6  # fan-in 9
     assert np.max(np.abs(u)) <= 0.5 + 1e-6  # fan-in 4
-    for name in ("confirm.gru.b_r", "confirm.gru.h0", "confirm.out.b", "marginal.logits"):
+    for name in ("confirm.gru.b_r", "confirm.gru.h0", "confirm.out.b"):
         assert np.array_equal(arrays[name], np.zeros_like(arrays[name]))
     assert ep.store.dtype == np.float32
-
-
-def test_marginal_zero_logits_uniform():
-    ep = tiny_params()
-    assert np.allclose(ep.marginal_node().value, 0.25)
-
-
-def test_marginal_log_target_recovers_target():
-    ep = tiny_params()
-    target = np.array([0.1, 0.2, 0.3, 0.4])
-    ep.store["marginal.logits"].value[...] = np.log(target)
-    assert np.allclose(ep.marginal_node().value, target, atol=1e-12)
 
 
 def test_encode_gradients_flow_through_tape():
@@ -275,7 +261,7 @@ def test_encode_gradients_flow_through_tape():
     probs = ep.encode_node(SIDES, (y, x), tape)
     # only the confirm side's probabilities reach the loss
     tape.backward(projected(tape, probs, np.stack((np.arange(4.0)[None], np.zeros((1, 4))))))
-    grads = [param.grad for name, param in ep.store.items() if name != "marginal.logits"]
+    grads = [param.grad for _, param in ep.store.items()]
     assert len(grads) == 12
     assert sum(np.abs(grad[0]).sum() for grad in grads) > 0
     for grad in grads:

@@ -29,13 +29,9 @@ def row_entropy_bits(p):
     return float(-(p * np.log2(p)).sum())
 
 
-def encoder_params(ep):
-    return [param for name, param in ep.store.items() if name != "marginal.logits"]
-
-
 def side_grads(ep, side):
     """Each encoder parameter's gradient row of `side`."""
-    return [param.grad[SIDES.index(side)] for param in encoder_params(ep)]
+    return [param.grad[SIDES.index(side)] for _, param in ep.store.items()]
 
 
 def terms_of(confirm, predict=None, **kwargs):
@@ -115,16 +111,6 @@ def test_entropy_of_mean_identical_one_hots_is_zero():
     assert abs(terms_of(batch).marginal_entropy_bits) < 1e-12
 
 
-def test_entropy_of_mean_with_buffer_matches_pooled_oracle():
-    rng = np.random.default_rng(1)
-    batch = rng.dirichlet(np.ones(6), size=4)
-    buffer = rng.dirichlet(np.ones(6), size=12)
-    got = terms_of(batch, extra_entropy_rows=buffer).marginal_entropy_bits
-    pooled = np.vstack([batch, buffer]).mean(axis=0)
-    want = float(-(pooled * np.log2(pooled)).sum())
-    assert abs(got - want) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # utterance loss
 
@@ -176,12 +162,13 @@ def test_full_objective_gradient_matches_finite_differences(seed):
 
 
 def test_objective_gradient_with_entropy_buffer():
+    # the global entropy mode's reference: the mean of buffered confirm rows
     ep, x, y = build_toy_encoders(4)
-    buffer = np.random.default_rng(9).dirichlet(np.ones(4), size=7)
+    reference = np.random.default_rng(9).dirichlet(np.ones(4), size=7).mean(axis=0)
 
     def loss_fn(tape):
         probs = ep.encode_node(SIDES, (y, x), tape)
-        loss, _ = ob.utterance_loss(probs, tape, extra_entropy_rows=buffer)
+        loss, _ = ob.utterance_loss(probs, tape, reference)
         return loss
 
     assert nm.finite_diff_check(loss_fn, ep.store, epsilon=1e-5) < 1e-3
@@ -192,10 +179,10 @@ def test_predict_side_gets_no_gradient_from_entropy_term():
     # d/dp of -(1/N) sum c*log2(p) = -c/(N p ln 2), in both entropy modes
     ep, x, y = build_toy_encoders(5)
     buffer = np.random.default_rng(10).dirichlet(np.ones(4), size=3)
-    for extra in (None, buffer):
+    for reference in (None, buffer.mean(axis=0)):
         tape = nm.Tape()
         probs = ep.encode_node(SIDES, (y, x), tape)
-        loss, _ = ob.utterance_loss(probs, tape, extra_entropy_rows=extra)
+        loss, _ = ob.utterance_loss(probs, tape, reference)
         tape.backward(loss)
         (confirm, predict), (confirm_grad, predict_grad) = probs.value, probs.grad
         n = confirm.shape[0]
@@ -204,93 +191,57 @@ def test_predict_side_gets_no_gradient_from_entropy_term():
 
 
 # ---------------------------------------------------------------------------
-# adversarial variant
+# a fixed reference marginal: the adversarial form of the marginal term, a
+# cross entropy against a marginal, here held fixed as the global entropy
+# mode holds the mean of its buffered confirm rows
 
 
 def test_adversarial_uniform_marginal_costs_log_alphabet():
     rng = np.random.default_rng(3)
     confirm = dirichlet_batch(rng, 5, 64)
     predict = dirichlet_batch(rng, 5, 64)
-    marginal = nm.Node(np.full(64, 1 / 64))
-    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=marginal)
-    assert abs(float(ob.marginal_fit_loss(confirm, marginal).value) - 6.0) < 1e-9
-    assert abs(terms.adversarial_marginal_bits - 6.0) < 1e-9
+    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=np.full(64, 1 / 64))
+    assert abs(terms.reference_cross_entropy_bits - 6.0) < 1e-9
 
 
 def test_adversarial_marginal_at_batch_average_hits_entropy_of_mean():
     rng = np.random.default_rng(4)
     confirm = dirichlet_batch(rng, 8, 6)
     predict = dirichlet_batch(rng, 8, 6)
-    marginal = nm.Node(confirm.mean(axis=0))
-    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=marginal)
-    marginal_loss = float(ob.marginal_fit_loss(confirm, marginal).value)
-    assert abs(marginal_loss - terms.marginal_entropy_bits) < 1e-9
-    # the reported term is the marginal's own loss, bit for bit
-    assert terms.adversarial_marginal_bits == marginal_loss
+    _, terms = ob.utterance_loss(np.stack((confirm, predict)), marginal=confirm.mean(axis=0))
+    assert abs(terms.reference_cross_entropy_bits - terms.marginal_entropy_bits) < 1e-9
+    assert abs(terms.loss - (terms.cross_entropy_bits - terms.marginal_entropy_bits)) < 1e-9
 
 
 def test_adversarial_gradient_separation():
-    # the encoder loss against the untaped marginal reaches both encoders
-    # and not the marginal; the marginal's own loss reaches the marginal only
+    # the loss against the fixed reference reaches both encoders and leaves
+    # the reference as it was
     ep, x, y = build_toy_encoders(6)
+    reference = np.random.default_rng(6).dirichlet(np.ones(4))
+    before = reference.copy()
     tape = nm.Tape()
     probs = ep.encode_node(SIDES, (y, x), tape)
-    encoder_loss, _ = ob.utterance_loss(probs, tape, marginal=ep.marginal_node())
-
-    tape.backward(encoder_loss)
-    assert ep.store["marginal.logits"].grad is None
+    tape.backward(ob.utterance_loss(probs, tape, reference)[0])
     assert sum(np.abs(grad).sum() for grad in side_grads(ep, CONFIRM)) > 0
     assert sum(np.abs(grad).sum() for grad in side_grads(ep, PREDICT)) > 0
-
-    ep.store.zero_grads()
-    tape2 = nm.Tape()
-    confirm2 = nm.Node(ep.encode_node(CONFIRM, y).value)
-    tape2.backward(ob.marginal_fit_loss(confirm2, ep.marginal_node(tape2), tape2))
-    assert np.abs(ep.store["marginal.logits"].grad).sum() > 0
-    assert confirm2.grad is None
-    for param in encoder_params(ep):
-        assert param.grad is None
+    assert np.array_equal(reference, before)
 
 
 def test_adversarial_gradient_is_the_closed_form():
     # against a fixed marginal m, the confirm side's gradient is
     # LOG2E * (ln m - ln p) / N and the predict side's is the base loss's
     ep, x, y = build_toy_encoders(11)
-    marginal = nm.Node(np.random.default_rng(11).dirichlet(np.ones(4)))
+    marginal = np.random.default_rng(11).dirichlet(np.ones(4))
     grads = {}
-    for name, kwargs in (("base", {}), ("adversarial", {"marginal": marginal})):
+    for name, kwargs in (("base", {}), ("reference", {"marginal": marginal})):
         tape = nm.Tape()
         probs = ep.encode_node(SIDES, (y, x), tape)
         tape.backward(ob.utterance_loss(probs, tape, **kwargs)[0])
         grads[name] = probs.grad
     (confirm, predict), n = probs.value, probs.value.shape[1]
-    expected = ob.LOG2E * (np.log(marginal.value) - np.log(predict)) / n
-    assert np.allclose(grads["adversarial"][0], expected, rtol=1e-12, atol=0)
-    assert np.allclose(grads["adversarial"][1], grads["base"][1], rtol=1e-12, atol=0)
-    assert marginal.grad is None
-
-
-def test_a_buffer_and_a_marginal_are_refused_together():
-    pair = np.stack([uniform(2, 4)] * 2)
-    with pytest.raises(ValueError, match="entropy buffer and an adversarial marginal"):
-        ob.utterance_loss(pair, extra_entropy_rows=uniform(3, 4), marginal=nm.Node(uniform(1, 4)[0]))
-
-
-def test_marginal_training_approaches_entropy_of_mean():
-    # 200 SGD steps on the marginal against a fixed confirm batch should
-    # close to within 0.05 bits of the entropy-of-mean optimum.
-    rng = np.random.default_rng(5)
-    confirm = rng.dirichlet(np.ones(8), size=16)
-    store = nm.ParamStore(dtype=np.float64)
-    logits = store.add("logits", np.zeros(8))
-    target = terms_of(confirm).marginal_entropy_bits
-    for _ in range(200):
-        tape = nm.Tape()
-        tape.backward(ob.marginal_fit_loss(confirm, nm.softmax(tape, logits), tape))
-        nm.sgd_apply(store, lr=1.0)
-    final = float(ob.marginal_fit_loss(confirm, nm.softmax(None, logits)).value)
-    assert final >= target - 1e-9  # cross entropy can't beat the entropy
-    assert final - target < 0.05
+    expected = ob.LOG2E * (np.log(marginal) - np.log(predict)) / n
+    assert np.allclose(grads["reference"][0], expected, rtol=1e-12, atol=0)
+    assert np.allclose(grads["reference"][1], grads["base"][1], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def test_config_rejects_bad_schedules():
     "field, value",
     [("seed", -1), ("alphabet_size", 8.0), ("dead_threshold", "x"), ("aligned_windows", 1),
      ("entropy_buffer_windows", 0), ("detect_sample_utterances", 0), ("dead_threshold", 2.0),
-     ("clone_noise_sigma", -1.0), ("clone_noise_sigma", float("nan")), ("mode", "sampled"),
-     ("mode", 1), ("entropy_mode", "windowed"), ("entropy_mode", "per-utterance")],
+     ("clone_noise_sigma", -1.0), ("clone_noise_sigma", float("nan")),
+     ("entropy_mode", "windowed"), ("entropy_mode", "per-utterance")],
 )
 def test_config_rejects_wrong_types_and_ranges(field, value):
     with pytest.raises(tr.TrainerError, match=field):
@@ -126,17 +126,10 @@ def test_every_scalar_field_declares_a_rule(cls):
 
 
 def test_config_json_round_trip():
-    for config in (tiny_config(mode="adversarial"), tiny_config(entropy_mode="global")):
+    for config in (tiny_config(), tiny_config(entropy_mode="global")):
         again = tr.TrainConfig.from_json_dict(config.to_json_dict())
         assert again.to_json_dict() == config.to_json_dict()
         assert again.geometry == config.geometry
-
-
-def test_global_entropy_is_refused_under_the_adversarial_mode():
-    # the adversarial loss has no entropy term, so the buffer would only be filled
-    with pytest.raises(tr.TrainerError) as refused:
-        tiny_config(mode="adversarial", entropy_mode="global")
-    assert str(refused.value) == "entropy_mode 'global' needs mode 'base', not 'adversarial'"
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +246,9 @@ def test_clone_without_dead_symbols_is_a_noop():
     for _, param in state.ep.store.items():
         param.value[...] = 0
     detected = tr.detect_dead_symbols(state, utts[:4])
-    before = state.ep.store["marginal.logits"].value.copy()
+    before = {name: array.copy() for name, array in state.ep.named_arrays().items()}
     tr.clone_symbols(state, *detected)
-    assert np.array_equal(state.ep.store["marginal.logits"].value, before)
+    assert all(np.array_equal(state.ep.named_arrays()[name], array) for name, array in before.items())
     # the event is recorded all the same, and is what the metrics stream emits
     assert state.clone_history == [
         {"step": 0, "dead_before": 0, "live_before": 8, "pairs": [],
@@ -317,8 +310,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 # holds each fact once, so it has no `rng` block (the seed is the config's),
 # no count of the epoch's minibatches beside `pos_in_epoch`, and no clone
 # event's `processed` beside its `step`.
-FRESH_CHECKPOINT_SHA256 = "b2dd908230a908177157e1102a6a6fe22399e6fa5342ef996d93cb8f780fbcbf"
-CLONED_CHECKPOINT_SHA256 = "7ba218df8ae08f3013fb5ec0f1eb09bd3f01f4994d6ec3e8b5e43aad6fdf6e50"
+FRESH_CHECKPOINT_SHA256 = "bc4f0110a8dc5f7315b7aaf97cebe1c6df79a7cb1fee69357aca061f89425358"
+CLONED_CHECKPOINT_SHA256 = "833b1e9507ddc6a8f1b1ab704bfe5b7ca547458d9a9cad4fa11cbab83261b3f1"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -339,25 +332,45 @@ def cloned_state(state):
 
 # `test_checkpoint_bytes_are_pinned`'s clone case as written before the state
 # held each fact once: its header counts `step` and `cloned` besides
-# `processed`, and it stores the detection's `detect_mean_confirm` array
+# `processed`, and it stores the detection's `detect_mean_confirm` array.
+# Its config names the `base` mode, with per-utterance entropy, and it
+# stores that mode's unused `marginal.logits` array, as the older
+# mid-epoch checkpoint below does too.
 LEGACY_CLONED_CHECKPOINT = Path(__file__).parent / "data" / "legacy_cloned.itck"
 LEGACY_CLONED_CHECKPOINT_SHA256 = "3e7f9610f603ab535bd6f504b61b4ae16ab399f38e185d657a5e3522c38ce4b7"
+
+
+def header_of(raw: bytes) -> dict:
+    """The JSON header of a checkpoint's bytes."""
+    return json.loads(raw[12 : 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])])
 
 
 def test_a_checkpoint_of_the_older_layout_loads_and_resumes_alike(tmp_path):
     raw = LEGACY_CLONED_CHECKPOINT.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == LEGACY_CLONED_CHECKPOINT_SHA256
-    header = json.loads(raw[12 : 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])])
+    header = header_of(raw)
     assert {"step", "cloned"} <= header["counters"].keys()
-    assert "detect_mean_confirm" in [entry["name"] for entry in header["arrays"]]
+    assert (header["config"]["mode"], header["config"]["entropy_mode"]) == ("base", "per_utterance")
+    names = [entry["name"] for entry in header["arrays"]]
+    assert {"detect_mean_confirm", "marginal.logits"} <= set(names)
     legacy = tr.load_checkpoint(LEGACY_CLONED_CHECKPOINT)
+    assert legacy.config.to_json_dict() == tiny_config(clone_noise_sigma=0.05).to_json_dict()
+    # cloning draws no noise for a marginal logit any more, so pairs after
+    # the first get other noise than the older file's: the same clone gives
+    # the same event but not the same arrays
     current = cloned_state(tr.TrainState.fresh(tiny_config(clone_noise_sigma=0.05), input_dim=2))
-    tr.save_checkpoint(current, tmp_path / "current.itck")
-    assert tr.load_checkpoint(tmp_path / "current.itck").clone_history == legacy.clone_history
-    # both resume to the same stream, without a second clone
+    assert json.loads(json.dumps(current.clone_history)) == legacy.clone_history
+    # the older state and that state saved again in the current layout,
+    # which drops the two arrays, resume to the same stream, without a
+    # second clone
+    tr.save_checkpoint(legacy, tmp_path / "current.itck")
+    resaved = tr.load_checkpoint(tmp_path / "current.itck")
+    assert not {"detect_mean_confirm", "marginal.logits"} & {
+        entry["name"] for entry in header_of((tmp_path / "current.itck").read_bytes())["arrays"]
+    }
     utts, _ = tiny_corpus(n_utts=4)
     streams = []
-    for name, state in (("legacy", legacy), ("current", tr.load_checkpoint(tmp_path / "current.itck"))):
+    for name, state in (("legacy", legacy), ("current", resaved)):
         metrics = tmp_path / f"{name}.jsonl"
         tr.train(utts, state.config, metrics_path=metrics, resume=state)
         streams.append(metrics.read_bytes())
@@ -376,7 +389,9 @@ LEGACY_MID_EPOCH_CHECKPOINT_SHA256 = "b54961d0eb79b7298871a7dd2bb109c7285e3fa0b7
 def test_a_mid_epoch_checkpoint_of_the_older_layout_resumes_exactly(tmp_path):
     raw = LEGACY_MID_EPOCH_CHECKPOINT.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == LEGACY_MID_EPOCH_CHECKPOINT_SHA256
-    header = json.loads(raw[12 : 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])])
+    header = header_of(raw)
+    assert header["config"]["mode"] == "base"
+    assert "marginal.logits" in [entry["name"] for entry in header["arrays"]]
     assert header["epoch_accum"]["count"] == header["counters"]["pos_in_epoch"] == 7
     assert header["rng"]["seed"] == 0 and header["clone_history"]
     legacy = tr.load_checkpoint(LEGACY_MID_EPOCH_CHECKPOINT)
@@ -391,6 +406,38 @@ def test_a_mid_epoch_checkpoint_of_the_older_layout_resumes_exactly(tmp_path):
     interrupted.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:41]))
     tr.train(utts, legacy.config, metrics_path=interrupted, resume=legacy)
     assert interrupted.read_bytes() == full.read_bytes()
+
+
+def with_header_config(raw: bytes, path: Path, **fields) -> Path:
+    """`path` holding the checkpoint `raw` with `fields` set in its header's
+    config, under a valid CRC."""
+    header = header_of(raw)
+    header["config"].update(fields)
+    path.write_bytes(_with_header(raw, header))
+    return path
+
+
+def refusal_of_older_checkpoint(tmp_path, mode: str, entropy_mode: str) -> str:
+    """The TrainerError that loading the older mid-epoch checkpoint raises
+    once its header config names `mode` and `entropy_mode`."""
+    raw = LEGACY_MID_EPOCH_CHECKPOINT.read_bytes()
+    path = with_header_config(raw, tmp_path / "older.itck", mode=mode, entropy_mode=entropy_mode)
+    with pytest.raises(tr.TrainerError) as refused:
+        tr.load_checkpoint(path)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("mode, entropy_mode", [("adversarial", "per_utterance"), ("base", "global")])
+def test_a_checkpoint_of_a_removed_objective_is_refused(tmp_path, mode, entropy_mode):
+    # an older checkpoint's config names its mode; only base with
+    # per-utterance entropy trained an objective that remains
+    message = refusal_of_older_checkpoint(tmp_path, mode, entropy_mode)
+    assert f"trained under mode {mode!r} with entropy_mode {entropy_mode!r}" in message
+
+
+def test_global_entropy_is_refused_under_the_adversarial_mode(tmp_path):
+    message = refusal_of_older_checkpoint(tmp_path, "adversarial", "global")
+    assert "trained under mode 'adversarial' with entropy_mode 'global'" in message
 
 
 @pytest.mark.parametrize("name", ["state.itck", "run_manifest.json"])
@@ -553,7 +600,7 @@ def test_resume_refuses_another_corpus(tmp_path):
 
 def tape_lengths(monkeypatch, config):
     """Nodes on each tape of two training steps on one utterance (the
-    second global-mode step mixes in the first's rows), and the state."""
+    second global-mode step scores against the first's rows), and the state."""
     tapes, lengths = [], []
 
     class RecordedTape(tr.Tape):
@@ -573,16 +620,12 @@ def tape_lengths(monkeypatch, config):
     return lengths, state
 
 
-@pytest.mark.parametrize(
-    "mode, entropy_mode, nodes",
-    [("base", "per_utterance", [4]), ("base", "global", [4]), ("adversarial", "per_utterance", [4, 2])],
-)
-def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, mode, entropy_mode, nodes):
-    # both encoder sides tape one GRU sequence, one paired affine map and
-    # one paired softmax, and the loss is one node more; the adversarial
-    # marginal's own tape holds its softmax and its loss
-    lengths, state = tape_lengths(monkeypatch, tiny_config(mode=mode, entropy_mode=entropy_mode))
-    assert lengths == [nodes, nodes]
+@pytest.mark.parametrize("entropy_mode", ["per_utterance", "global"])
+def test_minibatch_tapes_record_one_node_per_loss(monkeypatch, entropy_mode):
+    # one tape per step: both encoder sides tape one GRU sequence, one
+    # paired affine map and one paired softmax, and the loss is one node more
+    lengths, state = tape_lengths(monkeypatch, tiny_config(entropy_mode=entropy_mode))
+    assert lengths == [[4], [4]]
     assert state.entropy_buffer.shape[0] == (2 * 4 if entropy_mode == "global" else 0)
 
 
@@ -839,32 +882,25 @@ def test_final_checkpoint_written_and_loadable(tmp_path):
 
 
 def test_global_entropy_mode_runs_and_checkpoints_buffer(tmp_path):
-    utts, _ = tiny_corpus(n_utts=5)
-    config = tiny_config(
-        lr_schedule=((1, 0.4),), entropy_mode="global", entropy_buffer_windows=12
-    )
-    ck = tmp_path / "ck"
-    state, _ = tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl", checkpoint_dir=ck)
-    assert state.entropy_buffer.shape == (12, 8)
-    loaded = tr.load_checkpoint(ck / "final.itck")
-    assert np.array_equal(loaded.entropy_buffer, state.entropy_buffer)
-    assert any(r["type"] == "minibatch" for r in read_records(tmp_path / "metrics.jsonl"))
-
-
-def test_adversarial_mode_emits_marginal_term_and_resumes(tmp_path):
+    # the first step has no earlier rows, so it scores against its own batch
+    # mean; every later one reports its cross entropy against the buffer's.
+    # Stopped mid-epoch and resumed into its directory, the run leaves the
+    # uninterrupted run's stream and final checkpoint byte for byte
     utts, _ = tiny_corpus(n_utts=6)
-    config = tiny_config(lr_schedule=((1, 0.4),), mode="adversarial")
-    metrics = {name: tmp_path / f"{name}.jsonl" for name in ("full", "prefix", "suffix")}
-    tr.train(utts, config, metrics_path=metrics["full"])
-    full = read_records(metrics["full"])
-    assert all(
-        "adversarial_marginal_bits" in r for r in full if r["type"] == "minibatch"
-    )
-    ck = tmp_path / "ck"
-    tr.train(utts, config, metrics_path=metrics["prefix"], checkpoint_dir=ck, stop_after=33)
-    state = tr.load_checkpoint(ck / "interrupted.itck")
-    tr.train(utts, config, metrics_path=metrics["suffix"], resume=state)
-    assert read_records(metrics["prefix"]) + read_records(metrics["suffix"]) == full
+    config = tiny_config(lr_schedule=((1, 0.4),), entropy_mode="global", entropy_buffer_windows=12)
+    whole, run = tmp_path / "whole", tmp_path / "run"
+    whole.mkdir()
+    run.mkdir()
+    state, _ = tr.train(utts, config, metrics_path=whole / "metrics.jsonl", checkpoint_dir=whole)
+    assert state.entropy_buffer.shape == (12, 8)
+    assert np.array_equal(tr.load_checkpoint(whole / "final.itck").entropy_buffer, state.entropy_buffer)
+    minibatches = [r for r in read_records(whole / "metrics.jsonl") if r["type"] == "minibatch"]
+    assert ["reference_cross_entropy_bits" in r for r in minibatches] == [False] + [True] * 99
+    tr.train(utts, config, metrics_path=run / "metrics.jsonl", checkpoint_dir=run, stop_after=33)
+    state = tr.load_checkpoint(run / "interrupted.itck")
+    tr.train(utts, config, metrics_path=run / "metrics.jsonl", checkpoint_dir=run, resume=state)
+    for name in ("metrics.jsonl", "final.itck"):
+        assert (run / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_evaluate_on_corpus_is_deterministic_and_complete():

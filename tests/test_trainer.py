@@ -882,6 +882,16 @@ def test_final_checkpoint_written_and_loadable(tmp_path):
 
 
 def test_global_entropy_mode_runs_and_checkpoints_buffer(tmp_path):
+    utts, _ = tiny_corpus(n_utts=5)
+    config = tiny_config(lr_schedule=((1, 0.4),), entropy_mode="global", entropy_buffer_windows=12)
+    ck = tmp_path / "ck"
+    state, _ = tr.train(utts, config, metrics_path=tmp_path / "metrics.jsonl", checkpoint_dir=ck)
+    assert state.entropy_buffer.shape == (12, 8)
+    assert np.array_equal(tr.load_checkpoint(ck / "final.itck").entropy_buffer, state.entropy_buffer)
+    assert any(r["type"] == "minibatch" for r in read_records(tmp_path / "metrics.jsonl"))
+
+
+def test_global_mode_emits_reference_term_and_resumes(tmp_path):
     # the first step has no earlier rows, so it scores against its own batch
     # mean; every later one reports its cross entropy against the buffer's.
     # Stopped mid-epoch and resumed into its directory, the run leaves the
@@ -891,9 +901,7 @@ def test_global_entropy_mode_runs_and_checkpoints_buffer(tmp_path):
     whole, run = tmp_path / "whole", tmp_path / "run"
     whole.mkdir()
     run.mkdir()
-    state, _ = tr.train(utts, config, metrics_path=whole / "metrics.jsonl", checkpoint_dir=whole)
-    assert state.entropy_buffer.shape == (12, 8)
-    assert np.array_equal(tr.load_checkpoint(whole / "final.itck").entropy_buffer, state.entropy_buffer)
+    tr.train(utts, config, metrics_path=whole / "metrics.jsonl", checkpoint_dir=whole)
     minibatches = [r for r in read_records(whole / "metrics.jsonl") if r["type"] == "minibatch"]
     assert ["reference_cross_entropy_bits" in r for r in minibatches] == [False] + [True] * 99
     tr.train(utts, config, metrics_path=run / "metrics.jsonl", checkpoint_dir=run, stop_after=33)

@@ -4,7 +4,8 @@ Utterances are [T, d] float feature matrices with optional per-frame gold
 labels. A corpus holds its label names once, as one sorted tuple, and each
 labelled utterance holds one int code per frame: the rank of the frame's
 label in that tuple, so code order is the names' code-point order.
-Windows slide over each utterance with stride 1 (or step over its
+`window_pairs` cuts every encoder input, for training and evaluation:
+windows that slide over each utterance with stride 1 (or step over its
 back-to-back generated placements) and never cross utterance boundaries.
 The synthetic generator draws (latent, x symbol, y symbol) triples
 through a pair of row-stochastic channels and emits one-hot frame blocks,
@@ -18,8 +19,8 @@ hash come from one pass. `write_corpus` writes each code back as its
 name, one per line.
 
 Every scalar input field, here and in the trainer's `TrainConfig`, is
-declared once with `rule` (type and range, or the values it allows) and
-checked by `check_fields`.
+declared once with `rule` (type and range, or the values it allows),
+checked by `check_fields` and read from JSON by `from_json_fields`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "fits",
     "rule",
     "check_fields",
+    "from_json_fields",
     "Corpus",
     "replace_file",
     "write_features",
@@ -51,7 +53,7 @@ __all__ = [
     "write_corpus",
     "normalize_utterance",
     "window_count",
-    "window_arrays",
+    "window_pairs",
     "cut_windows",
     "synth_corpus",
     "true_mi_oracle",
@@ -135,6 +137,23 @@ def check_fields(obj, error: type) -> None:
             raise error(f"{f.name} must be {what}{span}, got {value!r}")
 
 
+def from_json_fields(cls, doc, error: type, name: str = ""):
+    """`cls(**doc)` for the dataclass `cls`, or `error` naming (after `name`,
+    the key `doc` sits under) each unknown key, with the fields allowed, or
+    else each missing field that has no default."""
+    if not isinstance(doc, dict):
+        raise error(f"{name or cls.__name__} must be a JSON object, got {doc!r}")
+    allowed = [f.name for f in fields(cls)]
+    unknown = [repr(key) for key in doc if key not in allowed]
+    missing = [repr(f.name) for f in fields(cls)
+               if f.name not in doc and f.default is MISSING and f.default_factory is MISSING]
+    if unknown or missing:
+        what = (f"unknown field(s) {', '.join(unknown)}; the fields are {', '.join(allowed)}"
+                if unknown else f"missing field(s) {', '.join(missing)}")
+        raise error(f"{name}: {what}" if name else what)
+    return cls(**doc)
+
+
 @dataclass(frozen=True)
 class WindowGeometry:
     total: int = rule(int, 2, default=35)
@@ -212,7 +231,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SyntheticSpec":
-        return cls(**doc)
+        return from_json_fields(cls, doc, ValueError)
 
 
 def latent_label(s: int) -> str:
@@ -449,40 +468,48 @@ def normalize_utterance(u: Utterance) -> Utterance:
     return replace(u, frames=frames / np.sqrt(mean_sq))
 
 
+def _step(g: WindowGeometry, aligned: bool) -> int:
+    return g.total if aligned else 1  # frames from one window's start to the next's
+
+
 def window_count(frames: int, g: WindowGeometry, aligned: bool) -> int:
-    """How many windows `window_arrays` cuts from an utterance of `frames` frames."""
-    if frames < g.total:
-        return 0
-    return frames // g.total if aligned else frames - g.total + 1
+    """How many windows `cut_windows` cuts from an utterance of `frames` frames."""
+    return 0 if frames < g.total else (frames - g.total) // _step(g, aligned) + 1
 
 
-def window_arrays(
-    u: Utterance, g: WindowGeometry, aligned: bool, dtype
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize one utterance and cut it into window batches.
+def window_pairs(
+    run: list[Utterance], g: WindowGeometry, aligned: bool, dtype
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The window pair of a run of B utterances that share one window count N >= 1.
 
-    Returns x [N, past, d] (each window's first `past` frames), y
-    [N, future, d] (its last `future` frames) and centers [N], as
-    `cut_windows` cuts them. The normalized frames are cast to `dtype` once;
-    x and y are read-only views of them.
+    Each utterance's normalized frames, trimmed to the span its N windows
+    read (aligned utterances of one count may differ in length), are cast
+    once into one [B, F, d] stack of `dtype`. Returns `cut_windows`' views
+    of it: the (y [B, N, future, d], x [B, N, past, d]) pair, in ``SIDES``
+    order, and the N centers.
     """
-    return cut_windows(normalize_utterance(u).frames.astype(dtype), g, aligned)
+    span = (window_count(run[0].frames.shape[0], g, aligned) - 1) * _step(g, aligned) + g.total
+    frames = np.empty((len(run), span, run[0].frames.shape[1]), dtype)
+    for stacked, u in zip(frames, run):
+        stacked[...] = normalize_utterance(u).frames[:span]
+    return cut_windows(frames, g, aligned)
 
 
 def cut_windows(
     frames: np.ndarray, g: WindowGeometry, aligned: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut frames [..., F, d] into x [..., N, past, d], y [..., N, future, d]
-    and centers [N], read-only views of `frames`, no copy.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Cut frames [..., F, d] into the pair (y [..., N, future, d],
+    x [..., N, past, d]) of read-only views, no copy, and centers [N].
 
-    The window starting at frame t covers [t, t+total) and centers on
-    t + total//2. Windows start at every frame, or with ``aligned`` only at
-    the back-to-back generated placements 0, total, 2*total, ...; N is 0
-    when F is shorter than one window. At stride 1, each window starts one
-    frame after the previous one: a sliding view, whose N+L-1 distinct
-    frames ``numerics.gru_sequence`` projects once.
+    The window starting at frame t covers [t, t+total), x its first `past`
+    frames and y its last `future`, and centers on t + total//2. Windows
+    start at every frame, or with ``aligned`` only at the back-to-back
+    generated placements 0, total, 2*total, ...; N is 0 when F is shorter
+    than one window. At stride 1, each window starts one frame after the
+    previous one: a sliding view, whose N+L-1 distinct frames
+    ``numerics.gru_sequence`` projects once.
     """
-    step = g.total if aligned else 1
+    step = _step(g, aligned)
     if frames.shape[-2] >= g.total:
         # [..., N, d, total]
         view = np.lib.stride_tricks.sliding_window_view(frames, g.total, axis=-2)[..., ::step, :, :]
@@ -491,7 +518,7 @@ def cut_windows(
     x = view[..., : g.past].swapaxes(-1, -2)
     y = view[..., g.past + g.gap :].swapaxes(-1, -2)
     centers = np.arange(view.shape[-3]) * step + g.total // 2
-    return x, y, centers
+    return (y, x), centers
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 frame scoring from one count table.
 
 `reduce_corpus` streams a corpus in runs of consecutive utterances that
-have the same window count, up to `STACK_WINDOWS` windows a run. It
-normalizes each utterance with the same scaling used in training
-(normalization is idempotent, so already-normalized input is unchanged),
-stacks the run's frames, cuts one window view of the stack, runs each
-encoder once over it and folds every utterance's [2, N, Z] outputs, in
-corpus order, into one `CorpusReduction` of [2, ...] per-side arrays.
+have the same window count, up to `STACK_WINDOWS` windows a run. Each run
+is cut by `corpus.window_pairs`, as training cuts each utterance (with
+the same normalization, which is idempotent, so already-normalized input
+is unchanged), into one window view of the run's stacked frames. Each
+encoder runs once over it, and every utterance's [2, N, Z] outputs fold,
+in corpus order, into one `CorpusReduction` of [2, ...] per-side arrays.
 Stacking changes no bit: a run of one and a run of many reach the GRU in
 the same layout (a sliding view at stride 1), so each batch runs the
 GEMMs of its own encoder call, and each utterance's outputs are those of
-its own call on `window_arrays`' views. Every corpus statistic, here and
-in the trainer, is read from that record.
+its own call as a run of one. Every corpus statistic, here and in the
+trainer, is read from that record.
 
 A frame's symbol is the one the confirm model assigns the highest
 probability when a full window is centered on the frame; frames too close
@@ -34,9 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import (
-    Utterance, WindowGeometry, cut_windows, normalize_utterance, replace_file, window_count
-)
+from .corpus import Utterance, WindowGeometry, replace_file, window_count, window_pairs
 from .model import SIDES, EncoderParams
 from .objective import LOG_FLOOR, ObjectiveTerms, utterance_loss
 
@@ -139,42 +137,15 @@ def _runs(
         yield run
 
 
-def _encode_run(
-    ep: EncoderParams, run: list[Utterance], geometry: WindowGeometry, aligned: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Confirm and predict probabilities [2, B, N, Z] in float64 for a run
-    of B utterances, and the N window centers they share.
-
-    The run's normalized frames, each cut to the span its N windows read,
-    are cast into one [B, F, d] stack of the model's dtype, and
-    `cut_windows` cuts its [B, N, L, d] window views. A run of one and a
-    run of many thus reach ``gru_sequence`` in one layout: at stride 1 a
-    sliding view, whose frames each gate projects once. Each side is one
-    untaped call, so the sides' GRU buffers are never alive at once, and
-    each side's float64 cast is made as its call returns (the order of
-    least measured peak RSS).
-    """
-    count = window_count(run[0].frames.shape[0], geometry, aligned)
-    span = (count - 1) * (geometry.total if aligned else 1) + geometry.total
-    frames = np.empty((len(run), span, run[0].frames.shape[1]), ep.store.dtype)
-    for stacked, u in zip(frames, run):
-        stacked[...] = normalize_utterance(u).frames[:span]
-    x, y, centers = cut_windows(frames, geometry, aligned)
-    probs = [ep.encode_node(side, windows).value.astype(np.float64)
-             for side, windows in zip(SIDES, (y, x))]
-    return np.stack(probs), centers
-
-
 def reduce_corpus(
     ep: EncoderParams, corpus: list[Utterance], geometry: WindowGeometry, aligned: bool
 ) -> CorpusReduction:
     """Encode every window of `corpus` once per side and reduce the outputs.
 
-    Each utterance's frames are normalized and cast to the model's dtype;
-    an utterance without a full window is skipped. Each run of
-    consecutive utterances with one window count (see `_runs`) is encoded
-    by one untaped call per side on the [B, N, L, d] windows of its
-    stacked frames (see `_encode_run`), confirm first, and the
+    An utterance without a full window is skipped. Each run of
+    consecutive utterances with one window count (see `_runs`) is cut by
+    `corpus.window_pairs` into [B, N, L, d] windows of the model's dtype
+    and encoded by one untaped call per side, confirm first, and the
     probabilities are cast to float64 into one [2, B, N, Z] array. Every
     utterance's [2, N, Z] slice is then reduced in corpus order, exactly
     as if it had been encoded alone.
@@ -186,7 +157,11 @@ def reduce_corpus(
     agree = windows = 0
     terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, np.int32)]
     for run in _runs(corpus, geometry, aligned):
-        pairs, centers = _encode_run(ep, run, geometry, aligned)
+        batches, centers = window_pairs(run, geometry, aligned, ep.store.dtype)
+        # one untaped call per side, each cast as it returns: the order of least peak RSS
+        pairs = np.stack([ep.encode_node(side, batch).value.astype(np.float64)
+                          for side, batch in zip(SIDES, batches)])
+        del batches  # the run's frames, freed before its outputs are reduced
         for u, pair in zip(run, pairs.swapaxes(0, 1)):
             winners = pair.argmax(axis=2)
             if u.gold is not None:

@@ -14,12 +14,13 @@ the per-side names of ``param_shapes``, the checkpoint's arrays.
 
 ``encode_node(SIDES, (y, x), tape)`` is the one taped encoder call: both
 sides' windows as the (y, x) pair of [N, L, d] batches that
-``window_arrays`` cuts give symbol probabilities [2, N, Z], confirm first,
-each side's values and gradients bit-identical to a model of that side
-alone. Only this module puts the two sides on one axis: windows of one
-length are stacked once per call for one GRU pass; windows whose lengths
-differ run one GRU pass per side, joined before the paired head. Untaped,
-each batch may be a stack of equal-sized batches [B, N, L, d], giving
+``corpus.window_pairs`` cuts from one utterance give probabilities
+[2, N, Z], confirm first, each side's values and gradients bit-identical
+to a model of that side alone. Only this module puts the two sides on one
+axis: windows of one length are stacked once per call for one GRU pass;
+windows whose lengths differ run one GRU pass per side, joined before the
+paired head. Untaped, each batch may be a stack of equal-sized batches
+[B, N, L, d], as ``window_pairs`` cuts a run of B utterances, giving
 [2, B, N, Z] whose every [2, N, Z] slice is bit-identical to that batch's
 own call. One side, ``encode_node(CONFIRM or PREDICT, frames)``, runs
 untaped only, giving [N, Z] (or [B, N, Z]).

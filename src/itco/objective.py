@@ -48,7 +48,7 @@ __all__ = [
 LOG2E = float(np.log2(np.e))
 LOG_FLOOR = 1e-30
 
-Dists = Union[nm.Node, np.ndarray]  # [N, Z], one distribution per window; a pair [2, N, Z]
+Dists = Union[nm.Node, np.ndarray]  # [2, N, Z]: a window pair's distributions, one per window
 
 
 @dataclass
@@ -61,17 +61,13 @@ class ObjectiveTerms:
     reference_cross_entropy_bits: Optional[float] = None
 
 
-def _as_node(dists: Dists, pair: bool) -> nm.Node:
-    """Coerce one side's [N, Z] distributions, or a window pair's [2, N, Z]
-    (confirm, then predict; row i of each from window i), to a node; N must
-    be at least 1."""
+def _as_node(dists: Dists) -> nm.Node:
+    """Coerce a window pair's distributions [2, N, Z] (confirm, then
+    predict; row i of each from window i) to a node; N must be at least 1."""
     node = dists if isinstance(dists, nm.Node) else nm.Node(np.asarray(dists))
     shape = node.value.shape
-    if len(shape) != 2 + pair or (pair and shape[0] != 2):
-        want = "[2, N, Z]" if pair else "[N, Z]"
-        raise ValueError(f"distributions must form a {want} array, got shape {shape}")
-    if shape[-2] == 0:
-        raise ValueError("need at least one distribution")
+    if len(shape) != 3 or shape[0] != 2 or shape[1] == 0:
+        raise ValueError(f"distributions must form a [2, N, Z] array, N >= 1, got shape {shape}")
     return node
 
 
@@ -122,7 +118,7 @@ def utterance_loss(
     confirm side through both terms and the predict side through the first
     only.
     """
-    probs = _as_node(probs, pair=True)
+    probs = _as_node(probs)
     c, p = probs.value
     n = c.shape[0]
     p_clamped, log_p = _clamped_log(p)

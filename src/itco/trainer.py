@@ -2,10 +2,10 @@
 cloning, checkpointing, metrics emission.
 
 Each utterance is one minibatch: the (y, x) pair of its windows, which
-`window_arrays` cuts once per run as read-only views of the utterance's
-one normalized copy (so a run holds one copy of its corpus, however many
-windows it has), passed whole to one taped ``encode_node(SIDES, (y, x),
-tape)`` call, which gives both sides' probabilities as one [2, N, Z] array.
+`window_pairs` cuts once per run (a run of one) as read-only views of the
+utterance's one normalized copy (so a run holds one copy of its corpus,
+however many windows it has), passed whole to one taped ``encode_node(
+SIDES, (y, x), tape)`` call: both sides' probabilities as one [2, N, Z].
 The learning rate is a step function of hundreds of utterances processed.
 A single cloning event copies the output-layer rows of high-marginal live
 symbols onto dead slots once the configured point in the schedule is
@@ -41,7 +41,8 @@ import numpy as np
 
 from . import objective as ob
 from .corpus import (
-    Utterance, WindowGeometry, check_fields, fits, replace_file, rule, window_arrays, window_count
+    Utterance, WindowGeometry, check_fields, fits, from_json_fields, replace_file, rule,
+    window_count, window_pairs,
 )
 from .evaluation import reduce_corpus
 from .model import SIDES, EncoderParams, param_shapes
@@ -114,8 +115,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, TrainerError)
-        if not self.lr_schedule:
-            raise TrainerError("lr_schedule needs at least one segment")
+        segments = self.lr_schedule if isinstance(self.lr_schedule, (list, tuple)) else [None]
+        if not segments or not all(isinstance(s, (list, tuple)) and len(s) == 2 for s in segments):
+            raise TrainerError(f"lr_schedule must list [end, lr] pairs, got {self.lr_schedule!r}")
         prev = 0
         for end, lr in self.lr_schedule:
             if not (fits(end, int, prev + 1) and fits(lr, float) and lr > 0):
@@ -146,11 +148,9 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        geo = doc.pop("geometry", {})  # only an absent key means the default
-        if not isinstance(geo, dict):
-            raise TrainerError(f"geometry must be a JSON object, got {geo!r}")
-        return cls(geometry=WindowGeometry(**geo), **doc)
+        geometry = doc.get("geometry", {})  # only an absent key means the default geometry
+        geometry = from_json_fields(WindowGeometry, geometry, TrainerError, "geometry")
+        return from_json_fields(cls, {**doc, "geometry": geometry}, TrainerError)
 
 
 class TrainState:
@@ -411,6 +411,8 @@ def load_checkpoint(path: Path) -> TrainState:
         table = [(entry["name"], entry["shape"]) for entry in header["arrays"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TrainerError(f"checkpoint header is malformed: {path}: {exc!r}") from None
+    except TrainerError as exc:  # the config's own checks name the field
+        raise TrainerError(f"checkpoint config is invalid: {path}: {exc}") from None
     z, fresh = config.alphabet_size, _fresh_accum()
     valid = {
         "input_dim": fits(input_dim, int, 1),
@@ -612,10 +614,8 @@ def train(
         )
 
     dtype = state.ep.store.dtype
-    # each utterance's (y, x) windows: window_arrays cuts (x, y, centers)
-    batches = [
-        window_arrays(u, config.geometry, config.aligned_windows, dtype)[1::-1] for u in usable
-    ]
+    cut = (window_pairs([u], config.geometry, config.aligned_windows, dtype)[0] for u in usable)
+    batches = [(y[0], x[0]) for y, x in cut]  # each utterance's (y, x) windows [N, L, d]
     stream = _open_stream(metrics_path, state.processed)
 
     def emit(record: dict) -> None:

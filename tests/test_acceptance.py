@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from itco import corpus, evaluation
+from itco import corpus
 from itco import objective as ob
 from itco import trainer as tr
 from itco.gradcheck import run_gradcheck
@@ -29,7 +29,7 @@ from itco.corpus import (
     load_corpus,
     synth_corpus,
     true_mi_oracle,
-    window_arrays,
+    window_pairs,
 )
 from itco.model import CONFIRM, PREDICT
 from itco.numerics import stream_rng
@@ -208,14 +208,15 @@ def noisy_channel_spec(seed: int, num_utterances: int) -> SyntheticSpec:
 
 def leaking_cut_windows(frames, geometry, aligned):
     """`cut_windows` with the future half in place of the past one."""
-    _, y, centers = cut_windows(frames, geometry, aligned)
-    return y.copy(), y, centers
+    (y, _), centers = cut_windows(frames, geometry, aligned)
+    return (y, y.copy()), centers
 
 
 def noisy_channel_run(case: str) -> dict:
     """Every epoch's dev bound of one of `NOISY_CHANNEL_RUNS` on the noisy
-    channel, and I(x;y). The leaking run patches the `cut_windows` that
-    cuts every window batch, training's and evaluation's, while it runs."""
+    channel, and I(x;y). The leaking run patches `corpus.cut_windows`, which
+    `window_pairs` calls for every window batch, training's and
+    evaluation's, while it runs."""
     train_corpus, joint = synth_corpus(noisy_channel_spec(1000, 200))
     dev, _ = synth_corpus(noisy_channel_spec(2000, 100))
     true_mi = true_mi_oracle(joint)
@@ -225,8 +226,7 @@ def noisy_channel_run(case: str) -> dict:
         config = dataclasses.replace(config, entropy_mode="global")
     with contextlib.ExitStack() as patches:
         if case == "leaking":
-            for module in (corpus, evaluation):
-                patches.enter_context(mock.patch.object(module, "cut_windows", leaking_cut_windows))
+            patches.enter_context(mock.patch.object(corpus, "cut_windows", leaking_cut_windows))
         epochs = epoch_records(train_corpus, config, dev_corpus=dev)
     return {"bounds": [r["dev_mi_bound_bits"] for r in epochs], "true_mi": true_mi}
 
@@ -287,13 +287,10 @@ def test_criterion_3_cloning_one_bit_law():
         bias[2:] = -2000.0  # exp underflow: exactly zero probability in f64
 
     def frozen_batch_terms():
-        xs, ys = [], []
-        for u in utts:
-            x, y, _ = window_arrays(u, config.geometry, config.aligned_windows, np.float32)
-            xs.append(x)
-            ys.append(y)
-        confirm = state.ep.encode_node(CONFIRM, np.concatenate(ys)).value
-        predict = state.ep.encode_node(PREDICT, np.concatenate(xs)).value
+        # every utterance's windows, as one [B * N, L, d] batch a side
+        (y, x), _ = window_pairs(utts, config.geometry, config.aligned_windows, np.float32)
+        confirm = state.ep.encode_node(CONFIRM, y.reshape(-1, *y.shape[2:])).value
+        predict = state.ep.encode_node(PREDICT, x.reshape(-1, *x.shape[2:])).value
         _, terms = ob.utterance_loss(np.stack((confirm, predict)))
         return terms
 

@@ -187,26 +187,33 @@ class TestSynth:
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "c")]) == 2
 
     @pytest.mark.parametrize(
-        "doc, flags",
+        "doc, flags, named",
         [
-            (dict(identity_spec(), frames_per_side=3.0), ["--seed", "1"]),
-            (dict(identity_spec(), num_utterances=2.5), ["--seed", "1"]),
-            ([identity_spec()], ["--seed", "1"]),
-            (dict(identity_spec(), num_utterances=0), ["--seed", "1"]),
-            (dict(identity_spec(), windows_per_utterance=0), ["--seed", "1"]),
+            (dict(identity_spec(), frames_per_side=3.0), ["--seed", "1"], "frames_per_side"),
+            (dict(identity_spec(), num_utterances=2.5), ["--seed", "1"], "num_utterances"),
+            ([identity_spec()], ["--seed", "1"], "JSON object"),
+            (dict(identity_spec(), num_utterances=0), ["--seed", "1"], "num_utterances"),
+            (dict(identity_spec(), windows_per_utterance=0), ["--seed", "1"], "windows_per_utterance"),
             # the spec's own seed, so no --seed flag replaces it
-            (dict(identity_spec(), seed=-1), []),
-            (dict(identity_spec(), jitter_sigma=float("nan")), ["--seed", "1"]),
-            (dict(identity_spec(), x_channel=[[float("nan"), 1.0], [0.0, 1.0]]), ["--seed", "1"]),
+            (dict(identity_spec(), seed=-1), [], "seed"),
+            (dict(identity_spec(), jitter_sigma=float("nan")), ["--seed", "1"], "jitter_sigma"),
+            (dict(identity_spec(), x_channel=[[float("nan"), 1.0], [0.0, 1.0]]), ["--seed", "1"],
+             "x_channel"),
+            (dict(identity_spec(), stride=1), ["--seed", "1"], "unknown field(s) 'stride'"),
+            ({k: v for k, v in identity_spec().items() if k not in ("x_channel", "seed")}, [],
+             "missing field(s) 'x_channel', 'seed'"),
         ],
         ids=["float_frames_per_side", "float_num_utterances", "json_array", "zero_num_utterances",
-             "zero_windows_per_utterance", "negative_seed", "nan_jitter_sigma", "nan_channel"],
+             "zero_windows_per_utterance", "negative_seed", "nan_jitter_sigma", "nan_channel",
+             "unknown_field", "missing_fields"],
     )
-    def test_malformed_spec_is_data_error_before_any_output(self, tmp_path, capsys, doc, flags):
+    def test_malformed_spec_is_data_error_before_any_output(self, tmp_path, capsys, doc, flags, named):
         spec = write_json(tmp_path / "spec.json", doc)
         out = tmp_path / "c"
         assert main(["synth", "--spec", str(spec), "--out", str(out), *flags]) == 2
-        assert "bad synthetic spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad synthetic spec" in err and named in err
+        assert "__init__" not in err
         assert not out.exists()
 
     def test_unallocatable_spec_is_data_error_before_any_output(self, tmp_path, capsys, monkeypatch):
@@ -473,35 +480,48 @@ class TestTrain:
         ) == 1
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, named",
         [
-            [train_config()],
-            dict(train_config(), geometry={"total": 7.0, "past": 3.0, "gap": 1.0, "future": 3.0}),
+            ([train_config()], "JSON object"),
+            (dict(train_config(), geometry={"total": 7.0, "past": 3.0, "gap": 1.0, "future": 3.0}),
+             "total"),
             # clone_at 0 keeps each schedule otherwise valid
-            dict(train_config(), lr_schedule=[[1.5, 0.1]], clone_at=0),
-            dict(train_config(), lr_schedule=[[1, float("nan")]], clone_at=0),
+            (dict(train_config(), lr_schedule=[[1.5, 0.1]], clone_at=0), "lr_schedule"),
+            (dict(train_config(), lr_schedule=[[1, float("nan")]], clone_at=0), "lr_schedule"),
             # an integer too large for a float
-            dict(train_config(), lr_schedule=[[1, 10**400]], clone_at=0),
-            dict(train_config(), dead_threshold=2.0),
-            dict(train_config(), dead_threshold=float("nan")),
-            dict(train_config(), clone_noise_sigma=-1.0),
+            (dict(train_config(), lr_schedule=[[1, 10**400]], clone_at=0), "lr_schedule"),
+            (dict(train_config(), dead_threshold=2.0), "dead_threshold"),
+            (dict(train_config(), dead_threshold=float("nan")), "dead_threshold"),
+            (dict(train_config(), clone_noise_sigma=-1.0), "clone_noise_sigma"),
             # only an absent geometry means the default one
-            dict(train_config(), geometry=0),
-            dict(train_config(), geometry=[]),
-            dict(train_config(), geometry=False),
-            dict(train_config(), entropy_mode="per-utterance"),
+            (dict(train_config(), geometry=0), "geometry"),
+            (dict(train_config(), geometry=[]), "geometry"),
+            (dict(train_config(), geometry=False), "geometry"),
+            (dict(train_config(), entropy_mode="per-utterance"), "entropy_mode"),
             # a config has no mode field: the adversarial objective is gone
-            dict(train_config(), mode="adversarial", entropy_mode="global"),
+            (dict(train_config(), mode="adversarial", entropy_mode="global"), "'mode'"),
+            ({"mode": "adversarial"}, "'mode'"),
+            (dict(train_config(), geometry={"total": 7, "stride": 1}), "geometry: unknown field(s) 'stride'"),
+            (dict(train_config(), lr_schedule=[[1, 0.4, 3]], clone_at=0), "lr_schedule"),
+            (dict(train_config(), lr_schedule=5), "lr_schedule"),
+            (dict(train_config(), lr_schedule={"1": 0.4}), "lr_schedule"),
+            (dict(train_config(), lr_schedule=[]), "lr_schedule"),
         ],
         ids=["json_array", "float_geometry", "float_schedule_end", "nan_lr", "huge_int_lr", "dead_threshold_above_1",
              "nan_dead_threshold", "negative_clone_noise_sigma", "zero_geometry", "empty_list_geometry",
-             "false_geometry", "dashed_entropy_mode", "global_entropy_under_adversarial"],
+             "false_geometry", "dashed_entropy_mode", "global_entropy_under_adversarial",
+             "adversarial_mode", "unknown_geometry_field", "schedule_triple", "int_schedule",
+             "object_schedule", "empty_schedule"],
     )
-    def test_malformed_config_is_usage_error_before_any_output(self, tmp_path, corpus_dir, capsys, doc):
+    def test_malformed_config_is_usage_error_before_any_output(
+        self, tmp_path, corpus_dir, capsys, doc, named
+    ):
         cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "o"
         assert main(["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--out", str(out)]) == 1
-        assert "bad train config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad train config" in err and named in err
+        assert "TypeError" not in err and "__init__" not in err
         assert not out.exists()
 
     def test_unallocatable_config_is_usage_error_before_any_output(
@@ -854,6 +874,24 @@ class TestEval:
             err = capsys.readouterr().err
             assert f"trained under mode {mode!r} with entropy_mode {entropy_mode!r}" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [({"stride": 1}, "unknown field(s) 'stride'"),
+         ({"geometry": {"total": 7, "stride": 1}}, "geometry: unknown field(s) 'stride'"),
+         ({"lr_schedule": [[2, 0.4, 3]]}, "lr_schedule")],
+        ids=["unknown_field", "unknown_geometry_field", "schedule_triple"],
+    )
+    def test_checkpoint_with_a_refused_config_is_data_error_naming_the_field(
+        self, tmp_path, corpus_dir, run_dir, capsys, fields, named
+    ):
+        raw = (run_dir / "checkpoints" / "final.itck").read_bytes()
+        ckpt = with_header_config(raw, tmp_path / "refused.itck", **fields)
+        out = tmp_path / "o"
+        assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint config is invalid: {ckpt}: " in err and named in err
+        assert not out.exists()
 
     def test_a_base_checkpoint_of_the_older_layout_evaluates_as_in_the_current_one(
         self, tmp_path, corpus_dir

@@ -416,46 +416,61 @@ def test_normalize_ignores_positive_scaling(c):
 # windowing
 
 
-def loop_windows(u, g, aligned, dtype):
-    """Reference for window_arrays: slice one window per start out of the
-    normalized frames, stack, then cast."""
-    frames = cp.normalize_utterance(u).frames
-    starts = range(0, frames.shape[0] - g.total + 1, g.total if aligned else 1)
-    d = frames.shape[1]
-    x = [frames[t : t + g.past] for t in starts]
-    y = [frames[t + g.past + g.gap : t + g.total] for t in starts]
-    return (
-        np.array(x, dtype=np.float64).reshape(-1, g.past, d).astype(dtype),
-        np.array(y, dtype=np.float64).reshape(-1, g.future, d).astype(dtype),
-        np.array([t + g.total // 2 for t in starts], dtype=np.int64),
-    )
+def loop_windows(run, g, aligned, dtype):
+    """Reference for window_pairs: slice one window per start out of each
+    utterance's normalized frames, stack, then cast."""
+    ys, xs = [], []
+    for u in run:
+        frames = cp.normalize_utterance(u).frames
+        starts = range(0, frames.shape[0] - g.total + 1, g.total if aligned else 1)
+        xs.append([frames[t : t + g.past] for t in starts])
+        ys.append([frames[t + g.past + g.gap : t + g.total] for t in starts])
+    centers = np.array([t + g.total // 2 for t in starts], dtype=np.int64)
+    return (np.array(ys).astype(dtype), np.array(xs).astype(dtype)), centers
+
+
+def base_of(a: np.ndarray) -> np.ndarray:
+    """The array that owns `a`'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def assert_same_windows(got, want):
+    """window_pairs' ((y, x), centers) equals `want`'s in dtype, shape and
+    values, as read-only views of one array."""
+    (y, x), centers = got
+    for a, b in zip((y, x, centers), (*want[0], want[1])):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert not y.flags.writeable and not x.flags.writeable
+    assert base_of(y) is base_of(x)
 
 
 def test_windows_exact_fit_yields_one_window():
     g = cp.WindowGeometry()
     u = cp.Utterance("u", np.arange(1, 35 * 2 + 1, dtype=float).reshape(35, 2))
-    x, y, centers = cp.window_arrays(u, g, False, np.float64)
+    (y, x), centers = cp.window_pairs([u], g, False, np.float64)
     frames = cp.normalize_utterance(u).frames
-    assert x.shape == (1, 15, 2) and y.shape == (1, 15, 2)
-    assert np.array_equal(x[0], frames[0:15])
-    assert np.array_equal(y[0], frames[20:35])
+    assert x.shape == (1, 1, 15, 2) and y.shape == (1, 1, 15, 2)
+    assert np.array_equal(x[0, 0], frames[0:15])
+    assert np.array_equal(y[0, 0], frames[20:35])
     assert centers.tolist() == [17]
 
 
 def test_windows_count_matches_average_utterance():
     g = cp.WindowGeometry()
     u = cp.Utterance("u", np.ones((304, 3)))
-    x, y, centers = cp.window_arrays(u, g, False, np.float32)
-    assert x.shape == (270, 15, 3) and y.shape == (270, 15, 3)
+    (y, x), centers = cp.window_pairs([u], g, False, np.float32)
+    assert x.shape == (1, 270, 15, 3) and y.shape == (1, 270, 15, 3)
     assert centers.shape == (270,)
 
 
 def test_windows_too_short_gives_empty_list():
     g = cp.WindowGeometry()
-    u = cp.Utterance("u", np.ones((34, 3)))
     for aligned in (False, True):
-        x, y, centers = cp.window_arrays(u, g, aligned, np.float32)
-        assert x.shape == (0, 15, 3) and y.shape == (0, 15, 3) and centers.shape == (0,)
+        (y, x), centers = cp.cut_windows(np.ones((2, 34, 3), np.float32), g, aligned)
+        assert x.shape == (2, 0, 15, 3) and y.shape == (2, 0, 15, 3) and centers.shape == (0,)
         assert x.dtype == y.dtype == np.float32
 
 
@@ -463,22 +478,22 @@ def test_windows_too_short_gives_empty_list():
 @settings(max_examples=40, deadline=None)
 def test_window_count_formula(t):
     g = cp.WindowGeometry(total=9, past=4, gap=1, future=4)
-    u = cp.Utterance("u", np.ones((t, 2)))
-    assert cp.window_arrays(u, g, False, np.float32)[2].size == max(0, t - 9 + 1)
-    assert cp.window_arrays(u, g, True, np.float32)[2].size == t // 9
+    frames = np.ones((t, 2), np.float32)
+    assert cp.cut_windows(frames, g, False)[1].size == max(0, t - 9 + 1)
+    assert cp.cut_windows(frames, g, True)[1].size == t // 9
     for aligned in (False, True):
-        assert cp.window_count(t, g, aligned) == cp.window_arrays(u, g, aligned, np.float32)[2].size
+        assert cp.window_count(t, g, aligned) == cp.cut_windows(frames, g, aligned)[1].size
 
 
 def test_window_slices_respect_geometry():
     g = cp.WindowGeometry(total=9, past=4, gap=1, future=4)
     u = cp.Utterance("u", np.arange(1, 13, dtype=float).reshape(12, 1))
-    x, y, centers = cp.window_arrays(u, g, False, np.float64)
+    (y, x), centers = cp.window_pairs([u], g, False, np.float64)
     assert centers.tolist() == [4, 5, 6, 7]
     scale = cp.normalize_utterance(u).frames[0, 0]  # frame 0 holds 1.0
     # the window starting at frame 2 holds frames 2..10 (values 3..11)
-    assert np.allclose(x[2].ravel() / scale, [3, 4, 5, 6])
-    assert np.allclose(y[2].ravel() / scale, [8, 9, 10, 11])
+    assert np.allclose(x[0, 2].ravel() / scale, [3, 4, 5, 6])
+    assert np.allclose(y[0, 2].ravel() / scale, [8, 9, 10, 11])
 
 
 def test_geometry_invariants():
@@ -492,12 +507,25 @@ def test_aligned_starts_walk_back_to_back_blocks():
     g = cp.WindowGeometry(total=8, past=3, gap=2, future=3)
     for frames, starts in ((24, [0, 8, 16]), (23, [0, 8])):
         u = cp.Utterance("u", np.ones((frames, 2)))
-        centers = cp.window_arrays(u, g, True, np.float32)[2]
+        centers = cp.window_pairs([u], g, True, np.float32)[1]
         assert centers.tolist() == [t + 4 for t in starts]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_aligned_run_reads_only_its_windows_of_each_utterance(dtype):
+    # 630 and 640 frames both hold 18 aligned 35-frame windows; each is
+    # normalized over all its frames, and the stack holds the 630 its windows read
+    g = cp.WindowGeometry()
+    rng = np.random.default_rng(5)
+    run = [cp.Utterance(f"u{t}", rng.standard_normal((t, 3))) for t in (630, 640)]
+    got = cp.window_pairs(run, g, True, dtype)
+    assert got[0][0].shape == (2, 18, 15, 3) and base_of(got[0][0]).shape == (2, 630, 3)
+    assert_same_windows(got, loop_windows(run, g, True, dtype))
+
+
 @given(
-    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=2, max_value=4),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=1, max_value=5),
@@ -507,19 +535,15 @@ def test_aligned_starts_walk_back_to_back_blocks():
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_window_arrays_match_per_start_loop(t, past, gap, future, d, aligned, dtype, seed):
+def test_window_pairs_match_per_start_loop(n, b, past, gap, future, d, aligned, dtype, seed):
+    # a run of b utterances of n windows each; aligned, each has its own
+    # leftover frames past its last window
     g = cp.WindowGeometry(total=past + gap + future, past=past, gap=gap, future=future)
-    # half the draws sit at or just below one window, where the edge cases are
-    t = t if seed % 2 else g.total - (t % 2)
-    u = cp.Utterance("u", np.random.default_rng(seed).standard_normal((t, d)) + 0.1)
-    got = cp.window_arrays(u, g, aligned, dtype)
-    want = loop_windows(u, g, aligned, dtype)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
-    aligned_arrays = cp.window_arrays(u, g, True, dtype)
-    for a, b in zip(aligned_arrays, cp.window_arrays(u, g, False, dtype)):
-        assert np.array_equal(a, b[:: g.total])
+    rng = np.random.default_rng(seed)
+    lengths = [n * g.total + int(rng.integers(g.total)) if aligned else n + g.total - 1
+               for _ in range(b)]
+    run = [cp.Utterance(f"u{i}", rng.standard_normal((t, d)) + 0.1) for i, t in enumerate(lengths)]
+    assert_same_windows(cp.window_pairs(run, g, aligned, dtype), loop_windows(run, g, aligned, dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from itco.corpus import (
     SyntheticSpec,
     Utterance,
     WindowGeometry,
+    cut_windows,
     normalize_utterance,
     synth_corpus,
-    window_arrays,
     window_count,
+    window_pairs,
 )
 from itco.evaluation import (
     NO_EVALUABLE_FRAMES,
@@ -181,7 +182,8 @@ def reduce_corpus_oracle(
     labels: tuple[str, ...] = (),
 ) -> CorpusReduction:
     """The per-utterance loop `reduce_corpus` stacks: one encoder call per
-    utterance and side, every utterance windowed, kept as its oracle.
+    utterance and side, each utterance's whole normalized frames cast and
+    cut alone, kept as its oracle.
     Its `gold` holds each center's label name, read through `labels`: the
     string path, kept as the oracle of the reduction's codes."""
     z = ep.alphabet_size
@@ -190,7 +192,8 @@ def reduce_corpus_oracle(
     agree = windows = 0
     terms, symbols, gold = [], [np.zeros(0, np.int64)], [np.zeros(0, str)]
     for u in corpus:
-        x, y, centers = window_arrays(u, geometry, aligned, ep.store.dtype)
+        frames = normalize_utterance(u).frames.astype(ep.store.dtype)
+        (y, x), centers = cut_windows(frames, geometry, aligned)
         if centers.size == 0:
             continue
         confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
@@ -299,13 +302,14 @@ class TestReduceCorpus:
         )
         outputs, symbols, gold = [], [], []
         for u in corpus:
-            x, y, centers = window_arrays(u, GEOM, aligned, np.float32)
-            if centers.size:
-                confirm = ep.encode_node(CONFIRM, y).value.astype(np.float64)
-                outputs.append((confirm, ep.encode_node(PREDICT, x).value.astype(np.float64)))
-                if u.gold is not None:
-                    symbols += confirm.argmax(axis=1).tolist()
-                    gold += [labels[u.gold[c]] for c in centers]
+            if window_count(u.frames.shape[0], GEOM, aligned) == 0:
+                continue
+            (y, x), centers = window_pairs([u], GEOM, aligned, np.float32)
+            confirm = ep.encode_node(CONFIRM, y[0]).value.astype(np.float64)
+            outputs.append((confirm, ep.encode_node(PREDICT, x[0]).value.astype(np.float64)))
+            if u.gold is not None:
+                symbols += confirm.argmax(axis=1).tolist()
+                gold += [labels[u.gold[c]] for c in centers]
         calls = []
         encode = EncoderParams.encode_node
 

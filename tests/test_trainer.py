@@ -18,7 +18,7 @@ from itco import cli
 from itco import numerics as nm
 from itco import objective as ob
 from itco import trainer as tr
-from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_arrays
+from itco.corpus import SyntheticSpec, Utterance, WindowGeometry, synth_corpus, window_pairs
 from itco.evaluation import STACK_WINDOWS
 from itco.model import CONFIRM, PREDICT, SIDES, EncoderParams
 from runs import read_records
@@ -179,13 +179,10 @@ def frozen_state_with_dead_slots(z=8, live=(0, 1), dtype=np.float64):
 
 
 def batch_terms(state, utts):
-    xs, ys = [], []
-    for u in utts:
-        x, y, _ = window_arrays(u, state.config.geometry, state.config.aligned_windows, np.float32)
-        xs.append(x)
-        ys.append(y)
-    x = np.concatenate(xs).astype(state.ep.store.dtype)
-    y = np.concatenate(ys).astype(state.ep.store.dtype)
+    # every utterance's windows, as one [B * N, L, d] batch a side
+    config = state.config
+    (y, x), _ = window_pairs(utts, config.geometry, config.aligned_windows, np.float32)
+    y, x = (side.reshape(-1, *side.shape[2:]).astype(state.ep.store.dtype) for side in (y, x))
     confirm = state.ep.encode_node(CONFIRM, y).value
     predict = state.ep.encode_node(PREDICT, x).value
     _, terms = ob.utterance_loss(np.stack((confirm, predict)))
@@ -611,8 +608,8 @@ def tape_lengths(monkeypatch, config):
     monkeypatch.setattr(tr, "Tape", RecordedTape)
     utts, _ = tiny_corpus()
     state = tr.TrainState.fresh(config, input_dim=utts[0].frames.shape[1])
-    x, y, _ = window_arrays(utts[0], config.geometry, config.aligned_windows, np.float32)
-    frames = (y, x)
+    (y, x), _ = window_pairs(utts[:1], config.geometry, config.aligned_windows, np.float32)
+    frames = (y[0], x[0])
     for _ in range(2):
         tapes.clear()
         tr._train_minibatch(state, frames, 0.1)
